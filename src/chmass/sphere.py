@@ -11,6 +11,11 @@ Real harmonic conventions: Y_{l,0} = Pbar_{l,0}(x), and for m > 0
 Y_{l,+m} = sqrt(2) Pbar_{l,m}(x) cos(m phi), Y_{l,-m} = sqrt(2) Pbar_{l,m}(x)
 sin(m phi), with Pbar normalized so the Y are orthonormal in L^2(S^2).
 Coefficient vectors are flat with index l^2 + l + m.
+
+Transforms loop over m alone (per-m blocks, Schaeffer 2013, arXiv:1202.6522).
+The Legendre tables of band L are m-major and packed: block m holds rows
+l = m..L from row m(L+1) - m(m-1)/2, and ``_blocks`` maps it to the flat
+indices l^2+l+m (cos m phi part) and l^2+l-m (sin m phi part).
 """
 
 from __future__ import annotations
@@ -46,53 +51,85 @@ def n_coeffs(lmax: int) -> int:
     return (lmax + 1) ** 2
 
 
-def _tri(l: int, m: int) -> int:
-    # triangular index into the (m >= 0) Legendre tables
-    return l * (l + 1) // 2 + m
+def _block_start(m, L: int):
+    """First row (l = m) of block m in an m-major table of band L."""
+    return m * (L + 1) - m * (m - 1) // 2
+
+
+def _blocks(n: int, L: int | None = None):
+    """Per-m blocks (m, rows, k, nrm) of a flat coefficient vector of length n.
+
+    ``rows`` slices rows l = m..lmax of block m of a table of band L (default
+    lmax); ``k`` holds their flat indices, cos part l^2+l+m and, for m > 0,
+    sin part l^2+l-m; ``nrm`` is the real-harmonic factor (sqrt(2) for m > 0).
+    """
+    lmax = math.isqrt(n) - 1
+    if n < 1 or (lmax + 1) ** 2 != n:
+        raise ValueError(f"coefficient vector of length {n} is not (lmax + 1)^2")
+    L = lmax if L is None else L
+    if lmax > L:
+        raise ValueError(f"coefficient band lmax = {lmax} beyond grid band {L}")
+    blocks = []
+    for m in range(lmax + 1):
+        start = _block_start(m, L)
+        l = np.arange(m, lmax + 1)
+        k = np.stack([l * l + l + m, l * l + l - m])[: 2 if m else 1]
+        blocks.append((m, slice(start, start + lmax + 1 - m), k, math.sqrt(2.0) if m else 1.0))
+    return blocks
 
 
 def _legendre_tables(lmax: int, x: np.ndarray):
     """Normalized associated Legendre functions Pbar_{l,m}(x) and their first
     and second x-derivatives, for 0 <= m <= l <= lmax.
 
-    Returns three arrays of shape (n_pairs, len(x)) indexed by _tri(l, m).
+    Returns three arrays of shape ((lmax+1)(lmax+2)/2, len(x)) in m-major
+    order: block m holds rows l = m..lmax, starting at _block_start(m, lmax).
     Normalization: int_{-1}^{1} Pbar_{l,m}^2 dx = 1/(2 pi); no Condon-Shortley
     phase.  Valid for |x| < 1 (interior nodes only).
     """
     x = np.asarray(x, dtype=float)
     s2 = 1.0 - x * x  # sin^2(theta), strictly positive at interior nodes
-    npairs = (lmax + 1) * (lmax + 2) // 2
-    P = np.zeros((npairs, x.size))
+    m = np.arange(lmax + 1)
+    off = _block_start(m, lmax)
+    P = np.zeros((off[-1] + 1, x.size))
     D = np.zeros_like(P)
     D2 = np.zeros_like(P)
 
-    P[0] = 1.0 / math.sqrt(4.0 * math.pi)
-    for m in range(1, lmax + 1):
-        c = math.sqrt((2.0 * m + 1.0) / (2.0 * m))
-        prev = _tri(m - 1, m - 1)
-        P[_tri(m, m)] = c * np.sqrt(s2) * P[prev]
-    for m in range(0, lmax + 1):
-        i = _tri(m, m)
-        # d/dx and d2/dx2 of the diagonal seed c_m (1-x^2)^{m/2}
-        D[i] = -m * x * P[i] / s2
-        D2[i] = m * P[i] * ((m - 2.0) * x * x - s2) / (s2 * s2)
-        if m + 1 <= lmax:
-            d = math.sqrt(2.0 * m + 3.0)
-            j = _tri(m + 1, m)
-            P[j] = d * x * P[i]
-            D[j] = d * (P[i] + x * D[i])
-            D2[j] = d * (2.0 * D[i] + x * D2[i])
-        for l in range(m + 2, lmax + 1):
-            a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            b = -math.sqrt(
-                (2.0 * l + 1.0) / (2.0 * l - 3.0)
-                * ((l - 1.0) ** 2 - m * m) / (l * l - m * m)
-            )
-            k, k1, k2 = _tri(l, m), _tri(l - 1, m), _tri(l - 2, m)
-            P[k] = a * x * P[k1] + b * P[k2]
-            D[k] = a * (P[k1] + x * D[k1]) + b * D[k2]
-            D2[k] = a * (2.0 * D[k1] + x * D2[k1]) + b * D2[k2]
+    # diagonal seeds Pbar_{m,m} = c_m (1-x^2)^{m/2} and their x-derivatives
+    c = np.sqrt((2.0 * m[1:] + 1.0) / (2.0 * m[1:]))[:, None]
+    P0 = np.full((1, x.size), 1.0 / math.sqrt(4.0 * math.pi))
+    P[off] = np.cumprod(np.vstack([P0, c * np.sqrt(s2)]), axis=0)
+    mc = m[:, None]
+    D[off] = -mc * x * P[off] / s2
+    D2[off] = mc * P[off] * ((mc - 2.0) * x * x - s2) / (s2 * s2)
+    # step k = l - m for every block at once: first the l = m + 1 rows, then
+    # the three-term recurrence in l
+    i, d = off[:-1], np.sqrt(2.0 * m[:-1] + 3.0)[:, None]
+    P[i + 1] = d * x * P[i]
+    D[i + 1] = d * (P[i] + x * D[i])
+    D2[i + 1] = d * (2.0 * D[i] + x * D2[i])
+    for k in range(2, lmax + 1):
+        mk = m[: lmax + 1 - k]
+        l = mk + k
+        a = np.sqrt((4.0 * l * l - 1.0) / (l * l - mk * mk))[:, None]
+        b = -np.sqrt((2.0 * l + 1.0) / (2.0 * l - 3.0)
+                     * ((l - 1.0) ** 2 - mk * mk) / (l * l - mk * mk))[:, None]
+        i = off[: lmax + 1 - k] + k
+        P[i] = a * x * P[i - 1] + b * P[i - 2]
+        D[i] = a * (P[i - 1] + x * D[i - 1]) + b * D[i - 2]
+        D2[i] = a * (2.0 * D[i - 1] + x * D2[i - 1]) + b * D2[i - 2]
     return P, D, D2
+
+
+def _per_m_profiles(coeffs: np.ndarray, table: np.ndarray, blocks):
+    """Zonal profiles (A_m, B_m)(x), m = 0..lmax, of sum c_{lm} T_{lm}(x) trig(m phi).
+
+    Returns one array of shape (2, lmax + 1, len(x)); B_0 is zero.
+    """
+    AB = np.zeros((2, len(blocks), table.shape[1]))
+    for m, rows, k, nrm in blocks:
+        AB[: len(k), m] = nrm * (coeffs[k] @ table[rows])
+    return AB
 
 
 def _gauss_legendre(n: int):
@@ -161,39 +198,17 @@ class SphereGrid:
         content aliases.
         """
         lmax = self.lmax if lmax is None else int(lmax)
-        if lmax > self.lmax:
-            raise ValueError(f"lmax = {lmax} beyond grid band {self.lmax}")
+        blocks = _blocks(n_coeffs(lmax), self.lmax)
         values = np.asarray(values, dtype=float)
         if values.shape != (self.n_theta, self.n_phi):
             raise ValueError("field shape does not match grid")
         P, _, _ = self.tables()
         G = np.fft.rfft(values, axis=1) * (2.0 * math.pi / self.n_phi)
+        WG = self.w_theta[:, None, None] * np.stack([G.real, -G.imag], axis=-1)
         coeffs = np.zeros(n_coeffs(lmax))
-        wc0 = self.w_theta * G[:, 0].real
-        for l in range(lmax + 1):
-            coeffs[coeff_index(l, 0)] = P[_tri(l, 0)] @ wc0
-        for m in range(1, lmax + 1):
-            wc = self.w_theta * G[:, m].real
-            ws = self.w_theta * (-G[:, m].imag)
-            for l in range(m, lmax + 1):
-                row = P[_tri(l, m)]
-                coeffs[coeff_index(l, m)] = math.sqrt(2.0) * (row @ wc)
-                coeffs[coeff_index(l, -m)] = math.sqrt(2.0) * (row @ ws)
+        for m, rows, k, nrm in blocks:
+            coeffs[k] = nrm * (P[rows] @ WG[:, m, : len(k)]).T
         return coeffs
-
-    def _per_m_profiles(self, coeffs: np.ndarray, table: np.ndarray):
-        """Zonal profiles (A_m, B_m)(x_i) of sum c_{lm} T_{lm}(x) trig(m phi)."""
-        lmax = int(math.isqrt(coeffs.size)) - 1
-        A = np.zeros((lmax + 1, self.n_theta))
-        B = np.zeros((lmax + 1, self.n_theta))
-        for l in range(lmax + 1):
-            A[0] += coeffs[coeff_index(l, 0)] * table[_tri(l, 0)]
-        for m in range(1, lmax + 1):
-            for l in range(m, lmax + 1):
-                row = table[_tri(l, m)]
-                A[m] += math.sqrt(2.0) * coeffs[coeff_index(l, m)] * row
-                B[m] += math.sqrt(2.0) * coeffs[coeff_index(l, -m)] * row
-        return A, B
 
     def _assemble(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         H = np.zeros((self.n_theta, self.n_phi // 2 + 1), dtype=complex)
@@ -205,8 +220,7 @@ class SphereGrid:
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """Inverse transform: coefficients -> grid values."""
         P, _, _ = self.tables()
-        A, B = self._per_m_profiles(coeffs, P)
-        return self._assemble(A, B)
+        return self._assemble(*_per_m_profiles(coeffs, P, _blocks(coeffs.size, self.lmax)))
 
     def synth_derivs(self, coeffs: np.ndarray) -> dict:
         """Field and coordinate partials on the grid, all spectral.
@@ -214,11 +228,12 @@ class SphereGrid:
         Returns a dict with keys f, ft, fp, ftt, ftp, fpp holding the field
         and its theta/phi partial derivatives up to second order.
         """
+        blocks = _blocks(coeffs.size, self.lmax)
         P, D, D2 = self.tables()
-        m = np.arange(int(math.isqrt(coeffs.size)))[:, None]
-        A, B = self._per_m_profiles(coeffs, P)
-        Ax, Bx = self._per_m_profiles(coeffs, D)
-        Axx, Bxx = self._per_m_profiles(coeffs, D2)
+        m = np.arange(len(blocks))[:, None]
+        A, B = _per_m_profiles(coeffs, P, blocks)
+        Ax, Bx = _per_m_profiles(coeffs, D, blocks)
+        Axx, Bxx = _per_m_profiles(coeffs, D2, blocks)
 
         f = self._assemble(A, B)
         fx = self._assemble(Ax, Bx)
@@ -245,28 +260,17 @@ class SphereGrid:
         """
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         phi = np.atleast_1d(np.asarray(phi, dtype=float))
-        lmax = int(math.isqrt(coeffs.size)) - 1
-        x = np.cos(theta)
-        P, D, _ = _legendre_tables(lmax, x)
-        f = np.zeros_like(x)
-        fx = np.zeros_like(x)
-        fp = np.zeros_like(x)
-        for l in range(lmax + 1):
-            c = coeffs[coeff_index(l, 0)]
-            f += c * P[_tri(l, 0)]
-            fx += c * D[_tri(l, 0)]
-        for m_ in range(1, lmax + 1):
-            cosm, sinm = np.cos(m_ * phi), np.sin(m_ * phi)
-            for l in range(m_, lmax + 1):
-                cc = math.sqrt(2.0) * coeffs[coeff_index(l, m_)]
-                cs = math.sqrt(2.0) * coeffs[coeff_index(l, -m_)]
-                Pm, Dm = P[_tri(l, m_)], D[_tri(l, m_)]
-                f += (cc * cosm + cs * sinm) * Pm
-                fx += (cc * cosm + cs * sinm) * Dm
-                fp += m_ * (-cc * sinm + cs * cosm) * Pm
+        blocks = _blocks(coeffs.size)
+        P, D, _ = _legendre_tables(len(blocks) - 1, np.cos(theta))
+        m = np.arange(len(blocks))[:, None]
+        cosm, sinm = np.cos(m * phi), np.sin(m * phi)
+        A, B = _per_m_profiles(coeffs, P, blocks)
+        f = np.sum(A * cosm + B * sinm, axis=0)
         if not derivs:
             return f
-        ft = -np.sin(theta) * fx
+        Ax, Bx = _per_m_profiles(coeffs, D, blocks)
+        ft = -np.sin(theta) * np.sum(Ax * cosm + Bx * sinm, axis=0)
+        fp = np.sum(m * (B * cosm - A * sinm), axis=0)
         return f, ft, fp
 
     def basis_with_gradients(self, lmax: int):
@@ -277,29 +281,23 @@ class SphereGrid:
         if lmax > self.lmax:
             raise ValueError(f"lmax = {lmax} beyond grid band {self.lmax}")
         P, D, _ = self.tables()
-        K = n_coeffs(lmax)
-        Y = np.zeros((K, self.n_theta, self.n_phi))
-        Yt = np.zeros_like(Y)
-        Yp = np.zeros_like(Y)
+        Y = np.empty((n_coeffs(lmax), self.n_theta, self.n_phi))
+        Yt = np.empty_like(Y)
+        Yp = np.empty_like(Y)
+        m = np.arange(-lmax, lmax + 1)[:, None]
+        mphi = np.abs(m) * self.phi
+        nrm = np.where(m == 0, 1.0, math.sqrt(2.0))
+        trig = nrm * np.where(m < 0, np.sin(mphi), np.cos(mphi))
+        dtrig = np.abs(m) * nrm * np.where(m < 0, np.cos(mphi), -np.sin(mphi))
         s = self.sin_theta[:, None]
-        cosm = {m: np.cos(m * self.phi)[None, :] for m in range(lmax + 1)}
-        sinm = {m: np.sin(m * self.phi)[None, :] for m in range(lmax + 1)}
+        # degree l owns the contiguous rows l^2..l^2+2l, so each write lands in place
         for l in range(lmax + 1):
-            for m in range(0, l + 1):
-                p = P[_tri(l, m)][:, None]
-                d = D[_tri(l, m)][:, None]
-                if m == 0:
-                    Y[coeff_index(l, 0)] = np.broadcast_to(p, Y.shape[1:])
-                    Yt[coeff_index(l, 0)] = -s * d
-                else:
-                    r2 = math.sqrt(2.0)
-                    kc, ks = coeff_index(l, m), coeff_index(l, -m)
-                    Y[kc] = r2 * p * cosm[m]
-                    Y[ks] = r2 * p * sinm[m]
-                    Yt[kc] = -r2 * s * d * cosm[m]
-                    Yt[ks] = -r2 * s * d * sinm[m]
-                    Yp[kc] = -r2 * m * p * sinm[m]
-                    Yp[ks] = r2 * m * p * cosm[m]
+            am = np.abs(np.arange(-l, l + 1))
+            rows = _block_start(am, self.lmax) + l - am  # table rows (l, |m|), m = -l..l
+            out, band = slice(l * l, (l + 1) ** 2), slice(lmax - l, lmax + l + 1)
+            np.multiply(P[rows][:, :, None], trig[band, None, :], out=Y[out])
+            np.multiply(-s * D[rows][:, :, None], trig[band, None, :], out=Yt[out])
+            np.multiply(P[rows][:, :, None], dtrig[band, None, :], out=Yp[out])
         return Y, Yt, Yp
 
 
@@ -386,10 +384,10 @@ def random_c2_field(
     if amplitude < 0:
         raise ValueError("amplitude must be nonnegative")
     coeffs = np.zeros(n_coeffs(lmax))
-    for l in range(lmax + 1):
-        for m in range(-l, l + 1):
-            ss = np.random.SeedSequence([int(seed), l, m + l])
-            coeffs[coeff_index(l, m)] = np.random.Generator(np.random.PCG64(ss)).standard_normal()
+    for k in range(coeffs.size):
+        l = math.isqrt(k)  # flat index k = l^2 + l + m, so m + l = k - l^2
+        ss = np.random.SeedSequence([int(seed), l, k - l * l])
+        coeffs[k] = np.random.Generator(np.random.PCG64(ss)).standard_normal()
     if amplitude == 0.0:
         return ScalarField(grid, np.zeros((grid.n_theta, grid.n_phi)))
     values = grid.synthesize(coeffs)

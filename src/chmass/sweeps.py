@@ -85,6 +85,8 @@ def sweep_table(check: str, axes: dict, jobs: int = 1):
     Rows come back in deterministic row-major grid order regardless of
     ``jobs``.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if check not in SWEEP_CHECKS:
         raise ValueError(f"unknown sweep check {check!r} (have {sorted(SWEEP_CHECKS)})")
     axis_names, columns, fn = SWEEP_CHECKS[check]
@@ -99,7 +101,7 @@ def sweep_table(check: str, axes: dict, jobs: int = 1):
     if not points:
         raise ValueError("empty sweep grid")
 
-    if jobs <= 1:
+    if jobs == 1:
         rows = [fn(*vals) for _, vals in points]
     else:
         buffer = {}

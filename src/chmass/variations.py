@@ -449,6 +449,8 @@ def local_max_experiment(
     samples within ``near_tol`` of equality, the largest C^2 norm of the
     nonconstant part of the height (equality should only occur for slices).
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     if amplitude > 0.05:
         raise ValueError("experiment calibrated for amplitude <= 0.05")
     w = stability_window(q)

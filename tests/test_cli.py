@@ -110,6 +110,14 @@ def test_variation_minimal_slice(capsys):
     assert payload["z_max"] <= 1e-10
 
 
+def test_variation_band_beyond_grid_is_usage_error(capsys):
+    code, out, err = invoke(
+        capsys, "variation", "--neck-a", "0.5", "--q", "0.3", "--phi", "Y:99,0",
+    )
+    assert code == 2 and out == ""
+    assert "beyond grid band" in err and "Traceback" not in err
+
+
 def test_foliate_csv(capsys):
     code, out, _ = invoke(
         capsys, "foliate", "--neck-a", "0.5", "--q", "0.3", "--t-max", "0.4", "--steps", "5",
@@ -131,6 +139,12 @@ def test_localmax_report(capsys):
     payload = json.loads(out)
     assert payload["max_excess"] <= 1e-9
     assert payload["all_near_equality_are_slices"] is True
+
+
+def test_localmax_zero_samples_is_usage_error(capsys):
+    code, out, err = invoke(capsys, "localmax", "--neck-a", "0.5", "--q", "0.3", "--samples", "0")
+    assert code == 2 and out == ""
+    assert "n_samples" in err
 
 
 def test_electrostatics_rnds(capsys):
@@ -197,6 +211,15 @@ class TestSweep:
         a8 = invoke(capsys, "sweep", "--check", "identity", "--a2", "0.1:0.9:8",
                     "--q2", "0:0.25:8", "--jobs", "8")[1]
         assert a1 == a8
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_nonpositive_jobs_is_usage_error(self, capsys, jobs):
+        code, out, err = invoke(
+            capsys, "sweep", "--check", "identity", "--a2", "0.1:0.9:3", "--q2", "0:0.25:3",
+            "--jobs", jobs,
+        )
+        assert code == 2 and out == ""
+        assert "jobs" in err
 
     def test_empty_or_unknown_grid_is_usage_error(self, capsys):
         code, _, err = invoke(capsys, "sweep", "--check", "identity")

@@ -195,3 +195,48 @@ def test_analyze_band_and_shape_guards(grid):
         grid.analyze(np.ones((32, 64)), lmax=40)
     with pytest.raises(ValueError):
         ScalarField(grid, np.full((32, 64), np.nan))
+
+
+def test_coefficient_vector_guards(grid):
+    # a length that is not (lmax + 1)^2 is refused, not truncated to the
+    # largest square; a band above the grid's is refused, not indexed past
+    # the tables
+    short = np.zeros(10)
+    short[9] = 1.0
+    for bad in (short, np.ones(n_coeffs(grid.lmax + 1))):
+        with pytest.raises(ValueError):
+            grid.synthesize(bad)
+        with pytest.raises(ValueError):
+            grid.synth_derivs(bad)
+    with pytest.raises(ValueError):
+        grid.evaluate_at(short, 1.0, 0.5)
+    with pytest.raises(ValueError):
+        grid.basis_with_gradients(grid.lmax + 1)
+
+
+@pytest.mark.parametrize("n_theta", [32, 128])
+def test_evaluate_at_nodes_matches_synth_derivs(n_theta):
+    # full-band pointwise sums against the FFT synthesis; four phi columns
+    # keep the point tables small at n_theta = 128
+    g = build_grid(n_theta, 2 * n_theta)
+    c = np.random.default_rng(n_theta).standard_normal(n_coeffs(g.lmax))
+    cols = slice(1, None, g.n_phi // 4)
+    TH, PH = np.meshgrid(g.theta, g.phi[cols], indexing="ij")
+    d = g.synth_derivs(c)
+    got = g.evaluate_at(c, TH.ravel(), PH.ravel(), derivs=True)
+    for key, val in zip(("f", "ft", "fp"), got):
+        want = d[key][:, cols]
+        assert np.abs(val.reshape(TH.shape) - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n_theta", [32, 128])
+def test_basis_rows_match_unit_vector_transforms(n_theta):
+    g = build_grid(n_theta, 2 * n_theta)
+    lmax = 8
+    Y, Yt, Yp = g.basis_with_gradients(lmax)
+    for k, e in enumerate(np.eye(n_coeffs(lmax))):
+        d = g.synth_derivs(e)
+        assert np.abs(Y[k] - g.synthesize(e)).max() <= 1e-13
+        assert np.abs(Y[k] - d["f"]).max() <= 1e-13
+        assert np.abs(Yt[k] - d["ft"]).max() <= 1e-12
+        assert np.abs(Yp[k] - d["fp"]).max() <= 1e-12
