@@ -181,6 +181,8 @@ def verify_einstein_maxwell_static(
     follow and the best recoverable gap decays to about 1e-4.  The gap is a
     conditioning meter there, not a correctness statement.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     if isinstance(model, NariaiParams):
         kind = "nariai"
         lam = model.lam

@@ -16,10 +16,16 @@ Transforms loop over m alone (per-m blocks, Schaeffer 2013, arXiv:1202.6522).
 The Legendre tables of band L are m-major and packed: block m holds rows
 l = m..L from row m(L+1) - m(m-1)/2, and ``_blocks`` maps it to the flat
 indices l^2+l+m (cos m phi part) and l^2+l-m (sin m phi part).
+
+``analyze``, ``synthesize`` and ``synth_derivs`` take optional leading axes:
+grid values (..., n_theta, n_phi) <-> coefficients (..., n_coeffs).  A stack
+of fields is transformed together, as extra rows or columns of the one matrix
+product per m block.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -56,12 +62,16 @@ def _block_start(m, L: int):
     return m * (L + 1) - m * (m - 1) // 2
 
 
+@functools.lru_cache(maxsize=64)
 def _blocks(n: int, L: int | None = None):
     """Per-m blocks (m, rows, k, nrm) of a flat coefficient vector of length n.
 
     ``rows`` slices rows l = m..lmax of block m of a table of band L (default
     lmax); ``k`` holds their flat indices, cos part l^2+l+m and, for m > 0,
     sin part l^2+l-m; ``nrm`` is the real-harmonic factor (sqrt(2) for m > 0).
+
+    The result is cached on (n, L) and shared by every caller, so it is a
+    tuple and each ``k`` is read-only.
     """
     lmax = math.isqrt(n) - 1
     if n < 1 or (lmax + 1) ** 2 != n:
@@ -74,8 +84,9 @@ def _blocks(n: int, L: int | None = None):
         start = _block_start(m, L)
         l = np.arange(m, lmax + 1)
         k = np.stack([l * l + l + m, l * l + l - m])[: 2 if m else 1]
+        k.flags.writeable = False
         blocks.append((m, slice(start, start + lmax + 1 - m), k, math.sqrt(2.0) if m else 1.0))
-    return blocks
+    return tuple(blocks)
 
 
 def _legendre_tables(lmax: int, x: np.ndarray):
@@ -124,12 +135,17 @@ def _legendre_tables(lmax: int, x: np.ndarray):
 def _per_m_profiles(coeffs: np.ndarray, table: np.ndarray, blocks):
     """Zonal profiles (A_m, B_m)(x), m = 0..lmax, of sum c_{lm} T_{lm}(x) trig(m phi).
 
-    Returns one array of shape (2, lmax + 1, len(x)); B_0 is zero.
+    ``coeffs`` has shape (..., n_coeffs); returns one array of shape
+    (2, lmax + 1, ..., len(x)), with B_0 zero.
     """
-    AB = np.zeros((2, len(blocks), table.shape[1]))
+    lead = coeffs.shape[:-1]
+    coeffs = coeffs.reshape(-1, coeffs.shape[-1])
+    AB = np.zeros((2, len(blocks), coeffs.shape[0], table.shape[1]))
     for m, rows, k, nrm in blocks:
-        AB[: len(k), m] = nrm * (coeffs[k] @ table[rows])
-    return AB
+        c = coeffs[:, k]  # (field, cos/sin part, l): one row per (field, part)
+        prof = (c.reshape(-1, k.shape[1]) @ table[rows]).reshape(c.shape[:2] + (-1,))
+        AB[: len(k), m] = nrm * prof.swapaxes(0, 1)
+    return AB.reshape(AB.shape[:2] + lead + (-1,))
 
 
 def _gauss_legendre(n: int):
@@ -192,7 +208,8 @@ class SphereGrid:
         return self._tables
 
     def analyze(self, values: np.ndarray, lmax: int | None = None) -> np.ndarray:
-        """Forward transform: grid values -> real harmonic coefficients.
+        """Forward transform: grid values (..., n_theta, n_phi) -> real
+        harmonic coefficients (..., n_coeffs(lmax)).
 
         Exact for fields band-limited at or below the grid band; higher
         content aliases.
@@ -200,37 +217,44 @@ class SphereGrid:
         lmax = self.lmax if lmax is None else int(lmax)
         blocks = _blocks(n_coeffs(lmax), self.lmax)
         values = np.asarray(values, dtype=float)
-        if values.shape != (self.n_theta, self.n_phi):
+        if values.shape[-2:] != (self.n_theta, self.n_phi):
             raise ValueError("field shape does not match grid")
+        lead = values.shape[:-2]
         P, _, _ = self.tables()
-        G = np.fft.rfft(values, axis=1) * (2.0 * math.pi / self.n_phi)
-        WG = self.w_theta[:, None, None] * np.stack([G.real, -G.imag], axis=-1)
-        coeffs = np.zeros(n_coeffs(lmax))
+        G = np.fft.rfft(values.reshape(-1, self.n_theta, self.n_phi), axis=-1)
+        G *= 2.0 * math.pi / self.n_phi
+        # (theta, m, cos/sin part, field): block m is one matrix product
+        WG = self.w_theta[:, None, None, None] * np.stack([G.real, -G.imag]).transpose(2, 3, 0, 1)
+        coeffs = np.zeros((WG.shape[-1], n_coeffs(lmax)))
         for m, rows, k, nrm in blocks:
-            coeffs[k] = nrm * (P[rows] @ WG[:, m, : len(k)]).T
-        return coeffs
+            prod = P[rows] @ WG[:, m, : len(k)].reshape(self.n_theta, -1)
+            coeffs[:, k] = nrm * prod.reshape(k.shape[1], len(k), -1).transpose(2, 1, 0)
+        return coeffs.reshape(lead + (coeffs.shape[1],))
 
     def _assemble(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        H = np.zeros((self.n_theta, self.n_phi // 2 + 1), dtype=complex)
-        H[:, 0] = A[0] * self.n_phi
+        """Grid values (..., n_theta, n_phi) from profiles A, B of shape (M, ..., n_theta)."""
+        H = np.zeros(A.shape[1:] + (self.n_phi // 2 + 1,), dtype=complex)
+        H[..., 0] = A[0] * self.n_phi
         mmax = A.shape[0] - 1
-        H[:, 1 : mmax + 1] = (A[1:] - 1j * B[1:]).T * (self.n_phi / 2.0)
-        return np.fft.irfft(H, n=self.n_phi, axis=1)
+        H[..., 1 : mmax + 1] = np.moveaxis(A[1:] - 1j * B[1:], 0, -1) * (self.n_phi / 2.0)
+        return np.fft.irfft(H, n=self.n_phi, axis=-1)
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        """Inverse transform: coefficients -> grid values."""
+        """Inverse transform: coefficients (..., n_coeffs) -> grid values
+        (..., n_theta, n_phi)."""
         P, _, _ = self.tables()
-        return self._assemble(*_per_m_profiles(coeffs, P, _blocks(coeffs.size, self.lmax)))
+        return self._assemble(*_per_m_profiles(coeffs, P, _blocks(coeffs.shape[-1], self.lmax)))
 
     def synth_derivs(self, coeffs: np.ndarray) -> dict:
         """Field and coordinate partials on the grid, all spectral.
 
         Returns a dict with keys f, ft, fp, ftt, ftp, fpp holding the field
-        and its theta/phi partial derivatives up to second order.
+        and its theta/phi partial derivatives up to second order, each of
+        shape (..., n_theta, n_phi) for coefficients (..., n_coeffs).
         """
-        blocks = _blocks(coeffs.size, self.lmax)
+        blocks = _blocks(coeffs.shape[-1], self.lmax)
         P, D, D2 = self.tables()
-        m = np.arange(len(blocks))[:, None]
+        m = np.arange(len(blocks)).reshape((-1,) + (1,) * coeffs.ndim)
         A, B = _per_m_profiles(coeffs, P, blocks)
         Ax, Bx = _per_m_profiles(coeffs, D, blocks)
         Axx, Bxx = _per_m_profiles(coeffs, D2, blocks)
@@ -365,8 +389,13 @@ def c2_norm(f: ScalarField) -> float:
     quadrature weights cannot prevent (cos theta: about 8e-13, 2e-12 and
     9e-11 at n_theta = 32, 64 and 128).
     """
-    a, b, c = _c2_pointwise(f.grid, f.grid.analyze(f.values))
-    return float(max(a.max(), b.max(), c.max()))
+    return float(_c2_norms(f.grid, f.values))
+
+
+def _c2_norms(grid: SphereGrid, values: np.ndarray) -> np.ndarray:
+    """``c2_norm`` of each field of a stack (..., n_theta, n_phi)."""
+    a, b, c = _c2_pointwise(grid, grid.analyze(values))
+    return np.max([v.max(axis=(-2, -1)) for v in (a, b, c)], axis=0)
 
 
 def random_c2_field(
@@ -379,20 +408,26 @@ def random_c2_field(
     rescaled so that c2_norm equals ``amplitude`` exactly.  The draw depends
     only on (seed, l, m), never on iteration order or thread count.
     """
+    return ScalarField(grid, _random_c2_stack(grid, [seed], lmax, amplitude)[0])
+
+
+def _random_c2_stack(grid: SphereGrid, seeds, lmax: int, amplitude: float) -> np.ndarray:
+    """Values (len(seeds), n_theta, n_phi) of ``random_c2_field`` for each seed,
+    synthesized and normalized as one stack."""
     if lmax > grid.n_theta / 4:
         raise ValueError("lmax too large for this grid (need lmax <= n_theta/4)")
     if amplitude < 0:
         raise ValueError("amplitude must be nonnegative")
-    coeffs = np.zeros(n_coeffs(lmax))
-    for k in range(coeffs.size):
-        l = math.isqrt(k)  # flat index k = l^2 + l + m, so m + l = k - l^2
-        ss = np.random.SeedSequence([int(seed), l, k - l * l])
-        coeffs[k] = np.random.Generator(np.random.PCG64(ss)).standard_normal()
     if amplitude == 0.0:
-        return ScalarField(grid, np.zeros((grid.n_theta, grid.n_phi)))
+        return np.zeros((len(seeds), grid.n_theta, grid.n_phi))
+    coeffs = np.zeros((len(seeds), n_coeffs(lmax)))
+    for i, seed in enumerate(seeds):
+        for k in range(coeffs.shape[1]):
+            l = math.isqrt(k)  # flat index k = l^2 + l + m, so m + l = k - l^2
+            ss = np.random.SeedSequence([int(seed), l, k - l * l])
+            coeffs[i, k] = np.random.Generator(np.random.PCG64(ss)).standard_normal()
     values = grid.synthesize(coeffs)
-    norm = c2_norm(ScalarField(grid, values))
-    return ScalarField(grid, values * (amplitude / norm))
+    return values * (amplitude / _c2_norms(grid, values))[:, None, None]
 
 
 def scalar_field_to_dict(f: ScalarField) -> dict:

@@ -117,45 +117,18 @@ def _ambient_at(prof: RadialProfile, f: np.ndarray):
     return u, du, ddu
 
 
-def induced_geometry(
-    surface: GraphSurface,
-    zeta: float | None = None,
-    force_quadrature: bool = False,
-) -> SurfaceGeometry:
-    """Compute the full geometric package of a graph surface.
+def _graph_geometry(
+    prof: RadialProfile, grid: SphereGrid, s0: float, phi: np.ndarray, zeta: float
+) -> dict:
+    """Quadrature geometry of the graphs of heights phi over the slice at s0.
 
-    Parameters
-    ----------
-    surface : GraphSurface
-    zeta : float, optional
-        Cosmological term of the mass functional; defaults to 2 Lambda,
-        its exact value on the model backgrounds.
-    force_quadrature : bool
-        Constant height fields normally take the closed-form slice path;
-        set True to run the generic quadrature machinery regardless
-        (used to compare the two routes).
-
-    Returns
-    -------
-    SurfaceGeometry
+    ``phi`` has shape (..., n_theta, n_phi); a stack of heights is transformed
+    and evaluated together.  Returns the ``SurfaceGeometry`` fields other than
+    surface and zeta: node arrays of phi's shape, and area, charge and mch of
+    its leading shape.
     """
-    prof = surface.profile
-    grid = surface.grid
-    if zeta is None:
-        zeta = 2.0 * prof.lam
-    key = (zeta, force_quadrature)
-    if key in surface._geom_cache:
-        return surface._geom_cache[key]
-
-    phi = surface.phi.values
-    is_constant = np.all(phi == phi.flat[0])
-    if is_constant and not force_quadrature:
-        geom = _slice_geometry(surface, float(surface.s0 + phi.flat[0]), zeta)
-        surface._geom_cache[key] = geom
-        return geom
-
     d = grid.synth_derivs(grid.analyze(phi))
-    f = surface.s0 + d["f"]
+    f = s0 + d["f"]
     u, du, ddu = _ambient_at(prof, f)
 
     s = grid.sin_theta[:, None]
@@ -202,23 +175,67 @@ def induced_geometry(
     K = 0.5 * R_amb - ric_nn + 0.5 * (H**2 - A2)
 
     area_el = u2 * W
-    area_val = float(np.sum(grid.w_node * area_el))
+    nodes = (-2, -1)
+    area_val = np.sum(grid.w_node * area_el, axis=nodes)
     e_dot_nu = prof.q / (u2 * W)
-    charge_val = float(np.sum(grid.w_node * area_el * e_dot_nu)) / (4.0 * math.pi)
+    charge_val = np.sum(grid.w_node * area_el * e_dot_nu, axis=nodes) / (4.0 * math.pi)
 
-    h2_int = float(np.sum(grid.w_node * area_el * H**2))
-    mch = math.sqrt(area_val / (16.0 * math.pi)) * (
+    h2_int = np.sum(grid.w_node * area_el * H**2, axis=nodes)
+    mch = np.sqrt(area_val / (16.0 * math.pi)) * (
         1.0
         - (h2_int + (2.0 / 3.0) * zeta * area_val) / (16.0 * math.pi)
         + 4.0 * math.pi * charge_val**2 / area_val
     )
 
-    geom = SurfaceGeometry(
-        surface=surface, zeta=zeta, area=area_val, charge=charge_val, mch=mch,
+    return dict(
+        area=area_val, charge=charge_val, mch=mch,
         h_mean=H, a_norm2=A2, gauss_k=K, ric_nn=ric_nn, r_ambient=R_amb,
         e_dot_nu=e_dot_nu, area_element=area_el, u=u, w_tilt=W,
         hinv_tt=hinv_tt, hinv_tp=hinv_tp, hinv_pp=hinv_pp,
     )
+
+
+def induced_geometry(
+    surface: GraphSurface,
+    zeta: float | None = None,
+    force_quadrature: bool = False,
+) -> SurfaceGeometry:
+    """Compute the full geometric package of a graph surface.
+
+    Parameters
+    ----------
+    surface : GraphSurface
+    zeta : float, optional
+        Cosmological term of the mass functional; defaults to 2 Lambda,
+        its exact value on the model backgrounds.
+    force_quadrature : bool
+        Constant height fields normally take the closed-form slice path;
+        set True to run the generic quadrature machinery regardless
+        (used to compare the two routes).
+
+    Returns
+    -------
+    SurfaceGeometry
+    """
+    prof = surface.profile
+    grid = surface.grid
+    if zeta is None:
+        zeta = 2.0 * prof.lam
+    key = (zeta, force_quadrature)
+    if key in surface._geom_cache:
+        return surface._geom_cache[key]
+
+    phi = surface.phi.values
+    is_constant = np.all(phi == phi.flat[0])
+    if is_constant and not force_quadrature:
+        geom = _slice_geometry(surface, float(surface.s0 + phi.flat[0]), zeta)
+        surface._geom_cache[key] = geom
+        return geom
+
+    fields = _graph_geometry(prof, grid, surface.s0, phi, zeta)
+    for name in ("area", "charge", "mch"):
+        fields[name] = float(fields[name])
+    geom = SurfaceGeometry(surface=surface, zeta=zeta, **fields)
     surface._geom_cache[key] = geom
     return geom
 

@@ -31,6 +31,8 @@ def parse_axis(spec: str) -> tuple[float, float, int]:
     if len(parts) != 3:
         raise ValueError(f"axis spec must be lo:hi:count, got {spec!r}")
     lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"axis bounds must be finite, got {spec!r}")
     if count < 1:
         raise ValueError("axis count must be positive")
     return lo, hi, count

@@ -38,11 +38,12 @@ import numpy as np
 
 from .models import NariaiParams, lapse_squared_prime
 from .profile import RadialProfile, integrate_profile
-from .sphere import ScalarField, build_grid, c2_norm, coeff_index, random_c2_field
+from .sphere import ScalarField, _random_c2_stack, build_grid, c2_norm, coeff_index
 from .spectrum import lambda1_analytic, stability_window
 from .surfaces import (
     GraphSurface,
     SurfaceGeometry,
+    _graph_geometry,
     induced_geometry,
     slice_hawking_mass,
 )
@@ -430,6 +431,12 @@ def monotonicity_report(
 # ---------------------------------------------------------------------------
 
 
+# Grid nodes per stacked evaluation in local_max_experiment: 8 graphs at
+# n_theta 32, one at n_theta 128.  Three 40-graph runs at n_theta 32 peaked at
+# 89 MB RSS with this cap and at 110 MB as one uncapped stack.
+_STACK_NODES = 2**14
+
+
 def local_max_experiment(
     a: float,
     q: float,
@@ -448,6 +455,9 @@ def local_max_experiment(
     Reports the largest mass excess m_CH(graph) - m over all samples and, for
     samples within ``near_tol`` of equality, the largest C^2 norm of the
     nonconstant part of the height (equality should only occur for slices).
+
+    Graphs are drawn, normalized and evaluated in stacks of at most
+    ``_STACK_NODES`` grid nodes; each draw depends on its sample alone.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
@@ -458,21 +468,25 @@ def local_max_experiment(
         raise ValueError(f"neck a^2 = {a**2} outside the stability window {w}")
     prof = integrate_profile(a, q, 1.0, s_max=1.0)
     grid = build_grid(n_theta, n_phi)
-    max_excess = -math.inf
+    seeds = [int(np.random.SeedSequence([int(seed), k]).generate_state(1)[0])
+             for k in range(n_samples)]
+    stack = max(1, _STACK_NODES // (grid.n_theta * grid.n_phi))
+    excess = []
     near = []
-    for k in range(n_samples):
-        sub_seed = int(np.random.SeedSequence([int(seed), k]).generate_state(1)[0])
-        field = random_c2_field(grid, sub_seed, lmax, amplitude)
-        surf = GraphSurface(prof, 0.0, field)
-        excess = induced_geometry(surf, force_quadrature=True).mch - prof.m
-        max_excess = max(max_excess, excess)
-        if excess >= -near_tol:
-            coeffs = grid.analyze(field.values)
-            coeffs[coeff_index(0, 0)] = 0.0
-            near.append(c2_norm(ScalarField(grid, grid.synthesize(coeffs))))
+    for start in range(0, n_samples, stack):
+        heights = _random_c2_stack(grid, seeds[start : start + stack], lmax, amplitude)
+        for h in heights:  # each graph passes the checks of the per-graph path
+            GraphSurface(prof, 0.0, ScalarField(grid, h))
+        mch = _graph_geometry(prof, grid, 0.0, heights, 2.0 * prof.lam)["mch"]
+        for h, e in zip(heights, mch - prof.m):
+            excess.append(float(e))
+            if e >= -near_tol:
+                coeffs = grid.analyze(h)
+                coeffs[coeff_index(0, 0)] = 0.0
+                near.append(c2_norm(ScalarField(grid, grid.synthesize(coeffs))))
     return LocalMaxReport(
         a=a, q=q, n_samples=n_samples, amplitude=amplitude, seed=seed,
-        max_excess=max_excess,
+        max_excess=max(excess),
         n_near_equality=len(near),
         max_nonconstant_c2=max(near) if near else 0.0,
         all_near_equality_are_slices=all(v <= 1e-6 for v in near),

@@ -159,6 +159,12 @@ def test_electrostatics_rnds(capsys):
     assert all(c["satisfied"] for c in payload["components"])
 
 
+def test_electrostatics_zero_samples_is_usage_error(capsys):
+    code, out, err = invoke(capsys, "electrostatics", "--m", "0.3", "--q", "0.3", "--samples", "0")
+    assert code == 2 and out == ""
+    assert "samples must be at least 1" in err
+
+
 def test_electrostatics_nariai(capsys):
     code, out, _ = invoke(capsys, "electrostatics", "--nariai-alpha", "0.8")
     assert code == 0
@@ -220,6 +226,14 @@ class TestSweep:
         )
         assert code == 2 and out == ""
         assert "jobs" in err
+
+    @pytest.mark.parametrize("q2", ["0:nan:2", "0:inf:2", "nan:0.2:2"])
+    def test_nonfinite_axis_bounds_is_usage_error(self, capsys, q2):
+        code, out, err = invoke(
+            capsys, "sweep", "--check", "identity", "--q2", q2, "--a2", "0.1:0.9:2",
+        )
+        assert code == 2 and out == ""
+        assert "finite" in err
 
     def test_empty_or_unknown_grid_is_usage_error(self, capsys):
         code, _, err = invoke(capsys, "sweep", "--check", "identity")

@@ -5,6 +5,7 @@ import pytest
 
 from chmass.sphere import (
     ScalarField,
+    _blocks,
     build_grid,
     c2_norm,
     coeff_index,
@@ -240,3 +241,44 @@ def test_basis_rows_match_unit_vector_transforms(n_theta):
         assert np.abs(Y[k] - d["f"]).max() <= 1e-13
         assert np.abs(Yt[k] - d["ft"]).max() <= 1e-12
         assert np.abs(Yp[k] - d["fp"]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n_theta", [32, 128])
+def test_stacked_transforms_match_single_calls(n_theta):
+    g = build_grid(n_theta, 2 * n_theta)
+    rng = np.random.default_rng(n_theta + 1)
+    values = rng.standard_normal((3, g.n_theta, g.n_phi))
+    coeffs = rng.standard_normal((3, n_coeffs(g.lmax)))
+
+    def close(stacked, single):
+        assert stacked.shape == (3,) + single[0].shape
+        for got, want in zip(stacked, single):
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+    close(g.analyze(values), [g.analyze(v) for v in values])
+    close(g.analyze(values, lmax=4), [g.analyze(v, lmax=4) for v in values])
+    close(g.synthesize(coeffs), [g.synthesize(c) for c in coeffs])
+    d = g.synth_derivs(coeffs)
+    single = [g.synth_derivs(c) for c in coeffs]
+    for key in ("f", "ft", "fp", "ftt", "ftp", "fpp"):
+        close(d[key], [s[key] for s in single])
+
+
+def test_stacked_shape_and_length_guards(grid):
+    with pytest.raises(ValueError):
+        grid.analyze(np.ones((3, 8, 8)))
+    with pytest.raises(ValueError):
+        grid.analyze(np.ones(grid.n_phi))
+    for bad in (np.ones((3, 10)), np.ones((2, n_coeffs(grid.lmax + 1)))):
+        with pytest.raises(ValueError):
+            grid.synthesize(bad)
+        with pytest.raises(ValueError):
+            grid.synth_derivs(bad)
+
+
+def test_cached_blocks_are_read_only(grid):
+    blocks = _blocks(n_coeffs(4), grid.lmax)
+    assert _blocks(n_coeffs(4), grid.lmax) is blocks
+    for _, _, k, _ in blocks:
+        with pytest.raises(ValueError):
+            k[0, 0] = 0

@@ -7,6 +7,7 @@ from chmass.profile import RadialProfile, curvature_scalars, integrate_profile
 from chmass.sphere import ScalarField, build_grid, random_c2_field
 from chmass.surfaces import (
     GraphSurface,
+    _graph_geometry,
     area,
     charge,
     charged_hawking_mass,
@@ -168,3 +169,19 @@ def test_range_violation_rejected(prof, grid):
 def test_grid_shape_guard(prof, grid):
     with pytest.raises(ValueError):
         ScalarField(grid, np.zeros((16, 32)))
+
+
+@pytest.mark.parametrize("n_theta", [32, 128])
+def test_stacked_geometry_kernel_matches_induced_geometry(prof, n_theta):
+    g = build_grid(n_theta, 2 * n_theta)
+    heights = np.stack([random_c2_field(g, seed, 4, 0.1).values for seed in (21, 22, 23)])
+    stacked = _graph_geometry(prof, g, 0.1, heights, 2.0 * prof.lam)
+    # a stack changes the shapes of the per-m matrix products, so transforms
+    # may differ in the last bit; spectral second derivatives amplify that by
+    # about l^2 at the polar rows (see c2_norm), hence n_theta^2 ulps
+    tol = n_theta**2 * np.finfo(float).eps
+    for i, h in enumerate(heights):
+        geom = induced_geometry(GraphSurface(prof, 0.1, ScalarField(g, h)), force_quadrature=True)
+        for name, val in stacked.items():
+            want = getattr(geom, name)
+            assert np.abs(val[i] - want).max() <= tol * np.abs(want).max(), name

@@ -5,7 +5,14 @@ import pytest
 
 from chmass.models import nariai_from_alpha
 from chmass.profile import integrate_profile
-from chmass.sphere import ScalarField, build_grid, coeff_index, n_coeffs, random_c2_field
+from chmass.sphere import (
+    ScalarField,
+    build_grid,
+    c2_norm,
+    coeff_index,
+    n_coeffs,
+    random_c2_field,
+)
 from chmass.spectrum import lambda1_analytic
 from chmass.surfaces import GraphSurface, induced_geometry
 from chmass.variations import (
@@ -252,6 +259,27 @@ class TestExperiments:
         predicted = 0.5 * amp**2 * second_variation_minimal(0.5, 0.3, psi)
         assert excess < 0
         assert excess / predicted == pytest.approx(1.0, abs=0.1)
+
+    @pytest.mark.parametrize("n_samples, amplitude", [(1, 0.02), (9, 0.02), (25, 0.02), (9, 0.0)])
+    def test_local_max_matches_per_graph_reference(self, n_samples, amplitude):
+        # sample counts that leave a partial stack; amplitude 0 puts every
+        # graph within near_tol of equality
+        rep = local_max_experiment(0.5, 0.3, n_samples, amplitude, 7)
+        prof = integrate_profile(0.5, 0.3, 1.0, s_max=1.0)
+        grid = build_grid(32, 64)
+        excess, near = [], []
+        for k in range(n_samples):
+            sub_seed = int(np.random.SeedSequence([7, k]).generate_state(1)[0])
+            fld = random_c2_field(grid, sub_seed, 4, amplitude)
+            geom = induced_geometry(GraphSurface(prof, 0.0, fld), force_quadrature=True)
+            excess.append(geom.mch - prof.m)
+            if excess[-1] >= -1e-9:
+                c = grid.analyze(fld.values)
+                c[coeff_index(0, 0)] = 0.0
+                near.append(c2_norm(ScalarField(grid, grid.synthesize(c))))
+        assert abs(rep.max_excess - max(excess)) <= 1e-15
+        assert rep.n_near_equality == len(near)
+        assert rep.max_nonconstant_c2 == (max(near) if near else 0.0)
 
     def test_amplitude_guard(self):
         with pytest.raises(ValueError):
