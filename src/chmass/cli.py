@@ -392,7 +392,7 @@ def cmd_nariai(g: _Resolver) -> int:
 def cmd_sweep(g: _Resolver) -> int:
     check = g.require("check", str)
     axes = {}
-    for name in ("a2", "q2", "mfrac", "m"):
+    for name in ("a2", "q2", "mfrac"):
         spec = g.get(name, None, str)
         if spec is not None:
             axes[name] = parse_axis(spec)
@@ -496,6 +496,22 @@ _STR_FLAGS = [
 ]
 
 
+def _attach_axis_specs(argv: list[str]) -> list[str]:
+    """Join each axis flag to a following spec that starts with a single minus.
+
+    argparse reads '-0.1:0.9:2' as an unknown flag; '--a2=-0.1:0.9:2' is
+    passed through to ``parse_axis``.
+    """
+    out: list[str] = []
+    for tok in argv:
+        single_minus = tok.startswith("-") and not tok.startswith("--")
+        if single_minus and out and out[-1] in ("--a2", "--q2", "--mfrac"):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chmass",
@@ -515,7 +531,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(argv: list[str] | None = None) -> int:
     """Parse argv, dispatch, and return the exit code."""
-    argv = list(sys.argv[1:] if argv is None else argv)
+    argv = _attach_axis_specs(list(sys.argv[1:] if argv is None else argv))
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -65,6 +65,11 @@ def profile_rhs(u: float, du: float, q: float, lam: float):
     return (1.0 - du**2) / (2.0 * u) - (lam * u**4 + q**2) / (2.0 * u**3)
 
 
+def _like(values, s):
+    """A float for scalar s, else the array."""
+    return float(values) if np.ndim(s) == 0 else values
+
+
 @dataclass
 class ElectricFieldSample:
     """Radial electric field sampled on one slice: E = (Q/u^2) d/ds."""
@@ -94,24 +99,28 @@ class RadialProfile:
             raise ValueError(f"arclength outside integrated range [-{self.s_max}, {self.s_max}]")
         return s
 
+    def state(self, s):
+        """(u, u', u'') at arclength s: u and u'' even in s, u' odd.
+
+        Vectorised over s of any shape (u'' through the profile equation);
+        raises ValueError outside [-s_max, s_max].
+        """
+        s = self._check_range(s)
+        u, du = self._sol(np.abs(s).ravel()).reshape((2,) + s.shape)
+        du = np.sign(s) * du
+        return u, du, profile_rhs(u, du, self.q, self.lam)
+
     def u(self, s):
         """Area radius u(s); even in s."""
-        s = self._check_range(s)
-        out = self._sol(np.abs(s))[0]
-        return float(out) if np.ndim(s) == 0 else out
+        return _like(self.state(s)[0], s)
 
     def du(self, s):
         """u'(s); odd in s."""
-        s = self._check_range(s)
-        out = np.sign(s) * self._sol(np.abs(s))[1]
-        return float(out) if np.ndim(s) == 0 else out
+        return _like(self.state(s)[1], s)
 
     def ddu(self, s):
         """u''(s), evaluated through the profile equation; even in s."""
-        s = self._check_range(s)
-        u, du = self._sol(np.abs(s))
-        out = profile_rhs(u, du, self.q, self.lam)
-        return float(out) if np.ndim(s) == 0 else out
+        return _like(self.state(s)[2], s)
 
     @property
     def params(self) -> ModelParams:
@@ -193,16 +202,13 @@ def integrate_profile(
     # Constant solutions exist exactly when Q^2 = a^2 (1 - Lambda a^2).
     kind = KIND_NARIAI if abs(1.0 - lam * a**2 - q**2 / a**2) <= 1e-12 else KIND_RNDS
 
-    s_grid = np.linspace(-s_max, s_max, 513)
-    u = sol.sol(np.abs(s_grid))[0]
-    du = np.sign(s_grid) * sol.sol(np.abs(s_grid))[1]
-    ddu = profile_rhs(u, du, q, lam)
-    samples = np.column_stack([s_grid, u, du, ddu])
-
-    return RadialProfile(
+    prof = RadialProfile(
         a=a, q=q, lam=lam, m=m, kind=kind, s_max=s_max, tol=tol,
-        samples=samples, _sol=sol.sol,
+        samples=np.empty((0, 4)), _sol=sol.sol,
     )
+    s_grid = np.linspace(-s_max, s_max, 513)
+    prof.samples = np.column_stack([s_grid, *prof.state(s_grid)])
+    return prof
 
 
 def first_integral(prof: RadialProfile, s):

@@ -71,28 +71,32 @@ def stability_window(q: float) -> tuple[float, float] | None:
     return (1.0 - d) / 2.0, (1.0 + d) / 2.0
 
 
+def _gram(factors, col, g: np.ndarray, a: str, b: str) -> np.ndarray:
+    """Quadrature form sum over nodes of g B_i B'_j, for basis components a
+    and b of ``SphereGrid._separable_basis``.
+
+    Separable in two steps: for each theta row the azimuthal products
+    (g a_p) @ b_q^T, then one contraction of the theta profiles over theta.
+    """
+    (th_a, az_a), (th_b, az_b) = factors[a], factors[b]
+    C = (g[:, None, :] * az_a) @ az_b.T  # (n_theta, 2 lmax + 1, 2 lmax + 1)
+    return np.einsum("it,jt,tij->ij", th_a, th_b, C[:, col[:, None], col])
+
+
 def _rayleigh_pencil(geom: SurfaceGeometry, lmax: int, potential: np.ndarray):
     """Stiffness/mass matrices of the Jacobi form in the harmonic basis."""
-    grid = geom.grid
-    Y, Yt, Yp = grid.basis_with_gradients(lmax)
-    K = Y.shape[0]
-    w = grid.w_node * geom.area_element
+    factors, col = geom.grid._separable_basis(lmax)
+    w = geom.grid.w_node * geom.area_element
     # grad-grad part with the induced inverse metric
-    Gtt = w * geom.hinv_tt
-    Gtp = w * geom.hinv_tp
-    Gpp = w * geom.hinv_pp
-    Yt_f = Yt.reshape(K, -1)
-    Yp_f = Yp.reshape(K, -1)
-    Y_f = Y.reshape(K, -1)
+    cross = _gram(factors, col, w * geom.hinv_tp, "t", "p")
     stiff = (
-        Yt_f @ (Gtt.ravel()[:, None] * Yt_f.T)
-        + Yt_f @ (Gtp.ravel()[:, None] * Yp_f.T)
-        + Yp_f @ (Gtp.ravel()[:, None] * Yt_f.T)
-        + Yp_f @ (Gpp.ravel()[:, None] * Yp_f.T)
+        _gram(factors, col, w * geom.hinv_tt, "t", "t")
+        + cross
+        + cross.T
+        + _gram(factors, col, w * geom.hinv_pp, "p", "p")
     )
-    pot = Y_f @ ((w * potential).ravel()[:, None] * Y_f.T)
-    mass = Y_f @ (w.ravel()[:, None] * Y_f.T)
-    return stiff - pot, mass
+    pot = _gram(factors, col, w * potential, "f", "f")
+    return stiff - pot, _gram(factors, col, w, "f", "f")
 
 
 def lambda1_discrete(surface: GraphSurface, lmax: int = 8) -> float:
@@ -102,6 +106,12 @@ def lambda1_discrete(surface: GraphSurface, lmax: int = 8) -> float:
     with the potential Ric(nu, nu) + |A|^2 evaluated pointwise from the
     ambient closed forms.  Enlarging the trial space can only lower the
     result (variational bound from above).
+
+    The geometry is the surface's cached ``induced_geometry`` (shared with
+    ``charge``, ``area`` and ``charged_hawking_mass``).  Each basis function is
+    a theta profile times one of 2 lmax + 1 azimuthal functions, so every
+    Gram matrix is assembled from azimuthal products per theta row and one
+    contraction over theta; the dense basis is never built.
     """
     geom = induced_geometry(surface)
     Kmat, Mmat = _rayleigh_pencil(geom, lmax, geom.ric_nn + geom.a_norm2)
@@ -134,18 +144,14 @@ def laplace_spectrum_discrete(
     Dirichlet form and the L^2 pairing are built by quadrature in the
     harmonic basis and the generalized eigenproblem is solved densely.
     """
-    Y, Yt, Yp = grid.basis_with_gradients(lmax)
-    K = Y.shape[0]
-    if k > K:
-        raise ValueError(f"requested {k} eigenvalues from a basis of size {K}")
+    factors, col = grid._separable_basis(lmax)
+    if k > col.size:
+        raise ValueError(f"requested {k} eigenvalues from a basis of size {col.size}")
     w = grid.w_node
     s2 = grid.sin_theta[:, None] ** 2
-    Yt_f = Yt.reshape(K, -1)
-    Yp_f = Yp.reshape(K, -1)
-    Y_f = Y.reshape(K, -1)
     # |grad Y|^2 on radius-a sphere integrates a-independently; mass scales a^2
-    stiff = Yt_f @ (w.ravel()[:, None] * Yt_f.T) + Yp_f @ ((w / s2).ravel()[:, None] * Yp_f.T)
-    mass = (a**2) * (Y_f @ (w.ravel()[:, None] * Y_f.T))
+    stiff = _gram(factors, col, w, "t", "t") + _gram(factors, col, w / s2, "p", "p")
+    mass = (a**2) * _gram(factors, col, w, "f", "f")
     vals = scipy.linalg.eigh(stiff, mass, eigvals_only=True)
     return [float(v) for v in vals[:k]]
 

@@ -297,32 +297,38 @@ class SphereGrid:
         fp = np.sum(m * (B * cosm - A * sinm), axis=0)
         return f, ft, fp
 
+    def _separable_basis(self, lmax: int):
+        """The real harmonics up to lmax and their first partials as products
+        of a theta profile and an azimuthal function.
+
+        Returns (factors, col).  ``factors`` maps "f" (Y), "t" (dY/dtheta) and
+        "p" (dY/dphi) to a pair (theta profiles (n_coeffs, n_theta), azimuthal
+        functions (2 lmax + 1, n_phi)); basis function k = l^2 + l + m of a
+        component is its theta profile k times azimuthal function col[k] = m + lmax.
+        """
+        if lmax > self.lmax:
+            raise ValueError(f"lmax = {lmax} beyond grid band {self.lmax}")
+        P, D, _ = self.tables()
+        k = np.arange(n_coeffs(lmax))
+        l = np.sqrt(k).astype(int)
+        m = k - l * l - l
+        rows = _block_start(np.abs(m), self.lmax) + l - np.abs(m)  # table row of (l, |m|)
+        az = np.arange(-lmax, lmax + 1)[:, None]
+        mphi = np.abs(az) * self.phi
+        nrm = np.where(az == 0, 1.0, math.sqrt(2.0))
+        trig = nrm * np.where(az < 0, np.sin(mphi), np.cos(mphi))
+        dtrig = np.abs(az) * nrm * np.where(az < 0, np.cos(mphi), -np.sin(mphi))
+        Pk = P[rows]
+        factors = {"f": (Pk, trig), "t": (-self.sin_theta * D[rows], trig), "p": (Pk, dtrig)}
+        return factors, m + lmax
+
     def basis_with_gradients(self, lmax: int):
         """Values and coordinate first partials of Y_{lm} up to lmax.
 
         Returns (Y, Yt, Yp), each of shape (n_coeffs, n_theta, n_phi).
         """
-        if lmax > self.lmax:
-            raise ValueError(f"lmax = {lmax} beyond grid band {self.lmax}")
-        P, D, _ = self.tables()
-        Y = np.empty((n_coeffs(lmax), self.n_theta, self.n_phi))
-        Yt = np.empty_like(Y)
-        Yp = np.empty_like(Y)
-        m = np.arange(-lmax, lmax + 1)[:, None]
-        mphi = np.abs(m) * self.phi
-        nrm = np.where(m == 0, 1.0, math.sqrt(2.0))
-        trig = nrm * np.where(m < 0, np.sin(mphi), np.cos(mphi))
-        dtrig = np.abs(m) * nrm * np.where(m < 0, np.cos(mphi), -np.sin(mphi))
-        s = self.sin_theta[:, None]
-        # degree l owns the contiguous rows l^2..l^2+2l, so each write lands in place
-        for l in range(lmax + 1):
-            am = np.abs(np.arange(-l, l + 1))
-            rows = _block_start(am, self.lmax) + l - am  # table rows (l, |m|), m = -l..l
-            out, band = slice(l * l, (l + 1) ** 2), slice(lmax - l, lmax + l + 1)
-            np.multiply(P[rows][:, :, None], trig[band, None, :], out=Y[out])
-            np.multiply(-s * D[rows][:, :, None], trig[band, None, :], out=Yt[out])
-            np.multiply(P[rows][:, :, None], dtrig[band, None, :], out=Yp[out])
-        return Y, Yt, Yp
+        factors, col = self._separable_basis(lmax)
+        return tuple(th[:, :, None] * az[col][:, None, :] for th, az in factors.values())
 
 
 @dataclass(eq=False)

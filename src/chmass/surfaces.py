@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .profile import RadialProfile, profile_rhs
+from .profile import RadialProfile
 from .sphere import ScalarField, SphereGrid
 
 __all__ = [
@@ -105,31 +105,30 @@ class SurfaceGeometry:
         )
 
 
-def _ambient_at(prof: RadialProfile, f: np.ndarray):
-    """Dense-output u, u', u'' at arclengths f (mirrored to negative s)."""
-    flat = np.abs(f).ravel()
-    if np.any(flat > prof.s_max * (1 + 1e-12)):
-        raise ValueError("surface leaves the integrated profile range")
-    vals = prof._sol(flat)
-    u = vals[0].reshape(f.shape)
-    du = (np.sign(f).ravel() * vals[1]).reshape(f.shape)
-    ddu = profile_rhs(u, du, prof.q, prof.lam)
-    return u, du, ddu
-
-
 def _graph_geometry(
     prof: RadialProfile, grid: SphereGrid, s0: float, phi: np.ndarray, zeta: float
 ) -> dict:
     """Quadrature geometry of the graphs of heights phi over the slice at s0.
 
     ``phi`` has shape (..., n_theta, n_phi); a stack of heights is transformed
-    and evaluated together.  Returns the ``SurfaceGeometry`` fields other than
-    surface and zeta: node arrays of phi's shape, and area, charge and mch of
-    its leading shape.
+    and evaluated together by ``_geometry_from_derivs``.
     """
-    d = grid.synth_derivs(grid.analyze(phi))
+    return _geometry_from_derivs(prof, grid, s0, grid.synth_derivs(grid.analyze(phi)), zeta)
+
+
+def _geometry_from_derivs(
+    prof: RadialProfile, grid: SphereGrid, s0: float, d: dict, zeta: float
+) -> dict:
+    """Quadrature geometry of the graph of s0 + f from the spectral partials of f.
+
+    ``d`` is a ``synth_derivs`` dict of node arrays of shape (..., n_theta,
+    n_phi).  Returns the ``SurfaceGeometry`` fields other than surface and
+    zeta: node arrays of that shape, and area, charge and mch of its leading
+    shape.  The transforms are linear, so the partials of t phi are t times
+    those of phi and a family of scaled graphs shares one transform.
+    """
     f = s0 + d["f"]
-    u, du, ddu = _ambient_at(prof, f)
+    u, du, ddu = prof.state(f)
 
     s = grid.sin_theta[:, None]
     x = grid.x[:, None]
@@ -323,7 +322,7 @@ def gauss_curvature_brioschi(
     f = surface.s0 + fval.reshape(TH.shape)
     ft = ft.reshape(TH.shape)
     fp = fp.reshape(TH.shape)
-    u = _ambient_at(prof, f)[0]
+    u = prof.state(f)[0]
 
     E = u**2 + ft**2
     F = ft * fp

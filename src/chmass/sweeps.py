@@ -95,6 +95,10 @@ def sweep_table(check: str, axes: dict, jobs: int = 1):
     missing = [name for name in axis_names if name not in axes]
     if missing:
         raise ValueError(f"sweep {check!r} needs axes {axis_names}, missing {missing}")
+    for name in axis_names:  # a2 and q2 are squares, mfrac a fraction of the mass window
+        lo, hi, _ = axes[name]
+        if min(lo, hi) < 0.0:
+            raise ValueError(f"axis {name} must be nonnegative, got bounds {lo:g}:{hi:g}")
     grids = [_axis_values(axes[name]) for name in axis_names]
     points = [(i, vals) for i, vals in enumerate(
         (tuple(float(g[k]) for g, k in zip(grids, idx)))

@@ -43,6 +43,7 @@ from .spectrum import lambda1_analytic, stability_window
 from .surfaces import (
     GraphSurface,
     SurfaceGeometry,
+    _geometry_from_derivs,
     _graph_geometry,
     induced_geometry,
     slice_hawking_mass,
@@ -229,12 +230,51 @@ def first_variation(
 # ---------------------------------------------------------------------------
 
 
+def _scaled_masses(prof: RadialProfile, s0: float, phi: ScalarField, ts) -> dict:
+    """Quadrature masses {t: m_CH(graph(t phi))} over the slice at s0 (oracle path).
+
+    phi is transformed once and each distinct t is evaluated once, from t
+    times its spectral partials; every graph is still built as a
+    ``GraphSurface``, so the finiteness and range checks run for each t.
+    """
+    grid = phi.grid
+    d = grid.synth_derivs(grid.analyze(phi.values))
+    masses = {}
+    for t in dict.fromkeys(ts):
+        GraphSurface(prof, s0, ScalarField(grid, t * phi.values))
+        scaled = {key: t * v for key, v in d.items()}
+        masses[t] = float(_geometry_from_derivs(prof, grid, s0, scaled, 2.0 * prof.lam)["mch"])
+    return masses
+
+
+def _first_fd_steps(dt: float):
+    return [sign * h for h in (dt, dt / 2.0, dt / 4.0) for sign in (1.0, -1.0)]
+
+
+def _second_fd_steps(dt: float):
+    return [0.0, dt, -dt, 2.0 * dt, -2.0 * dt]
+
+
+def _first_fd(mass: dict, dt: float) -> FDDerivative:
+    """Richardson-checked central differences from a table of masses at ``_first_fd_steps``."""
+    d1, d2, d4 = ((mass[h] - mass[-h]) / (2.0 * h) for h in (dt, dt / 2.0, dt / 4.0))
+    num, den = abs(d1 - d2), abs(d2 - d4)
+    order = math.log2(num / den) if den > 0 and num > 0 else float("nan")
+    return FDDerivative(value=(4.0 * d2 - d1) / 3.0, d_h=d1, d_h2=d2, d_h4=d4, order=order)
+
+
+def _second_fd(mass: dict, dt: float) -> float:
+    """Five-point second difference from a table of masses at ``_second_fd_steps``."""
+    return (
+        -mass[2.0 * dt] + 16.0 * mass[dt] - 30.0 * mass[0.0] + 16.0 * mass[-dt] - mass[-2.0 * dt]
+    ) / (12.0 * dt**2)
+
+
 def mass_of_scaled_graph(
     prof: RadialProfile, s0: float, phi: ScalarField, t: float
 ) -> float:
     """Quadrature mass of graph(t * phi) over the slice at s0 (oracle path)."""
-    surf = GraphSurface(prof, s0, ScalarField(phi.grid, t * phi.values))
-    return induced_geometry(surf, force_quadrature=True).mch
+    return _scaled_masses(prof, s0, phi, [t])[t]
 
 
 def first_variation_fd(
@@ -245,26 +285,14 @@ def first_variation_fd(
     Three step sizes (dt, dt/2, dt/4) give a Richardson order estimate;
     ``value`` is the dt/2-vs-dt extrapolation.
     """
-    def central(h):
-        return (
-            mass_of_scaled_graph(prof, s0, phi, h)
-            - mass_of_scaled_graph(prof, s0, phi, -h)
-        ) / (2.0 * h)
-
-    d1, d2, d4 = central(dt), central(dt / 2.0), central(dt / 4.0)
-    num, den = abs(d1 - d2), abs(d2 - d4)
-    order = math.log2(num / den) if den > 0 and num > 0 else float("nan")
-    return FDDerivative(value=(4.0 * d2 - d1) / 3.0, d_h=d1, d_h2=d2, d_h4=d4, order=order)
+    return _first_fd(_scaled_masses(prof, s0, phi, _first_fd_steps(dt)), dt)
 
 
 def second_variation_fd(
     prof: RadialProfile, phi: ScalarField, dt: float, s0: float = 0.0
 ) -> float:
     """Five-point stencil for d2/dt2 m_CH(graph(t phi)) at t = 0."""
-    f = lambda t: mass_of_scaled_graph(prof, s0, phi, t)
-    return (
-        -f(2 * dt) + 16.0 * f(dt) - 30.0 * f(0.0) + 16.0 * f(-dt) - f(-2 * dt)
-    ) / (12.0 * dt**2)
+    return _second_fd(_scaled_masses(prof, s0, phi, _second_fd_steps(dt)), dt)
 
 
 # ---------------------------------------------------------------------------
@@ -509,10 +537,21 @@ def variation_report(
     variation block (canonical, printed-coefficient variant, five-point
     oracle, step-halving gap) is filled only at s0 = 0, where its closed
     form applies.
+
+    The oracles share one mass table: phi is transformed once, each distinct
+    t of the union of the stencils is evaluated once (8 scaled graphs at
+    s0 = 0 for the first difference and both second differences, 6
+    otherwise), and the base slice is the t = 0 entry.  The analytic side
+    transforms phi on its own.
     """
     base = GraphSurface(prof, s0, ScalarField(phi.grid, np.zeros_like(phi.values)))
     geom = induced_geometry(base, force_quadrature=True)
-    fd = first_variation_fd(prof, s0, phi, dt)
+    ts = _first_fd_steps(dt)
+    if s0 == 0.0:
+        ts += _second_fd_steps(dt) + _second_fd_steps(dt / 2.0)
+    mass = _scaled_masses(prof, s0, phi, [t for t in ts if t != 0.0])
+    mass[0.0] = geom.mch
+    fd = _first_fd(mass, dt)
     report = VariationReport(
         first_analytic=first_variation(geom, phi),
         first_fd=fd.value,
@@ -521,8 +560,8 @@ def variation_report(
         dt=dt,
     )
     if s0 == 0.0:
-        d2_h = second_variation_fd(prof, phi, dt)
-        d2_h2 = second_variation_fd(prof, phi, dt / 2.0)
+        d2_h = _second_fd(mass, dt)
+        d2_h2 = _second_fd(mass, dt / 2.0)
         report.second_analytic = second_variation_minimal(prof.a, prof.q, phi)
         report.second_as_printed = second_variation_as_printed(prof.a, prof.q, phi)
         report.second_fd = d2_h2

@@ -235,6 +235,35 @@ class TestSweep:
         assert code == 2 and out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize("check, axes, axis", [
+        ("identity", ("--a2", "-0.1:0.9:2", "--q2", "0:0.2:2"), "a2"),
+        ("identity", ("--a2=-0.1:0.9:2", "--q2", "0:0.2:2"), "a2"),
+        ("identity", ("--a2", "0.1:0.9:2", "--q2", "-0.2:0.2:2"), "q2"),
+        ("window", ("--q2", "0.01:0.1:2", "--a2", "0.5:-0.5:2"), "a2"),
+        ("areacharge", ("--q2", "0.01:0.1:2", "--mfrac", "-0.5:0.5:2"), "mfrac"),
+    ])
+    def test_negative_axis_bound_is_domain_error(self, capsys, check, axes, axis):
+        # a spec with a leading minus reaches parse_axis, not argparse's flag reader
+        code, out, err = invoke(capsys, "sweep", "--check", check, *axes)
+        assert code == 2 and out == ""
+        assert f"axis {axis} must be nonnegative" in err
+
+    def test_mass_flag_is_not_an_axis(self, capsys):
+        # --m is a float flag that no sweep uses; it used to be parsed as an
+        # axis spec and crash with a traceback
+        code, out, _ = invoke(
+            capsys, "sweep", "--check", "identity", "--a2", "0.1:0.9:2", "--q2", "0:0.2:2",
+            "--m", "0.3",
+        )
+        assert code == 0 and out.startswith("a2,q2,residual")
+
+    def test_minus_leading_spec_reaches_parse_axis(self, capsys):
+        code, out, err = invoke(
+            capsys, "sweep", "--check", "identity", "--a2", "-inf:0.9:2", "--q2", "0:0.2:2",
+        )
+        assert code == 2 and out == ""
+        assert "finite" in err and "expected one argument" not in err
+
     def test_empty_or_unknown_grid_is_usage_error(self, capsys):
         code, _, err = invoke(capsys, "sweep", "--check", "identity")
         assert code == 2 and "needs axes" in err

@@ -149,6 +149,32 @@ class TestProp41:
         assert worst <= 1e-12
 
 
+def _dense_pencil(geom, lmax, potential):
+    """Reference Jacobi pencil assembled from the dense basis_with_gradients."""
+    Y, Yt, Yp = (b.reshape(b.shape[0], -1) for b in geom.grid.basis_with_gradients(lmax))
+    w = (geom.grid.w_node * geom.area_element).ravel()
+
+    def form(a, g, b):
+        return a @ (g.ravel()[:, None] * b.T)
+
+    stiff = (form(Yt, w * geom.hinv_tt.ravel(), Yt) + form(Yt, w * geom.hinv_tp.ravel(), Yp)
+             + form(Yp, w * geom.hinv_tp.ravel(), Yt) + form(Yp, w * geom.hinv_pp.ravel(), Yp))
+    return stiff - form(Y, w * potential.ravel(), Y), form(Y, w, Y)
+
+
+@pytest.mark.parametrize("n_theta", [32, 128])
+@pytest.mark.parametrize("lmax", [6, 8])
+def test_separable_pencil_matches_dense_basis(prof, n_theta, lmax):
+    # a graph with phi-dependent metric and potential, so no azimuthal
+    # product vanishes by symmetry
+    grid = build_grid(n_theta, 2 * n_theta)
+    geom = induced_geometry(GraphSurface(prof, 0.1, random_c2_field(grid, 11, 4, 0.05)))
+    potential = geom.ric_nn + geom.a_norm2
+    for sep, dense in zip(_rayleigh_pencil(geom, lmax, potential),
+                          _dense_pencil(geom, lmax, potential)):
+        assert np.abs(sep - dense).max() <= 1e-14 * np.abs(dense).max()
+
+
 def test_laplace_spectrum_discrete_basis_guard(grid):
     with pytest.raises(ValueError):
         laplace_spectrum_discrete(grid, 0.5, 200, lmax=4)

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from chmass.models import nariai_from_alpha
+from chmass import surfaces, variations
 from chmass.profile import integrate_profile
 from chmass.sphere import (
     ScalarField,
+    SphereGrid,
     build_grid,
     c2_norm,
     coeff_index,
@@ -28,6 +30,7 @@ from chmass.variations import (
     second_variation_fd,
     second_variation_minimal,
     strict_instability_constant,
+    variation_report,
     z_functional,
 )
 
@@ -295,6 +298,123 @@ class TestExperiments:
 
     def test_rnds_neck_strict_value(self):
         assert area_charge_value(math.pi, 0.3) == pytest.approx(2.44 * math.pi, abs=1e-10)
+
+
+class TestScaledGraphOracles:
+    """The FD oracles against the per-graph path: one GraphSurface and one
+    quadrature geometry per step, as they were computed before the graphs of
+    t phi shared phi's transform."""
+
+    @staticmethod
+    def per_graph_masses(prof, s0, phi, ts):
+        return {
+            t: induced_geometry(
+                GraphSurface(prof, s0, ScalarField(phi.grid, t * phi.values)),
+                force_quadrature=True,
+            ).mch
+            for t in ts
+        }
+
+    @staticmethod
+    def first_reference(m, dt):
+        # returns value, order and the order's denominator; at s0 = 0 the
+        # mass is even in t (u is even), so every difference is 0 and the
+        # order is NaN
+        d1, d2, d4 = ((m[h] - m[-h]) / (2 * h) for h in (dt, dt / 2, dt / 4))
+        num, den = abs(d1 - d2), abs(d2 - d4)
+        order = math.log2(num / den) if den > 0 and num > 0 else float("nan")
+        return (4 * d2 - d1) / 3, order, den
+
+    @staticmethod
+    def assert_order_close(order, ref, tol, den):
+        if math.isnan(ref):
+            assert math.isnan(order)
+        else:
+            assert abs(order - ref) <= 4 * tol / (den * math.log(2))
+
+    @staticmethod
+    def second_reference(m, dt):
+        return (-m[2 * dt] + 16 * m[dt] - 30 * m[0.0] + 16 * m[-dt] - m[-2 * dt]) / (12 * dt**2)
+
+    @pytest.mark.parametrize("n_theta", [32, 128])
+    @pytest.mark.parametrize("s0", [0.0, -0.3])
+    def test_fd_oracles_match_per_graph_reference(self, prof, n_theta, s0):
+        grid = build_grid(n_theta, 2 * n_theta)
+        phi = random_c2_field(grid, 408, 4, 0.5)
+        dt = 1e-2
+        ts = [0.0] + [sign * h for h in (dt / 4, dt / 2, dt, 2 * dt) for sign in (1, -1)]
+        m = self.per_graph_masses(prof, s0, phi, ts)
+        # eight ulps of error in each mass, carried through each stencil
+        dm = 8 * np.spacing(prof.m)
+        tol1 = 2 * dm / (dt / 4)
+        value, order, den = self.first_reference(m, dt)
+
+        fd = first_variation_fd(prof, s0, phi, dt)
+        assert abs(fd.value - value) <= tol1
+        self.assert_order_close(fd.order, order, tol1, den)
+        for step in (dt, dt / 2):
+            tol2 = 64 * dm / (12 * step**2)
+            ref = self.second_reference(m, step)
+            assert abs(second_variation_fd(prof, phi, step, s0=s0) - ref) <= tol2
+
+        rep = variation_report(prof, s0, phi, dt)
+        assert abs(rep.first_fd - value) <= tol1
+        self.assert_order_close(rep.first_order, order, tol1, den)
+        if s0 == 0.0:
+            d2_h, d2_h2 = self.second_reference(m, dt), self.second_reference(m, dt / 2)
+            tol2 = 64 * dm / (12 * (dt / 2) ** 2)
+            assert abs(rep.second_fd - d2_h2) <= tol2
+            assert abs(rep.second_fd_step_gap - abs(d2_h - d2_h2)) <= 2 * tol2
+        else:
+            assert rep.second_fd is None
+
+    def test_step_leaving_profile_range_raises(self, prof, grid):
+        phi = random_c2_field(grid, 5, 4, 0.5)
+        t = 1.01 * prof.s_max / np.abs(phi.values).max()
+        assert mass_of_scaled_graph(prof, 0.0, phi, 0.99 * t) < prof.m
+        with pytest.raises(ValueError, match="leaves the integrated range"):
+            mass_of_scaled_graph(prof, 0.0, phi, t)
+        with pytest.raises(ValueError, match="leaves the integrated range"):
+            second_variation_fd(prof, phi, t / 2)
+        with pytest.raises(ValueError, match="leaves the integrated range"):
+            variation_report(prof, 0.0, phi, dt=t / 2)
+
+    def test_variation_report_counts(self, prof, grid, monkeypatch):
+        # deterministic counting gate: the oracle transforms phi once and the
+        # geometry kernel sees each of the 9 distinct t of the stencils once
+        phi = random_c2_field(grid, 5, 4, 0.5)
+        analyzed, synthesized, kernel_t = [], [], []
+        analyze, synth_derivs = SphereGrid.analyze, SphereGrid.synth_derivs
+        kernel = surfaces._geometry_from_derivs
+
+        def spy_analyze(self, values, lmax=None):
+            analyzed.append(np.array(values))
+            return analyze(self, values, lmax)
+
+        def spy_synth_derivs(self, coeffs):
+            synthesized.append(coeffs)
+            return synth_derivs(self, coeffs)
+
+        def spy_kernel(prof, grid, s0, d, zeta):
+            kernel_t.append(float(np.sum(d["f"] * phi.values) / np.sum(phi.values**2)))
+            return kernel(prof, grid, s0, d, zeta)
+
+        monkeypatch.setattr(SphereGrid, "analyze", spy_analyze)
+        monkeypatch.setattr(SphereGrid, "synth_derivs", spy_synth_derivs)
+        monkeypatch.setattr(surfaces, "_geometry_from_derivs", spy_kernel)
+        monkeypatch.setattr(variations, "_geometry_from_derivs", spy_kernel)
+        dt = 1e-2
+        variation_report(prof, 0.0, phi, dt)
+
+        # analysed: the base slice's zero height and its mean curvature, and
+        # phi once per consumer (analytic first variation, oracle, the two
+        # closed-form second variations); never a scaled copy t phi
+        assert sum(np.array_equal(v, phi.values) for v in analyzed) == 4
+        assert len(analyzed) == 6
+        # synthesised: base slice, its mean curvature, phi (analytic), phi (oracle)
+        assert len(synthesized) == 4
+        expected = sorted([0.0] + [s * h for h in (dt / 4, dt / 2, dt, 2 * dt) for s in (1, -1)])
+        np.testing.assert_allclose(sorted(kernel_t), expected, rtol=1e-12, atol=1e-15)
 
 
 def test_instability_constant_positive_across_window():
