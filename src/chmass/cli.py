@@ -127,20 +127,35 @@ class _Resolver:
         self.used_keys = set()
 
     def get(self, key: str, default, cast=float):
+        """The flag's value, else the config file's, else ``default``.
+
+        A NaN or infinite float from the flag or the config file is a usage
+        error that names the flag.
+        """
         self.used_keys.add(key)
-        flag_val = getattr(self.args, key, None)
-        if flag_val is not None:
-            return flag_val
-        if key in self.config:
+        val = getattr(self.args, key, None)
+        if val is None and key in self.config:
             raw = self.config[key]
-            return cast(raw) if cast is not None else raw
-        return default
+            val = cast(raw) if cast is not None else raw
+        if val is None:
+            return default
+        if isinstance(val, float) and not math.isfinite(val):
+            raise ValueError(f"{_flag_name(key)} must be finite, got {val}")
+        return val
 
     def require(self, key: str, cast=float):
         val = self.get(key, None, cast)
         if val is None:
-            raise ValueError(f"missing required option --{key.replace('_', '-')}")
+            raise ValueError(f"missing required option {_flag_name(key)}")
         return val
+
+
+def _flag_name(key: str) -> str:
+    """The command-line flag of a resolver key ('lam' -> '--lambda')."""
+    for flag, dest, _ in _FLOAT_FLAGS + _INT_FLAGS + _STR_FLAGS:
+        if dest == key:
+            return flag
+    return "--" + key.replace("_", "-")
 
 
 # ---------------------------------------------------------------------------
@@ -183,14 +198,15 @@ def cmd_profile(g: _Resolver) -> int:
         s_max=g.get("s_max", 2.0), tol=g.get("tol", 1e-10),
     )
     rows = []
-    for s, u, du, ddu in prof.samples:
+    mch = slice_hawking_mass(prof, prof.samples[:, 0])
+    for (s, u, du, ddu), mass in zip(prof.samples, mch):
         rows.append(
             (
                 s, u, du, ddu,
                 -4 * ddu / u + 2 * (1 - du**2) / u**2,
                 -2 * ddu / u,
                 -2 * du / u,
-                slice_hawking_mass(prof, s),
+                mass,
             )
         )
     _emit(_csv(["s", "u", "du", "ddu", "R", "ric_nn", "H", "mch"], rows), g.get("out", None, str))
@@ -461,7 +477,7 @@ _FLOAT_FLAGS = [
     ("--neck-a", "neck_a", "neck radius (mass induced by the neck constructor)"),
     ("--s0", "s0", "base slice arclength"),
     ("--s-max", "s_max", "half-width of the integrated arclength range"),
-    ("--tol", "tol", "ODE integrator tolerance"),
+    ("--tol", "tol", "profile tolerance: bound on each collocation panel's series tail"),
     ("--dt", "dt", "finite-difference step"),
     ("--t-max", "t_max", "foliation half-range"),
     ("--amp", "amp", "C^2 amplitude of random test fields"),

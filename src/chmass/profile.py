@@ -8,9 +8,10 @@ with the slice mass
 
     I(s) = (u/2) (1 - u'^2 - Lambda u^2/3 + Q^2/u^2)
 
-as a first integral.  Profiles are integrated as an initial value problem
-from the neck (u, u')(0) = (a, 0) and extended to negative arclength by the
-reflection u(-s) = u(s).
+as a first integral.  Profiles solve the initial value problem from the neck
+(u, u')(0) = (a, 0) by Chebyshev collocation of the first-order system
+(u, v = u'), marched in panels of 33 Chebyshev-Lobatto nodes, and are
+extended to negative arclength by the reflection u(-s) = u(s).
 
 Sign convention (used consistently across the package): the unit normal of a
 slice is nu = +d/ds and the mean curvature is H = -2 u'/u, so expanding
@@ -19,22 +20,20 @@ slices (u' > 0) have H < 0 while their area grows.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
-from scipy.optimize import brentq
+from numpy.polynomial.chebyshev import chebval, chebvander
 
 from .models import (
-    CLASS_DOUBLE_INNER,
     CLASS_GENERIC,
     ModelParams,
     horizon_roots,
-    lapse_squared,
-    lapse_squared_prime,
     params_from_neck,
 )
+from .sphere import _gauss_legendre
 
 __all__ = [
     "RadialProfile",
@@ -53,7 +52,7 @@ KIND_NARIAI = "nariai"
 
 
 class ProfileIntegrationError(RuntimeError):
-    """Integration stopped before reaching s_max (u -> 0 or step collapse)."""
+    """Integration stopped before reaching s_max (u -> 0 or panel collapse)."""
 
     def __init__(self, message: str, last_s: float):
         super().__init__(f"{message} (last valid s = {last_s:.6g})")
@@ -63,6 +62,102 @@ class ProfileIntegrationError(RuntimeError):
 def profile_rhs(u: float, du: float, q: float, lam: float):
     """Right-hand side u'' of the profile equation."""
     return (1.0 - du**2) / (2.0 * u) - (lam * u**4 + q**2) / (2.0 * u**3)
+
+
+def _rhs_partials(u, du, q: float, lam: float):
+    """Partial derivatives (dF/du, dF/du') of ``profile_rhs``."""
+    return (
+        -(1.0 - du**2) / (2.0 * u**2) - 0.5 * lam + 1.5 * q**2 / u**4,
+        -du / u,
+    )
+
+
+def _lobatto_panel(n: int):
+    """Chebyshev-Lobatto nodes x_j = -cos(j pi/n) (ascending on [-1, 1]), the
+    first-derivative matrix on them (Trefethen, Spectral Methods in MATLAB,
+    ch. 6), and the map from node values to Chebyshev coefficients."""
+    j = np.arange(n + 1)
+    x = -np.cos(np.pi * j / n)
+    c = np.where((j == 0) | (j == n), 2.0, 1.0) * (-1.0) ** j
+    d = np.outer(c, 1.0 / c) / (x[:, None] - x[None, :] + np.eye(n + 1))
+    d -= np.diag(d.sum(axis=1))
+    return x, d, np.linalg.inv(chebvander(x, n))
+
+
+_NODES, _DIFF, _TO_COEFFS = _lobatto_panel(32)
+_TAIL = 3  # trailing coefficients whose size bounds a panel's truncation error
+_NEWTON_STEPS = 25
+_MIN_PANEL = 1e-6  # smallest panel, relative to s_max
+
+
+class _ChebyshevPanels:
+    """Piecewise Chebyshev series of (u, u') on [0, s_max].
+
+    Called with arclengths s >= 0 (shape (n,)), returns the stacked (u, u')
+    of shape (2, n).  Each panel adds the roundoff-sized constant that makes
+    its series return the panel's start state exactly at its left end, so
+    the neck value u(0) = a is exact.
+    """
+
+    def __init__(self, breaks, coeffs, starts):
+        self.breaks = np.asarray(breaks)  # panel p spans breaks[p]..breaks[p + 1]
+        self.coeffs = coeffs  # (panels, 33, 2)
+        self.offsets = [
+            np.asarray(y0) - chebval(-1.0, c) for y0, c in zip(starts, coeffs)
+        ]
+
+    def _panel(self, p: int, s):
+        lo, hi = self.breaks[p], self.breaks[p + 1]
+        return chebval(2.0 * (s - lo) / (hi - lo) - 1.0, self.coeffs[p]) + self.offsets[p][:, None]
+
+    def __call__(self, s):
+        s = np.asarray(s, dtype=float)
+        if len(self.coeffs) == 1:  # the common case: no per-panel gather
+            return self._panel(0, s)
+        panel = np.searchsorted(self.breaks[1:-1], s, side="right")
+        out = np.empty((2, s.size))
+        for p in np.unique(panel):
+            sel = panel == p
+            out[:, sel] = self._panel(p, s[sel])
+        return out
+
+
+def _newton_panel(s0: float, h: float, y0, q: float, lam: float, step_tol: float):
+    """Collocate u' = v, v' = F(u, v) on [s0, s0 + h] from the state y0 at s0.
+
+    The start node carries y0 exactly; the other 32 nodes carry both
+    equations, solved by Newton from the second-order Taylor start.  Returns
+    the node values (u, v), or None when Newton does not reach a step of
+    ``step_tol`` (the panel is then too wide).
+    """
+    t = 0.5 * h * (_NODES + 1.0)
+    f0 = profile_rhs(y0[0], y0[1], q, lam)
+    u = y0[0] + y0[1] * t + 0.5 * f0 * t**2
+    v = y0[1] + f0 * t
+    d = (2.0 / h) * _DIFF
+    n = _NODES.size - 1
+    i = np.arange(n)
+    jac = np.zeros((2 * n, 2 * n))  # unknowns: u and v at nodes 1..n
+    jac[:n, :n] = jac[n:, n:] = d[1:, 1:]
+    jac[i, n + i] = -1.0
+    with np.errstate(all="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            f = profile_rhs(u, v, q, lam)
+            res = np.concatenate([(d @ u - v)[1:], (d @ v - f)[1:]])
+            f_u, f_v = _rhs_partials(u[1:], v[1:], q, lam)
+            jac[n + i, i] = -f_u
+            jac[n + i, n + i] = d[i + 1, i + 1] - f_v
+            try:
+                step = np.linalg.solve(jac, res)
+            except np.linalg.LinAlgError:
+                return None
+            u[1:] -= step[:n]
+            v[1:] -= step[n:]
+            if not (np.all(np.isfinite(step)) and np.all(u > 0.0)):
+                return None
+            if np.abs(step).max() <= step_tol:
+                return u, v
+    return None
 
 
 def _like(values, s):
@@ -81,7 +176,7 @@ class ElectricFieldSample:
 
 @dataclass(eq=False)
 class RadialProfile:
-    """Integrated profile with dense output, mirrored across the neck."""
+    """Integrated profile as a Chebyshev series, mirrored across the neck."""
 
     a: float
     q: float
@@ -91,7 +186,9 @@ class RadialProfile:
     s_max: float
     tol: float
     samples: np.ndarray  # columns: s, u, u', u''
-    _sol: object = field(repr=False)  # scipy dense output on [0, s_max]
+    # callable |s| -> stacked (u, u') of shape (2, n) on [0, s_max]: the
+    # piecewise Chebyshev series of the collocation panels
+    _sol: object = field(repr=False)
 
     def _check_range(self, s):
         s = np.asarray(s, dtype=float)
@@ -133,9 +230,15 @@ def integrate_profile(
     lam: float = 1.0,
     s_max: float = 2.0,
     tol: float = 1e-10,
-    method: str = "DOP853",
 ) -> RadialProfile:
     """Integrate the profile equation from a neck of radius a.
+
+    The first-order system u' = v, v' = F(u, v) is collocated on panels of
+    33 Chebyshev-Lobatto nodes and solved by Newton (stopping at a step of
+    1e-13 a).  Panels march outward from the neck, each starting from the
+    previous panel's end state; a panel is first tried at twice the width of
+    the last accepted one (the whole range at the start) and halved until its
+    Chebyshev series converges to within ``tol``.
 
     Parameters
     ----------
@@ -147,11 +250,8 @@ def integrate_profile(
     s_max : float
         Half-width of the integrated arclength range [-s_max, s_max].
     tol : float
-        Relative and absolute integrator tolerance, within [1e-14, 1e-6].
-    method : str
-        Any scipy.integrate.solve_ivp explicit scheme with dense output;
-        two different step controllers must agree on the solution (the
-        numerical stand-in for ODE uniqueness).
+        Bound on each panel's trailing Chebyshev coefficients of (u, u'),
+        relative to the panel's largest |u| or |u'|; within [1e-14, 1e-6].
 
     Returns
     -------
@@ -160,7 +260,7 @@ def integrate_profile(
     Raises
     ------
     ProfileIntegrationError
-        If u collapses toward zero or the integrator gives up early.
+        If u falls below 1e-3 a at a node, or a panel shrinks below 1e-6 s_max.
     """
     if a <= 0.0:
         raise ValueError("integrate_profile requires a > 0")
@@ -174,29 +274,32 @@ def integrate_profile(
             f"(a, Q, Lambda) = ({a}, {q}, {lam}) starts at a belly (u''(0) = {ddu0:.3e} < 0)"
         )
 
-    def rhs(s, y):
-        return [y[1], profile_rhs(y[0], y[1], q, lam)]
-
-    def collapse(s, y):
-        return y[0] - 1e-3 * a
-
-    collapse.terminal = True
-    collapse.direction = -1
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, s_max),
-        [a, 0.0],
-        method=method,
-        rtol=tol,
-        atol=tol,
-        dense_output=True,
-        events=collapse,
-    )
-    if sol.status == 1:  # collapse event fired
-        raise ProfileIntegrationError("profile radius collapsed toward zero", sol.t[-1])
-    if not sol.success:
-        raise ProfileIntegrationError(sol.message, sol.t[-1])
+    breaks, coeffs, starts = [0.0], [], []
+    y0 = np.array([a, 0.0])
+    width = s_max
+    while breaks[-1] < s_max:
+        s0 = breaks[-1]
+        width = min(width, s_max - s0)
+        if width < _MIN_PANEL * s_max:
+            raise ProfileIntegrationError("collocation panel width collapsed", s0)
+        nodes = _newton_panel(s0, width, y0, q, lam, 1e-13 * a)
+        if nodes is not None:
+            c = _TO_COEFFS @ np.column_stack(nodes)  # (33, 2)
+            scale = np.abs(c).max()
+            if np.abs(c[-_TAIL:]).max() > tol * scale:
+                nodes = None
+        if nodes is None:
+            width *= 0.5
+            continue
+        low = np.flatnonzero(nodes[0] < 1e-3 * a)
+        if low.size:
+            last = s0 + 0.5 * width * (_NODES[low[0] - 1] + 1.0)
+            raise ProfileIntegrationError("profile radius collapsed toward zero", last)
+        coeffs.append(c)
+        starts.append(y0)
+        y0 = np.array([nodes[0][-1], nodes[1][-1]])
+        breaks.append(s_max if s_max - s0 - width <= 1e-12 * s_max else s0 + width)
+        width *= 2.0
 
     m = params_from_neck(a, q, lam).m
     # Constant solutions exist exactly when Q^2 = a^2 (1 - Lambda a^2).
@@ -204,7 +307,7 @@ def integrate_profile(
 
     prof = RadialProfile(
         a=a, q=q, lam=lam, m=m, kind=kind, s_max=s_max, tol=tol,
-        samples=np.empty((0, 4)), _sol=sol.sol,
+        samples=np.empty((0, 4)), _sol=_ChebyshevPanels(breaks, np.array(coeffs), starts),
     )
     s_grid = np.linspace(-s_max, s_max, 513)
     prof.samples = np.column_stack([s_grid, *prof.state(s_grid)])
@@ -217,9 +320,8 @@ def first_integral(prof: RadialProfile, s):
     Constant (equal to prof.m) along exact solutions; deviations measure
     integrator error.
     """
-    u = prof.u(s)
-    du = prof.du(s)
-    return 0.5 * u * (1.0 - du**2 - prof.lam * u**2 / 3.0 + prof.q**2 / u**2)
+    u, du, _ = prof.state(s)
+    return _like(0.5 * u * (1.0 - du**2 - prof.lam * u**2 / 3.0 + prof.q**2 / u**2), s)
 
 
 def curvature_scalars(prof: RadialProfile, s) -> dict:
@@ -234,9 +336,7 @@ def curvature_scalars(prof: RadialProfile, s) -> dict:
         h_slice : slice mean curvature, -2u'/u  (nu = +d/ds convention)
         a2_slice: squared norm of the slice second fundamental form, H^2/2
     """
-    u = prof.u(s)
-    du = prof.du(s)
-    ddu = prof.ddu(s)
+    u, du, ddu = (_like(v, s) for v in prof.state(s))
     h = -2.0 * du / u
     return {
         "R": -4.0 * ddu / u + 2.0 * (1.0 - du**2) / u**2,
@@ -257,55 +357,63 @@ def electric_field(prof: RadialProfile, s) -> ElectricFieldSample:
     )
 
 
+@functools.lru_cache(maxsize=1)
+def _eta_rule():
+    """The 96-node Gauss-Legendre rule of ``arclength_from_r``, built on first use."""
+    return _gauss_legendre(96)
+
+
+def _lapse_peak(p: ModelParams, r_plus: float, r_c: float) -> float:
+    """The maximum of f on (r_+, r_c): the root there of the quartic
+    r^3 f'(r) = -2 Lambda r^4/3 + 2 m r - 2 Q^2 (companion-matrix roots,
+    polished by Newton)."""
+    g = np.polynomial.Polynomial([-2.0 * p.q**2, 2.0 * p.m, 0.0, 0.0, -2.0 * p.lam / 3.0])
+    inside = [z.real for z in g.roots() if abs(z.imag) <= 1e-7 * abs(z) and r_plus < z.real < r_c]
+    r = inside[0]
+    dg = g.deriv()
+    for _ in range(3):
+        r -= g(r) / dg(r)
+    return r
+
+
 def arclength_from_r(p: ModelParams, r: float) -> float:
     """Arclength s(r) = int_{r_+}^{r} f^{-1/2} from the neck to radius r.
 
-    The inverse-square-root endpoint singularities are absorbed by the
-    substitution xi = r_+ + eta^2 (mirrored as xi = r_c - eta^2 past the
-    lapse maximum), leaving smooth integrands for scipy.integrate.quad.
+    With the four horizon roots r_i, f(xi) = -(Lambda/3) prod (xi - r_i) / xi^2.
+    Near r_+ the substitution xi = r_+ + eta^2 turns f^{-1/2} dxi into
+    2 xi / sqrt((Lambda/3) prod_{i != +} |xi - r_i|) deta: the root is divided
+    out in closed form, so the integrand is smooth and free of cancellation.
+    Past the lapse maximum the range is mirrored as xi = r_c - eta^2.  Each
+    piece is a fixed 96-node Gauss-Legendre rule in eta.
 
     Parameters
     ----------
     p : ModelParams
-        Must have distinct horizons r_+ < r_c.
+        Must have three distinct positive horizons r_- < r_+ < r_c (at a
+        double inner root the arclength from r_+ diverges).
     r : float
         Radius strictly inside (r_+, r_c).
     """
     hs = horizon_roots(p)
-    if hs.classification not in (CLASS_GENERIC, CLASS_DOUBLE_INNER):
+    if hs.classification != CLASS_GENERIC:
         raise ValueError(
-            f"arclength_from_r needs distinct r_+ < r_c (classification: {hs.classification})"
+            f"arclength_from_r needs distinct r_- < r_+ < r_c (classification: {hs.classification})"
         )
     r_plus, r_c = hs.r_plus, hs.r_cosmo
     if not (r_plus < r < r_c):
         raise ValueError(f"r = {r} outside the static range ({r_plus}, {r_c})")
+    roots = np.array([root for root, _ in hs.roots])
+    x, w = _eta_rule()
 
-    # Split at the lapse maximum so each piece sees only one singular endpoint.
-    r_peak = brentq(lambda x: lapse_squared_prime(x, p), r_plus * (1 + 1e-12), r_c * (1 - 1e-12))
+    def from_root(root: float, sign: float, radius: float) -> float:
+        # int of f^-1/2 between root and radius, with xi = root + sign eta^2
+        eta_max = math.sqrt(abs(radius - root))
+        eta = 0.5 * eta_max * (x + 1.0)
+        xi = root + sign * eta**2
+        others = np.abs(xi[:, None] - roots[roots != root]).prod(axis=1)
+        return 0.5 * eta_max * float(w @ (2.0 * xi / np.sqrt(p.lam / 3.0 * others)))
 
-    def eta_integrand(root, sign):
-        # f(root +/- eta^2) = |f'(root)| eta^2 + O(eta^4); fall back to the
-        # linearization where float cancellation at the polished root makes
-        # the sampled lapse nonpositive (|eta| below ~1e-7)
-        kprime = abs(lapse_squared_prime(root, p))
-
-        def g(eta):
-            f = lapse_squared(root + sign * eta * eta, p)
-            if f <= 0.0:
-                f = kprime * eta * eta
-            return 2.0 * eta / math.sqrt(f)
-
-        return g
-
-    def from_inner(radius):
-        val, _ = quad(eta_integrand(r_plus, +1.0), 0.0, math.sqrt(radius - r_plus), limit=200)
-        return val
-
-    def from_outer(radius):
-        # int_{radius}^{r_c} f^-1/2 with xi = r_c - eta^2
-        val, _ = quad(eta_integrand(r_c, -1.0), 0.0, math.sqrt(r_c - radius), limit=200)
-        return val
-
+    r_peak = _lapse_peak(p, r_plus, r_c)
     if r <= r_peak:
-        return from_inner(r)
-    return from_inner(r_peak) + (from_outer(r_peak) - from_outer(r))
+        return from_root(r_plus, 1.0, r)
+    return from_root(r_plus, 1.0, r_peak) + from_root(r_c, -1.0, r_peak) - from_root(r_c, -1.0, r)

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .profile import integrate_profile
 from .sphere import ScalarField, build_grid
@@ -83,6 +82,17 @@ def _gram(factors, col, g: np.ndarray, a: str, b: str) -> np.ndarray:
     return np.einsum("it,jt,tij->ij", th_a, th_b, C[:, col[:, None], col])
 
 
+def _pencil_eigvalsh(stiff: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric pencil stiff x = lambda mass x.
+
+    With the Cholesky factor mass = L L^T the pencil has the eigenvalues of
+    the symmetric matrix L^-1 stiff L^-T.
+    """
+    lower = np.linalg.cholesky(mass)
+    half = np.linalg.solve(lower, stiff)  # L^-1 stiff
+    return np.linalg.eigvalsh(np.linalg.solve(lower, half.T))
+
+
 def _rayleigh_pencil(geom: SurfaceGeometry, lmax: int, potential: np.ndarray):
     """Stiffness/mass matrices of the Jacobi form in the harmonic basis."""
     factors, col = geom.grid._separable_basis(lmax)
@@ -115,8 +125,7 @@ def lambda1_discrete(surface: GraphSurface, lmax: int = 8) -> float:
     """
     geom = induced_geometry(surface)
     Kmat, Mmat = _rayleigh_pencil(geom, lmax, geom.ric_nn + geom.a_norm2)
-    vals = scipy.linalg.eigh(Kmat, Mmat, eigvals_only=True)
-    return float(vals[0])
+    return float(_pencil_eigvalsh(Kmat, Mmat)[0])
 
 
 def laplace_spectrum(a: float, k: int) -> list[float]:
@@ -142,7 +151,8 @@ def laplace_spectrum_discrete(
 
     Discrete oracle for :func:`laplace_spectrum`: Gram matrices of the
     Dirichlet form and the L^2 pairing are built by quadrature in the
-    harmonic basis and the generalized eigenproblem is solved densely.
+    harmonic basis and the generalized eigenproblem is solved densely
+    (Cholesky reduction, ``_pencil_eigvalsh``).
     """
     factors, col = grid._separable_basis(lmax)
     if k > col.size:
@@ -152,8 +162,7 @@ def laplace_spectrum_discrete(
     # |grad Y|^2 on radius-a sphere integrates a-independently; mass scales a^2
     stiff = _gram(factors, col, w, "t", "t") + _gram(factors, col, w / s2, "p", "p")
     mass = (a**2) * _gram(factors, col, w, "f", "f")
-    vals = scipy.linalg.eigh(stiff, mass, eigvals_only=True)
-    return [float(v) for v in vals[:k]]
+    return [float(v) for v in _pencil_eigvalsh(stiff, mass)[:k]]
 
 
 def eigenvalue_area_charge_residual(a: float, q: float) -> float:

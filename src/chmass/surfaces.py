@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .profile import RadialProfile
+from .profile import RadialProfile, _like
 from .sphere import ScalarField, SphereGrid
 
 __all__ = [
@@ -243,9 +243,7 @@ def _slice_geometry(surface: GraphSurface, s: float, zeta: float) -> SurfaceGeom
     """Closed-form geometry of the constant-height graph (a slice)."""
     prof = surface.profile
     grid = surface.grid
-    u = prof.u(s)
-    du = prof.du(s)
-    ddu = prof.ddu(s)
+    u, du, ddu = (float(v) for v in prof.state(s))
     shape = (grid.n_theta, grid.n_phi)
 
     H = -2.0 * du / u
@@ -273,9 +271,8 @@ def slice_hawking_mass(prof: RadialProfile, s: float, zeta: float | None = None)
     """
     if zeta is None:
         zeta = 2.0 * prof.lam
-    u = prof.u(s)
-    du = prof.du(s)
-    return 0.5 * u * (1.0 - du**2 - zeta * u**2 / 6.0 + prof.q**2 / u**2)
+    u, du, _ = prof.state(s)
+    return _like(0.5 * u * (1.0 - du**2 - zeta * u**2 / 6.0 + prof.q**2 / u**2), s)
 
 
 def area(surface: GraphSurface) -> float:

@@ -80,6 +80,28 @@ SWEEP_CHECKS = {
     "window": (("q2", "a2"), ("q2", "a2", "neck", "stable"), _window_row),
 }
 
+# check -> {axis: (lo, hi)}: the open interval where the check's row function
+# is defined.  A neck needs a > 0.  The admissible mass window needs
+# 0 < Q^2 <= 1/4, but at Q^2 = 1/4 it is a single mass whose horizons merge
+# into one triple root; a mass strictly inside it has three distinct horizons.
+_DOMAINS = {
+    "identity": {"a2": (0.0, math.inf)},
+    "areacharge": {"q2": (0.0, 0.25), "mfrac": (0.0, 1.0)},
+    "window": {"a2": (0.0, math.inf)},
+}
+
+
+def _check_domain(check: str, name: str, lo: float, hi: float):
+    """Reject an axis whose bounds leave the check's domain, naming the axis."""
+    if min(lo, hi) < 0.0:  # a2 and q2 are squares, mfrac a fraction of the mass window
+        raise ValueError(f"axis {name} must be nonnegative, got bounds {lo:g}:{hi:g}")
+    d_lo, d_hi = _DOMAINS[check].get(name, (-math.inf, math.inf))
+    if not (d_lo < min(lo, hi) and max(lo, hi) < d_hi):
+        raise ValueError(
+            f"axis {name} must lie in ({d_lo:g}, {d_hi:g}) for check {check!r}, "
+            f"got bounds {lo:g}:{hi:g}"
+        )
+
 
 def sweep_table(check: str, axes: dict, jobs: int = 1):
     """Evaluate a named check over the grid; returns (header, rows).
@@ -95,10 +117,8 @@ def sweep_table(check: str, axes: dict, jobs: int = 1):
     missing = [name for name in axis_names if name not in axes]
     if missing:
         raise ValueError(f"sweep {check!r} needs axes {axis_names}, missing {missing}")
-    for name in axis_names:  # a2 and q2 are squares, mfrac a fraction of the mass window
-        lo, hi, _ = axes[name]
-        if min(lo, hi) < 0.0:
-            raise ValueError(f"axis {name} must be nonnegative, got bounds {lo:g}:{hi:g}")
+    for name in axis_names:
+        _check_domain(check, name, *axes[name][:2])
     grids = [_axis_values(axes[name]) for name in axis_names]
     points = [(i, vals) for i, vals in enumerate(
         (tuple(float(g[k]) for g, k in zip(grids, idx)))

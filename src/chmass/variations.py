@@ -216,9 +216,15 @@ def first_variation(
         raise ValueError("speed field lives on a different grid")
     if use_lambda_coefficient:
         zeta = geom.surface.profile.lam
+    return _first_variation(geom, grid.analyze(phi.values), zeta)
+
+
+def _first_variation(geom: SurfaceGeometry, phi_coeffs: np.ndarray, zeta: float | None) -> float:
+    """``first_variation`` from the harmonic coefficients of phi on geom's grid."""
+    grid = geom.grid
     z = z_functional(geom, zeta)
     d_h = grid.synth_derivs(grid.analyze(geom.h_mean))
-    d_phi = grid.synth_derivs(grid.analyze(phi.values))
+    d_phi = grid.synth_derivs(phi_coeffs)
     lap_term = -geom.integral(geom.grad_inner(d_h, d_phi))
     z_term = geom.integral(z * geom.h_mean * d_phi["f"])
     pref = 2.0 * math.sqrt(geom.area) / (16.0 * math.pi) ** 1.5
@@ -300,30 +306,26 @@ def second_variation_fd(
 # ---------------------------------------------------------------------------
 
 
-def _slice_quadratic_data(a: float, phi: ScalarField):
-    """Harmonic invariants of phi on the radius-a slice (Lambda = 1 models).
-
-    Returns (int phi^2, int |grad phi|^2, int (Lap phi)^2) with slice
-    integrals and slice operators.
-    """
-    coeffs = phi.grid.analyze(phi.values)
-    l = np.floor(np.sqrt(np.arange(coeffs.size))).astype(int)
-    mu_unit = l * (l + 1.0)
-    c2 = coeffs**2
-    return (
-        a**2 * float(c2.sum()),
-        float((mu_unit * c2).sum()),
-        float((mu_unit**2 * c2).sum()) / a**2,
-    )
-
-
 def second_variation_minimal(a: float, q: float, phi: ScalarField) -> float:
     """Canonical second variation at the minimal slice of neck radius a.
 
     (|S|^(1/2)/32 pi^(3/2)) [Ric(nu,nu) int |grad phi|^2 - int (Lap phi)^2]
     with Ric(nu,nu) = -lambda1_analytic(a, Q); exactly zero for constant phi.
     """
-    _, grad2, lap2 = _slice_quadratic_data(a, phi)
+    return _second_variation_minimal(a, q, phi.grid.analyze(phi.values))
+
+
+def _second_variation_minimal(a: float, q: float, coeffs: np.ndarray) -> float:
+    """``second_variation_minimal`` from the harmonic coefficients of phi.
+
+    On the radius-a slice, int |grad phi|^2 and int (Lap phi)^2 weight each
+    squared coefficient by l(l+1) and l^2 (l+1)^2 / a^2.
+    """
+    l = np.floor(np.sqrt(np.arange(coeffs.size))).astype(int)
+    mu_unit = l * (l + 1.0)
+    c2 = coeffs**2
+    grad2 = float((mu_unit * c2).sum())
+    lap2 = float((mu_unit**2 * c2).sum()) / a**2
     ric = -lambda1_analytic(a, q)
     pref = math.sqrt(4.0 * math.pi * a**2) / (32.0 * math.pi**1.5)
     return pref * (ric * grad2 - lap2)
@@ -337,9 +339,13 @@ def second_variation_as_printed(a: float, q: float, phi: ScalarField) -> float:
     phi, contradicting slice mass constancy; the gap to the canonical form is
     prefactor * (zeta - Lambda)/2 * (-int phi L phi) with zeta = 2.
     """
+    return _second_variation_as_printed(a, q, phi.grid.analyze(phi.values))
+
+
+def _second_variation_as_printed(a: float, q: float, coeffs: np.ndarray) -> float:
+    """``second_variation_as_printed`` from the harmonic coefficients of phi."""
     area = 4.0 * math.pi * a**2
     ric = -lambda1_analytic(a, q)
-    coeffs = phi.grid.analyze(phi.values)
     l = np.floor(np.sqrt(np.arange(coeffs.size))).astype(int)
     mu_slice = l * (l + 1.0) / a**2
     c2 = coeffs**2
@@ -391,9 +397,7 @@ def cmc_foliation(
     params = prof.params
     states = []
     for t in np.linspace(t0, t1, n_steps):
-        u = prof.u(t)
-        du = prof.du(t)
-        ddu = prof.ddu(t)
+        u, du, ddu = (float(v) for v in prof.state(t))
         h = -2.0 * du / u
         dh = -2.0 * ddu / u + 2.0 * (du / u) ** 2
         ric_model = -lapse_squared_prime(u, params) / u
@@ -542,7 +546,8 @@ def variation_report(
     t of the union of the stencils is evaluated once (8 scaled graphs at
     s0 = 0 for the first difference and both second differences, 6
     otherwise), and the base slice is the t = 0 entry.  The analytic side
-    transforms phi on its own.
+    (first variation and both closed-form second variations) shares one
+    analysis of phi of its own, so the oracle stays independent of it.
     """
     base = GraphSurface(prof, s0, ScalarField(phi.grid, np.zeros_like(phi.values)))
     geom = induced_geometry(base, force_quadrature=True)
@@ -552,8 +557,9 @@ def variation_report(
     mass = _scaled_masses(prof, s0, phi, [t for t in ts if t != 0.0])
     mass[0.0] = geom.mch
     fd = _first_fd(mass, dt)
+    coeffs = phi.grid.analyze(phi.values)
     report = VariationReport(
-        first_analytic=first_variation(geom, phi),
+        first_analytic=_first_variation(geom, coeffs, None),
         first_fd=fd.value,
         first_order=fd.order,
         z_max=float(np.abs(z_functional(geom)).max()),
@@ -562,8 +568,8 @@ def variation_report(
     if s0 == 0.0:
         d2_h = _second_fd(mass, dt)
         d2_h2 = _second_fd(mass, dt / 2.0)
-        report.second_analytic = second_variation_minimal(prof.a, prof.q, phi)
-        report.second_as_printed = second_variation_as_printed(prof.a, prof.q, phi)
+        report.second_analytic = _second_variation_minimal(prof.a, prof.q, coeffs)
+        report.second_as_printed = _second_variation_as_printed(prof.a, prof.q, coeffs)
         report.second_fd = d2_h2
         report.second_fd_step_gap = abs(d2_h - d2_h2)
     return report

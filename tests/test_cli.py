@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import chmass
 from chmass.cli import run, to_json
 from chmass.sphere import ScalarField, build_grid, random_c2_field, scalar_field_to_dict
 
@@ -12,6 +17,34 @@ def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_runtime_never_imports_scipy():
+    # a fresh interpreter runs every former scipy consumer; scipy is a test
+    # oracle only, so it must not be loaded
+    code = textwrap.dedent("""
+        import contextlib, io, sys
+        import numpy as np
+        import chmass.cli
+        from chmass.models import params_from_neck
+        from chmass.profile import arclength_from_r, integrate_profile
+        from chmass.sphere import ScalarField, build_grid
+        from chmass.spectrum import lambda1_discrete, laplace_spectrum_discrete
+        from chmass.surfaces import GraphSurface
+
+        prof = integrate_profile(0.5, 0.3, 1.0, s_max=2.0)
+        arclength_from_r(params_from_neck(0.5, 0.3, 1.0), 0.7)
+        grid = build_grid(16, 32)
+        lambda1_discrete(GraphSurface(prof, 0.0, ScalarField(grid, np.zeros((16, 32)))), lmax=4)
+        laplace_spectrum_discrete(grid, 0.5, 9, lmax=4)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert chmass.cli.run(["nariai", "--alpha", "0.8"]) == 0
+        assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))[:5]
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chmass.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_json_serializer_digits_and_specials():
@@ -248,6 +281,20 @@ class TestSweep:
         assert code == 2 and out == ""
         assert f"axis {axis} must be nonnegative" in err
 
+    @pytest.mark.parametrize("check, axes, axis", [
+        ("identity", ("--a2", "0:0.9:2", "--q2", "0:0.2:2"), "a2"),
+        ("window", ("--q2", "0.01:0.1:2", "--a2", "0.9:0:2"), "a2"),
+        ("areacharge", ("--q2", "0:0.2:2", "--mfrac", "0.1:0.9:2"), "q2"),
+        ("areacharge", ("--q2", "0.1:0.25:2", "--mfrac", "0.1:0.9:2"), "q2"),
+        ("areacharge", ("--q2", "0.1:0.2:2", "--mfrac", "0:0.5:2"), "mfrac"),
+        ("areacharge", ("--q2", "0.1:0.2:2", "--mfrac", "0.1:1.5:2"), "mfrac"),
+    ])
+    def test_axis_outside_check_domain_is_named(self, capsys, check, axes, axis):
+        # rejected before any point is evaluated, with the axis named
+        code, out, err = invoke(capsys, "sweep", "--check", check, *axes)
+        assert code == 2 and out == ""
+        assert f"axis {axis} must lie in" in err
+
     def test_mass_flag_is_not_an_axis(self, capsys):
         # --m is a float flag that no sweep uses; it used to be parsed as an
         # axis spec and crash with a traceback
@@ -285,6 +332,25 @@ class TestConfigAndErrors:
         code, out, _ = invoke(capsys, "horizons", "--config", str(cfg), "--neck-a", "0.5", "--q", "0.3")
         assert code == 0
         assert json.loads(out)["classification"] == "three-distinct-positive"
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("horizons", "--m", "nan", "--q", "0.3"), "--m"),
+        (("horizons", "--m", "0.3", "--q", "inf"), "--q"),
+        (("horizons", "--m", "0.3", "--lambda", "nan"), "--lambda"),
+        (("profile", "--neck-a", "0.5", "--s-max", "inf"), "--s-max"),
+        (("nariai", "--alpha", "nan"), "--alpha"),
+    ])
+    def test_nonfinite_flag_is_named(self, capsys, argv, flag):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"{flag} must be finite" in err
+
+    def test_nonfinite_config_value_is_named(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("neck-a = 0.5\nq = nan\n")
+        code, out, err = invoke(capsys, "horizons", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert "--q must be finite" in err
 
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as err:

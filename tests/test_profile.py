@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad, solve_ivp
 
-from chmass.models import ModelParams, params_from_neck
+from chmass import profile
+from chmass.models import ModelParams, horizon_roots, params_from_neck
 from chmass.profile import (
+    ProfileIntegrationError,
     arclength_from_r,
     curvature_scalars,
     electric_field,
@@ -12,6 +15,16 @@ from chmass.profile import (
     integrate_profile,
     profile_rhs,
 )
+
+
+def dop853(a, q, s_max):
+    """Dense DOP853 solution of the profile equation at tol 1e-13 (scipy oracle)."""
+    sol = solve_ivp(
+        lambda s, y: [y[1], profile_rhs(y[0], y[1], q, 1.0)], (0.0, s_max), [a, 0.0],
+        method="DOP853", rtol=1e-13, atol=1e-13, dense_output=True,
+    )
+    assert sol.success
+    return sol.sol
 
 
 @pytest.fixture(scope="module")
@@ -65,9 +78,9 @@ def test_scalar_curvature_constraint(neck_profile):
 
 def test_ode_residual_by_finite_differences(neck_profile):
     # independent of the stored u'' (which is the ODE right-hand side):
-    # five-point second difference of dense-output u against the RHS.  The
-    # bound measures the dense interpolant's fidelity between accepted steps,
-    # which sits orders above the step error itself.
+    # five-point second difference of the evaluated series u against the RHS.
+    # The bound measures the fidelity of the evaluated profile between
+    # collocation nodes, not only at them.
     delta = 1e-3
     for s in np.linspace(-1.8, 1.8, 25):
         stencil = s + delta * np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
@@ -77,10 +90,33 @@ def test_ode_residual_by_finite_differences(neck_profile):
         assert abs(ddu_fd - rhs) <= 1e-6
 
 
-def test_two_step_controllers_agree(neck_profile):
-    other = integrate_profile(0.5, 0.3, 1.0, s_max=2.0, tol=1e-10, method="RK45")
+def test_collocation_agrees_with_dop853(neck_profile):
+    # two independent solvers of the same initial value problem must agree
+    # (the numerical stand-in for ODE uniqueness)
+    other = dop853(0.5, 0.3, 2.0)
     s = np.linspace(-2.0, 2.0, 101)
-    assert np.abs(neck_profile.u(s) - other.u(s)).max() <= 1e-7
+    assert np.abs(neck_profile.u(s) - other(np.abs(s))[0]).max() <= 1e-7
+
+
+@pytest.mark.parametrize("s_max, bound, panels", [(6.0, 1e-11, 1), (200.0, 1e-10, 2)])
+def test_long_ranges_against_dop853(s_max, bound, panels):
+    # s_max 200 spans about 40 periods of u and needs many panels
+    prof = integrate_profile(0.5, 0.3, 1.0, s_max=s_max, tol=1e-13)
+    assert len(prof._sol.coeffs) >= panels
+    s = np.linspace(0.0, s_max, 4001)
+    ref = dop853(0.5, 0.3, s_max)(s)
+    assert np.abs(prof.u(s) - ref[0]).max() <= bound
+    assert np.abs(prof.du(s) - ref[1]).max() <= bound
+    assert np.abs(first_integral(prof, s) - prof.m).max() <= 1e-13
+
+
+def test_panel_collapse_reports_last_accepted_node(monkeypatch):
+    # a Newton solve that never converges halves the first panel until it is
+    # narrower than the minimum width
+    monkeypatch.setattr(profile, "_NEWTON_STEPS", 0)
+    with pytest.raises(ProfileIntegrationError) as info:
+        integrate_profile(0.5, 0.3, 1.0, s_max=2.0)
+    assert info.value.last_s == 0.0
 
 
 def test_nariai_profile_is_constant():
@@ -188,3 +224,63 @@ def test_arclength_robust_near_horizons():
     assert np.isfinite(near_cosmo)
     assert near_cosmo > arclength_from_r(p, 1.25)
     assert arclength_from_r(p, hs.r_plus * (1 + 1e-9)) < 1e-3
+
+
+def deflated_arclength(p, r):
+    """quad oracle for s(r): the horizon root is divided out of the quartic by
+    synthetic division, and the range is split at the lapse maximum found by
+    brentq on f'."""
+    from scipy.optimize import brentq
+
+    from chmass.models import lapse_squared_prime
+
+    hs = horizon_roots(p)
+    monic = [1.0, 0.0, -3.0 / p.lam, 6.0 * p.m / p.lam, -3.0 * p.q**2 / p.lam]
+
+    def piece(root, sign, radius):
+        cubic = [1.0]
+        for c in monic[1:-1]:
+            cubic.append(c + root * cubic[-1])
+
+        def integrand(eta):
+            xi = root + sign * eta * eta
+            return 2.0 * xi / math.sqrt(-sign * p.lam / 3.0 * np.polyval(cubic, xi))
+
+        return quad(integrand, 0.0, math.sqrt(abs(radius - root)), epsabs=0.0, epsrel=1e-13,
+                    limit=200)[0]
+
+    r_plus, r_c = hs.r_plus, hs.r_cosmo
+    r_peak = brentq(lambda x: lapse_squared_prime(x, p), r_plus * (1 + 1e-12), r_c * (1 - 1e-12),
+                    xtol=1e-15)
+    if r <= r_peak:
+        return piece(r_plus, 1.0, r)
+    return piece(r_plus, 1.0, r_peak) + piece(r_c, -1.0, r_peak) - piece(r_c, -1.0, r)
+
+
+# (0.3163, 0.3) sits next to the lower edge of the stability window: r_- is
+# within 1.5e-4 of r_+, so the eta integrand varies fastest there (a 64-node
+# rule is off by up to 9e-12).  The polished roots carry about 2e-13, and the
+# two deflations (factored quartic, synthetic division) then differ by
+# 1.2e-12 at r_+(1 + 1e-9) whatever the rule size.
+@pytest.mark.parametrize("a, q, rel", [(0.5, 0.3, 1e-12), (0.9, 0.1, 1e-12), (0.3163, 0.3, 2e-12)])
+@pytest.mark.parametrize("where", ["r_plus(1 + 1e-9)", "0.25", "0.5", "0.75", "r_c(1 - 1e-9)"])
+def test_arclength_against_quad_on_deflated_integrand(a, q, rel, where):
+    p = params_from_neck(a, q, 1.0)
+    hs = horizon_roots(p)
+    r_plus, r_c = hs.r_plus, hs.r_cosmo
+    r = {
+        "r_plus(1 + 1e-9)": r_plus * (1 + 1e-9),
+        "r_c(1 - 1e-9)": r_c * (1 - 1e-9),
+    }.get(where) or r_plus + float(where) * (r_c - r_plus)
+    ref = deflated_arclength(p, r)
+    assert arclength_from_r(p, r) == pytest.approx(ref, rel=rel, abs=1e-15)
+
+
+def test_arclength_rejects_double_inner_root():
+    # at an extremal inner horizon the arclength from r_+ diverges
+    q = 0.3
+    a = math.sqrt((1.0 - math.sqrt(1.0 - 4.0 * q * q)) / 2.0)
+    p = params_from_neck(a, q, 1.0)
+    assert horizon_roots(p).classification == "double-inner"
+    with pytest.raises(ValueError, match="double-inner"):
+        arclength_from_r(p, 0.8)

@@ -6,6 +6,7 @@ import scipy.linalg
 
 from chmass.profile import integrate_profile
 from chmass.sphere import ScalarField, build_grid, coeff_index, random_c2_field
+from chmass import spectrum
 from chmass.spectrum import (
     _rayleigh_pencil,
     lambda1_analytic,
@@ -178,3 +179,36 @@ def test_separable_pencil_matches_dense_basis(prof, n_theta, lmax):
 def test_laplace_spectrum_discrete_basis_guard(grid):
     with pytest.raises(ValueError):
         laplace_spectrum_discrete(grid, 0.5, 200, lmax=4)
+
+
+def _record_pencils(monkeypatch):
+    """Record every (stiff, mass) pencil handed to the Cholesky eigensolver."""
+    pencils = []
+    solve = spectrum._pencil_eigvalsh
+
+    def spy(stiff, mass):
+        pencils.append((stiff, mass))
+        return solve(stiff, mass)
+
+    monkeypatch.setattr(spectrum, "_pencil_eigvalsh", spy)
+    return pencils
+
+
+@pytest.mark.parametrize("lmax", [4, 8])
+def test_lambda1_discrete_matches_scipy_eigh(prof, grid, monkeypatch, lmax):
+    pencils = _record_pencils(monkeypatch)
+    surf = GraphSurface(prof, 0.1, random_c2_field(grid, 4, 4, 0.05))
+    val = lambda1_discrete(surf, lmax=lmax)
+    (stiff, mass), = pencils
+    ref = scipy.linalg.eigh(stiff, mass, eigvals_only=True)
+    assert val == pytest.approx(ref[0], rel=1e-12)
+    np.testing.assert_allclose(spectrum._pencil_eigvalsh(stiff, mass), ref,
+                               rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
+def test_laplace_spectrum_discrete_matches_scipy_eigh(grid, monkeypatch):
+    pencils = _record_pencils(monkeypatch)
+    vals = laplace_spectrum_discrete(grid, 0.7, 25, lmax=6)
+    (stiff, mass), = pencils
+    ref = scipy.linalg.eigh(stiff, mass, eigvals_only=True)
+    np.testing.assert_allclose(vals, ref[:25], rtol=0, atol=1e-12 * np.abs(ref).max())

@@ -407,10 +407,11 @@ class TestScaledGraphOracles:
         variation_report(prof, 0.0, phi, dt)
 
         # analysed: the base slice's zero height and its mean curvature, and
-        # phi once per consumer (analytic first variation, oracle, the two
-        # closed-form second variations); never a scaled copy t phi
-        assert sum(np.array_equal(v, phi.values) for v in analyzed) == 4
-        assert len(analyzed) == 6
+        # phi twice: once for the oracle and once for the analytic side (first
+        # variation and both closed-form second variations); never a scaled
+        # copy t phi
+        assert sum(np.array_equal(v, phi.values) for v in analyzed) == 2
+        assert len(analyzed) == 4
         # synthesised: base slice, its mean curvature, phi (analytic), phi (oracle)
         assert len(synthesized) == 4
         expected = sorted([0.0] + [s * h for h in (dt / 4, dt / 2, dt, 2 * dt) for s in (1, -1)])
