@@ -58,7 +58,6 @@ def main():
     rep = monotonicity_report(prof, states)
     print("  mass-derivative decomposition (zeta-form brackets):")
     print(f"    scalar bracket max |.|   : {np.abs(rep.bracket_scalar_zeta).max():.2e}")
-    print(f"    umbilic bracket max |.|  : {np.abs(rep.bracket_umbilic).max():.2e}")
     print(f"    charge bracket max |.|   : {np.abs(rep.bracket_charge).max():.2e}")
     print("  Lambda-coefficient scalar bracket (recorded discrepancy) equals "
           "Lambda |Sigma_t|:")

@@ -1,9 +1,8 @@
 """Command-line front end: subcommand dispatch and bit-stable reports.
 
 Every float in JSON and CSV output is serialized with 17 significant digits
-(round-trip exact), and sweep output is buffered by grid index so results are
-byte-identical at any parallelism degree.  Exit codes: 0 success or all
-checks passed, 1 verification failure, 2 usage error.
+(round-trip exact), and sweep rows come in row-major grid order.  Exit codes:
+0 success or all checks passed, 1 verification failure, 2 usage error.
 
 A flat ``key = value`` config file (keys equal to long flag names) can seed
 any flag; explicitly passed flags win.
@@ -412,7 +411,10 @@ def cmd_sweep(g: _Resolver) -> int:
         spec = g.get(name, None, str)
         if spec is not None:
             axes[name] = parse_axis(spec)
-    text = render_csv(check, axes, jobs=int(g.get("jobs", 1, int)))
+    jobs = g.get("jobs", 1, int)  # accepted for compatibility; sweeps run serially
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    text = render_csv(check, axes)
     _emit(text, g.get("out", None, str))
     return 0
 
@@ -494,7 +496,7 @@ _INT_FLAGS = [
     ("--steps", "steps", "number of foliation slices"),
     ("--samples", "samples", "number of random samples / radial samples"),
     ("--seed", "seed", "base RNG seed"),
-    ("--jobs", "jobs", "worker threads for sweeps"),
+    ("--jobs", "jobs", "accepted; sweeps run serially"),
 ]
 
 _STR_FLAGS = [
@@ -513,15 +515,17 @@ _STR_FLAGS = [
 
 
 def _attach_axis_specs(argv: list[str]) -> list[str]:
-    """Join each axis flag to a following spec that starts with a single minus.
+    """Join each axis or float flag to a following value with a single minus.
 
-    argparse reads '-0.1:0.9:2' as an unknown flag; '--a2=-0.1:0.9:2' is
-    passed through to ``parse_axis``.
+    argparse reads '-0.1:0.9:2' or '-inf' as an unknown flag; '--a2=-0.1:0.9:2'
+    and '--alpha=-inf' pass the value through to ``parse_axis`` or the
+    resolver's finiteness check.
     """
+    joined = {"--a2", "--q2", "--mfrac"} | {flag for flag, _, _ in _FLOAT_FLAGS}
     out: list[str] = []
     for tok in argv:
         single_minus = tok.startswith("-") and not tok.startswith("--")
-        if single_minus and out and out[-1] in ("--a2", "--q2", "--mfrac"):
+        if single_minus and out and out[-1] in joined:
             out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)

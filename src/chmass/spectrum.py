@@ -45,13 +45,14 @@ class SpectralReport:
     identity_residual: float
 
 
-def lambda1_analytic(a: float, q: float) -> float:
+def lambda1_analytic(a, q):
     """First Jacobi eigenvalue of the minimal slice: -1 + 1/a^2 - Q^2/a^4.
 
     Constant-potential operator, so the minimizer is the constant function
-    and lambda_1 = -Ric(nu, nu).  Lambda = 1 normalization.
+    and lambda_1 = -Ric(nu, nu).  Lambda = 1 normalization.  ``a`` and ``q``
+    may be arrays (numpy broadcasting); scalars give a float.
     """
-    if a <= 0.0:
+    if np.any(np.asarray(a) <= 0.0):
         raise ValueError("lambda1_analytic requires a > 0")
     return -1.0 + 1.0 / a**2 - q**2 / a**4
 
@@ -165,11 +166,12 @@ def laplace_spectrum_discrete(
     return [float(v) for v in _pencil_eigvalsh(stiff, mass)[:k]]
 
 
-def eigenvalue_area_charge_residual(a: float, q: float) -> float:
+def eigenvalue_area_charge_residual(a, q):
     """Residual of (lambda_1 + 1)|Sigma| + 16 pi^2 Q^2/|Sigma| - 4 pi.
 
     Algebraically zero for every (a, Q) at Lambda = 1; the returned value
-    measures floating-point cancellation only.
+    measures floating-point cancellation only.  Broadcasts like
+    ``lambda1_analytic``.
     """
     lam1 = lambda1_analytic(a, q)
     sigma = 4.0 * math.pi * a**2

@@ -1,14 +1,18 @@
-"""Deterministic parameter sweeps over pure per-point evaluations.
+"""Deterministic parameter sweeps over the (x, y) grid of two axes.
 
-Grid points are enumerated in row-major axis order and evaluated by a worker
-pool; rows are buffered by grid index and emitted in enumeration order, so
-the rendered CSV is byte-identical at every parallelism degree.
+Each check maps its two 1-D axis arrays to rows in row-major order (x outer,
+y inner).  ``identity`` is one array expression over the meshgrid; the
+horizon-root checks ``areacharge`` and ``window`` evaluate point by point.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
+
+# Imported only so that the benchmark tracer (perfbench/spans.py) can patch
+# this name; no sweep code calls it.
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 
 import numpy as np
 
@@ -43,9 +47,10 @@ def _axis_values(triple):
     return np.linspace(lo, hi, count)
 
 
-def _identity_row(a2: float, q2: float):
-    res = eigenvalue_area_charge_residual(math.sqrt(a2), math.sqrt(q2))
-    return (a2, q2, res)
+def _identity_rows(a2: np.ndarray, q2: np.ndarray):
+    A2, Q2 = np.meshgrid(a2, q2, indexing="ij")
+    res = eigenvalue_area_charge_residual(np.sqrt(A2), np.sqrt(Q2))
+    return list(zip(A2.ravel().tolist(), Q2.ravel().tolist(), res.ravel().tolist()))
 
 
 def _area_charge_row(q2: float, mfrac: float):
@@ -73,11 +78,17 @@ def _window_row(q2: float, a2: float):
     return (q2, a2, is_neck, stable)
 
 
+def _per_point(row):
+    """Rows of a per-point row function over the grid of two axes."""
+    return lambda x, y: [row(u, v) for u, v in itertools.product(x.tolist(), y.tolist())]
+
+
 SWEEP_CHECKS = {
-    # check -> (axis names, row columns, row function)
-    "identity": (("a2", "q2"), ("a2", "q2", "residual"), _identity_row),
-    "areacharge": (("q2", "mfrac"), ("q2", "mfrac", "m", "margin", "pass"), _area_charge_row),
-    "window": (("q2", "a2"), ("q2", "a2", "neck", "stable"), _window_row),
+    # check -> (axis names, row columns, (x axis, y axis) -> rows in row-major order)
+    "identity": (("a2", "q2"), ("a2", "q2", "residual"), _identity_rows),
+    "areacharge": (("q2", "mfrac"), ("q2", "mfrac", "m", "margin", "pass"),
+                   _per_point(_area_charge_row)),
+    "window": (("q2", "a2"), ("q2", "a2", "neck", "stable"), _per_point(_window_row)),
 }
 
 # check -> {axis: (lo, hi)}: the open interval where the check's row function
@@ -103,45 +114,40 @@ def _check_domain(check: str, name: str, lo: float, hi: float):
         )
 
 
-def sweep_table(check: str, axes: dict, jobs: int = 1):
+def sweep_table(check: str, axes: dict):
     """Evaluate a named check over the grid; returns (header, rows).
 
-    Rows come back in deterministic row-major grid order regardless of
-    ``jobs``.
+    Rows come back in row-major grid order of the check's two axes.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if check not in SWEEP_CHECKS:
         raise ValueError(f"unknown sweep check {check!r} (have {sorted(SWEEP_CHECKS)})")
-    axis_names, columns, fn = SWEEP_CHECKS[check]
+    axis_names, columns, rows_of = SWEEP_CHECKS[check]
     missing = [name for name in axis_names if name not in axes]
     if missing:
         raise ValueError(f"sweep {check!r} needs axes {axis_names}, missing {missing}")
     for name in axis_names:
         _check_domain(check, name, *axes[name][:2])
-    grids = [_axis_values(axes[name]) for name in axis_names]
-    points = [(i, vals) for i, vals in enumerate(
-        (tuple(float(g[k]) for g, k in zip(grids, idx)))
-        for idx in np.ndindex(*[len(g) for g in grids])
-    )]
-    if not points:
+    if check == "window":
+        # a neck has m >= 0 only while a^4 - 3 a^2 - 3 Q^2 <= 0 (Lambda = 1); that
+        # bound on a2 grows with q2, so the smallest q2 on the axis decides.  At
+        # the bound itself m = 0 and roundoff can make it negative, so it is out.
+        q2_min = min(axes["q2"][:2])
+        bound = (3.0 + math.sqrt(9.0 + 12.0 * q2_min)) / 2.0
+        if max(axes["a2"][:2]) >= bound:
+            raise ValueError(
+                f"axis a2 must be below (3 + sqrt(9 + 12 q2))/2 = {bound:g} at the "
+                f"smallest q2 = {q2_min:g} for check 'window' (above it the neck has "
+                f"negative mass), got bounds {axes['a2'][0]:g}:{axes['a2'][1]:g}"
+            )
+    values = [_axis_values(axes[name]) for name in axis_names]
+    if not all(len(v) for v in values):
         raise ValueError("empty sweep grid")
-
-    if jobs == 1:
-        rows = [fn(*vals) for _, vals in points]
-    else:
-        buffer = {}
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {pool.submit(fn, *vals): i for i, vals in points}
-            for fut, i in futures.items():
-                buffer[i] = fut.result()
-        rows = [buffer[i] for i in range(len(points))]
-    return columns, rows
+    return columns, rows_of(*values)
 
 
-def render_csv(check: str, axes: dict, jobs: int = 1) -> str:
+def render_csv(check: str, axes: dict) -> str:
     """CSV text of a sweep, floats at 17 significant digits."""
-    columns, rows = sweep_table(check, axes, jobs)
+    columns, rows = sweep_table(check, axes)
     lines = [",".join(columns)]
     for row in rows:
         lines.append(",".join(format(v, ".17g") for v in row))

@@ -122,10 +122,7 @@ class MonotonicityReport:
     dmch_dt: np.ndarray
     bracket_scalar_zeta: np.ndarray
     bracket_scalar_printed: np.ndarray
-    bracket_umbilic: np.ndarray
     bracket_charge: np.ndarray
-    mean_lapse_lhs: np.ndarray
-    mean_lapse_rhs: np.ndarray
 
 
 @dataclass
@@ -423,10 +420,11 @@ def monotonicity_report(
     """Evaluate the mass-derivative decomposition along the foliation.
 
     All terms are closed-form slice integrals.  On the exact models the
-    zeta-form scalar bracket, the umbilicity bracket, the charge bracket and
-    both sides of the mean-lapse inequality vanish; the Lambda-coefficient
-    scalar bracket equals Lambda |Sigma_t| and is reported as the recorded
-    discrepancy.
+    zeta-form scalar bracket and the charge bracket vanish; the
+    Lambda-coefficient scalar bracket equals Lambda |Sigma_t| and is reported
+    as the recorded discrepancy.  The umbilicity bracket and the mean-lapse
+    terms are not reported: the model slices are umbilic with constant lapse,
+    so they are zero by construction.
     """
     if zeta is None:
         zeta = 2.0 * prof.lam
@@ -439,22 +437,13 @@ def monotonicity_report(
     e2 = prof.q**2 / u**4
     bracket_zeta = (r_amb - zeta - 2.0 * e2) * area
     bracket_printed = (r_amb - prof.lam - 2.0 * e2) * area
-    bracket_umb = np.zeros_like(t)  # slices are umbilic: |A|^2 - H^2/2 = 0
     bracket_charge = e2 * area - 16.0 * math.pi**2 * prof.q**2 / area
-    # rho_t = 1 = mean(rho_t), so both sides of the mean-lapse inequality
-    # int (Ric + |A|^2)(rho - mean) >= (lambda1/mean) int (rho - mean)^2 vanish
-    rho_dev = np.zeros_like(t)
-    mean_lapse_lhs = (np.array([-st.lambda1 for st in states])) * rho_dev * area
-    mean_lapse_rhs = np.array([st.lambda1 for st in states]) * rho_dev**2 * area
     return MonotonicityReport(
         t=t,
         dmch_dt=np.array([st.dmch_dt for st in states]),
         bracket_scalar_zeta=bracket_zeta,
         bracket_scalar_printed=bracket_printed,
-        bracket_umbilic=bracket_umb,
         bracket_charge=bracket_charge,
-        mean_lapse_lhs=mean_lapse_lhs,
-        mean_lapse_rhs=mean_lapse_rhs,
     )
 
 

@@ -10,6 +10,7 @@ suite uses 1.0).
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -32,13 +33,14 @@ from .models import (
 from .profile import first_integral, integrate_profile
 from .sphere import ScalarField, build_grid, coeff_index, n_coeffs, random_c2_field
 from .spectrum import (
+    eigenvalue_area_charge_residual,
     lambda1_analytic,
     lambda1_discrete,
     laplace_spectrum_discrete,
     stability_window,
 )
 from .surfaces import GraphSurface, charge, induced_geometry, slice_hawking_mass
-from .sweeps import render_csv
+from .sweeps import render_csv, sweep_table
 from .variations import (
     area_charge_value,
     cmc_foliation,
@@ -179,18 +181,12 @@ def crit_06_spectra():
 
 
 def crit_07_identity_grid():
-    a2 = np.linspace(0.05, 0.95, 100)
-    q2 = np.linspace(0.0, 0.25, 100)
-    A2, Q2 = np.meshgrid(a2, q2, indexing="ij")
-    lam1 = -1.0 + 1.0 / A2 - Q2 / A2**2
-    sigma = 4 * math.pi * A2
-    residual = (lam1 + 1.0) * sigma + 16 * math.pi**2 * Q2 / sigma - 4 * math.pi
+    _, rows = sweep_table("identity", {"a2": (0.05, 0.95, 100), "q2": (0.0, 0.25, 100)})
     # spot-check the vectorized sweep against the scalar implementation
-    from .spectrum import eigenvalue_area_charge_residual
-
-    spot = abs(residual[40, 60] - eigenvalue_area_charge_residual(math.sqrt(a2[40]), math.sqrt(q2[60])))
+    a2, q2, res = rows[40 * 100 + 60]
+    spot = abs(res - eigenvalue_area_charge_residual(math.sqrt(a2), math.sqrt(q2)))
     return [
-        ("max residual on 100x100 grid", float(np.abs(residual).max()), 1e-12),
+        ("max residual on 100x100 grid", max(abs(r[2]) for r in rows), 1e-12),
         ("vectorization spot check", spot, 1e-15),
     ]
 
@@ -304,9 +300,10 @@ def crit_13_appendix():
 
 def crit_14_sweep_determinism():
     axes = {"a2": (0.05, 0.95, 25), "q2": (0.0, 0.25, 25)}
-    csv_serial = render_csv("identity", axes, jobs=1)
-    csv_parallel = render_csv("identity", axes, jobs=8)
-    return [("byte-identical at jobs 1 vs 8", _flag(csv_serial == csv_parallel), 0.5)]
+    lines = render_csv("identity", axes).splitlines()
+    grid = [(float(x), float(y)) for x, y, _ in (line.split(",") for line in lines[1:])]
+    expected = list(itertools.product(*(np.linspace(*axes[k]).tolist() for k in ("a2", "q2"))))
+    return [("rows in row-major order, axes round-trip exact", _flag(grid == expected), 0.5)]
 
 
 CRITERIA = [

@@ -11,6 +11,7 @@ import pytest
 import chmass
 from chmass.cli import run, to_json
 from chmass.sphere import ScalarField, build_grid, random_c2_field, scalar_field_to_dict
+from chmass.spectrum import eigenvalue_area_charge_residual
 
 
 def invoke(capsys, *argv):
@@ -295,6 +296,33 @@ class TestSweep:
         assert code == 2 and out == ""
         assert f"axis {axis} must lie in" in err
 
+    def test_window_a2_above_nonnegative_mass_is_named(self, capsys):
+        # m >= 0 needs a2 <= (3 + sqrt(9 + 12 q2))/2, about 3.0968 at q2 = 0.1
+        code, out, err = invoke(
+            capsys, "sweep", "--check", "window", "--q2", "0.1:0.2:2", "--a2", "0.5:4:2",
+        )
+        assert code == 2 and out == ""
+        assert "axis a2 must be below (3 + sqrt(9 + 12 q2))/2 = 3.09687" in err
+        code, out, _ = invoke(
+            capsys, "sweep", "--check", "window", "--q2", "0.1:0.2:2", "--a2", "0.5:3.09:2",
+        )
+        assert code == 0 and len(out.strip().splitlines()) == 5
+
+    def test_identity_rows_are_row_major_and_match_scalar(self, capsys):
+        code, out, _ = invoke(
+            capsys, "sweep", "--check", "identity", "--a2", "0.05:0.95:40", "--q2", "0:0.25:40",
+        )
+        assert code == 0
+        rows = [[float(v) for v in line.split(",")] for line in out.strip().splitlines()[1:]]
+        expected = [(x, y) for x in np.linspace(0.05, 0.95, 40).tolist()
+                    for y in np.linspace(0.0, 0.25, 40).tolist()]
+        assert [(a2, q2) for a2, q2, _ in rows] == expected
+        # the array expression and the scalar call may round differently
+        # (numpy's array power vs libm's pow), by a few ulps of 4 pi
+        worst = max(abs(res - eigenvalue_area_charge_residual(math.sqrt(a2), math.sqrt(q2)))
+                    for a2, q2, res in rows)
+        assert worst <= 1e-14
+
     def test_mass_flag_is_not_an_axis(self, capsys):
         # --m is a float flag that no sweep uses; it used to be parsed as an
         # axis spec and crash with a traceback
@@ -339,11 +367,19 @@ class TestConfigAndErrors:
         (("horizons", "--m", "0.3", "--lambda", "nan"), "--lambda"),
         (("profile", "--neck-a", "0.5", "--s-max", "inf"), "--s-max"),
         (("nariai", "--alpha", "nan"), "--alpha"),
+        # a value with one leading minus reaches the check, not argparse's flag reader
+        (("nariai", "--alpha", "-inf"), "--alpha"),
+        (("horizons", "--m", "-nan", "--q", "0.3"), "--m"),
     ])
     def test_nonfinite_flag_is_named(self, capsys, argv, flag):
         code, out, err = invoke(capsys, *argv)
         assert code == 2 and out == ""
         assert f"{flag} must be finite" in err
+
+    def test_negative_float_flag_keeps_domain_message(self, capsys):
+        code, out, err = invoke(capsys, "nariai", "--alpha", "-0.5")
+        assert code == 2 and out == ""
+        assert "outside the charged Nariai interval" in err
 
     def test_nonfinite_config_value_is_named(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -47,6 +47,21 @@ class TestAnalytic:
         with pytest.raises(ValueError):
             lambda1_analytic(0.0, 0.3)
 
+    @pytest.mark.parametrize("a", [[0.5, 0.0, 0.7], [[0.5, 0.6], [0.4, -0.1]]])
+    def test_domain_on_arrays(self, a):
+        # one a <= 0 anywhere in the array is enough
+        with pytest.raises(ValueError, match="requires a > 0"):
+            lambda1_analytic(np.array(a), 0.3)
+
+    def test_arrays_broadcast(self):
+        a = np.array([0.5, 0.7, 0.9])[:, None]
+        q = np.array([0.0, 0.3])
+        lam = lambda1_analytic(a, q)
+        assert lam.shape == (3, 2)
+        # numpy's array power and libm's pow may differ in the last bit
+        expected = [[lambda1_analytic(float(x), float(y)) for y in q] for x in a[:, 0]]
+        np.testing.assert_allclose(lam, expected, rtol=0, atol=4e-16)
+
 
 class TestWindow:
     def test_frozen(self):
