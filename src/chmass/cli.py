@@ -23,7 +23,7 @@ from .electrostatics import (
     verify_einstein_maxwell_static,
 )
 from .models import ModelParams, horizon_roots, nariai_from_alpha, params_from_neck
-from .profile import integrate_profile
+from .profile import curvature_scalars, integrate_profile, slice_hawking_mass
 from .sphere import (
     ScalarField,
     build_grid,
@@ -33,7 +33,7 @@ from .sphere import (
     scalar_field_to_dict,
 )
 from .spectrum import spectral_report
-from .surfaces import GraphSurface, induced_geometry, slice_hawking_mass
+from .surfaces import GraphSurface, induced_geometry
 from .sweeps import parse_axis, render_csv
 from .variations import (
     cmc_foliation,
@@ -123,7 +123,6 @@ class _Resolver:
     def __init__(self, args: argparse.Namespace, config: dict):
         self.args = args
         self.config = config
-        self.used_keys = set()
 
     def get(self, key: str, default, cast=float):
         """The flag's value, else the config file's, else ``default``.
@@ -131,7 +130,6 @@ class _Resolver:
         A NaN or infinite float from the flag or the config file is a usage
         error that names the flag.
         """
-        self.used_keys.add(key)
         val = getattr(self.args, key, None)
         if val is None and key in self.config:
             raw = self.config[key]
@@ -196,18 +194,10 @@ def cmd_profile(g: _Resolver) -> int:
         g.require("neck_a"), g.get("q", 0.0), g.get("lam", 1.0),
         s_max=g.get("s_max", 2.0), tol=g.get("tol", 1e-10),
     )
-    rows = []
-    mch = slice_hawking_mass(prof, prof.samples[:, 0])
-    for (s, u, du, ddu), mass in zip(prof.samples, mch):
-        rows.append(
-            (
-                s, u, du, ddu,
-                -4 * ddu / u + 2 * (1 - du**2) / u**2,
-                -2 * ddu / u,
-                -2 * du / u,
-                mass,
-            )
-        )
+    s = prof.samples[:, 0]
+    sc = curvature_scalars(prof, s)
+    columns = (sc["R"], sc["ric_nn"], sc["h_slice"], slice_hawking_mass(prof, s))
+    rows = np.column_stack((prof.samples,) + columns)
     _emit(_csv(["s", "u", "du", "ddu", "R", "ric_nn", "H", "mch"], rows), g.get("out", None, str))
     return 0
 
@@ -351,14 +341,8 @@ def cmd_electrostatics(g: _Resolver) -> int:
     lam = g.get("lam", 1.0)
     if alpha is not None:
         model = nariai_from_alpha(alpha, lam)
-        rs_point = math.pi / (2 * model.omega)
     else:
         model = ModelParams(g.require("m"), g.get("q", 0.0), lam)
-        hs = horizon_roots(model)
-        if model.m == 0.0 and model.q == 0.0:
-            rs_point = 0.6 * max(r for r, _ in hs.positive_roots)
-        else:
-            rs_point = 0.5 * (hs.r_plus + hs.r_cosmo)
     samples = int(g.get("samples", 32, int))
     h = g.get("h", 1e-4)
     system = verify_einstein_maxwell_static(model, samples=samples)
@@ -368,8 +352,10 @@ def cmd_electrostatics(g: _Resolver) -> int:
         "lambda": system.lam,
         "residuals": system.residuals,
         "fd_gaps": system.fd_gaps,
-        "robinson_shen": {"point": rs_point, "h": h,
-                          "residual": robinson_shen_residual(model, rs_point, h=h)},
+        "robinson_shen": {
+            "point": system.robinson_shen_point, "h": h,
+            "residual": robinson_shen_residual(model, system.robinson_shen_point, h=h),
+        },
         "sup_e2": bounds.sup_e2,
         "hypothesis_sup_e2_le_lambda": bounds.hypothesis_sup_e2_le_lambda,
         "components": [

@@ -41,6 +41,7 @@ __all__ = [
     "ProfileIntegrationError",
     "integrate_profile",
     "first_integral",
+    "slice_hawking_mass",
     "curvature_scalars",
     "electric_field",
     "arclength_from_r",
@@ -318,10 +319,23 @@ def first_integral(prof: RadialProfile, s):
     """Slice mass I(s) = (u/2)(1 - u'^2 - Lambda u^2/3 + Q^2/u^2).
 
     Constant (equal to prof.m) along exact solutions; deviations measure
-    integrator error.
+    integrator error.  It is the slice Hawking mass at zeta = 2 Lambda, where
+    zeta u^2/6 equals Lambda u^2/3 exactly.
     """
+    return slice_hawking_mass(prof, s)
+
+
+def slice_hawking_mass(prof: RadialProfile, s, zeta: float | None = None):
+    """Closed-form charged Hawking mass of the slice at arclength s.
+
+    (u/2)(1 - u'^2 - zeta u^2/6 + Q^2/u^2); for zeta = 2 Lambda (the
+    default) this is the first integral of the profile equation and is
+    therefore constant in s.
+    """
+    if zeta is None:
+        zeta = 2.0 * prof.lam
     u, du, _ = prof.state(s)
-    return _like(0.5 * u * (1.0 - du**2 - prof.lam * u**2 / 3.0 + prof.q**2 / u**2), s)
+    return _like(0.5 * u * (1.0 - du**2 - zeta * u**2 / 6.0 + prof.q**2 / u**2), s)
 
 
 def curvature_scalars(prof: RadialProfile, s) -> dict:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .profile import RadialProfile, _like
+from .profile import RadialProfile, slice_hawking_mass
 from .sphere import ScalarField, SphereGrid
 
 __all__ = [
@@ -261,18 +261,6 @@ def _slice_geometry(surface: GraphSurface, s: float, zeta: float) -> SurfaceGeom
         hinv_pp=1.0 / (u**2 * grid.sin_theta[:, None] ** 2) * ones,
     )
     return geom
-
-
-def slice_hawking_mass(prof: RadialProfile, s: float, zeta: float | None = None) -> float:
-    """Closed-form charged Hawking mass of the slice at arclength s.
-
-    For zeta = 2 Lambda this reduces to the first integral of the profile
-    equation and is therefore constant in s.
-    """
-    if zeta is None:
-        zeta = 2.0 * prof.lam
-    u, du, _ = prof.state(s)
-    return _like(0.5 * u * (1.0 - du**2 - zeta * u**2 / 6.0 + prof.q**2 / u**2), s)
 
 
 def area(surface: GraphSurface) -> float:

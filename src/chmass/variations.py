@@ -574,14 +574,15 @@ def nariai_flow_diagnostic(npar: NariaiParams, t_eval: float = 0.3) -> NariaiFlo
     which degenerates to 0 <= 0 there.
     """
     prof = integrate_profile(npar.alpha, math.sqrt(npar.q2), npar.lam, s_max=max(1.0, 2 * t_eval))
-    area = 4.0 * math.pi * prof.u(0.0) ** 2
-    value = area_charge_value(area, npar.q)
+    # the grid holds both ends, so one state call serves the neck and s = t_eval
     s_grid = np.linspace(0.0, t_eval, 201)
-    u = prof.u(s_grid)
-    du = prof.du(s_grid)
+    u, du, ddu = prof.state(s_grid)
+    u0, ut, dut, ddut = float(u[0]), float(u[-1]), float(du[-1]), float(ddu[-1])
+    area = 4.0 * math.pi * u0**2
+    value = area_charge_value(area, npar.q)
     h = -2.0 * du / u
-    area_t = 4.0 * math.pi * prof.u(t_eval) ** 2
-    hprime = -2.0 * prof.ddu(t_eval) / prof.u(t_eval) + 2.0 * (prof.du(t_eval) / prof.u(t_eval)) ** 2
+    area_t = 4.0 * math.pi * ut**2
+    hprime = -2.0 * ddut / ut + 2.0 * (dut / ut) ** 2
     lhs = area_t * hprime * area_t  # int 1/rho = |Sigma_t| for rho = 1
     kappa = 16.0 * math.pi**2 * npar.q2 / area
     rhs = kappa * np.trapezoid(h * 4.0 * math.pi * u**2, s_grid)

@@ -10,6 +10,8 @@ import pytest
 
 import chmass
 from chmass.cli import run, to_json
+from chmass.electrostatics import verify_einstein_maxwell_static
+from chmass.models import ModelParams, nariai_from_alpha
 from chmass.sphere import ScalarField, build_grid, random_c2_field, scalar_field_to_dict
 from chmass.spectrum import eigenvalue_area_charge_residual
 
@@ -205,6 +207,28 @@ def test_electrostatics_nariai(capsys):
     payload = json.loads(out)
     assert payload["kind"] == "nariai"
     assert payload["weighted_sum_lhs"] <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "argv,model",
+    [
+        (["--m", "0.3191667", "--q", "0.3"], ModelParams(0.3191667, 0.3, 1.0)),
+        (["--m", "0", "--q", "0"], ModelParams(0.0, 0.0, 1.0)),
+        (["--nariai-alpha", "0.8"], nariai_from_alpha(0.8, 1.0)),
+    ],
+    ids=["rnds", "desitter", "nariai"],
+)
+def test_electrostatics_robinson_shen_point_is_the_reports(capsys, argv, model):
+    code, out, _ = invoke(capsys, "electrostatics", *argv)
+    assert code == 0
+    point = json.loads(out)["robinson_shen"]["point"]
+    assert point == verify_einstein_maxwell_static(model).robinson_shen_point
+
+
+def test_electrostatics_degenerate_model_is_usage_error(capsys):
+    code, out, err = invoke(capsys, "electrostatics", "--m", "0.45", "--q", "0.1")
+    assert code == 2 and out == ""
+    assert "no static region between distinct horizons" in err
 
 
 def test_nariai_subcommand(capsys):

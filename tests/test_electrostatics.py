@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from chmass import electrostatics, verification
 from chmass.electrostatics import (
     area_charge_report,
     robinson_shen_residual,
@@ -206,3 +208,30 @@ def test_report_carries_divergence_identity_residual():
         rep = verify_einstein_maxwell_static(model, samples=8)
         assert rep.robinson_shen is not None
         assert rep.robinson_shen <= 1e-5
+
+
+def _rescale_charge(monkeypatch, factor):
+    # the model's V and N stay; only the field |E|^2 = q2/rho^4 is rescaled
+    build = electrostatics._static_system
+
+    def rescaled(model):
+        system = build(model)
+        return dataclasses.replace(system, q2=factor * system.q2)
+
+    monkeypatch.setattr(electrostatics, "_static_system", rescaled)
+
+
+@pytest.mark.parametrize("model", [RNDS, NARIAI], ids=["rnds", "nariai"])
+def test_rescaled_charge_breaks_the_system(monkeypatch, model):
+    # mutation control for criterion 13: Q^2 off by 21% must exceed its bound
+    _rescale_charge(monkeypatch, 1.21)
+    rep = verify_einstein_maxwell_static(model, samples=32)
+    assert max(rep.residuals.values()) > 1e-8
+
+
+def test_crit_13_fails_on_rescaled_charge(monkeypatch):
+    name, value, bound = verification.crit_13_appendix()[0]
+    assert value <= bound, name
+    _rescale_charge(monkeypatch, 1.21)
+    name, value, bound = verification.crit_13_appendix()[0]
+    assert value > bound, name

@@ -293,6 +293,19 @@ class TestExperiments:
         assert abs(rep.hprime_lhs) <= 1e-10
         assert abs(rep.hprime_rhs) <= 1e-10
 
+    @pytest.mark.parametrize("alpha,t_eval", [(0.8, 0.3), (0.75, 0.3), (0.9, 0.45)])
+    def test_nariai_flow_matches_accessor_reference(self, alpha, t_eval):
+        # the report reads the neck and s = t_eval off one grid evaluation;
+        # the reference takes each value from its own accessor call
+        npar = nariai_from_alpha(alpha, 1.0)
+        rep = nariai_flow_diagnostic(npar, t_eval)
+        prof = integrate_profile(npar.alpha, math.sqrt(npar.q2), npar.lam, s_max=max(1.0, 2 * t_eval))
+        u0, ut = prof.u(0.0), prof.u(t_eval)
+        area_t = 4.0 * math.pi * ut**2
+        hprime = -2.0 * prof.ddu(t_eval) / ut + 2.0 * (prof.du(t_eval) / ut) ** 2
+        assert rep.area == 4.0 * math.pi * u0**2
+        assert rep.hprime_lhs == area_t * hprime * area_t
+
     def test_rnds_neck_strict_value(self):
         assert area_charge_value(math.pi, 0.3) == pytest.approx(2.44 * math.pi, abs=1e-10)
 
