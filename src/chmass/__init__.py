@@ -28,7 +28,6 @@ from .profile import (
     RadialProfile,
     arclength_from_r,
     curvature_scalars,
-    electric_field,
     first_integral,
     integrate_profile,
 )

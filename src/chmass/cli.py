@@ -194,10 +194,11 @@ def cmd_profile(g: _Resolver) -> int:
         g.require("neck_a"), g.get("q", 0.0), g.get("lam", 1.0),
         s_max=g.get("s_max", 2.0), tol=g.get("tol", 1e-10),
     )
-    s = prof.samples[:, 0]
+    s = np.linspace(-prof.s_max, prof.s_max, 513)
     sc = curvature_scalars(prof, s)
-    columns = (sc["R"], sc["ric_nn"], sc["h_slice"], slice_hawking_mass(prof, s))
-    rows = np.column_stack((prof.samples,) + columns)
+    rows = np.column_stack(
+        (s, *prof.state(s), sc["R"], sc["ric_nn"], sc["h_slice"], slice_hawking_mass(prof, s))
+    )
     _emit(_csv(["s", "u", "du", "ddu", "R", "ric_nn", "H", "mch"], rows), g.get("out", None, str))
     return 0
 
@@ -226,7 +227,7 @@ def _maybe_emit_field(g: _Resolver, field: ScalarField):
 def cmd_mass(g: _Resolver) -> int:
     surf = _surface_from_file(g.require("surface", str))
     zeta = g.get("zeta", None)
-    geom = induced_geometry(surf, zeta=zeta, force_quadrature=True)
+    geom = induced_geometry(surf, zeta=zeta)
     payload = {
         "area": geom.area,
         "charge": geom.charge,

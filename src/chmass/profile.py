@@ -37,13 +37,11 @@ from .sphere import _gauss_legendre
 
 __all__ = [
     "RadialProfile",
-    "ElectricFieldSample",
     "ProfileIntegrationError",
     "integrate_profile",
     "first_integral",
     "slice_hawking_mass",
     "curvature_scalars",
-    "electric_field",
     "arclength_from_r",
     "profile_rhs",
 ]
@@ -166,15 +164,6 @@ def _like(values, s):
     return float(values) if np.ndim(s) == 0 else values
 
 
-@dataclass
-class ElectricFieldSample:
-    """Radial electric field sampled on one slice: E = (Q/u^2) d/ds."""
-
-    q: float
-    magnitude: float
-    flux: float  # integral of <E, nu> over the slice, equals 4 pi Q
-
-
 @dataclass(eq=False)
 class RadialProfile:
     """Integrated profile as a Chebyshev series, mirrored across the neck."""
@@ -186,7 +175,6 @@ class RadialProfile:
     kind: str
     s_max: float
     tol: float
-    samples: np.ndarray  # columns: s, u, u', u''
     # callable |s| -> stacked (u, u') of shape (2, n) on [0, s_max]: the
     # piecewise Chebyshev series of the collocation panels
     _sol: object = field(repr=False)
@@ -306,13 +294,10 @@ def integrate_profile(
     # Constant solutions exist exactly when Q^2 = a^2 (1 - Lambda a^2).
     kind = KIND_NARIAI if abs(1.0 - lam * a**2 - q**2 / a**2) <= 1e-12 else KIND_RNDS
 
-    prof = RadialProfile(
+    return RadialProfile(
         a=a, q=q, lam=lam, m=m, kind=kind, s_max=s_max, tol=tol,
-        samples=np.empty((0, 4)), _sol=_ChebyshevPanels(breaks, np.array(coeffs), starts),
+        _sol=_ChebyshevPanels(breaks, np.array(coeffs), starts),
     )
-    s_grid = np.linspace(-s_max, s_max, 513)
-    prof.samples = np.column_stack([s_grid, *prof.state(s_grid)])
-    return prof
 
 
 def first_integral(prof: RadialProfile, s):
@@ -339,36 +324,37 @@ def slice_hawking_mass(prof: RadialProfile, s, zeta: float | None = None):
 
 
 def curvature_scalars(prof: RadialProfile, s) -> dict:
-    """Closed-form curvature data of the warped product at arclength s.
+    """Closed-form geometry of the slice at arclength s.
+
+    This is the one closed form of slice quantities; the quadrature side is
+    ``induced_geometry`` of the zero-height graph over the slice.  Floats for
+    scalar s, arrays of the shape of s otherwise.
 
     Returns
     -------
     dict with keys
+        u, du   : area radius u and its arclength derivative u'
         R       : ambient scalar curvature  -4u''/u + 2(1 - u'^2)/u^2
         ric_nn  : ambient Ricci along d/ds   -2u''/u
         k_slice : intrinsic Gauss curvature of the slice, 1/u^2
         h_slice : slice mean curvature, -2u'/u  (nu = +d/ds convention)
+        dh_ds   : its arclength derivative, -2u''/u + 2(u'/u)^2
         a2_slice: squared norm of the slice second fundamental form, H^2/2
+        e2      : |E|^2 = Q^2/u^4 of the radial field E = (Q/u^2) d/ds
     """
     u, du, ddu = (_like(v, s) for v in prof.state(s))
     h = -2.0 * du / u
     return {
+        "u": u,
+        "du": du,
         "R": -4.0 * ddu / u + 2.0 * (1.0 - du**2) / u**2,
         "ric_nn": -2.0 * ddu / u,
         "k_slice": 1.0 / u**2,
         "h_slice": h,
+        "dh_ds": -2.0 * ddu / u + 2.0 * (du / u) ** 2,
         "a2_slice": 0.5 * h**2,
+        "e2": prof.q**2 / u**4,
     }
-
-
-def electric_field(prof: RadialProfile, s) -> ElectricFieldSample:
-    """Electric field magnitude |E| = |Q|/u(s)^2 and slice flux 4 pi Q."""
-    u = prof.u(s)
-    return ElectricFieldSample(
-        q=prof.q,
-        magnitude=abs(prof.q) / u**2,
-        flux=4.0 * math.pi * prof.q,
-    )
 
 
 @functools.lru_cache(maxsize=1)

@@ -11,6 +11,11 @@ on the +d/ds side, so slices have H = -2 u'/u (negative where the area
 expands).  The intrinsic Gauss curvature is assembled from the ambient Gauss
 equation; an independent coordinate (Brioschi) evaluation is provided as a
 cross-check.
+
+This module is the quadrature side of every graph, slices included (a slice
+is the graph of a constant height).  The closed-form side of a slice is
+``profile.curvature_scalars`` together with ``profile.slice_hawking_mass``,
+which this module re-exports.
 """
 
 from __future__ import annotations
@@ -194,12 +199,13 @@ def _geometry_from_derivs(
     )
 
 
-def induced_geometry(
-    surface: GraphSurface,
-    zeta: float | None = None,
-    force_quadrature: bool = False,
-) -> SurfaceGeometry:
-    """Compute the full geometric package of a graph surface.
+def induced_geometry(surface: GraphSurface, zeta: float | None = None) -> SurfaceGeometry:
+    """Compute the full geometric package of a graph surface by quadrature.
+
+    Every height field, constant ones included, takes the same spectral
+    route; a slice is the graph of a constant height, and its closed form is
+    ``profile.curvature_scalars``.  The result is cached on the surface per
+    zeta.
 
     Parameters
     ----------
@@ -207,59 +213,21 @@ def induced_geometry(
     zeta : float, optional
         Cosmological term of the mass functional; defaults to 2 Lambda,
         its exact value on the model backgrounds.
-    force_quadrature : bool
-        Constant height fields normally take the closed-form slice path;
-        set True to run the generic quadrature machinery regardless
-        (used to compare the two routes).
 
     Returns
     -------
     SurfaceGeometry
     """
     prof = surface.profile
-    grid = surface.grid
     if zeta is None:
         zeta = 2.0 * prof.lam
-    key = (zeta, force_quadrature)
-    if key in surface._geom_cache:
-        return surface._geom_cache[key]
-
-    phi = surface.phi.values
-    is_constant = np.all(phi == phi.flat[0])
-    if is_constant and not force_quadrature:
-        geom = _slice_geometry(surface, float(surface.s0 + phi.flat[0]), zeta)
-        surface._geom_cache[key] = geom
-        return geom
-
-    fields = _graph_geometry(prof, grid, surface.s0, phi, zeta)
+    if zeta in surface._geom_cache:
+        return surface._geom_cache[zeta]
+    fields = _graph_geometry(prof, surface.grid, surface.s0, surface.phi.values, zeta)
     for name in ("area", "charge", "mch"):
         fields[name] = float(fields[name])
     geom = SurfaceGeometry(surface=surface, zeta=zeta, **fields)
-    surface._geom_cache[key] = geom
-    return geom
-
-
-def _slice_geometry(surface: GraphSurface, s: float, zeta: float) -> SurfaceGeometry:
-    """Closed-form geometry of the constant-height graph (a slice)."""
-    prof = surface.profile
-    grid = surface.grid
-    u, du, ddu = (float(v) for v in prof.state(s))
-    shape = (grid.n_theta, grid.n_phi)
-
-    H = -2.0 * du / u
-    area_val = 4.0 * math.pi * u**2
-    ones = np.ones(shape)
-    geom = SurfaceGeometry(
-        surface=surface, zeta=zeta, area=area_val, charge=prof.q,
-        mch=slice_hawking_mass(prof, s, zeta),
-        h_mean=H * ones, a_norm2=0.5 * H**2 * ones, gauss_k=ones / u**2,
-        ric_nn=(-2.0 * ddu / u) * ones,
-        r_ambient=(-4.0 * ddu / u + 2.0 * (1.0 - du**2) / u**2) * ones,
-        e_dot_nu=(prof.q / u**2) * ones,
-        area_element=u**2 * ones, u=u * ones, w_tilt=ones,
-        hinv_tt=ones / u**2, hinv_tp=np.zeros(shape),
-        hinv_pp=1.0 / (u**2 * grid.sin_theta[:, None] ** 2) * ones,
-    )
+    surface._geom_cache[zeta] = geom
     return geom
 
 

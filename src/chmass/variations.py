@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import NariaiParams, lapse_squared_prime
-from .profile import RadialProfile, integrate_profile
+from .profile import RadialProfile, curvature_scalars, integrate_profile
 from .sphere import ScalarField, _random_c2_stack, build_grid, c2_norm, coeff_index
 from .spectrum import lambda1_analytic, stability_window
 from .surfaces import (
@@ -353,21 +353,21 @@ def _second_variation_as_printed(a: float, q: float, coeffs: np.ndarray) -> floa
     return pref * (coefficient * int_phi_l_phi - int_l_phi_sq)
 
 
-def strict_instability_constant(a: float, q: float, lmax_scan: int = 12) -> float:
+def strict_instability_constant(a: float, q: float) -> float:
     """Best constant C in d2/dt2 m_CH <= -C int (phi - mean)^2 (Lambda = 1).
 
     C = min over l >= 1 of prefactor * mu_l (mu_l - Ric(nu,nu)) with
     mu_l = l(l+1)/a^2; the minimum sits at l = 1 because the product is
-    increasing in mu_l whenever Ric < 0 < mu_l.  Requires a strictly stable
-    neck (a^2 inside the stability window).
+    increasing in mu_l whenever Ric < 0 < mu_l, so C is the l = 1 value.
+    Requires a strictly stable neck (a^2 inside the stability window).
     """
     w = stability_window(q)
     if w is None or not (w[0] < a**2 < w[1]):
         raise ValueError(f"a^2 = {a**2} is not strictly inside the stability window {w}")
     ric = -lambda1_analytic(a, q)
     pref = math.sqrt(4.0 * math.pi * a**2) / (32.0 * math.pi**1.5)
-    mu = np.arange(1, lmax_scan + 1) * (np.arange(1, lmax_scan + 1) + 1.0) / a**2
-    return float(np.min(pref * mu * (mu - ric)))
+    mu = 2.0 / a**2  # mu_1
+    return float(pref * mu * (mu - ric))
 
 
 # ---------------------------------------------------------------------------
@@ -391,25 +391,17 @@ def cmc_foliation(
     delta = 1e-3
     if max(abs(t0), abs(t1)) + delta > prof.s_max:
         raise ValueError("t range leaves the integrated profile (need slack for FD)")
-    params = prof.params
-    states = []
-    for t in np.linspace(t0, t1, n_steps):
-        u, du, ddu = (float(v) for v in prof.state(t))
-        h = -2.0 * du / u
-        dh = -2.0 * ddu / u + 2.0 * (du / u) ** 2
-        ric_model = -lapse_squared_prime(u, params) / u
-        a2 = 2.0 * (du / u) ** 2
-        lam1 = -(ric_model + a2)
-        dmch = (
-            slice_hawking_mass(prof, t + delta) - slice_hawking_mass(prof, t - delta)
-        ) / (2.0 * delta)
-        states.append(
-            FoliationState(
-                t=float(t), u=u, du=du, h_mean=h, dh_dt=dh, lambda1=lam1,
-                rho=1.0, dmch_dt=dmch, evolution_identity_residual=abs(dh - (ric_model + a2)),
-            )
-        )
-    return states
+    t = np.linspace(t0, t1, n_steps)
+    sc = curvature_scalars(prof, t)
+    ric_model = -lapse_squared_prime(sc["u"], prof.params) / sc["u"]
+    jacobi = ric_model + sc["a2_slice"]  # Ric(nu,nu) + |A|^2 = -lambda1
+    m_plus, m_minus = slice_hawking_mass(prof, np.stack([t + delta, t - delta]))
+    dmch = (m_plus - m_minus) / (2.0 * delta)
+    rows = np.column_stack([  # in FoliationState's field order
+        t, sc["u"], sc["du"], sc["h_slice"], sc["dh_ds"], -jacobi, np.ones_like(t), dmch,
+        np.abs(sc["dh_ds"] - jacobi),
+    ])
+    return [FoliationState(*map(float, row)) for row in rows]
 
 
 def monotonicity_report(
@@ -419,24 +411,21 @@ def monotonicity_report(
 ) -> MonotonicityReport:
     """Evaluate the mass-derivative decomposition along the foliation.
 
-    All terms are closed-form slice integrals.  On the exact models the
-    zeta-form scalar bracket and the charge bracket vanish; the
-    Lambda-coefficient scalar bracket equals Lambda |Sigma_t| and is reported
-    as the recorded discrepancy.  The umbilicity bracket and the mean-lapse
-    terms are not reported: the model slices are umbilic with constant lapse,
-    so they are zero by construction.
+    All terms are closed-form slice integrals, read off ``curvature_scalars``.
+    On the exact models the zeta-form scalar bracket and the charge bracket
+    vanish; the Lambda-coefficient scalar bracket equals Lambda |Sigma_t| and
+    is reported as the recorded discrepancy.  The umbilicity bracket and the
+    mean-lapse terms are not reported: the model slices are umbilic with
+    constant lapse, so they are zero by construction.
     """
     if zeta is None:
         zeta = 2.0 * prof.lam
     t = np.array([st.t for st in states])
-    u = np.array([st.u for st in states])
-    du = np.array([st.du for st in states])
-    ddu = prof.ddu(t)
-    area = 4.0 * math.pi * u**2
-    r_amb = -4.0 * ddu / u + 2.0 * (1.0 - du**2) / u**2
-    e2 = prof.q**2 / u**4
-    bracket_zeta = (r_amb - zeta - 2.0 * e2) * area
-    bracket_printed = (r_amb - prof.lam - 2.0 * e2) * area
+    sc = curvature_scalars(prof, t)
+    area = 4.0 * math.pi * sc["u"] ** 2
+    e2 = sc["e2"]
+    bracket_zeta = (sc["R"] - zeta - 2.0 * e2) * area
+    bracket_printed = (sc["R"] - prof.lam - 2.0 * e2) * area
     bracket_charge = e2 * area - 16.0 * math.pi**2 * prof.q**2 / area
     return MonotonicityReport(
         t=t,
@@ -452,9 +441,14 @@ def monotonicity_report(
 # ---------------------------------------------------------------------------
 
 
-# Grid nodes per stacked evaluation in local_max_experiment: 8 graphs at
-# n_theta 32, one at n_theta 128.  Three 40-graph runs at n_theta 32 peaked at
-# 89 MB RSS with this cap and at 110 MB as one uncapped stack.
+# The sampling design of local_max_experiment: graphs on a 32 x 64 grid with
+# heights band-limited to l <= 4; a sample within _NEAR_TOL of equality must be
+# a slice.
+_N_THETA, _N_PHI, _LMAX = 32, 64, 4
+_NEAR_TOL = 1e-9
+# Grid nodes per stacked evaluation: 8 graphs of 32 x 64 nodes.  Three
+# 40-graph runs peaked at 89 MB RSS with this cap and at 110 MB as one
+# uncapped stack.
 _STACK_NODES = 2**14
 
 
@@ -464,17 +458,14 @@ def local_max_experiment(
     n_samples: int,
     amplitude: float,
     seed: int,
-    n_theta: int = 32,
-    n_phi: int = 64,
-    lmax: int = 4,
-    near_tol: float = 1e-9,
 ) -> LocalMaxReport:
     """Sample random graphs over the neck and test local maximality of m_CH.
 
-    Sample k draws its field from random_c2_field with the derived seed
-    SeedSequence([seed, k]).generate_state(1)[0], C^2-amplitude as given.
+    Sample k draws a height with l <= 4 on the 32 x 64 grid from
+    random_c2_field, seeded by SeedSequence([seed, k]).generate_state(1)[0],
+    at the given C^2 amplitude.
     Reports the largest mass excess m_CH(graph) - m over all samples and, for
-    samples within ``near_tol`` of equality, the largest C^2 norm of the
+    samples within ``_NEAR_TOL`` of equality, the largest C^2 norm of the
     nonconstant part of the height (equality should only occur for slices).
 
     Graphs are drawn, normalized and evaluated in stacks of at most
@@ -488,20 +479,20 @@ def local_max_experiment(
     if w is None or not (w[0] < a**2 < w[1]):
         raise ValueError(f"neck a^2 = {a**2} outside the stability window {w}")
     prof = integrate_profile(a, q, 1.0, s_max=1.0)
-    grid = build_grid(n_theta, n_phi)
+    grid = build_grid(_N_THETA, _N_PHI)
     seeds = [int(np.random.SeedSequence([int(seed), k]).generate_state(1)[0])
              for k in range(n_samples)]
-    stack = max(1, _STACK_NODES // (grid.n_theta * grid.n_phi))
+    stack = _STACK_NODES // (_N_THETA * _N_PHI)
     excess = []
     near = []
     for start in range(0, n_samples, stack):
-        heights = _random_c2_stack(grid, seeds[start : start + stack], lmax, amplitude)
+        heights = _random_c2_stack(grid, seeds[start : start + stack], _LMAX, amplitude)
         for h in heights:  # each graph passes the checks of the per-graph path
             GraphSurface(prof, 0.0, ScalarField(grid, h))
         mch = _graph_geometry(prof, grid, 0.0, heights, 2.0 * prof.lam)["mch"]
         for h, e in zip(heights, mch - prof.m):
             excess.append(float(e))
-            if e >= -near_tol:
+            if e >= -_NEAR_TOL:
                 coeffs = grid.analyze(h)
                 coeffs[coeff_index(0, 0)] = 0.0
                 near.append(c2_norm(ScalarField(grid, grid.synthesize(coeffs))))
@@ -539,7 +530,7 @@ def variation_report(
     analysis of phi of its own, so the oracle stays independent of it.
     """
     base = GraphSurface(prof, s0, ScalarField(phi.grid, np.zeros_like(phi.values)))
-    geom = induced_geometry(base, force_quadrature=True)
+    geom = induced_geometry(base)
     ts = _first_fd_steps(dt)
     if s0 == 0.0:
         ts += _second_fd_steps(dt) + _second_fd_steps(dt / 2.0)
@@ -574,16 +565,14 @@ def nariai_flow_diagnostic(npar: NariaiParams, t_eval: float = 0.3) -> NariaiFlo
     which degenerates to 0 <= 0 there.
     """
     prof = integrate_profile(npar.alpha, math.sqrt(npar.q2), npar.lam, s_max=max(1.0, 2 * t_eval))
-    # the grid holds both ends, so one state call serves the neck and s = t_eval
     s_grid = np.linspace(0.0, t_eval, 201)
-    u, du, ddu = prof.state(s_grid)
-    u0, ut, dut, ddut = float(u[0]), float(u[-1]), float(du[-1]), float(ddu[-1])
-    area = 4.0 * math.pi * u0**2
+    sc = curvature_scalars(prof, s_grid)
+    end = curvature_scalars(prof, t_eval)
+    u, h = sc["u"], sc["h_slice"]
+    area = 4.0 * math.pi * float(u[0]) ** 2
     value = area_charge_value(area, npar.q)
-    h = -2.0 * du / u
-    area_t = 4.0 * math.pi * ut**2
-    hprime = -2.0 * ddut / ut + 2.0 * (dut / ut) ** 2
-    lhs = area_t * hprime * area_t  # int 1/rho = |Sigma_t| for rho = 1
+    area_t = 4.0 * math.pi * end["u"] ** 2
+    lhs = area_t * end["dh_ds"] * area_t  # int 1/rho = |Sigma_t| for rho = 1
     kappa = 16.0 * math.pi**2 * npar.q2 / area
     rhs = kappa * np.trapezoid(h * 4.0 * math.pi * u**2, s_grid)
     return NariaiFlowReport(

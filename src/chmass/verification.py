@@ -30,7 +30,7 @@ from .models import (
     nariai_from_alpha,
     params_from_neck,
 )
-from .profile import first_integral, integrate_profile
+from .profile import curvature_scalars, first_integral, integrate_profile
 from .sphere import ScalarField, build_grid, coeff_index, n_coeffs, random_c2_field
 from .spectrum import (
     eigenvalue_area_charge_residual,
@@ -127,11 +127,8 @@ def crit_03_profile_conservation():
     prof = integrate_profile(0.5, 0.3, 1.0, s_max=2.0, tol=1e-10)
     s = np.linspace(-2.0, 2.0, 801)
     drift = float(np.abs(first_integral(prof, s) - prof.m).max())
-    u = prof.u(s)
-    ddu = prof.ddu(s)
-    scalar = float(
-        np.abs((-4 * ddu / u + 2 * (1 - prof.du(s) ** 2) / u**2) - 2.0 - 2 * 0.09 / u**4).max()
-    )
+    sc = curvature_scalars(prof, s)
+    scalar = float(np.abs(sc["R"] - 2.0 - 2.0 * sc["e2"]).max())
     return [
         ("neck mass vs 0.3191667", abs(prof.m - 0.3191667), 5e-8),
         ("first-integral drift", drift, 1e-8),
@@ -147,7 +144,7 @@ def crit_04_slice_mass_constancy():
     quad = 0.0
     for s0 in np.linspace(-1.8, 1.8, 50):
         closed = max(closed, abs(slice_hawking_mass(prof, s0) - prof.m))
-        geom = induced_geometry(GraphSurface(prof, float(s0), zero), force_quadrature=True)
+        geom = induced_geometry(GraphSurface(prof, float(s0), zero))
         quad = max(quad, abs(geom.mch - prof.m))
     return [
         ("closed-form slice mass", closed, 1e-8),
@@ -197,14 +194,14 @@ def crit_08_first_variation():
     zero = ScalarField(grid, np.zeros((32, 64)))
     z_worst = 0.0
     for s0 in np.linspace(-1.2, 1.2, 7):
-        geom = induced_geometry(GraphSurface(prof, float(s0), zero), force_quadrature=True)
+        geom = induced_geometry(GraphSurface(prof, float(s0), zero))
         z_worst = max(z_worst, float(np.abs(z_functional(geom)).max()))
     order_dev = 0.0
     analytic_worst = 0.0
     s0_list = [0.2, -0.35, 0.5, 0.3, -0.45, 0.6, -0.25, 0.4, -0.55, 0.15]
     for i, s0 in enumerate(s0_list):
         fld = random_c2_field(grid, 400 + i, 4, 0.5)
-        geom = induced_geometry(GraphSurface(prof, s0, zero), force_quadrature=True)
+        geom = induced_geometry(GraphSurface(prof, s0, zero))
         analytic_worst = max(analytic_worst, abs(first_variation(geom, fld)))
         fd = first_variation_fd(prof, s0, fld, 2e-2)
         order_dev = max(order_dev, abs(fd.order - 2.0))

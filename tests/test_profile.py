@@ -10,7 +10,6 @@ from chmass.profile import (
     ProfileIntegrationError,
     arclength_from_r,
     curvature_scalars,
-    electric_field,
     first_integral,
     integrate_profile,
     profile_rhs,
@@ -148,13 +147,21 @@ def test_slice_umbilicity_relation(neck_profile):
 
 
 def test_electric_field_samples(neck_profile):
-    e = electric_field(neck_profile, 0.0)
-    assert e.magnitude == pytest.approx(1.2, abs=1e-12)
-    assert e.flux == pytest.approx(4 * math.pi * 0.3, abs=1e-12)
+    # |E|^2 = Q^2/u^4: 1.2^2 at the a = 0.5 neck, 0.75^2 on the Nariai cylinder
+    assert curvature_scalars(neck_profile, 0.0)["e2"] == pytest.approx(1.44, abs=1e-12)
     nariai = integrate_profile(0.8, 0.48, 1.0, s_max=1.0)
-    assert electric_field(nariai, 0.5).magnitude == pytest.approx(0.75, abs=1e-12)
+    assert curvature_scalars(nariai, 0.5)["e2"] == pytest.approx(0.5625, abs=1e-12)
     uncharged = integrate_profile(1.0, 0.0, 1.0, s_max=1.0)
-    assert electric_field(uncharged, 0.3).magnitude == 0.0
+    assert curvature_scalars(uncharged, 0.3)["e2"] == 0.0
+
+
+def test_mean_curvature_derivative_matches_central_difference(neck_profile):
+    # dh_ds = -2u''/u + 2(u'/u)^2 against a fourth-order difference of h_slice
+    s = np.array([-1.3, -0.4, 0.0, 0.7, 1.5])
+    step = 1e-3
+    h = [curvature_scalars(neck_profile, s + k * step)["h_slice"] for k in (-2, -1, 1, 2)]
+    fd = (h[0] - 8.0 * h[1] + 8.0 * h[2] - h[3]) / (12.0 * step)
+    np.testing.assert_allclose(curvature_scalars(neck_profile, s)["dh_ds"], fd, rtol=0, atol=1e-9)
 
 
 class TestArclength:

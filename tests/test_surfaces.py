@@ -42,7 +42,7 @@ class TestSlices:
 
     def test_offset_slice_matches_curvature_scalars(self, prof, grid):
         s0 = 0.7
-        geom = induced_geometry(GraphSurface(prof, s0, zero_field(grid)), force_quadrature=True)
+        geom = induced_geometry(GraphSurface(prof, s0, zero_field(grid)))
         sc = curvature_scalars(prof, s0)
         assert np.abs(geom.h_mean - sc["h_slice"]).max() <= 1e-13
         assert np.abs(geom.a_norm2 - sc["a2_slice"]).max() <= 1e-13
@@ -51,19 +51,17 @@ class TestSlices:
 
     def test_umbilicity(self, prof, grid):
         for s0 in (-0.9, 0.4, 1.3):
-            geom = induced_geometry(GraphSurface(prof, s0, zero_field(grid)), force_quadrature=True)
+            geom = induced_geometry(GraphSurface(prof, s0, zero_field(grid)))
             assert np.abs(geom.a_norm2 - 0.5 * geom.h_mean**2).max() <= 1e-9
 
     def test_constant_height_equals_shifted_slice(self, prof, grid):
+        # quadrature over the constant height c against the slice closed form at s0 + c
         c = 0.35
-        g_const = induced_geometry(
-            GraphSurface(prof, 0.2, ScalarField(grid, np.full((32, 64), c))),
-            force_quadrature=True,
-        )
-        g_slice = induced_geometry(GraphSurface(prof, 0.2 + c, zero_field(grid)))
-        assert g_const.area == pytest.approx(g_slice.area, abs=1e-10)
-        assert g_const.mch == pytest.approx(g_slice.mch, abs=1e-10)
-        assert np.abs(g_const.h_mean - g_slice.h_mean).max() <= 1e-10
+        geom = induced_geometry(GraphSurface(prof, 0.2, ScalarField(grid, np.full((32, 64), c))))
+        sc = curvature_scalars(prof, 0.2 + c)
+        assert geom.area == pytest.approx(4 * math.pi * sc["u"] ** 2, abs=1e-10)
+        assert geom.mch == pytest.approx(slice_hawking_mass(prof, 0.2 + c), abs=1e-10)
+        assert np.abs(geom.h_mean - sc["h_slice"]).max() <= 1e-10
 
     def test_sign_coherence_on_expanding_slices(self, prof, grid):
         # u' > 0: mean curvature negative while area grows
@@ -79,9 +77,7 @@ class TestSlices:
     def test_mass_constancy_both_paths(self, prof, grid):
         for s0 in np.linspace(-1.5, 1.5, 11):
             assert abs(slice_hawking_mass(prof, s0) - prof.m) <= 1e-8
-            quad = induced_geometry(
-                GraphSurface(prof, s0, zero_field(grid)), force_quadrature=True
-            ).mch
+            quad = induced_geometry(GraphSurface(prof, s0, zero_field(grid))).mch
             assert abs(quad - prof.m) <= 1e-5
 
     def test_nariai_slice_mass(self):
@@ -98,8 +94,7 @@ def test_flat_round_sphere_has_zero_mass(grid):
             return np.stack([s, np.ones_like(s)])
 
     flat = RadialProfile(
-        a=0.0, q=0.0, lam=0.0, m=0.0, kind="rnds", s_max=10.0, tol=1e-10,
-        samples=np.zeros((1, 4)), _sol=_FlatSol(),
+        a=0.0, q=0.0, lam=0.0, m=0.0, kind="rnds", s_max=10.0, tol=1e-10, _sol=_FlatSol(),
     )
     surf = GraphSurface(flat, 1.0, ScalarField(grid, np.zeros((32, 64))))
     assert charged_hawking_mass(surf, zeta=0.0) == pytest.approx(0.0, abs=1e-13)
@@ -143,7 +138,7 @@ class TestGraphs:
         fld = random_c2_field(grid, 5, 4, 0.1)
         speed = ScalarField(grid, 0.4 + fld.values)
         base = GraphSurface(prof, 0.3, zero_field(grid))
-        geom = induced_geometry(base, force_quadrature=True)
+        geom = induced_geometry(base)
         target = -geom.integral(geom.h_mean * speed.values)
 
         def a_of(t):
@@ -181,7 +176,7 @@ def test_stacked_geometry_kernel_matches_induced_geometry(prof, n_theta):
     # about l^2 at the polar rows (see c2_norm), hence n_theta^2 ulps
     tol = n_theta**2 * np.finfo(float).eps
     for i, h in enumerate(heights):
-        geom = induced_geometry(GraphSurface(prof, 0.1, ScalarField(g, h)), force_quadrature=True)
+        geom = induced_geometry(GraphSurface(prof, 0.1, ScalarField(g, h)))
         for name, val in stacked.items():
             want = getattr(geom, name)
             assert np.abs(val[i] - want).max() <= tol * np.abs(want).max(), name

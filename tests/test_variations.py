@@ -58,12 +58,12 @@ def harmonic(grid, l, m, scale=1.0):
 class TestZFunctional:
     def test_vanishes_on_slices(self, prof, grid):
         for s0 in (-1.2, 0.0, 0.45, 1.3):
-            geom = induced_geometry(GraphSurface(prof, s0, zero(grid)), force_quadrature=True)
+            geom = induced_geometry(GraphSurface(prof, s0, zero(grid)))
             assert np.abs(z_functional(geom)).max() <= 1e-10
 
     def test_vanishes_on_nariai_slices(self, grid):
         nprof = integrate_profile(0.8, 0.48, 1.0, s_max=1.0)
-        geom = induced_geometry(GraphSurface(nprof, 0.3, zero(grid)), force_quadrature=True)
+        geom = induced_geometry(GraphSurface(nprof, 0.3, zero(grid)))
         assert np.abs(z_functional(geom)).max() <= 1e-10
 
     def test_integral_nonnegative_on_graphs(self, prof, grid):
@@ -75,12 +75,12 @@ class TestZFunctional:
 
 class TestFirstVariation:
     def test_slices_are_critical_for_constant_speed(self, prof, grid):
-        geom = induced_geometry(GraphSurface(prof, 0.6, zero(grid)), force_quadrature=True)
+        geom = induced_geometry(GraphSurface(prof, 0.6, zero(grid)))
         one = ScalarField(grid, np.ones((32, 64)))
         assert abs(first_variation(geom, one)) <= 1e-10
 
     def test_minimal_surface_kills_everything(self, prof, grid):
-        geom = induced_geometry(GraphSurface(prof, 0.0, zero(grid)), force_quadrature=True)
+        geom = induced_geometry(GraphSurface(prof, 0.0, zero(grid)))
         fld = random_c2_field(grid, 9, 4, 1.0)
         assert abs(first_variation(geom, fld)) <= 1e-12
 
@@ -92,7 +92,7 @@ class TestFirstVariation:
             if abs(s0) < 1e-9:
                 s0 = 0.25
             fld = random_c2_field(grid, 200 + i, 4, 0.5)
-            geom = induced_geometry(GraphSurface(prof, s0, zero(grid)), force_quadrature=True)
+            geom = induced_geometry(GraphSurface(prof, s0, zero(grid)))
             analytic = first_variation(geom, fld)
             fd = first_variation_fd(prof, s0, fld, 2e-2)
             assert abs(analytic) <= 1e-10
@@ -110,7 +110,7 @@ class TestFirstVariation:
 
         def mass_at(t):
             s = GraphSurface(prof, 0.25, ScalarField(grid, base.values + t * speed.values))
-            return induced_geometry(s, force_quadrature=True).mch
+            return induced_geometry(s).mch
 
         h = 1e-2
         d1 = (mass_at(h) - mass_at(-h)) / (2 * h)
@@ -120,7 +120,7 @@ class TestFirstVariation:
         assert analytic == pytest.approx(extrap, abs=1e-10)
 
     def test_lambda_coefficient_variant_differs_off_minimal(self, prof, grid):
-        geom = induced_geometry(GraphSurface(prof, 0.6, zero(grid)), force_quadrature=True)
+        geom = induced_geometry(GraphSurface(prof, 0.6, zero(grid)))
         one = ScalarField(grid, np.ones((32, 64)))
         printed = first_variation(geom, one, use_lambda_coefficient=True)
         assert abs(printed) > 1e-4  # fails the criticality null test
@@ -246,9 +246,7 @@ class TestExperiments:
 
     def test_constant_height_gives_zero_excess(self, prof, grid):
         c = ScalarField(grid, np.full((32, 64), 0.01))
-        excess = induced_geometry(
-            GraphSurface(prof, 0.0, c), force_quadrature=True
-        ).mch - prof.m
+        excess = induced_geometry(GraphSurface(prof, 0.0, c)).mch - prof.m
         assert abs(excess) <= 1e-8
 
     def test_taylor_consistency_pure_mode(self, prof, grid):
@@ -263,7 +261,7 @@ class TestExperiments:
     @pytest.mark.parametrize("n_samples, amplitude", [(1, 0.02), (9, 0.02), (25, 0.02), (9, 0.0)])
     def test_local_max_matches_per_graph_reference(self, n_samples, amplitude):
         # sample counts that leave a partial stack; amplitude 0 puts every
-        # graph within near_tol of equality
+        # graph within 1e-9 of equality
         rep = local_max_experiment(0.5, 0.3, n_samples, amplitude, 7)
         prof = integrate_profile(0.5, 0.3, 1.0, s_max=1.0)
         grid = build_grid(32, 64)
@@ -271,7 +269,7 @@ class TestExperiments:
         for k in range(n_samples):
             sub_seed = int(np.random.SeedSequence([7, k]).generate_state(1)[0])
             fld = random_c2_field(grid, sub_seed, 4, amplitude)
-            geom = induced_geometry(GraphSurface(prof, 0.0, fld), force_quadrature=True)
+            geom = induced_geometry(GraphSurface(prof, 0.0, fld))
             excess.append(geom.mch - prof.m)
             if excess[-1] >= -1e-9:
                 c = grid.analyze(fld.values)
@@ -280,6 +278,20 @@ class TestExperiments:
         assert abs(rep.max_excess - max(excess)) <= 1e-15
         assert rep.n_near_equality == len(near)
         assert rep.max_nonconstant_c2 == (max(near) if near else 0.0)
+
+    def test_local_max_transform_counts(self, monkeypatch):
+        # deterministic counting gate: each stack of 8 graphs is synthesised
+        # once, then analysed and derivative-synthesised once for its C^2
+        # normalization and once for its geometry; 40 samples are 5 stacks
+        calls = {"analyze": 0, "synthesize": 0, "synth_derivs": 0}
+        for name in calls:
+            def spy(self, *args, _method=getattr(SphereGrid, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _method(self, *args, **kwargs)
+
+            monkeypatch.setattr(SphereGrid, name, spy)
+        local_max_experiment(0.5, 0.3, 40, 0.02, 1)
+        assert calls == {"analyze": 10, "synthesize": 5, "synth_derivs": 10}
 
     def test_amplitude_guard(self):
         with pytest.raises(ValueError):
@@ -318,10 +330,7 @@ class TestScaledGraphOracles:
     @staticmethod
     def per_graph_masses(prof, s0, phi, ts):
         return {
-            t: induced_geometry(
-                GraphSurface(prof, s0, ScalarField(phi.grid, t * phi.values)),
-                force_quadrature=True,
-            ).mch
+            t: induced_geometry(GraphSurface(prof, s0, ScalarField(phi.grid, t * phi.values))).mch
             for t in ts
         }
 
@@ -429,13 +438,22 @@ class TestScaledGraphOracles:
 
 
 def test_instability_constant_positive_across_window():
-    # C > 0 exactly when the neck is strictly stable
+    # C > 0 exactly when the neck is strictly stable, and the l = 1 value that
+    # C returns minimises prefactor * mu_l (mu_l - Ric) over l = 1..12
     from chmass.spectrum import stability_window
 
+    l = np.arange(1, 13)
     for q in np.sqrt(np.linspace(0.0, 0.24, 8)):
         lo, hi = stability_window(q)
         for a2 in np.linspace(lo + 1e-3, hi - 1e-3, 8):
-            assert strict_instability_constant(math.sqrt(a2), q) > 0
+            a = math.sqrt(a2)
+            C = strict_instability_constant(a, q)
+            assert C > 0
+            mu = l * (l + 1.0) / a**2
+            pref = math.sqrt(4 * math.pi * a**2) / (32 * math.pi**1.5)
+            per_l = pref * mu * (mu + lambda1_analytic(a, q))
+            assert np.argmin(per_l) == 0
+            assert C == pytest.approx(per_l[0], rel=1e-14)
 
 
 def test_metric_evolution_reconstructs_profile(prof):
