@@ -4,13 +4,20 @@ Every float in JSON and CSV output is serialized with 17 significant digits
 (round-trip exact), and sweep rows come in row-major grid order.  Exit codes:
 0 success or all checks passed, 1 verification failure, 2 usage error.
 
+``_COMMANDS`` declares each subcommand once: its function and the flags it
+reads, with their defaults.  A subcommand accepts only those flags plus
+``--out`` and ``--config``; an unknown or abbreviated flag is a usage error.
 A flat ``key = value`` config file (keys equal to long flag names) can seed
-any flag; explicitly passed flags win.
+any of a subcommand's flags; explicitly passed flags win, and keys the
+subcommand does not read are ignored.  A subcommand returns its report;
+``run`` renders it (a string as is, anything else as JSON) and writes it to
+``--out`` or stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -22,7 +29,14 @@ from .electrostatics import (
     robinson_shen_residual,
     verify_einstein_maxwell_static,
 )
-from .models import ModelParams, horizon_roots, nariai_from_alpha, params_from_neck
+from .models import (
+    ModelParams,
+    horizon_roots,
+    lapse_squared,
+    nariai_from_alpha,
+    params_from_neck,
+    surface_gravity,
+)
 from .profile import curvature_scalars, integrate_profile, slice_hawking_mass
 from .sphere import (
     ScalarField,
@@ -56,9 +70,14 @@ def _fmt(x: float) -> str:
 
 
 def to_json(obj, indent: int = 0) -> str:
-    """JSON with floats at 17 significant digits (round-trip exact)."""
+    """JSON with floats at 17 significant digits (round-trip exact).
+
+    A dataclass instance is rendered as an object of its fields, in order.
+    """
     pad = "  " * indent
     pad_in = "  " * (indent + 1)
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -83,14 +102,6 @@ def to_json(obj, indent: int = 0) -> str:
     return json.dumps(obj)
 
 
-def _emit(text: str, out: str | None):
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _csv(header: list[str], rows) -> str:
     lines = [",".join(header)]
     for row in rows:
@@ -99,7 +110,7 @@ def _csv(header: list[str], rows) -> str:
 
 
 # ---------------------------------------------------------------------------
-# config file support (flags win over config, config over built-in defaults)
+# flag resolution: flag, then config file, then the subcommand's default
 # ---------------------------------------------------------------------------
 
 
@@ -117,90 +128,78 @@ def _load_config(path: str) -> dict:
     return values
 
 
-class _Resolver:
-    """Flag > config-file > built-in default, with type conversion."""
+_REQUIRED = object()  # default of a flag the subcommand cannot run without
+_UNIT_LAMBDA = object()  # default of --lambda where only Lambda = 1 is implemented
 
-    def __init__(self, args: argparse.Namespace, config: dict):
-        self.args = args
-        self.config = config
 
-    def get(self, key: str, default, cast=float):
-        """The flag's value, else the config file's, else ``default``.
+def _resolve(args: argparse.Namespace, config: dict, defaults: dict) -> dict:
+    """Each dest of ``defaults``: its flag's value, else the config file's
+    (converted to the flag's type), else the default.
 
-        A NaN or infinite float from the flag or the config file is a usage
-        error that names the flag.
-        """
-        val = getattr(self.args, key, None)
-        if val is None and key in self.config:
-            raw = self.config[key]
-            val = cast(raw) if cast is not None else raw
-        if val is None:
-            return default
+    A NaN or infinite float, a missing required flag and a --lambda other
+    than 1 where only Lambda = 1 is implemented are usage errors that name
+    the flag; they are raised in the order of ``defaults``.
+    """
+    values = {}
+    for dest, default in defaults.items():
+        flag, typ = _DESTS[dest]
+        val = getattr(args, dest)
+        if val is None and dest in config:
+            val = typ(config[dest])
         if isinstance(val, float) and not math.isfinite(val):
-            raise ValueError(f"{_flag_name(key)} must be finite, got {val}")
-        return val
+            raise ValueError(f"{flag} must be finite, got {val}")
+        if default is _UNIT_LAMBDA:
+            if val not in (None, 1.0):
+                raise ValueError("this subcommand uses the Lambda = 1 normalization")
+            val = 1.0
+        elif val is None:
+            if default is _REQUIRED:
+                raise ValueError(f"missing required option {flag}")
+            val = default
+        values[dest] = val
+    return values
 
-    def require(self, key: str, cast=float):
-        val = self.get(key, None, cast)
-        if val is None:
-            raise ValueError(f"missing required option {_flag_name(key)}")
-        return val
 
-
-def _flag_name(key: str) -> str:
-    """The command-line flag of a resolver key ('lam' -> '--lambda')."""
-    for flag, dest, _ in _FLOAT_FLAGS + _INT_FLAGS + _STR_FLAGS:
-        if dest == key:
-            return flag
-    return "--" + key.replace("_", "-")
+def _model_from(v: dict, alt: str, build) -> ModelParams:
+    """``build(v[alt])`` when the alternative parameter (--neck-a or
+    --nariai-alpha) is given, else the model of --m, --q and --lambda, which
+    then needs --m."""
+    if v[alt] is not None:
+        return build(v[alt])
+    if v["m"] is None:
+        raise ValueError("missing required option --m")
+    return ModelParams(v["m"], v["q"], v["lambda"])
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the resolved flags and returns its report
 # ---------------------------------------------------------------------------
 
 
-def _model_from(g: _Resolver) -> ModelParams:
-    neck_a = g.get("neck_a", None)
-    lam = g.get("lam", 1.0)
-    q = g.get("q", 0.0)
-    if neck_a is not None:
-        return params_from_neck(neck_a, q, lam)
-    return ModelParams(g.require("m"), q, lam)
-
-
-def cmd_horizons(g: _Resolver) -> int:
-    from .models import lapse_squared, surface_gravity
-
-    p = _model_from(g)
+def cmd_horizons(v: dict):
+    p = _model_from(v, "neck_a", lambda a: params_from_neck(a, v["q"], v["lambda"]))
     hs = horizon_roots(p)
     gravities = [
         {"r": r, "k": surface_gravity(r, p)}
         for r, _ in hs.roots
         if r > 0 and abs(lapse_squared(r, p)) <= 1e-8
     ]
-    payload = {
+    return {
         "params": {"m": p.m, "q": p.q, "lambda": p.lam},
         "roots": [{"r": r, "multiplicity": k} for r, k in hs.roots],
         "classification": hs.classification,
         "surface_gravities": gravities,
     }
-    _emit(to_json(payload) + "\n", g.get("out", None, str))
-    return 0
 
 
-def cmd_profile(g: _Resolver) -> int:
-    prof = integrate_profile(
-        g.require("neck_a"), g.get("q", 0.0), g.get("lam", 1.0),
-        s_max=g.get("s_max", 2.0), tol=g.get("tol", 1e-10),
-    )
+def cmd_profile(v: dict):
+    prof = integrate_profile(v["neck_a"], v["q"], v["lambda"], s_max=v["s_max"], tol=v["tol"])
     s = np.linspace(-prof.s_max, prof.s_max, 513)
     sc = curvature_scalars(prof, s)
     rows = np.column_stack(
         (s, *prof.state(s), sc["R"], sc["ric_nn"], sc["h_slice"], slice_hawking_mass(prof, s))
     )
-    _emit(_csv(["s", "u", "du", "ddu", "R", "ric_nn", "H", "mch"], rows), g.get("out", None, str))
-    return 0
+    return _csv(["s", "u", "du", "ddu", "R", "ric_nn", "H", "mch"], rows)
 
 
 def _surface_from_file(path: str, s_pad: float = 0.5):
@@ -217,49 +216,27 @@ def _surface_from_file(path: str, s_pad: float = 0.5):
     return GraphSurface(prof, s0, phi)
 
 
-def _maybe_emit_field(g: _Resolver, field: ScalarField):
-    path = g.get("emit_phi", None, str)
-    if path:
-        with open(path, "w") as fh:
+def _maybe_emit_field(v: dict, field: ScalarField):
+    if v["emit_phi"]:
+        with open(v["emit_phi"], "w") as fh:
             fh.write(to_json(scalar_field_to_dict(field)) + "\n")
 
 
-def cmd_mass(g: _Resolver) -> int:
-    surf = _surface_from_file(g.require("surface", str))
-    zeta = g.get("zeta", None)
-    geom = induced_geometry(surf, zeta=zeta)
-    payload = {
+def cmd_mass(v: dict):
+    surf = _surface_from_file(v["surface"])
+    geom = induced_geometry(surf, zeta=v["zeta"])
+    _maybe_emit_field(v, surf.phi)
+    return {
         "area": geom.area,
         "charge": geom.charge,
         "mch": geom.mch,
         "h_min": float(geom.h_mean.min()),
         "h_max": float(geom.h_mean.max()),
     }
-    _maybe_emit_field(g, surf.phi)
-    _emit(to_json(payload) + "\n", g.get("out", None, str))
-    return 0
 
 
-def _require_unit_lambda(g: _Resolver):
-    if g.get("lam", 1.0) != 1.0:
-        raise ValueError("this subcommand uses the Lambda = 1 normalization")
-
-
-def cmd_spectrum(g: _Resolver) -> int:
-    _require_unit_lambda(g)
-    report = spectral_report(
-        g.require("neck_a"), g.get("q", 0.0),
-        n_theta=int(g.get("grid", 32, int)), k=int(g.get("k", 9, int)),
-    )
-    payload = {
-        "lambda1_analytic": report.lambda1_analytic,
-        "lambda1_discrete": report.lambda1_discrete,
-        "laplace_eigenvalues": report.laplace_eigenvalues,
-        "window": report.window,
-        "identity_residual": report.identity_residual,
-    }
-    _emit(to_json(payload) + "\n", g.get("out", None, str))
-    return 0
+def cmd_spectrum(v: dict):
+    return spectral_report(v["neck_a"], v["q"], n_theta=v["grid"], k=v["k"])
 
 
 def _parse_speed(spec: str, grid) -> ScalarField:
@@ -273,16 +250,11 @@ def _parse_speed(spec: str, grid) -> ScalarField:
         return scalar_field_from_dict(json.load(fh), grid=grid)
 
 
-def cmd_variation(g: _Resolver) -> int:
-    _require_unit_lambda(g)
-    a = g.require("neck_a")
-    q = g.get("q", 0.0)
-    s0 = g.get("s0", 0.0)
-    n = int(g.get("grid", 32, int))
-    grid = build_grid(n, 2 * n)
-    speed = _parse_speed(g.require("phi", str), grid)
-    prof = integrate_profile(a, q, 1.0, s_max=max(1.0, abs(s0) + 0.5))
-    report = variation_report(prof, s0, speed, dt=g.get("dt", 1e-2))
+def cmd_variation(v: dict):
+    s0, n = v["s0"], v["grid"]
+    speed = _parse_speed(v["phi"], build_grid(n, 2 * n))
+    prof = integrate_profile(v["neck_a"], v["q"], 1.0, s_max=max(1.0, abs(s0) + 0.5))
+    report = variation_report(prof, s0, speed, dt=v["dt"])
     payload = {
         "first_analytic": report.first_analytic,
         "first_fd": report.first_fd,
@@ -299,56 +271,30 @@ def cmd_variation(g: _Resolver) -> int:
                 "second_fd_step_gap": report.second_fd_step_gap,
             }
         )
-    _maybe_emit_field(g, speed)
-    _emit(to_json(payload) + "\n", g.get("out", None, str))
-    return 0
+    _maybe_emit_field(v, speed)
+    return payload
 
 
-def cmd_foliate(g: _Resolver) -> int:
-    a = g.require("neck_a")
-    q = g.get("q", 0.0)
-    t_max = g.get("t_max", 1.0)
-    steps = int(g.get("steps", 41, int))
-    prof = integrate_profile(a, q, g.get("lam", 1.0), s_max=t_max + 0.1)
-    states = cmc_foliation(prof, (-t_max, t_max), steps)
+def cmd_foliate(v: dict):
+    t_max = v["t_max"]
+    prof = integrate_profile(v["neck_a"], v["q"], v["lambda"], s_max=t_max + 0.1)
+    states = cmc_foliation(prof, (-t_max, t_max), v["steps"])
     rows = [
         (st.t, st.u, st.h_mean, st.dh_dt, st.lambda1, st.dmch_dt) for st in states
     ]
-    _emit(_csv(["t", "u", "H", "dH", "lambda1", "dmch"], rows), g.get("out", None, str))
-    return 0
+    return _csv(["t", "u", "H", "dH", "lambda1", "dmch"], rows)
 
 
-def cmd_localmax(g: _Resolver) -> int:
-    _require_unit_lambda(g)
-    rep = local_max_experiment(
-        g.require("neck_a"), g.get("q", 0.0),
-        int(g.get("samples", 200, int)), g.get("amp", 0.02),
-        int(g.get("seed", 0, int)),
-    )
-    payload = {
-        "a": rep.a, "q": rep.q,
-        "n_samples": rep.n_samples, "amplitude": rep.amplitude, "seed": rep.seed,
-        "max_excess": rep.max_excess,
-        "n_near_equality": rep.n_near_equality,
-        "max_nonconstant_c2": rep.max_nonconstant_c2,
-        "all_near_equality_are_slices": rep.all_near_equality_are_slices,
-    }
-    _emit(to_json(payload) + "\n", g.get("out", None, str))
-    return 0
+def cmd_localmax(v: dict):
+    return local_max_experiment(v["neck_a"], v["q"], v["samples"], v["amp"], v["seed"])
 
 
-def cmd_electrostatics(g: _Resolver) -> int:
-    alpha = g.get("nariai_alpha", None)
-    lam = g.get("lam", 1.0)
-    if alpha is not None:
-        model = nariai_from_alpha(alpha, lam)
-    else:
-        model = ModelParams(g.require("m"), g.get("q", 0.0), lam)
-    samples = int(g.get("samples", 32, int))
-    h = g.get("h", 1e-4)
-    system = verify_einstein_maxwell_static(model, samples=samples)
+def cmd_electrostatics(v: dict):
+    model = _model_from(v, "nariai_alpha", lambda alpha: nariai_from_alpha(alpha, v["lambda"]))
+    h = v["h"]
+    system = verify_einstein_maxwell_static(model, samples=v["samples"])
     bounds = area_charge_report(model)
-    payload = {
+    return {
         "kind": system.kind,
         "lambda": system.lam,
         "residuals": system.residuals,
@@ -359,25 +305,16 @@ def cmd_electrostatics(g: _Resolver) -> int:
         },
         "sup_e2": bounds.sup_e2,
         "hypothesis_sup_e2_le_lambda": bounds.hypothesis_sup_e2_le_lambda,
-        "components": [
-            {
-                "r": c.r, "k": c.k, "area": c.area, "euler": c.euler, "charge": c.charge,
-                "bound_lhs": c.bound_lhs, "bound_rhs": c.bound_rhs,
-                "satisfied": c.satisfied,
-            }
-            for c in bounds.components
-        ],
+        "components": bounds.components,
         "weighted_sum_lhs": bounds.weighted_sum_lhs,
         "weighted_sum_rhs": bounds.weighted_sum_rhs,
     }
-    _emit(to_json(payload) + "\n", g.get("out", None, str))
-    return 0
 
 
-def cmd_nariai(g: _Resolver) -> int:
-    npar = nariai_from_alpha(g.require("alpha"), g.get("lam", 1.0))
+def cmd_nariai(v: dict):
+    npar = nariai_from_alpha(v["alpha"], v["lambda"])
     flow = nariai_flow_diagnostic(npar)
-    payload = {
+    return {
         "alpha": npar.alpha, "lambda": npar.lam,
         "m": npar.m, "q2": npar.q2, "r_minus": npar.r_minus, "omega": npar.omega,
         "area": flow.area,
@@ -387,118 +324,112 @@ def cmd_nariai(g: _Resolver) -> int:
         "hprime_lhs": flow.hprime_lhs,
         "hprime_rhs": flow.hprime_rhs,
     }
-    _emit(to_json(payload) + "\n", g.get("out", None, str))
-    return 0
 
 
-def cmd_sweep(g: _Resolver) -> int:
-    check = g.require("check", str)
-    axes = {}
-    for name in ("a2", "q2", "mfrac"):
-        spec = g.get(name, None, str)
-        if spec is not None:
-            axes[name] = parse_axis(spec)
-    jobs = g.get("jobs", 1, int)  # accepted for compatibility; sweeps run serially
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    text = render_csv(check, axes)
-    _emit(text, g.get("out", None, str))
-    return 0
+def cmd_sweep(v: dict):
+    axes = {name: parse_axis(v[name]) for name in ("a2", "q2", "mfrac") if v[name] is not None}
+    if v["jobs"] < 1:  # --jobs is accepted for compatibility; sweeps run serially
+        raise ValueError(f"jobs must be at least 1, got {v['jobs']}")
+    return render_csv(v["check"], axes)
 
 
-def cmd_verify(g: _Resolver) -> int:
-    suite = g.get("suite", "all", str)
-    if suite != "all":
-        raise ValueError(f"unknown suite {suite!r} (only 'all' is defined)")
-    summary = run_all(tol_scale=g.get("tol_scale", 1.0))
-    if g.get("format", "text", str) == "json":
-        payload = [
+def cmd_verify(v: dict):
+    """Returns (exit code, report): 1 when any criterion fails."""
+    if v["suite"] != "all":
+        raise ValueError(f"unknown suite {v['suite']!r} (only 'all' is defined)")
+    summary = run_all(tol_scale=v["tol_scale"])
+    code = 0 if summary.all_passed else 1
+    if v["format"] == "json":
+        return code, [
             {
-                "criterion": r.cid,
-                "title": r.title,
-                "passed": r.passed,
-                "seconds": r.seconds,
-                "checks": [
-                    {"name": c.name, "value": c.value, "bound": c.bound, "passed": c.passed}
-                    for c in r.checks
-                ],
+                "criterion": r.cid, "title": r.title, "passed": r.passed,
+                "seconds": r.seconds, "checks": r.checks,
             }
             for r in summary.results
         ]
-        _emit(to_json(payload) + "\n", g.get("out", None, str))
-    else:
-        lines = []
-        for r in summary.results:
-            status = "PASS" if r.passed else "FAIL"
-            lines.append(f"[{status}] {r.cid} {r.title} ({r.seconds:.2f}s)")
-            for c in r.checks:
-                mark = "ok " if c.passed else "BAD"
-                lines.append(
-                    f"    [{mark}] {c.name}: value={_fmt(c.value)} bound={_fmt(c.bound)}"
-                )
-        lines.append("overall: " + ("PASS" if summary.all_passed else "FAIL"))
-        _emit("\n".join(lines) + "\n", g.get("out", None, str))
-    return 0 if summary.all_passed else 1
+    lines = []
+    for r in summary.results:
+        status = "PASS" if r.passed else "FAIL"
+        lines.append(f"[{status}] {r.cid} {r.title} ({r.seconds:.2f}s)")
+        for c in r.checks:
+            mark = "ok " if c.passed else "BAD"
+            lines.append(f"    [{mark}] {c.name}: value={_fmt(c.value)} bound={_fmt(c.bound)}")
+    lines.append("overall: " + ("PASS" if summary.all_passed else "FAIL"))
+    return code, "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# parser
+# flag table, subcommand table and parser
 # ---------------------------------------------------------------------------
 
-_COMMANDS = {
-    "horizons": cmd_horizons,
-    "profile": cmd_profile,
-    "mass": cmd_mass,
-    "spectrum": cmd_spectrum,
-    "variation": cmd_variation,
-    "foliate": cmd_foliate,
-    "localmax": cmd_localmax,
-    "electrostatics": cmd_electrostatics,
-    "nariai": cmd_nariai,
-    "sweep": cmd_sweep,
-    "verify": cmd_verify,
+_FLAGS = {  # flag: (dest, type, help)
+    "--m": ("m", float, "mass parameter"),
+    "--q": ("q", float, "electric charge"),
+    "--lambda": ("lambda", float, "cosmological constant (default 1)"),
+    "--neck-a": ("neck_a", float, "neck radius (mass induced by the neck constructor)"),
+    "--s0": ("s0", float, "base slice arclength"),
+    "--s-max": ("s_max", float, "half-width of the integrated arclength range"),
+    "--tol": ("tol", float, "profile tolerance: bound on each collocation panel's series tail"),
+    "--dt": ("dt", float, "finite-difference step"),
+    "--t-max": ("t_max", float, "foliation half-range"),
+    "--amp": ("amp", float, "C^2 amplitude of random test fields"),
+    "--zeta": ("zeta", float, "cosmological term of the mass functional (default 2 Lambda)"),
+    "--h": ("h", float, "radial finite-difference step"),
+    "--alpha": ("alpha", float, "Nariai double-root radius"),
+    "--nariai-alpha": ("nariai_alpha", float, "evaluate the Nariai family at this alpha"),
+    "--tol-scale": ("tol_scale", float, "multiply every acceptance bound (diagnostic only)"),
+    "--grid": ("grid", int, "polar quadrature size n_theta (n_phi = 2 n_theta)"),
+    "--k": ("k", int, "number of eigenvalues"),
+    "--steps": ("steps", int, "number of foliation slices"),
+    "--samples": ("samples", int, "number of random samples / radial samples"),
+    "--seed": ("seed", int, "base RNG seed"),
+    "--jobs": ("jobs", int, "accepted; sweeps run serially"),
+    "--out": ("out", str, "write output to this path instead of stdout"),
+    "--format": ("format", str, "output format for verify: text or json"),
+    "--surface": ("surface", str, "surface JSON path ({base:{...}, phi:{...}})"),
+    "--phi": ("phi", str, "speed field: 'Y:l,m' or a ScalarField JSON path"),
+    "--check": ("check", str, "sweep check name: identity, areacharge or window"),
+    "--a2": ("a2", str, "axis spec lo:hi:count"),
+    "--q2": ("q2", str, "axis spec lo:hi:count"),
+    "--mfrac": ("mfrac", str, "axis spec lo:hi:count"),
+    "--suite": ("suite", str, "verification suite name (all)"),
+    "--config": ("config", str, "flat key = value config file; flags win"),
+    "--emit-phi": ("emit_phi", str, "also write the speed/height field as ScalarField JSON"),
 }
 
-_FLOAT_FLAGS = [
-    ("--m", "m", "mass parameter"),
-    ("--q", "q", "electric charge"),
-    ("--lambda", "lam", "cosmological constant (default 1)"),
-    ("--neck-a", "neck_a", "neck radius (mass induced by the neck constructor)"),
-    ("--s0", "s0", "base slice arclength"),
-    ("--s-max", "s_max", "half-width of the integrated arclength range"),
-    ("--tol", "tol", "profile tolerance: bound on each collocation panel's series tail"),
-    ("--dt", "dt", "finite-difference step"),
-    ("--t-max", "t_max", "foliation half-range"),
-    ("--amp", "amp", "C^2 amplitude of random test fields"),
-    ("--zeta", "zeta", "cosmological term of the mass functional (default 2 Lambda)"),
-    ("--h", "h", "radial finite-difference step"),
-    ("--alpha", "alpha", "Nariai double-root radius"),
-    ("--nariai-alpha", "nariai_alpha", "evaluate the Nariai family at this alpha"),
-    ("--tol-scale", "tol_scale", "multiply every acceptance bound (diagnostic only)"),
-]
+_DESTS = {dest: (flag, typ) for flag, (dest, typ, _) in _FLAGS.items()}
 
-_INT_FLAGS = [
-    ("--grid", "grid", "polar quadrature size n_theta (n_phi = 2 n_theta)"),
-    ("--k", "k", "number of eigenvalues"),
-    ("--steps", "steps", "number of foliation slices"),
-    ("--samples", "samples", "number of random samples / radial samples"),
-    ("--seed", "seed", "base RNG seed"),
-    ("--jobs", "jobs", "accepted; sweeps run serially"),
-]
+_COMMON = ("out", "config")  # flags of every subcommand
 
-_STR_FLAGS = [
-    ("--out", "out", "write output to this path instead of stdout"),
-    ("--format", "format", "output format for verify: text or json"),
-    ("--surface", "surface", "surface JSON path ({base:{...}, phi:{...}})"),
-    ("--phi", "phi", "speed field: 'Y:l,m' or a ScalarField JSON path"),
-    ("--check", "check", "sweep check name: identity, areacharge or window"),
-    ("--a2", "a2", "axis spec lo:hi:count"),
-    ("--q2", "q2", "axis spec lo:hi:count"),
-    ("--mfrac", "mfrac", "axis spec lo:hi:count"),
-    ("--suite", "suite", "verification suite name (all)"),
-    ("--config", "config", "flat key = value config file; flags win"),
-    ("--emit-phi", "emit_phi", "also write the speed/height field as ScalarField JSON"),
-]
+# subcommand: (function, {dest: default}); the order of a defaults dict is the
+# order in which its usage errors are reported
+_COMMANDS = {
+    "horizons": (cmd_horizons, {"neck_a": None, "lambda": 1.0, "q": 0.0, "m": None}),
+    "profile": (cmd_profile, {
+        "neck_a": _REQUIRED, "q": 0.0, "lambda": 1.0, "s_max": 2.0, "tol": 1e-10,
+    }),
+    "mass": (cmd_mass, {"surface": _REQUIRED, "zeta": None, "emit_phi": None}),
+    "spectrum": (cmd_spectrum, {
+        "lambda": _UNIT_LAMBDA, "neck_a": _REQUIRED, "q": 0.0, "grid": 32, "k": 9,
+    }),
+    "variation": (cmd_variation, {
+        "lambda": _UNIT_LAMBDA, "neck_a": _REQUIRED, "q": 0.0, "s0": 0.0, "grid": 32,
+        "phi": _REQUIRED, "dt": 1e-2, "emit_phi": None,
+    }),
+    "foliate": (cmd_foliate, {
+        "neck_a": _REQUIRED, "q": 0.0, "t_max": 1.0, "steps": 41, "lambda": 1.0,
+    }),
+    "localmax": (cmd_localmax, {
+        "lambda": _UNIT_LAMBDA, "neck_a": _REQUIRED, "q": 0.0, "samples": 200, "amp": 0.02,
+        "seed": 0,
+    }),
+    "electrostatics": (cmd_electrostatics, {
+        "nariai_alpha": None, "lambda": 1.0, "m": None, "q": 0.0, "samples": 32, "h": 1e-4,
+    }),
+    "nariai": (cmd_nariai, {"alpha": _REQUIRED, "lambda": 1.0}),
+    "sweep": (cmd_sweep, {"check": _REQUIRED, "a2": None, "q2": None, "mfrac": None, "jobs": 1}),
+    "verify": (cmd_verify, {"suite": "all", "tol_scale": 1.0, "format": "text"}),
+}
 
 
 def _attach_axis_specs(argv: list[str]) -> list[str]:
@@ -508,7 +439,7 @@ def _attach_axis_specs(argv: list[str]) -> list[str]:
     and '--alpha=-inf' pass the value through to ``parse_axis`` or the
     resolver's finiteness check.
     """
-    joined = {"--a2", "--q2", "--mfrac"} | {flag for flag, _, _ in _FLOAT_FLAGS}
+    joined = {"--a2", "--q2", "--mfrac"} | {f for f, (_, typ, _) in _FLAGS.items() if typ is float}
     out: list[str] = []
     for tok in argv:
         single_minus = tok.startswith("-") and not tok.startswith("--")
@@ -525,25 +456,32 @@ def _build_parser() -> argparse.ArgumentParser:
         description="charged Hawking mass laboratory on static charged de Sitter backgrounds",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name, help=f"{name} subcommand")
-        for flag, dest, help_text in _FLOAT_FLAGS:
-            p.add_argument(flag, dest=dest, type=float, default=None, help=help_text)
-        for flag, dest, help_text in _INT_FLAGS:
-            p.add_argument(flag, dest=dest, type=int, default=None, help=help_text)
-        for flag, dest, help_text in _STR_FLAGS:
-            p.add_argument(flag, dest=dest, type=str, default=None, help=help_text)
+    for name, (_, defaults) in _COMMANDS.items():
+        # no prefix matching: with per-subcommand flags, '--m' would become '--mfrac'
+        p = sub.add_parser(name, help=f"{name} subcommand", allow_abbrev=False)
+        for flag, (dest, typ, help_text) in _FLAGS.items():
+            if dest in defaults or dest in _COMMON:
+                p.add_argument(flag, dest=dest, type=typ, help=help_text)
     return parser
 
 
 def run(argv: list[str] | None = None) -> int:
-    """Parse argv, dispatch, and return the exit code."""
+    """Parse argv, dispatch, write the report, and return the exit code."""
     argv = _attach_axis_specs(list(sys.argv[1:] if argv is None else argv))
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    fn, defaults = _COMMANDS[args.command]
     try:
         config = _load_config(args.config) if args.config else {}
-        return _COMMANDS[args.command](_Resolver(args, config))
+        values = _resolve(args, config, {**defaults, "out": None})
+        report = fn(values)
+        code, report = report if isinstance(report, tuple) else (0, report)
+        text = report if isinstance(report, str) else to_json(report) + "\n"
+        if values["out"]:
+            with open(values["out"], "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except (ValueError, OSError, KeyError) as exc:
         print(f"chmass {args.command}: error: {exc}", file=sys.stderr)
         return 2

@@ -81,7 +81,6 @@ class ElectrostaticReport:
     components: list[BoundaryComponent] = field(default_factory=list)
     weighted_sum_lhs: float | None = None
     weighted_sum_rhs: float | None = None
-    robinson_shen: float | None = None
     robinson_shen_point: float | None = None
 
 
@@ -234,7 +233,7 @@ def verify_einstein_maxwell_static(
     fd_vpp = (-vs[:, 0] + 16 * vs[:, 1] - 30 * vs[:, 2] + 16 * vs[:, 3] - vs[:, 4]) / (12 * h**2)
     closed = _residuals(system, pts, *system.v_derivs(pts))
     fd = _residuals(system, pts, fd_vp, fd_vpp)
-    sup_e2, rs_point = system.sup_e2, system.rs_point
+    sup_e2 = system.sup_e2
 
     return ElectrostaticReport(
         kind=system.kind,
@@ -243,8 +242,7 @@ def verify_einstein_maxwell_static(
         fd_gaps={k: float(np.max(np.abs(closed[k] - fd[k]))) for k in closed},
         sup_e2=sup_e2,
         hypothesis_sup_e2_le_lambda=bool(sup_e2 <= system.lam),
-        robinson_shen=_robinson_shen(system, rs_point),
-        robinson_shen_point=rs_point,
+        robinson_shen_point=system.rs_point,
     )
 
 
@@ -254,7 +252,7 @@ def verify_einstein_maxwell_static(
 
 
 def robinson_shen_residual(
-    model: ModelParams | NariaiParams, point: float, n: int = 3, h: float = 1e-4
+    model: ModelParams | NariaiParams, point: float, h: float = 1e-4
 ) -> float:
     """Residual of the divergence identity
 
@@ -273,10 +271,8 @@ def robinson_shen_residual(
         If V <= 1e-8 somewhere on the stencil (too close to a horizon for
         the 1/V terms to be conditioned).
     """
-    return _robinson_shen(_static_system(model), point, n, h)
-
-
-def _robinson_shen(system: _StaticSystem, point: float, n: int = 3, h: float = 1e-4) -> float:
+    system = _static_system(model)
+    n = 3  # spatial dimension
     vfun, nfun, rho, r1 = system.v, system.n, system.rho, system.rho1
 
     def d1(fun, x):

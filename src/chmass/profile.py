@@ -192,9 +192,12 @@ class RadialProfile:
         raises ValueError outside [-s_max, s_max].
         """
         s = self._check_range(s)
-        u, du = self._sol(np.abs(s).ravel()).reshape((2,) + s.shape)
-        du = np.sign(s) * du
-        return u, du, profile_rhs(u, du, self.q, self.lam)
+        # a 0-d s takes the same array arithmetic as an array of s, so scalar
+        # and array calls agree bitwise
+        flat = s.ravel()
+        u, du = self._sol(np.abs(flat))
+        du = np.sign(flat) * du
+        return tuple(x.reshape(s.shape)[()] for x in (u, du, profile_rhs(u, du, self.q, self.lam)))
 
     def u(self, s):
         """Area radius u(s); even in s."""

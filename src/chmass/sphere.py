@@ -277,11 +277,8 @@ class SphereGrid:
             "fpp": fpp,
         }
 
-    def evaluate_at(self, coeffs: np.ndarray, theta, phi, derivs: bool = False):
-        """Evaluate a coefficient vector at arbitrary interior points.
-
-        With ``derivs`` also returns the first partials (f_theta, f_phi).
-        """
+    def evaluate_at(self, coeffs: np.ndarray, theta, phi):
+        """(f, f_theta, f_phi) of a coefficient vector at arbitrary interior points."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         phi = np.atleast_1d(np.asarray(phi, dtype=float))
         blocks = _blocks(coeffs.size)
@@ -290,8 +287,6 @@ class SphereGrid:
         cosm, sinm = np.cos(m * phi), np.sin(m * phi)
         A, B = _per_m_profiles(coeffs, P, blocks)
         f = np.sum(A * cosm + B * sinm, axis=0)
-        if not derivs:
-            return f
         Ax, Bx = _per_m_profiles(coeffs, D, blocks)
         ft = -np.sin(theta) * np.sum(Ax * cosm + Bx * sinm, axis=0)
         fp = np.sum(m * (B * cosm - A * sinm), axis=0)
@@ -446,10 +441,18 @@ def scalar_field_to_dict(f: ScalarField) -> dict:
 
 
 def scalar_field_from_dict(d: dict, grid: SphereGrid | None = None) -> ScalarField:
+    missing = [key for key in ("n_theta", "n_phi", "values") if key not in d]
+    if missing:
+        raise ValueError(f"scalar field JSON lacks {', '.join(missing)}")
     nt, np_ = int(d["n_theta"]), int(d["n_phi"])
     if grid is None:
         grid = build_grid(nt, np_)
     elif (grid.n_theta, grid.n_phi) != (nt, np_):
         raise ValueError("grid sizes do not match serialized field")
-    values = np.asarray(d["values"], dtype=float).reshape(nt, np_)
-    return ScalarField(grid, values)
+    values = np.asarray(d["values"], dtype=float)
+    if values.size != nt * np_:
+        raise ValueError(
+            f"scalar field has {values.size} values, "
+            f"but n_theta * n_phi = {nt} * {np_} = {nt * np_}"
+        )
+    return ScalarField(grid, values.reshape(nt, np_))

@@ -250,14 +250,12 @@ def charged_hawking_mass(surface: GraphSurface, zeta: float | None = None) -> fl
     return induced_geometry(surface, zeta=zeta).mch
 
 
-def gauss_curvature_brioschi(
-    surface: GraphSurface, theta, phi, step: float = 2e-3
-) -> np.ndarray:
+def gauss_curvature_brioschi(surface: GraphSurface, theta, phi) -> np.ndarray:
     """Intrinsic Gauss curvature from the coordinate (Brioschi) formula.
 
     Independent cross-check of the Gauss-equation route: the induced metric
     components E, F, G are evaluated exactly at a 5x5 coordinate stencil
-    around each requested point and differentiated by finite differences.
+    of step 2e-3 around each requested point and differentiated by finite differences.
     Points should stay away from the poles (the coordinate formula degenerates
     there).
     """
@@ -267,11 +265,12 @@ def gauss_curvature_brioschi(
     grid = surface.grid
     coeffs = grid.analyze(surface.phi.values)
 
+    step = 2e-3
     offs = step * np.arange(-2.0, 3.0)
     TH = theta[:, None, None] + offs[None, :, None] + 0.0 * offs[None, None, :]
     PH = phi[:, None, None] + 0.0 * offs[None, :, None] + offs[None, None, :]
 
-    fval, ft, fp = grid.evaluate_at(coeffs, TH.ravel(), PH.ravel(), derivs=True)
+    fval, ft, fp = grid.evaluate_at(coeffs, TH.ravel(), PH.ravel())
     f = surface.s0 + fval.reshape(TH.shape)
     ft = ft.reshape(TH.shape)
     fp = fp.reshape(TH.shape)

@@ -103,7 +103,6 @@ class FoliationState:
     h_mean: float
     dh_dt: float
     lambda1: float
-    rho: float
     dmch_dt: float
     evolution_identity_residual: float
 
@@ -398,7 +397,7 @@ def cmc_foliation(
     m_plus, m_minus = slice_hawking_mass(prof, np.stack([t + delta, t - delta]))
     dmch = (m_plus - m_minus) / (2.0 * delta)
     rows = np.column_stack([  # in FoliationState's field order
-        t, sc["u"], sc["du"], sc["h_slice"], sc["dh_ds"], -jacobi, np.ones_like(t), dmch,
+        t, sc["u"], sc["du"], sc["h_slice"], sc["dh_ds"], -jacobi, dmch,
         np.abs(sc["dh_ds"] - jacobi),
     ])
     return [FoliationState(*map(float, row)) for row in rows]

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import chmass
+from chmass import cli
 from chmass.cli import run, to_json
 from chmass.electrostatics import verify_einstein_maxwell_static
 from chmass.models import ModelParams, nariai_from_alpha
@@ -20,6 +22,20 @@ def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def parse_error(capsys, *argv):
+    """Exit code, stdout and stderr of an argv that argparse itself ends."""
+    with pytest.raises(SystemExit) as exc:
+        run(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+def declared_flags(cmd):
+    """The flags a subcommand accepts: its own plus --out and --config."""
+    own = {flag for flag, (dest, _, _) in cli._FLAGS.items() if dest in cli._COMMANDS[cmd][1]}
+    return own | {"--out", "--config"}
 
 
 def test_runtime_never_imports_scipy():
@@ -144,6 +160,34 @@ def test_variation_minimal_slice(capsys):
     assert payload["second_fd"] == pytest.approx(payload["second_analytic"], abs=1e-6)
     assert payload["first_analytic"] == pytest.approx(0.0, abs=1e-12)
     assert payload["z_max"] <= 1e-10
+
+
+def test_mass_wrong_length_surface_is_named(capsys, tmp_path):
+    surface = {
+        "base": {"neck_a": 0.5, "q": 0.3},
+        "phi": {"n_theta": 16, "n_phi": 32, "values": [0.0] * 100},
+    }
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(surface))
+    code, out, err = invoke(capsys, "mass", "--surface", str(path))
+    assert code == 2 and out == ""
+    assert "scalar field has 100 values, but n_theta * n_phi = 16 * 32 = 512" in err
+
+
+def test_variation_phi_without_field_keys_is_named(capsys, tmp_path):
+    # a surface file is not a ScalarField: its keys are base and phi
+    grid = build_grid(16, 32)
+    surface = {
+        "base": {"neck_a": 0.5, "q": 0.3},
+        "phi": scalar_field_to_dict(ScalarField(grid, np.zeros((16, 32)))),
+    }
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps(surface))
+    code, out, err = invoke(
+        capsys, "variation", "--neck-a", "0.5", "--q", "0.3", "--phi", str(path), "--grid", "16",
+    )
+    assert code == 2 and out == ""
+    assert "scalar field JSON lacks n_theta, n_phi, values" in err
 
 
 def test_variation_band_beyond_grid_is_usage_error(capsys):
@@ -348,13 +392,15 @@ class TestSweep:
         assert worst <= 1e-14
 
     def test_mass_flag_is_not_an_axis(self, capsys):
-        # --m is a float flag that no sweep uses; it used to be parsed as an
-        # axis spec and crash with a traceback
-        code, out, _ = invoke(
+        # --m is a float flag that no sweep reads; it used to be parsed as an
+        # axis spec and crash with a traceback, and is now refused by name
+        # (not prefix-matched to --mfrac)
+        code, out, err = parse_error(
             capsys, "sweep", "--check", "identity", "--a2", "0.1:0.9:2", "--q2", "0:0.2:2",
             "--m", "0.3",
         )
-        assert code == 0 and out.startswith("a2,q2,residual")
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --m 0.3" in err and "Traceback" not in err
 
     def test_minus_leading_spec_reaches_parse_axis(self, capsys):
         code, out, err = invoke(
@@ -368,6 +414,35 @@ class TestSweep:
         assert code == 2 and "needs axes" in err
         code, _, err = invoke(capsys, "sweep", "--check", "nope", "--a2", "0:1:2", "--q2", "0:1:2")
         assert code == 2
+
+
+class TestFlagContract:
+    @pytest.mark.parametrize("cmd", list(cli._COMMANDS))
+    def test_unread_flag_is_refused_by_name(self, capsys, cmd):
+        unread = sorted(set(cli._FLAGS) - declared_flags(cmd))
+        assert unread
+        for flag in unread:
+            code, out, err = parse_error(capsys, cmd, flag, "1")
+            assert code == 2 and out == ""
+            assert f"unrecognized arguments: {flag} 1" in err
+
+    def test_abbreviation_is_refused(self, capsys):
+        code, out, err = parse_error(capsys, "horizons", "--neck", "0.5")
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --neck 0.5" in err
+
+    @pytest.mark.parametrize("cmd", list(cli._COMMANDS))
+    def test_help_lists_exactly_the_declared_flags(self, capsys, cmd):
+        code, out, _ = parse_error(capsys, cmd, "--help")
+        assert code == 0
+        assert set(re.findall(r"--[a-z0-9-]+", out)) == declared_flags(cmd) | {"--help"}
+
+    def test_flag_and_command_tables_agree(self):
+        dests = {dest for dest, _, _ in cli._FLAGS.values()}
+        read = {dest for _, defaults in cli._COMMANDS.values() for dest in defaults}
+        assert read <= dests  # every declared key is a flag dest
+        assert dests <= read | {"out", "config"}  # every flag is read somewhere
+        assert len(cli._FLAGS) == len(dests)
 
 
 class TestConfigAndErrors:
@@ -411,6 +486,14 @@ class TestConfigAndErrors:
         code, out, err = invoke(capsys, "horizons", "--config", str(cfg))
         assert code == 2 and out == ""
         assert "--q must be finite" in err
+
+    def test_config_keys_are_long_flag_names(self, capsys, tmp_path):
+        # 'lambda' seeds --lambda; a key the subcommand does not read is ignored
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("neck-a = 0.5\nq = 0.3\nlambda = 2\ngrid = 16\n")
+        code, out, _ = invoke(capsys, "horizons", "--config", str(cfg))
+        assert code == 0
+        assert json.loads(out)["params"]["lambda"] == 2.0
 
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as err:

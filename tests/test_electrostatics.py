@@ -206,8 +206,8 @@ def test_area_charge_report_rejects_degenerate():
 def test_report_carries_divergence_identity_residual():
     for model in (RNDS, DESITTER, NARIAI):
         rep = verify_einstein_maxwell_static(model, samples=8)
-        assert rep.robinson_shen is not None
-        assert rep.robinson_shen <= 1e-5
+        assert rep.robinson_shen_point is not None
+        assert robinson_shen_residual(model, rep.robinson_shen_point) <= 1e-5
 
 
 def _rescale_charge(monkeypatch, factor):

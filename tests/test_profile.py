@@ -42,6 +42,16 @@ def test_neck_initial_conditions(neck_profile):
     assert neck_profile.kind == "rnds"
 
 
+def test_scalar_and_array_state_agree_bitwise(neck_profile):
+    # a scalar s takes the same array arithmetic as an array of s, so
+    # vectorising a scalar loop keeps its output byte-identical
+    s = np.linspace(-2.0, 2.0, 4001)
+    u, du, ddu = neck_profile.state(s)
+    scalar = np.array([neck_profile.state(x) for x in s])
+    assert np.array_equal(scalar, np.column_stack((u, du, ddu)))
+    assert all(neck_profile.ddu(x) == want for x, want in zip(s, ddu))
+
+
 def test_reflection_symmetry(neck_profile):
     s = np.linspace(0.1, 1.9, 10)
     np.testing.assert_allclose(neck_profile.u(-s), neck_profile.u(s), rtol=0, atol=0)

@@ -224,7 +224,7 @@ def test_evaluate_at_nodes_matches_synth_derivs(n_theta):
     cols = slice(1, None, g.n_phi // 4)
     TH, PH = np.meshgrid(g.theta, g.phi[cols], indexing="ij")
     d = g.synth_derivs(c)
-    got = g.evaluate_at(c, TH.ravel(), PH.ravel(), derivs=True)
+    got = g.evaluate_at(c, TH.ravel(), PH.ravel())
     for key, val in zip(("f", "ft", "fp"), got):
         want = d[key][:, cols]
         assert np.abs(val.reshape(TH.shape) - want).max() <= 1e-13 * np.abs(want).max()

@@ -124,9 +124,7 @@ class TestGraphs:
         geom = induced_geometry(GraphSurface(prof, 0.0, fld))
         ith = [6, 11, 16, 21, 26]
         iph = [3, 17, 33, 41, 55]
-        kb = gauss_curvature_brioschi(
-            geom.surface, grid.theta[ith], grid.phi[iph], step=2e-3
-        )
+        kb = gauss_curvature_brioschi(geom.surface, grid.theta[ith], grid.phi[iph])
         kg = geom.gauss_k[ith, iph]
         assert np.abs(kb - kg).max() <= 1e-6
 
