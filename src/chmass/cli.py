@@ -205,6 +205,9 @@ def cmd_profile(v: dict):
 def _surface_from_file(path: str, s_pad: float = 0.5):
     with open(path) as fh:
         payload = json.load(fh)
+    missing = [k for k in ("base", "phi") if not isinstance(payload, dict) or k not in payload]
+    if missing or not isinstance(payload["base"], dict) or "neck_a" not in payload["base"]:
+        raise ValueError(f"surface JSON lacks {', '.join(missing or ['base.neck_a'])}")
     base = payload["base"]
     phi = scalar_field_from_dict(payload["phi"])
     s0 = float(base.get("s0", 0.0))
@@ -337,7 +340,7 @@ def cmd_verify(v: dict):
     """Returns (exit code, report): 1 when any criterion fails."""
     if v["suite"] != "all":
         raise ValueError(f"unknown suite {v['suite']!r} (only 'all' is defined)")
-    summary = run_all(tol_scale=v["tol_scale"])
+    summary = run_all()
     code = 0 if summary.all_passed else 1
     if v["format"] == "json":
         return code, [
@@ -377,7 +380,6 @@ _FLAGS = {  # flag: (dest, type, help)
     "--h": ("h", float, "radial finite-difference step"),
     "--alpha": ("alpha", float, "Nariai double-root radius"),
     "--nariai-alpha": ("nariai_alpha", float, "evaluate the Nariai family at this alpha"),
-    "--tol-scale": ("tol_scale", float, "multiply every acceptance bound (diagnostic only)"),
     "--grid": ("grid", int, "polar quadrature size n_theta (n_phi = 2 n_theta)"),
     "--k": ("k", int, "number of eigenvalues"),
     "--steps": ("steps", int, "number of foliation slices"),
@@ -428,7 +430,7 @@ _COMMANDS = {
     }),
     "nariai": (cmd_nariai, {"alpha": _REQUIRED, "lambda": 1.0}),
     "sweep": (cmd_sweep, {"check": _REQUIRED, "a2": None, "q2": None, "mfrac": None, "jobs": 1}),
-    "verify": (cmd_verify, {"suite": "all", "tol_scale": 1.0, "format": "text"}),
+    "verify": (cmd_verify, {"suite": "all", "format": "text"}),
 }
 
 

@@ -41,10 +41,10 @@ from .profile import RadialProfile, curvature_scalars, integrate_profile
 from .sphere import ScalarField, _random_c2_stack, build_grid, c2_norm, coeff_index
 from .spectrum import lambda1_analytic, stability_window
 from .surfaces import (
+    _STACK_NODES,
     GraphSurface,
     SurfaceGeometry,
-    _geometry_from_derivs,
-    _graph_geometry,
+    _graph_masses,
     induced_geometry,
     slice_hawking_mass,
 )
@@ -233,20 +233,11 @@ def _first_variation(geom: SurfaceGeometry, phi_coeffs: np.ndarray, zeta: float 
 
 
 def _scaled_masses(prof: RadialProfile, s0: float, phi: ScalarField, ts) -> dict:
-    """Quadrature masses {t: m_CH(graph(t phi))} over the slice at s0 (oracle path).
-
-    phi is transformed once and each distinct t is evaluated once, from t
-    times its spectral partials; every graph is still built as a
-    ``GraphSurface``, so the finiteness and range checks run for each t.
-    """
-    grid = phi.grid
-    d = grid.synth_derivs(grid.analyze(phi.values))
-    masses = {}
-    for t in dict.fromkeys(ts):
-        GraphSurface(prof, s0, ScalarField(grid, t * phi.values))
-        scaled = {key: t * v for key, v in d.items()}
-        masses[t] = float(_geometry_from_derivs(prof, grid, s0, scaled, 2.0 * prof.lam)["mch"])
-    return masses
+    """Quadrature masses {t: m_CH(graph(t phi))} over the slice at s0, as one stack of
+    the distinct t (oracle path); phi is transformed once."""
+    ts = np.array(list(dict.fromkeys(ts)), dtype=float)
+    mch = _graph_masses(prof, phi.grid, s0, phi.values, 2.0 * prof.lam, ts[:, None, None])["mch"]
+    return dict(zip(ts.tolist(), mch.tolist()))
 
 
 def _first_fd_steps(dt: float):
@@ -445,10 +436,6 @@ def monotonicity_report(
 # a slice.
 _N_THETA, _N_PHI, _LMAX = 32, 64, 4
 _NEAR_TOL = 1e-9
-# Grid nodes per stacked evaluation: 8 graphs of 32 x 64 nodes.  Three
-# 40-graph runs peaked at 89 MB RSS with this cap and at 110 MB as one
-# uncapped stack.
-_STACK_NODES = 2**14
 
 
 def local_max_experiment(
@@ -486,9 +473,7 @@ def local_max_experiment(
     near = []
     for start in range(0, n_samples, stack):
         heights = _random_c2_stack(grid, seeds[start : start + stack], _LMAX, amplitude)
-        for h in heights:  # each graph passes the checks of the per-graph path
-            GraphSurface(prof, 0.0, ScalarField(grid, h))
-        mch = _graph_geometry(prof, grid, 0.0, heights, 2.0 * prof.lam)["mch"]
+        mch = _graph_masses(prof, grid, 0.0, heights, 2.0 * prof.lam)["mch"]
         for h, e in zip(heights, mch - prof.m):
             excess.append(float(e))
             if e >= -_NEAR_TOL:

@@ -3,9 +3,9 @@
 Every criterion is a function returning named (value, bound) pairs with
 pass = value <= bound; ``run_all`` executes them in order and is shared by
 the test suite (tests/test_acceptance.py) and the command line ``verify``
-subcommand.  Bounds are part of the contract and are never recalibrated at
-run time (``tol_scale`` exists for exploratory reruns only; the shipped
-suite uses 1.0).
+subcommand.  Bounds are part of the contract: nothing scales or
+recalibrates them at run time.  Every stack of graphs goes through the
+stacked route of ``surfaces``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,9 @@ from .models import (
     params_from_neck,
 )
 from .profile import curvature_scalars, first_integral, integrate_profile
-from .sphere import ScalarField, build_grid, coeff_index, n_coeffs, random_c2_field
+from .sphere import (
+    ScalarField, _random_c2_stack, build_grid, coeff_index, n_coeffs, random_c2_field,
+)
 from .spectrum import (
     eigenvalue_area_charge_residual,
     lambda1_analytic,
@@ -39,17 +41,16 @@ from .spectrum import (
     laplace_spectrum_discrete,
     stability_window,
 )
-from .surfaces import GraphSurface, charge, induced_geometry, slice_hawking_mass
+from .surfaces import GraphSurface, _graph_masses, induced_geometry, slice_hawking_mass
 from .sweeps import render_csv, sweep_table
 from .variations import (
     area_charge_value,
     cmc_foliation,
-    first_variation,
-    first_variation_fd,
     local_max_experiment,
     second_variation_as_printed,
     second_variation_fd,
     second_variation_minimal,
+    variation_report,
     z_functional,
 )
 
@@ -138,28 +139,21 @@ def crit_03_profile_conservation():
 
 def crit_04_slice_mass_constancy():
     prof = integrate_profile(0.5, 0.3, 1.0, s_max=2.0, tol=1e-10)
-    grid = build_grid(32, 64)
-    zero = ScalarField(grid, np.zeros((32, 64)))
-    closed = 0.0
-    quad = 0.0
-    for s0 in np.linspace(-1.8, 1.8, 50):
-        closed = max(closed, abs(slice_hawking_mass(prof, s0) - prof.m))
-        geom = induced_geometry(GraphSurface(prof, float(s0), zero))
-        quad = max(quad, abs(geom.mch - prof.m))
+    s0 = np.linspace(-1.8, 1.8, 50)
+    # the 50 slices are the graphs of one zero height over a stack of s0
+    quad = _graph_masses(prof, build_grid(32, 64), s0[:, None, None], np.zeros((32, 64)), 2.0)
     return [
-        ("closed-form slice mass", closed, 1e-8),
-        ("quadrature slice mass", quad, 1e-5),
+        ("closed-form slice mass", np.abs(slice_hawking_mass(prof, s0) - prof.m).max(), 1e-8),
+        ("quadrature slice mass", np.abs(quad["mch"] - prof.m).max(), 1e-5),
     ]
 
 
 def crit_05_charge_invariance():
     prof = integrate_profile(0.5, 0.3, 1.0, s_max=1.0, tol=1e-10)
     grid = build_grid(64, 128)
-    worst = 0.0
-    for seed in range(20):
-        fld = random_c2_field(grid, seed, 4, 0.05)
-        worst = max(worst, abs(charge(GraphSurface(prof, 0.0, fld)) - 0.3))
-    return [("flux charge over 20 seeded graphs", worst, 1e-6)]
+    heights = _random_c2_stack(grid, range(20), 4, 0.05)
+    flux = _graph_masses(prof, grid, 0.0, heights, 2.0)["charge"]
+    return [("flux charge over 20 seeded graphs", np.abs(flux - 0.3).max(), 1e-6)]
 
 
 def crit_06_spectra():
@@ -192,23 +186,16 @@ def crit_08_first_variation():
     prof = integrate_profile(0.5, 0.3, 1.0, s_max=2.0, tol=1e-10)
     grid = build_grid(32, 64)
     zero = ScalarField(grid, np.zeros((32, 64)))
-    z_worst = 0.0
-    for s0 in np.linspace(-1.2, 1.2, 7):
-        geom = induced_geometry(GraphSurface(prof, float(s0), zero))
-        z_worst = max(z_worst, float(np.abs(z_functional(geom)).max()))
-    order_dev = 0.0
-    analytic_worst = 0.0
+    slices = [induced_geometry(GraphSurface(prof, s0, zero)) for s0 in np.linspace(-1.2, 1.2, 7)]
     s0_list = [0.2, -0.35, 0.5, 0.3, -0.45, 0.6, -0.25, 0.4, -0.55, 0.15]
-    for i, s0 in enumerate(s0_list):
-        fld = random_c2_field(grid, 400 + i, 4, 0.5)
-        geom = induced_geometry(GraphSurface(prof, s0, zero))
-        analytic_worst = max(analytic_worst, abs(first_variation(geom, fld)))
-        fd = first_variation_fd(prof, s0, fld, 2e-2)
-        order_dev = max(order_dev, abs(fd.order - 2.0))
+    reports = [
+        variation_report(prof, s0, random_c2_field(grid, 400 + i, 4, 0.5), 2e-2)
+        for i, s0 in enumerate(s0_list)
+    ]
     return [
-        ("Z on slices", z_worst, 1e-10),
-        ("analytic first variation on slices", analytic_worst, 1e-10),
-        ("FD convergence order deviation", order_dev, 0.4),
+        ("Z on slices", max(np.abs(z_functional(geom)).max() for geom in slices), 1e-10),
+        ("analytic first variation on slices", max(abs(r.first_analytic) for r in reports), 1e-10),
+        ("FD convergence order deviation", max(abs(r.first_order - 2.0) for r in reports), 0.4),
     ]
 
 
@@ -219,9 +206,7 @@ def crit_09_second_variation():
     c[coeff_index(1, 0)] = 2.0  # L2-normalized on the a = 0.5 slice
     psi = ScalarField(grid, grid.synthesize(c))
     analytic = second_variation_minimal(0.5, 0.3, psi)
-    fd_dev = max(
-        abs(second_variation_fd(prof, psi, dt) - analytic) for dt in (1e-2, 5e-3)
-    )
+    fd_dev = max(abs(second_variation_fd(prof, psi, dt) - analytic) for dt in (1e-2, 5e-3))
     one = ScalarField(grid, np.ones((32, 64)))
     return [
         ("value vs -0.760761", abs(analytic + 0.760761), 1e-3),
@@ -321,16 +306,13 @@ CRITERIA = [
 ]
 
 
-def run_all(tol_scale: float = 1.0) -> VerificationSummary:
-    """Run every acceptance criterion; bounds multiplied by tol_scale."""
-    if tol_scale <= 0:
-        raise ValueError("tol_scale must be positive")
+def run_all() -> VerificationSummary:
+    """Run every acceptance criterion against its fixed bounds."""
     summary = VerificationSummary()
     for cid, title, fn in CRITERIA:
         start = time.perf_counter()
         checks = [
-            CheckResult(name=name, value=float(value), bound=float(bound) * tol_scale,
-                        passed=bool(float(value) <= float(bound) * tol_scale))
+            CheckResult(name, float(value), float(bound), bool(float(value) <= float(bound)))
             for name, value, bound in fn()
         ]
         summary.results.append(

@@ -6,12 +6,14 @@ to see the per-criterion lines.
 
 import pytest
 
+from chmass import surfaces
+from chmass.sphere import SphereGrid
 from chmass.verification import CRITERIA, run_all
 
 
 @pytest.fixture(scope="module")
 def summary():
-    return run_all(tol_scale=1.0)
+    return run_all()
 
 
 @pytest.mark.parametrize("index", range(len(CRITERIA)), ids=[c[0] for c in CRITERIA])
@@ -33,3 +35,47 @@ def test_total_runtime(summary):
     total = sum(r.seconds for r in summary.results)
     print(f"acceptance suite wall time: {total:.1f}s")
     assert total < 60.0
+
+
+# (analyze, synth_derivs, geometry-kernel) calls of each criterion that makes
+# any.  Every stack of graphs reaches the kernel in chunks of at most
+# surfaces._STACK_NODES grid nodes: crit 04's 50 slices at n_theta 32 in 7
+# calls, crit 05's 20 graphs at n_theta 64 in 10, crit 08's 10 cases in one
+# call for the base slice and one for the 6 FD graphs each (plus its 7 slices),
+# crit 09's two 5-graph stencils in one call each, crit 10's 200 graphs in 25.
+KERNEL_COUNTS = {
+    "04": (1, 1, 7),
+    "05": (2, 2, 10),
+    "06": (1, 1, 1),
+    "08": (57, 57, 27),
+    "09": (5, 2, 2),
+    "10": (50, 50, 25),
+}
+
+
+def test_transform_and_kernel_counts_per_criterion(monkeypatch):
+    # deterministic counting gate for run_all: a per-graph loop shows up as
+    # a count that grows with the number of graphs
+    calls = {}
+
+    def spy(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    spy(SphereGrid, "analyze")
+    spy(SphereGrid, "synth_derivs")
+    spy(surfaces, "_geometry_from_derivs")
+    counts = {}
+    for cid, _, fn in CRITERIA:
+        calls.clear()
+        fn()
+        if calls:
+            counts[cid] = tuple(
+                calls.get(name, 0) for name in ("analyze", "synth_derivs", "_geometry_from_derivs")
+            )
+    assert counts == KERNEL_COUNTS

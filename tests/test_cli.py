@@ -174,6 +174,29 @@ def test_mass_wrong_length_surface_is_named(capsys, tmp_path):
     assert "scalar field has 100 values, but n_theta * n_phi = 16 * 32 = 512" in err
 
 
+@pytest.mark.parametrize(
+    "payload,missing",
+    [
+        ({"n_theta": 16, "n_phi": 32, "values": [0.0] * 512}, "base, phi"),
+        ({"phi": {"n_theta": 16, "n_phi": 32, "values": [0.0] * 512}}, "base"),
+        ({"base": {"neck_a": 0.5}}, "phi"),
+        ({"base": {"q": 0.3}, "phi": {"n_theta": 16, "n_phi": 32, "values": [0.0] * 512}},
+         "base.neck_a"),
+        ({"base": 0.5, "phi": {"n_theta": 16, "n_phi": 32, "values": [0.0] * 512}},
+         "base.neck_a"),
+        (0.5, "base, phi"),
+    ],
+    ids=["scalar-field-file", "no-base", "no-phi", "no-neck-a", "base-not-object", "not-object"],
+)
+def test_mass_surface_without_keys_is_named(capsys, tmp_path, payload, missing):
+    # a bare ScalarField file is not a surface file
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = invoke(capsys, "mass", "--surface", str(path))
+    assert code == 2 and out == ""
+    assert f"surface JSON lacks {missing}" in err
+
+
 def test_variation_phi_without_field_keys_is_named(capsys, tmp_path):
     # a surface file is not a ScalarField: its keys are base and phi
     grid = build_grid(16, 32)
@@ -496,9 +519,11 @@ class TestConfigAndErrors:
         assert json.loads(out)["params"]["lambda"] == 2.0
 
     def test_unknown_flag_exits_2(self):
-        with pytest.raises(SystemExit) as err:
-            run(["horizons", "--bogus", "1"])
-        assert err.value.code == 2
+        # acceptance bounds are fixed: no flag scales them
+        for argv in (["horizons", "--bogus", "1"], ["verify", "--tol-scale", "2"]):
+            with pytest.raises(SystemExit) as err:
+                run(argv)
+            assert err.value.code == 2
 
     def test_missing_required_exits_2(self, capsys):
         code, _, err = invoke(capsys, "profile")
@@ -512,7 +537,7 @@ class TestConfigAndErrors:
 
 
 def test_verify_quick_json(capsys):
-    # tol-scale only loosens bounds; smoke the machinery end to end
+    # the shipped suite end to end: every criterion passes its fixed bounds
     code, out, _ = invoke(capsys, "verify", "--suite", "all", "--format", "json")
     assert code == 0
     payload = json.loads(out)
@@ -554,7 +579,7 @@ def test_verify_text_rendering_and_failure_exit(capsys, monkeypatch):
             )
         ]
     )
-    monkeypatch.setattr(cli, "run_all", lambda tol_scale=1.0: fake)
+    monkeypatch.setattr(cli, "run_all", lambda: fake)
     code, out, _ = invoke(capsys, "verify")
     assert code == 1
     assert "[FAIL] 99 synthetic criterion" in out

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from chmass import surfaces
 from chmass.profile import RadialProfile, curvature_scalars, integrate_profile
-from chmass.sphere import ScalarField, build_grid, random_c2_field
+from chmass.sphere import ScalarField, _random_c2_stack, build_grid, random_c2_field
 from chmass.surfaces import (
     GraphSurface,
-    _graph_geometry,
+    _geometry_from_derivs,
+    _graph_masses,
     area,
     charge,
     charged_hawking_mass,
@@ -168,7 +170,7 @@ def test_grid_shape_guard(prof, grid):
 def test_stacked_geometry_kernel_matches_induced_geometry(prof, n_theta):
     g = build_grid(n_theta, 2 * n_theta)
     heights = np.stack([random_c2_field(g, seed, 4, 0.1).values for seed in (21, 22, 23)])
-    stacked = _graph_geometry(prof, g, 0.1, heights, 2.0 * prof.lam)
+    stacked = _geometry_from_derivs(prof, g, 0.1, g.synth_derivs(g.analyze(heights)), 2.0 * prof.lam)
     # a stack changes the shapes of the per-m matrix products, so transforms
     # may differ in the last bit; spectral second derivatives amplify that by
     # about l^2 at the polar rows (see c2_norm), hence n_theta^2 ulps
@@ -178,3 +180,48 @@ def test_stacked_geometry_kernel_matches_induced_geometry(prof, n_theta):
         for name, val in stacked.items():
             want = getattr(geom, name)
             assert np.abs(val[i] - want).max() <= tol * np.abs(want).max(), name
+
+
+def test_stacked_slices_match_per_slice_geometry(prof, grid):
+    # a stack of slices is one zero height broadcast against a stack of s0;
+    # every scalar equals the per-slice quadrature bit for bit
+    s0 = np.linspace(-1.8, 1.8, 11)
+    stacked = _graph_masses(prof, grid, s0[:, None, None], np.zeros((32, 64)), 2.0)
+    for i, s in enumerate(s0):
+        geom = induced_geometry(GraphSurface(prof, float(s), zero_field(grid)))
+        for name in ("area", "charge", "mch"):
+            assert stacked[name][i] == getattr(geom, name), name
+
+
+def test_stack_chunks_bound_the_kernel_and_keep_the_values(prof, grid, monkeypatch):
+    # chunks of at most _STACK_NODES nodes (at least one graph each) reach the
+    # kernel; the chunk size changes no value
+    heights = _random_c2_stack(grid, range(11), 4, 0.05)
+    kernel = surfaces._geometry_from_derivs
+    rows = []
+
+    def spy(prof, grid, s0, d, zeta):
+        rows.append(len(d["f"]))
+        return kernel(prof, grid, s0, d, zeta)
+
+    monkeypatch.setattr(surfaces, "_geometry_from_derivs", spy)
+    results = {}
+    for cap, want in [(1, [1] * 11), (2**14, [8, 3]), (2**20, [11])]:
+        monkeypatch.setattr(surfaces, "_STACK_NODES", cap)
+        rows.clear()
+        results[cap] = _graph_masses(prof, grid, 0.1, heights, 2.0)
+        assert rows == want
+    for name, values in results[2**14].items():
+        np.testing.assert_array_equal(values, results[1][name])
+        np.testing.assert_array_equal(values, results[2**20][name])
+
+
+def test_stack_check_rejects_any_graph(prof, grid):
+    heights = _random_c2_stack(grid, range(3), 4, 0.05)
+    bad = heights.copy()
+    bad[1, 3, 5] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        _graph_masses(prof, grid, 0.0, bad, 2.0)
+    s0 = np.array([0.0, 2.5, 0.0])[:, None, None]
+    with pytest.raises(ValueError, match="leaves the integrated range"):
+        _graph_masses(prof, grid, s0, heights, 2.0)

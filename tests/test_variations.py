@@ -400,9 +400,10 @@ class TestScaledGraphOracles:
 
     def test_variation_report_counts(self, prof, grid, monkeypatch):
         # deterministic counting gate: the oracle transforms phi once and the
-        # geometry kernel sees each of the 9 distinct t of the stencils once
+        # geometry kernel sees each of the 9 distinct t of the stencils once:
+        # t = 0 as the base slice, the 8 scaled graphs as one stack
         phi = random_c2_field(grid, 5, 4, 0.5)
-        analyzed, synthesized, kernel_t = [], [], []
+        analyzed, synthesized, kernel_t, kernel_rows = [], [], [], []
         analyze, synth_derivs = SphereGrid.analyze, SphereGrid.synth_derivs
         kernel = surfaces._geometry_from_derivs
 
@@ -415,13 +416,14 @@ class TestScaledGraphOracles:
             return synth_derivs(self, coeffs)
 
         def spy_kernel(prof, grid, s0, d, zeta):
-            kernel_t.append(float(np.sum(d["f"] * phi.values) / np.sum(phi.values**2)))
+            rows = np.reshape(d["f"], (-1,) + phi.values.shape)  # t of each stack row
+            kernel_t.extend(np.sum(rows * phi.values, axis=(1, 2)) / np.sum(phi.values**2))
+            kernel_rows.append(len(rows))
             return kernel(prof, grid, s0, d, zeta)
 
         monkeypatch.setattr(SphereGrid, "analyze", spy_analyze)
         monkeypatch.setattr(SphereGrid, "synth_derivs", spy_synth_derivs)
         monkeypatch.setattr(surfaces, "_geometry_from_derivs", spy_kernel)
-        monkeypatch.setattr(variations, "_geometry_from_derivs", spy_kernel)
         dt = 1e-2
         variation_report(prof, 0.0, phi, dt)
 
@@ -435,6 +437,27 @@ class TestScaledGraphOracles:
         assert len(synthesized) == 4
         expected = sorted([0.0] + [s * h for h in (dt / 4, dt / 2, dt, 2 * dt) for s in (1, -1)])
         np.testing.assert_allclose(sorted(kernel_t), expected, rtol=1e-12, atol=1e-15)
+        # the base slice, then the 8 scaled graphs at n_theta 32 in one call
+        assert kernel_rows == [1, 8]
+
+    def test_nonfinite_step_is_rejected(self, prof, grid):
+        phi = random_c2_field(grid, 5, 4, 0.5)
+        with pytest.raises(ValueError, match="non-finite"):
+            variation_report(prof, 0.0, phi, dt=float("nan"))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_scaled_stack_is_checked_through_both_extremes(self, prof, grid, sign):
+        # phi's extremes differ in size, so for t > 0 the graph of t phi
+        # leaves the range through phi's maximum for one sign of phi and
+        # through its minimum for the other; one such graph fails the stack
+        phi = ScalarField(grid, sign * random_c2_field(grid, 5, 4, 0.5).values)
+        lo, hi = phi.values.min(), phi.values.max()
+        assert abs(lo) != abs(hi)
+        t = prof.s_max / max(abs(lo), abs(hi))
+        inside = variations._scaled_masses(prof, 0.0, phi, [0.0, 0.99 * t])
+        assert inside[0.99 * t] < inside[0.0]
+        with pytest.raises(ValueError, match="leaves the integrated range"):
+            variations._scaled_masses(prof, 0.0, phi, [0.0, 0.99 * t, 1.01 * t])
 
 
 def test_instability_constant_positive_across_window():
