@@ -209,12 +209,21 @@ def _surface_from_file(path: str, s_pad: float = 0.5):
     if missing or not isinstance(payload["base"], dict) or "neck_a" not in payload["base"]:
         raise ValueError(f"surface JSON lacks {', '.join(missing or ['base.neck_a'])}")
     base = payload["base"]
-    phi = scalar_field_from_dict(payload["phi"])
-    s0 = float(base.get("s0", 0.0))
+
+    def number(key, default=None):
+        try:
+            return float(base.get(key, default))
+        except (TypeError, ValueError):
+            raise ValueError(f"surface JSON base.{key} is not a number: {base[key]!r:.40}") from None
+
+    try:
+        phi = scalar_field_from_dict(payload["phi"])
+    except ValueError as exc:
+        raise ValueError(f"surface JSON phi: {exc}") from None
+    s0 = number("s0", 0.0)
     reach = abs(s0) + float(np.abs(phi.values).max()) + s_pad
     prof = integrate_profile(
-        float(base["neck_a"]), float(base.get("q", 0.0)), float(base.get("lambda", 1.0)),
-        s_max=max(1.0, reach),
+        number("neck_a"), number("q", 0.0), number("lambda", 1.0), s_max=max(1.0, reach)
     )
     return GraphSurface(prof, s0, phi)
 
@@ -346,7 +355,9 @@ def cmd_verify(v: dict):
         return code, [
             {
                 "criterion": r.cid, "title": r.title, "passed": r.passed,
-                "seconds": r.seconds, "checks": r.checks,
+                "seconds": r.seconds,
+                # margin = value / bound (every bound is positive): a check fails above 1
+                "checks": [{**dataclasses.asdict(c), "margin": c.value / c.bound} for c in r.checks],
             }
             for r in summary.results
         ]

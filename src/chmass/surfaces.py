@@ -130,7 +130,9 @@ def _graph_masses(
     s0 and heights broadcast to (n, n_theta, n_phi); t is None or a stack (n, 1, 1)
     scaling one height, which is then checked through t times its extremes.  The
     heights are transformed once, and the stack reaches the kernel in chunks of at
-    most ``_STACK_NODES`` nodes (one graph at least), each keeping only these scalars."""
+    most ``_STACK_NODES`` nodes (one graph at least).  The kernel runs mass only:
+    it stops at these three scalars, which equal ``induced_geometry``'s bit for
+    bit, and never computes the curvature fields a stack would throw away."""
     _check_heights(prof, s0, heights if t is None else t * np.array([heights.min(), heights.max()]))
     d = grid.synth_derivs(grid.analyze(heights))
     n = np.broadcast_shapes(np.shape(s0), np.shape(t), heights.shape)[0]
@@ -140,7 +142,9 @@ def _graph_masses(
         rows = {key: v[part] if v.ndim == 3 else v for key, v in d.items()}
         if t is not None:  # scaled per chunk, so no scaled stack is ever whole
             rows = {key: t[part] * v for key, v in rows.items()}
-        geom = _geometry_from_derivs(prof, grid, s0[part] if np.ndim(s0) == 3 else s0, rows, zeta)
+        geom = _geometry_from_derivs(
+            prof, grid, s0[part] if np.ndim(s0) == 3 else s0, rows, zeta, mass_only=True
+        )
         for name, values in out.items():
             values[part] = geom[name]
         del geom, rows  # free this chunk's node arrays before the next chunk is built
@@ -148,14 +152,17 @@ def _graph_masses(
 
 
 def _geometry_from_derivs(
-    prof: RadialProfile, grid: SphereGrid, s0: float, d: dict, zeta: float
+    prof: RadialProfile, grid: SphereGrid, s0: float, d: dict, zeta: float,
+    mass_only: bool = False,
 ) -> dict:
     """Quadrature geometry of the graph of s0 + f from the spectral partials of f.
 
     ``d`` is a ``synth_derivs`` dict of node arrays of shape (..., n_theta,
     n_phi).  Returns the ``SurfaceGeometry`` fields other than surface and
     zeta: node arrays of that shape, and area, charge and mch of its leading
-    shape.  The transforms are linear, so the partials of t phi are t times
+    shape.  With ``mass_only`` it returns area, charge and mch alone and
+    skips |A|^2, the ambient curvature and K; the values are the same either
+    way.  The transforms are linear, so the partials of t phi are t times
     those of phi and a family of scaled graphs shares one transform.
     """
     f = s0 + d["f"]
@@ -188,6 +195,22 @@ def _geometry_from_derivs(
     hinv_pp = (1.0 / s2 - (fp / s2) ** 2 / (u2 * W2)) / u2
 
     H = hinv_tt * A_tt + 2.0 * hinv_tp * A_tp + hinv_pp * A_pp
+
+    area_el = u2 * W
+    nodes = (-2, -1)
+    area_val = np.sum(grid.w_node * area_el, axis=nodes)
+    e_dot_nu = prof.q / (u2 * W)
+    charge_val = np.sum(grid.w_node * area_el * e_dot_nu, axis=nodes) / (4.0 * math.pi)
+
+    h2_int = np.sum(grid.w_node * area_el * H**2, axis=nodes)
+    mch = np.sqrt(area_val / (16.0 * math.pi)) * (
+        1.0
+        - (h2_int + (2.0 / 3.0) * zeta * area_val) / (16.0 * math.pi)
+        + 4.0 * math.pi * charge_val**2 / area_val
+    )
+    if mass_only:
+        return dict(area=area_val, charge=charge_val, mch=mch)
+
     # |A|^2 = h^{ik} h^{jl} A_ij A_kl via the mixed shape operator S = h^-1 A
     S_tt = hinv_tt * A_tt + hinv_tp * A_tp
     S_tp = hinv_tt * A_tp + hinv_tp * A_pp
@@ -203,19 +226,6 @@ def _geometry_from_derivs(
 
     # Gauss equation: 2K = R_amb - 2 Ric(nu,nu) + H^2 - |A|^2
     K = 0.5 * R_amb - ric_nn + 0.5 * (H**2 - A2)
-
-    area_el = u2 * W
-    nodes = (-2, -1)
-    area_val = np.sum(grid.w_node * area_el, axis=nodes)
-    e_dot_nu = prof.q / (u2 * W)
-    charge_val = np.sum(grid.w_node * area_el * e_dot_nu, axis=nodes) / (4.0 * math.pi)
-
-    h2_int = np.sum(grid.w_node * area_el * H**2, axis=nodes)
-    mch = np.sqrt(area_val / (16.0 * math.pi)) * (
-        1.0
-        - (h2_int + (2.0 / 3.0) * zeta * area_val) / (16.0 * math.pi)
-        + 4.0 * math.pi * charge_val**2 / area_val
-    )
 
     return dict(
         area=area_val, charge=charge_val, mch=mch,

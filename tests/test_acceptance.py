@@ -6,7 +6,7 @@ to see the per-criterion lines.
 
 import pytest
 
-from chmass import surfaces
+from chmass import sphere, surfaces
 from chmass.sphere import SphereGrid
 from chmass.verification import CRITERIA, run_all
 
@@ -79,3 +79,19 @@ def test_transform_and_kernel_counts_per_criterion(monkeypatch):
                 calls.get(name, 0) for name in ("analyze", "synth_derivs", "_geometry_from_derivs")
             )
     assert counts == KERNEL_COUNTS
+
+
+def test_run_all_builds_each_legendre_rule_once(monkeypatch):
+    # every grid of one n_theta shares one rule: over the suite the Legendre
+    # tables are built once per distinct n_theta
+    built = []
+    tables = sphere._legendre_tables
+
+    def spy(lmax, x):
+        built.append(len(x))
+        return tables(lmax, x)
+
+    monkeypatch.setattr(sphere, "_legendre_tables", spy)
+    sphere._theta_rule.cache_clear()
+    run_all()
+    assert sorted(built) == [32, 64]

@@ -197,6 +197,30 @@ def test_mass_surface_without_keys_is_named(capsys, tmp_path, payload, missing):
     assert f"surface JSON lacks {missing}" in err
 
 
+_FIELD_16 = {"n_theta": 16, "n_phi": 32, "values": [0.0] * 512}
+
+
+@pytest.mark.parametrize(
+    "payload,named",
+    [
+        ({"base": {"neck_a": 0.5}, "phi": 7}, "surface JSON phi: scalar field JSON is not an object"),
+        ({"base": {"neck_a": [1]}, "phi": _FIELD_16}, "surface JSON base.neck_a is not a number"),
+        ({"base": {"neck_a": 0.5}, "phi": {**_FIELD_16, "values": {"a": 1}}},
+         "surface JSON phi: scalar field JSON values:"),
+        ({"base": {"neck_a": 0.5, "s0": None}, "phi": _FIELD_16},
+         "surface JSON base.s0 is not a number"),
+    ],
+    ids=["phi-number", "neck-a-list", "values-object", "s0-null"],
+)
+def test_mass_surface_wrong_json_type_is_named(capsys, tmp_path, payload, named):
+    # a nested value of the wrong JSON type is a usage error naming its key
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = invoke(capsys, "mass", "--surface", str(path))
+    assert code == 2 and out == ""
+    assert named in err
+
+
 def test_variation_phi_without_field_keys_is_named(capsys, tmp_path):
     # a surface file is not a ScalarField: its keys are base and phi
     grid = build_grid(16, 32)
@@ -543,6 +567,21 @@ def test_verify_quick_json(capsys):
     payload = json.loads(out)
     assert len(payload) == 14
     assert all(item["passed"] for item in payload)
+
+
+def test_verify_json_prints_margins(capsys, monkeypatch):
+    # each check carries margin = value / bound; crit 03's neck mass sits
+    # at about two thirds of its bound
+    from chmass import verification
+
+    monkeypatch.setattr(verification, "CRITERIA", [c for c in verification.CRITERIA if c[0] == "03"])
+    code, out, _ = invoke(capsys, "verify", "--format", "json")
+    assert code == 0
+    (crit,) = json.loads(out)
+    for check in crit["checks"]:
+        assert check["margin"] == check["value"] / check["bound"]
+    assert crit["checks"][0]["name"] == "neck mass vs 0.3191667"
+    assert crit["checks"][0]["margin"] == pytest.approx(0.67, abs=0.01)
 
 
 def test_variation_emits_scalar_field_json(capsys, tmp_path):

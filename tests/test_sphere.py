@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import chmass
 from chmass.sphere import (
     ScalarField,
     _blocks,
@@ -282,3 +286,22 @@ def test_cached_blocks_are_read_only(grid):
     for _, _, k, _ in blocks:
         with pytest.raises(ValueError):
             k[0, 0] = 0
+
+
+def test_grids_of_one_n_theta_share_a_read_only_rule():
+    a, b = build_grid(32, 64), build_grid(32, 128)
+    assert all(ta is tb for ta, tb in zip(a.tables(), b.tables()))
+    assert a.x is b.x and a.w_theta is b.w_theta
+    for arr in (*a.tables(), a.x, a.w_theta):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_import_builds_no_rule():
+    # the rule is built on first use; importing the CLI builds none
+    code = "import chmass.cli, chmass.sphere as s; print(s._theta_rule.cache_info().currsize)"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chmass.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"

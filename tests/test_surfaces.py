@@ -191,6 +191,15 @@ def test_stacked_slices_match_per_slice_geometry(prof, grid):
         geom = induced_geometry(GraphSurface(prof, float(s), zero_field(grid)))
         for name in ("area", "charge", "mch"):
             assert stacked[name][i] == getattr(geom, name), name
+    # a scaled stack t phi: the mass-only kernel behind _graph_masses gives
+    # the full kernel's scalars bit for bit
+    phi = random_c2_field(grid, 5, 4, 0.5).values
+    t = np.array([-2e-2, -1e-2, 5e-3, 1e-2, 2e-2])[:, None, None]
+    scaled = _graph_masses(prof, grid, 0.0, phi, 2.0, t=t)
+    d = grid.synth_derivs(grid.analyze(phi))
+    full = _geometry_from_derivs(prof, grid, 0.0, {key: t * v for key, v in d.items()}, 2.0)
+    for name in ("area", "charge", "mch"):
+        np.testing.assert_array_equal(scaled[name], full[name], err_msg=name)
 
 
 def test_stack_chunks_bound_the_kernel_and_keep_the_values(prof, grid, monkeypatch):
@@ -200,9 +209,9 @@ def test_stack_chunks_bound_the_kernel_and_keep_the_values(prof, grid, monkeypat
     kernel = surfaces._geometry_from_derivs
     rows = []
 
-    def spy(prof, grid, s0, d, zeta):
+    def spy(prof, grid, s0, d, zeta, **kw):
         rows.append(len(d["f"]))
-        return kernel(prof, grid, s0, d, zeta)
+        return kernel(prof, grid, s0, d, zeta, **kw)
 
     monkeypatch.setattr(surfaces, "_geometry_from_derivs", spy)
     results = {}
