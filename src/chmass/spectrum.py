@@ -129,6 +129,11 @@ def lambda1_discrete(surface: GraphSurface, lmax: int = 8) -> float:
     return float(_pencil_eigvalsh(Kmat, Mmat)[0])
 
 
+def _check_k(k: int) -> None:
+    if k < 1:
+        raise ValueError(f"the number of eigenvalues k must be at least 1, got {k}")
+
+
 def laplace_spectrum(a: float, k: int) -> list[float]:
     """First k Laplace eigenvalues of the radius-a round sphere.
 
@@ -137,6 +142,7 @@ def laplace_spectrum(a: float, k: int) -> list[float]:
     """
     if a <= 0.0:
         raise ValueError("laplace_spectrum requires a > 0")
+    _check_k(k)
     out: list[float] = []
     l = 0
     while len(out) < k:
@@ -155,6 +161,7 @@ def laplace_spectrum_discrete(
     harmonic basis and the generalized eigenproblem is solved densely
     (Cholesky reduction, ``_pencil_eigvalsh``).
     """
+    _check_k(k)
     factors, col = grid._separable_basis(lmax)
     if k > col.size:
         raise ValueError(f"requested {k} eigenvalues from a basis of size {col.size}")

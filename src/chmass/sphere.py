@@ -382,8 +382,8 @@ def laplace_beltrami(f: ScalarField) -> ScalarField:
     return ScalarField(g, g.synthesize(-l * (l + 1.0) * coeffs))
 
 
-def _c2_pointwise(grid: SphereGrid, coeffs: np.ndarray):
-    d = grid.synth_derivs(coeffs)
+def _c2_pointwise(grid: SphereGrid, d: dict):
+    """|f|, |grad f| and |Hess f|_F at each node from a ``synth_derivs`` dict."""
     s = grid.sin_theta[:, None]
     x = grid.x[:, None]
     cot = x / s
@@ -394,6 +394,11 @@ def _c2_pointwise(grid: SphereGrid, coeffs: np.ndarray):
     h22 = d["fpp"] / (s * s) + cot * d["ft"]
     hess2 = h11**2 + 2.0 * h12**2 + h22**2
     return np.abs(d["f"]), np.sqrt(grad2), np.sqrt(hess2)
+
+
+def _c2_norms(grid: SphereGrid, d: dict) -> np.ndarray:
+    """The C^2 norm of each field of a ``synth_derivs`` dict of shape (..., n_theta, n_phi)."""
+    return np.max([v.max(axis=(-2, -1)) for v in _c2_pointwise(grid, d)], axis=0)
 
 
 def c2_norm(f: ScalarField) -> float:
@@ -409,13 +414,8 @@ def c2_norm(f: ScalarField) -> float:
     quadrature weights cannot prevent (cos theta: about 8e-13, 2e-12 and
     9e-11 at n_theta = 32, 64 and 128).
     """
-    return float(_c2_norms(f.grid, f.values))
-
-
-def _c2_norms(grid: SphereGrid, values: np.ndarray) -> np.ndarray:
-    """``c2_norm`` of each field of a stack (..., n_theta, n_phi)."""
-    a, b, c = _c2_pointwise(grid, grid.analyze(values))
-    return np.max([v.max(axis=(-2, -1)) for v in (a, b, c)], axis=0)
+    g = f.grid
+    return float(_c2_norms(g, g.synth_derivs(g.analyze(f.values))))
 
 
 def random_c2_field(
@@ -425,29 +425,35 @@ def random_c2_field(
 
     Each coefficient (l, m) is a standard normal drawn from an independent
     PCG64 stream keyed by SeedSequence([seed, l, m + l]); the field is then
-    rescaled so that c2_norm equals ``amplitude`` exactly.  The draw depends
-    only on (seed, l, m), never on iteration order or thread count.
+    normalized on the spectral partials of its drawn coefficients, so its
+    C^2 norm is ``amplitude`` and ``c2_norm`` (which re-analyzes the values)
+    agrees to roundoff.  The draw depends only on (seed, l, m), never on
+    iteration order or thread count.
     """
-    return ScalarField(grid, _random_c2_stack(grid, [seed], lmax, amplitude)[0])
+    return ScalarField(grid, _random_c2_stack(grid, [seed], lmax, amplitude)["f"][0])
 
 
-def _random_c2_stack(grid: SphereGrid, seeds, lmax: int, amplitude: float) -> np.ndarray:
-    """Values (len(seeds), n_theta, n_phi) of ``random_c2_field`` for each seed,
-    synthesized and normalized as one stack."""
+def _random_c2_stack(grid: SphereGrid, seeds, lmax: int, amplitude: float) -> dict:
+    """The ``synth_derivs`` dict of ``random_c2_field`` for each seed, each array
+    of shape (len(seeds), n_theta, n_phi).
+
+    The drawn coefficients (band lmax) are derivative-synthesized once, as one
+    stack; the transforms are linear, so scaling all six arrays by amplitude
+    over the C^2 norm of the unscaled partials normalizes values and partials
+    alike, and no stack is ever analyzed."""
     if lmax > grid.n_theta / 4:
         raise ValueError("lmax too large for this grid (need lmax <= n_theta/4)")
     if amplitude < 0:
         raise ValueError("amplitude must be nonnegative")
-    if amplitude == 0.0:
-        return np.zeros((len(seeds), grid.n_theta, grid.n_phi))
     coeffs = np.zeros((len(seeds), n_coeffs(lmax)))
     for i, seed in enumerate(seeds):
         for k in range(coeffs.shape[1]):
             l = math.isqrt(k)  # flat index k = l^2 + l + m, so m + l = k - l^2
             ss = np.random.SeedSequence([int(seed), l, k - l * l])
             coeffs[i, k] = np.random.Generator(np.random.PCG64(ss)).standard_normal()
-    values = grid.synthesize(coeffs)
-    return values * (amplitude / _c2_norms(grid, values))[:, None, None]
+    d = grid.synth_derivs(coeffs)
+    scale = (amplitude / _c2_norms(grid, d))[:, None, None]
+    return {key: scale * v for key, v in d.items()}
 
 
 def scalar_field_to_dict(f: ScalarField) -> dict:

@@ -123,18 +123,21 @@ def _check_heights(prof: RadialProfile, s0, heights: np.ndarray) -> None:
 
 
 def _graph_masses(
-    prof: RadialProfile, grid: SphereGrid, s0, heights: np.ndarray, zeta: float, t=None
+    prof: RadialProfile, grid: SphereGrid, s0, d: dict, zeta: float, t=None
 ) -> dict:
-    """Area, charge and mch of the stack of graphs s0 + t heights.
+    """Area, charge and mch of the stack of graphs s0 + t f, from the
+    ``synth_derivs`` dict ``d`` of the heights f.
 
-    s0 and heights broadcast to (n, n_theta, n_phi); t is None or a stack (n, 1, 1)
-    scaling one height, which is then checked through t times its extremes.  The
-    heights are transformed once, and the stack reaches the kernel in chunks of at
-    most ``_STACK_NODES`` nodes (one graph at least).  The kernel runs mass only:
-    it stops at these three scalars, which equal ``induced_geometry``'s bit for
-    bit, and never computes the curvature fields a stack would throw away."""
+    A random stack passes the dict it was drawn as; a caller holding grid
+    values transforms them itself.  s0 and d["f"] broadcast to (n, n_theta,
+    n_phi); t is None or a stack (n, 1, 1) scaling one height, which is then
+    checked through t times its extremes.  The check reads d["f"], the heights
+    the kernel measures.  The stack reaches the kernel in chunks of at most
+    ``_STACK_NODES`` nodes (one graph at least).  The kernel runs mass only:
+    it stops at these three scalars, which equal ``induced_geometry``'s bit
+    for bit, and never computes the curvature fields a stack would throw away."""
+    heights = d["f"]
     _check_heights(prof, s0, heights if t is None else t * np.array([heights.min(), heights.max()]))
-    d = grid.synth_derivs(grid.analyze(heights))
     n = np.broadcast_shapes(np.shape(s0), np.shape(t), heights.shape)[0]
     step = max(1, _STACK_NODES // (grid.n_theta * grid.n_phi))
     out = {name: np.empty(n) for name in ("area", "charge", "mch")}

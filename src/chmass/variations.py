@@ -236,8 +236,16 @@ def _scaled_masses(prof: RadialProfile, s0: float, phi: ScalarField, ts) -> dict
     """Quadrature masses {t: m_CH(graph(t phi))} over the slice at s0, as one stack of
     the distinct t (oracle path); phi is transformed once."""
     ts = np.array(list(dict.fromkeys(ts)), dtype=float)
-    mch = _graph_masses(prof, phi.grid, s0, phi.values, 2.0 * prof.lam, ts[:, None, None])["mch"]
+    grid = phi.grid
+    d = grid.synth_derivs(grid.analyze(phi.values))
+    mch = _graph_masses(prof, grid, s0, d, 2.0 * prof.lam, ts[:, None, None])["mch"]
     return dict(zip(ts.tolist(), mch.tolist()))
+
+
+def _check_dt(dt: float) -> None:
+    if not (math.isfinite(dt) and dt > 0.0):
+        kind = "non-positive" if math.isfinite(dt) else "non-finite"
+        raise ValueError(f"dt must be positive and finite, got {kind} dt = {dt}")
 
 
 def _first_fd_steps(dt: float):
@@ -278,6 +286,7 @@ def first_variation_fd(
     Three step sizes (dt, dt/2, dt/4) give a Richardson order estimate;
     ``value`` is the dt/2-vs-dt extrapolation.
     """
+    _check_dt(dt)
     return _first_fd(_scaled_masses(prof, s0, phi, _first_fd_steps(dt)), dt)
 
 
@@ -285,6 +294,7 @@ def second_variation_fd(
     prof: RadialProfile, phi: ScalarField, dt: float, s0: float = 0.0
 ) -> float:
     """Five-point stencil for d2/dt2 m_CH(graph(t phi)) at t = 0."""
+    _check_dt(dt)
     return _second_fd(_scaled_masses(prof, s0, phi, _second_fd_steps(dt)), dt)
 
 
@@ -455,7 +465,10 @@ def local_max_experiment(
     nonconstant part of the height (equality should only occur for slices).
 
     Graphs are drawn, normalized and evaluated in stacks of at most
-    ``_STACK_NODES`` grid nodes; each draw depends on its sample alone.
+    ``_STACK_NODES`` grid nodes; each draw depends on its sample alone.  A
+    stack is derivative-synthesized once from its drawn coefficients, and
+    those partials serve both its C^2 normalization and its masses; only a
+    sample within ``_NEAR_TOL`` of equality is analyzed, to strip its mean.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
@@ -472,9 +485,9 @@ def local_max_experiment(
     excess = []
     near = []
     for start in range(0, n_samples, stack):
-        heights = _random_c2_stack(grid, seeds[start : start + stack], _LMAX, amplitude)
-        mch = _graph_masses(prof, grid, 0.0, heights, 2.0 * prof.lam)["mch"]
-        for h, e in zip(heights, mch - prof.m):
+        d = _random_c2_stack(grid, seeds[start : start + stack], _LMAX, amplitude)
+        mch = _graph_masses(prof, grid, 0.0, d, 2.0 * prof.lam)["mch"]
+        for h, e in zip(d["f"], mch - prof.m):
             excess.append(float(e))
             if e >= -_NEAR_TOL:
                 coeffs = grid.analyze(h)
@@ -513,6 +526,7 @@ def variation_report(
     (first variation and both closed-form second variations) shares one
     analysis of phi of its own, so the oracle stays independent of it.
     """
+    _check_dt(dt)
     base = GraphSurface(prof, s0, ScalarField(phi.grid, np.zeros_like(phi.values)))
     geom = induced_geometry(base)
     ts = _first_fd_steps(dt)

@@ -141,7 +141,9 @@ def crit_04_slice_mass_constancy():
     prof = integrate_profile(0.5, 0.3, 1.0, s_max=2.0, tol=1e-10)
     s0 = np.linspace(-1.8, 1.8, 50)
     # the 50 slices are the graphs of one zero height over a stack of s0
-    quad = _graph_masses(prof, build_grid(32, 64), s0[:, None, None], np.zeros((32, 64)), 2.0)
+    grid = build_grid(32, 64)
+    zero = grid.synth_derivs(grid.analyze(np.zeros((32, 64))))
+    quad = _graph_masses(prof, grid, s0[:, None, None], zero, 2.0)
     return [
         ("closed-form slice mass", np.abs(slice_hawking_mass(prof, s0) - prof.m).max(), 1e-8),
         ("quadrature slice mass", np.abs(quad["mch"] - prof.m).max(), 1e-5),
@@ -151,8 +153,8 @@ def crit_04_slice_mass_constancy():
 def crit_05_charge_invariance():
     prof = integrate_profile(0.5, 0.3, 1.0, s_max=1.0, tol=1e-10)
     grid = build_grid(64, 128)
-    heights = _random_c2_stack(grid, range(20), 4, 0.05)
-    flux = _graph_masses(prof, grid, 0.0, heights, 2.0)["charge"]
+    drawn = _random_c2_stack(grid, range(20), 4, 0.05)
+    flux = _graph_masses(prof, grid, 0.0, drawn, 2.0)["charge"]
     return [("flux charge over 20 seeded graphs", np.abs(flux - 0.3).max(), 1e-6)]
 
 

@@ -237,6 +237,27 @@ def test_variation_phi_without_field_keys_is_named(capsys, tmp_path):
     assert "scalar field JSON lacks n_theta, n_phi, values" in err
 
 
+@pytest.mark.parametrize("dt", ["0", "-0.01"])
+def test_variation_nonpositive_step_is_usage_error(capsys, dt):
+    # dt 0 ended in a ZeroDivisionError traceback, and a negative dt ran
+    code, out, err = invoke(
+        capsys, "variation", "--neck-a", "0.5", "--q", "0.3", "--phi", "Y:1,0", "--grid", "16",
+        "--dt", dt,
+    )
+    assert code == 2 and out == ""
+    assert "dt must be positive" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("k", ["0", "-2"])
+def test_spectrum_nonpositive_count_is_usage_error(capsys, k):
+    # k 0 printed no eigenvalues, and k -2 printed all but the last two
+    code, out, err = invoke(
+        capsys, "spectrum", "--neck-a", "0.5", "--q", "0.3", "--grid", "16", "--k", k,
+    )
+    assert code == 2 and out == ""
+    assert "must be at least 1" in err
+
+
 def test_variation_band_beyond_grid_is_usage_error(capsys):
     code, out, err = invoke(
         capsys, "variation", "--neck-a", "0.5", "--q", "0.3", "--phi", "Y:99,0",

@@ -1,15 +1,18 @@
 """Property tests of invariants the transforms and the mass functional claim."""
 
 import functools
+import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from chmass.profile import integrate_profile
+from chmass.profile import integrate_profile, slice_hawking_mass
+from chmass.spectrum import stability_window
 from chmass.sphere import ScalarField, build_grid, n_coeffs, random_c2_field
-from chmass.surfaces import GraphSurface, charged_hawking_mass
+from chmass.surfaces import GraphSurface, _graph_masses, charged_hawking_mass
+from chmass.variations import area_charge_value
 
 # fixed examples keep tier-1 reproducible; no example database on disk
 PROPERTY = settings(max_examples=40, deadline=None, database=None, derandomize=True)
@@ -58,3 +61,35 @@ def test_mass_invariant_under_azimuthal_roll(seed, amplitude, s0, shift):
     m = charged_hawking_mass(GraphSurface(p, s0, phi))
     m_rolled = charged_hawking_mass(GraphSurface(p, s0, rolled))
     assert abs(m_rolled - m) <= 1e-13 * abs(m)
+
+
+@st.composite
+def stable_necks(draw):
+    """(a, Q) with a^2 strictly inside stability_window(Q) (Lambda = 1)."""
+    q = draw(st.floats(0.0, 0.49))
+    lo, hi = stability_window(q)
+    u = draw(st.floats(1e-3, 1.0 - 1e-3))
+    return math.sqrt(lo + u * (hi - lo)), q
+
+
+@PROPERTY
+@given(stable_necks())
+def test_slices_of_a_stable_neck_keep_its_mass_and_charge(neck):
+    # crit 04's and 05's bounds on a random neck: the closed-form and the
+    # stacked quadrature slice masses stay at m, and the flux charge is Q
+    a, q = neck
+    p = integrate_profile(a, q, 1.0, s_max=1.0, tol=1e-10)
+    s0 = np.linspace(-1.0, 1.0, 9)
+    g = grid()
+    zero = g.synth_derivs(g.analyze(np.zeros((g.n_theta, g.n_phi))))
+    quad = _graph_masses(p, g, s0[:, None, None], zero, 2.0)
+    assert np.abs(slice_hawking_mass(p, s0) - p.m).max() <= 1e-8
+    assert np.abs(quad["mch"] - p.m).max() <= 1e-5
+    assert np.abs(quad["charge"] - q).max() <= 1e-6
+
+
+@PROPERTY
+@given(stable_necks())
+def test_stable_neck_obeys_the_area_charge_inequality(neck):
+    a, q = neck
+    assert area_charge_value(4.0 * math.pi * a * a, q) <= 4.0 * math.pi

@@ -196,6 +196,14 @@ def test_laplace_spectrum_discrete_basis_guard(grid):
         laplace_spectrum_discrete(grid, 0.5, 200, lmax=4)
 
 
+@pytest.mark.parametrize("k", [0, -2])
+def test_eigenvalue_count_must_be_positive(grid, k):
+    with pytest.raises(ValueError, match="at least 1"):
+        laplace_spectrum(0.5, k)
+    with pytest.raises(ValueError, match="at least 1"):
+        laplace_spectrum_discrete(grid, 0.5, k)
+
+
 def _record_pencils(monkeypatch):
     """Record every (stiff, mass) pencil handed to the Cholesky eigensolver."""
     pencils = []

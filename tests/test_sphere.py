@@ -10,6 +10,7 @@ import chmass
 from chmass.sphere import (
     ScalarField,
     _blocks,
+    _random_c2_stack,
     build_grid,
     c2_norm,
     coeff_index,
@@ -181,6 +182,35 @@ class TestRandomField:
     def test_band_limit_guard(self, grid):
         with pytest.raises(ValueError):
             random_c2_field(grid, 1, 9, 0.05)  # lmax > n_theta / 4
+
+    @pytest.mark.parametrize("n_theta, band", [(32, None), (32, 4), (128, 4)])
+    def test_stack_partials_are_those_of_its_values(self, n_theta, band):
+        # a drawn stack is born as the synth_derivs dict of its coefficients;
+        # re-analyzing its values gives the same partials within n_theta^2
+        # ulps.  Full-band analysis adds roundoff in the coefficients above the
+        # drawn band, which the polar rows amplify (see c2_norm): at n_theta
+        # 128 ftt then differs by about 9 n_theta^2 ulps, so there the values
+        # are analyzed at the drawn band.
+        g = build_grid(n_theta, 2 * n_theta)
+        d = _random_c2_stack(g, range(5), 4, 0.05)
+        again = g.synth_derivs(g.analyze(d["f"], lmax=band))
+        tol = n_theta**2 * np.finfo(float).eps
+        assert set(d) == set(again)
+        for name, want in again.items():
+            assert np.abs(d[name] - want).max() <= tol * np.abs(want).max(), name
+
+    @pytest.mark.parametrize("n_theta", [16, 32, 64, 128])
+    def test_norm_is_the_amplitude(self, n_theta):
+        # normalized on the partials of its drawn coefficients, the field has
+        # C^2 norm amplitude; c2_norm re-analyzes its values over the full band
+        # and agrees to its own polar-row roundoff (see c2_norm), which grows
+        # like n_theta^3 ulps: 1e-13 relative holds at n_theta 16
+        g = build_grid(n_theta, 2 * n_theta)
+        rel = max(1e-13, 0.1 * n_theta**3 * np.finfo(float).eps)
+        for seed in range(5):
+            for amplitude in (0.02, 0.5):
+                f = random_c2_field(g, seed, 4, amplitude)
+                assert c2_norm(f) == pytest.approx(amplitude, rel=rel)
 
 
 def test_json_round_trip(grid):

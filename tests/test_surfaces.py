@@ -186,7 +186,8 @@ def test_stacked_slices_match_per_slice_geometry(prof, grid):
     # a stack of slices is one zero height broadcast against a stack of s0;
     # every scalar equals the per-slice quadrature bit for bit
     s0 = np.linspace(-1.8, 1.8, 11)
-    stacked = _graph_masses(prof, grid, s0[:, None, None], np.zeros((32, 64)), 2.0)
+    zero = grid.synth_derivs(grid.analyze(np.zeros((32, 64))))
+    stacked = _graph_masses(prof, grid, s0[:, None, None], zero, 2.0)
     for i, s in enumerate(s0):
         geom = induced_geometry(GraphSurface(prof, float(s), zero_field(grid)))
         for name in ("area", "charge", "mch"):
@@ -195,8 +196,8 @@ def test_stacked_slices_match_per_slice_geometry(prof, grid):
     # the full kernel's scalars bit for bit
     phi = random_c2_field(grid, 5, 4, 0.5).values
     t = np.array([-2e-2, -1e-2, 5e-3, 1e-2, 2e-2])[:, None, None]
-    scaled = _graph_masses(prof, grid, 0.0, phi, 2.0, t=t)
     d = grid.synth_derivs(grid.analyze(phi))
+    scaled = _graph_masses(prof, grid, 0.0, d, 2.0, t=t)
     full = _geometry_from_derivs(prof, grid, 0.0, {key: t * v for key, v in d.items()}, 2.0)
     for name in ("area", "charge", "mch"):
         np.testing.assert_array_equal(scaled[name], full[name], err_msg=name)
@@ -227,10 +228,21 @@ def test_stack_chunks_bound_the_kernel_and_keep_the_values(prof, grid, monkeypat
 
 def test_stack_check_rejects_any_graph(prof, grid):
     heights = _random_c2_stack(grid, range(3), 4, 0.05)
-    bad = heights.copy()
-    bad[1, 3, 5] = np.nan
+    bad = {key: v.copy() for key, v in heights.items()}
+    bad["f"][1, 3, 5] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         _graph_masses(prof, grid, 0.0, bad, 2.0)
     s0 = np.array([0.0, 2.5, 0.0])[:, None, None]
     with pytest.raises(ValueError, match="leaves the integrated range"):
         _graph_masses(prof, grid, s0, heights, 2.0)
+
+
+def test_drawn_stack_is_checked_on_the_heights_it_measures(prof, grid):
+    # a drawn stack reaches _graph_masses as its derivative dict, and the
+    # range check reads its heights d["f"]: a stack just past s_max raises
+    drawn = _random_c2_stack(grid, range(3), 4, 0.05)
+    scale = prof.s_max / np.abs(drawn["f"]).max()
+    with pytest.raises(ValueError, match="leaves the integrated range"):
+        _graph_masses(prof, grid, 0.0, {key: 1.01 * scale * v for key, v in drawn.items()}, 2.0)
+    inside = {key: 0.99 * scale * v for key, v in drawn.items()}
+    assert np.all(np.isfinite(_graph_masses(prof, grid, 0.0, inside, 2.0)["mch"]))

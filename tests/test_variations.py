@@ -280,9 +280,10 @@ class TestExperiments:
         assert rep.max_nonconstant_c2 == (max(near) if near else 0.0)
 
     def test_local_max_transform_counts(self, monkeypatch):
-        # deterministic counting gate: each stack of 8 graphs is synthesised
-        # once, then analysed and derivative-synthesised once for its C^2
-        # normalization and once for its geometry; 40 samples are 5 stacks
+        # deterministic counting gate: each stack of 8 graphs is
+        # derivative-synthesised once from its drawn coefficients, and those
+        # partials serve its C^2 normalization and its geometry; 40 samples
+        # are 5 stacks
         calls = {"analyze": 0, "synthesize": 0, "synth_derivs": 0}
         for name in calls:
             def spy(self, *args, _method=getattr(SphereGrid, name), _name=name, **kwargs):
@@ -291,7 +292,7 @@ class TestExperiments:
 
             monkeypatch.setattr(SphereGrid, name, spy)
         local_max_experiment(0.5, 0.3, 40, 0.02, 1)
-        assert calls == {"analyze": 10, "synthesize": 5, "synth_derivs": 10}
+        assert calls == {"analyze": 0, "synthesize": 0, "synth_derivs": 5}
 
     def test_amplitude_guard(self):
         with pytest.raises(ValueError):
@@ -444,6 +445,17 @@ class TestScaledGraphOracles:
         phi = random_c2_field(grid, 5, 4, 0.5)
         with pytest.raises(ValueError, match="non-finite"):
             variation_report(prof, 0.0, phi, dt=float("nan"))
+
+    @pytest.mark.parametrize("dt", [0.0, -0.01, float("inf")])
+    def test_nonpositive_step_is_rejected(self, prof, grid, dt):
+        phi = random_c2_field(grid, 5, 4, 0.5)
+        for oracle in (
+            lambda: variation_report(prof, 0.0, phi, dt=dt),
+            lambda: first_variation_fd(prof, 0.1, phi, dt),
+            lambda: second_variation_fd(prof, phi, dt),
+        ):
+            with pytest.raises(ValueError, match="dt must be positive"):
+                oracle()
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_scaled_stack_is_checked_through_both_extremes(self, prof, grid, sign):
