@@ -48,7 +48,7 @@ from .sphere import (
 )
 from .spectrum import spectral_report
 from .surfaces import GraphSurface, induced_geometry
-from .sweeps import parse_axis, render_csv
+from .sweeps import _csv, _fmt, parse_axis, render_csv
 from .variations import (
     cmc_foliation,
     local_max_experiment,
@@ -63,10 +63,6 @@ __all__ = ["main", "run"]
 # ---------------------------------------------------------------------------
 # bit-stable serialization
 # ---------------------------------------------------------------------------
-
-
-def _fmt(x: float) -> str:
-    return format(float(x) + 0.0, ".17g")  # + 0.0 folds -0.0 into 0.0
 
 
 def to_json(obj, indent: int = 0) -> str:
@@ -100,13 +96,6 @@ def to_json(obj, indent: int = 0) -> str:
             return "null"  # JSON has no NaN/inf
         return _fmt(obj)
     return json.dumps(obj)
-
-
-def _csv(header: list[str], rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +336,8 @@ def cmd_sweep(v: dict):
 
 def cmd_verify(v: dict):
     """Returns (exit code, report): 1 when any criterion fails."""
-    if v["suite"] != "all":
-        raise ValueError(f"unknown suite {v['suite']!r} (only 'all' is defined)")
+    if v["format"] not in ("text", "json"):
+        raise ValueError(f"--format must be text or json, got {v['format']!r}")
     summary = run_all()
     code = 0 if summary.all_passed else 1
     if v["format"] == "json":
@@ -405,7 +394,6 @@ _FLAGS = {  # flag: (dest, type, help)
     "--a2": ("a2", str, "axis spec lo:hi:count"),
     "--q2": ("q2", str, "axis spec lo:hi:count"),
     "--mfrac": ("mfrac", str, "axis spec lo:hi:count"),
-    "--suite": ("suite", str, "verification suite name (all)"),
     "--config": ("config", str, "flat key = value config file; flags win"),
     "--emit-phi": ("emit_phi", str, "also write the speed/height field as ScalarField JSON"),
 }
@@ -441,7 +429,7 @@ _COMMANDS = {
     }),
     "nariai": (cmd_nariai, {"alpha": _REQUIRED, "lambda": 1.0}),
     "sweep": (cmd_sweep, {"check": _REQUIRED, "a2": None, "q2": None, "mfrac": None, "jobs": 1}),
-    "verify": (cmd_verify, {"suite": "all", "format": "text"}),
+    "verify": (cmd_verify, {"format": "text"}),
 }
 
 

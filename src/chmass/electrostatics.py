@@ -268,9 +268,12 @@ def robinson_shen_residual(
     Raises
     ------
     ValueError
-        If V <= 1e-8 somewhere on the stencil (too close to a horizon for
-        the 1/V terms to be conditioned).
+        If h is not finite and positive, if V <= 1e-8 somewhere on the
+        stencil (too close to a horizon for the 1/V terms to be
+        conditioned), or if the residual is not finite (h too small for h^2).
     """
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(f"h must be finite and positive, got {h}")
     system = _static_system(model)
     n = 3  # spatial dimension
     vfun, nfun, rho, r1 = system.v, system.n, system.rho, system.rho1
@@ -306,17 +309,20 @@ def robinson_shen_residual(
         # X = (1/V)(grad|gradV|^2 - (2 LapV/n) grad V), x component
         return (nfun(x) * d1(grad_sq, x) - (2.0 * lap_v(x) / n) * nfun(x) * d1(vfun, x)) / vfun(x)
 
-    div_x = d1(lambda x: measure(x) * x_radial(x), point) / measure(point)
-    # orthonormal Hessian components of V
-    g = nfun(point)
-    h11 = g * d2(vfun, point) + d1(nfun, point) / 2.0 * d1(vfun, point)
-    h22 = g * r1 * d1(vfun, point) / rho(point)
-    t = h11 + 2.0 * h22
-    tracefree_sq = (h11 - t / n) ** 2 + 2.0 * (h22 - t / n) ** 2
-    inner = g * d1(e2fun, point) * d1(vfun, point)
-
-    rhs = (2.0 / vfun(point)) * tracefree_sq + (2.0 * (n - 1.0) / n) * inner
-    return float(abs(div_x - rhs))
+    with np.errstate(all="ignore"):  # an underflowing h^2 shows as a non-finite residual
+        div_x = d1(lambda x: measure(x) * x_radial(x), point) / measure(point)
+        # orthonormal Hessian components of V
+        g = nfun(point)
+        h11 = g * d2(vfun, point) + d1(nfun, point) / 2.0 * d1(vfun, point)
+        h22 = g * r1 * d1(vfun, point) / rho(point)
+        t = h11 + 2.0 * h22
+        tracefree_sq = (h11 - t / n) ** 2 + 2.0 * (h22 - t / n) ** 2
+        inner = g * d1(e2fun, point) * d1(vfun, point)
+        rhs = (2.0 / vfun(point)) * tracefree_sq + (2.0 * (n - 1.0) / n) * inner
+        residual = float(abs(div_x - rhs))
+    if not math.isfinite(residual):
+        raise ValueError(f"Robinson-Shen residual is not finite at h = {h} (step too small)")
+    return residual
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ The grid tensors Gauss-Legendre nodes in x = cos(theta) with a uniform,
 endpoint-free azimuthal grid, so there are no nodes at the poles and the
 quadrature integrates band-limited integrands exactly.  All differential
 operators are spectral: fields are analyzed into real orthonormal spherical
-harmonics and derivatives are synthesized from precomputed Legendre-derivative
-tables, which keeps every operation pole-free.
+harmonics and derivatives are synthesized from precomputed Legendre tables
+(values and first derivatives), which keeps every operation pole-free.
 
 Real harmonic conventions: Y_{l,0} = Pbar_{l,0}(x), and for m > 0
 Y_{l,+m} = sqrt(2) Pbar_{l,m}(x) cos(m phi), Y_{l,-m} = sqrt(2) Pbar_{l,m}(x)
@@ -91,9 +91,9 @@ def _blocks(n: int, L: int | None = None):
 
 def _legendre_tables(lmax: int, x: np.ndarray):
     """Normalized associated Legendre functions Pbar_{l,m}(x) and their first
-    and second x-derivatives, for 0 <= m <= l <= lmax.
+    x-derivatives, for 0 <= m <= l <= lmax.
 
-    Returns three arrays of shape ((lmax+1)(lmax+2)/2, len(x)) in m-major
+    Returns two arrays of shape ((lmax+1)(lmax+2)/2, len(x)) in m-major
     order: block m holds rows l = m..lmax, starting at _block_start(m, lmax).
     Normalization: int_{-1}^{1} Pbar_{l,m}^2 dx = 1/(2 pi); no Condon-Shortley
     phase.  Valid for |x| < 1 (interior nodes only).
@@ -104,7 +104,6 @@ def _legendre_tables(lmax: int, x: np.ndarray):
     off = _block_start(m, lmax)
     P = np.zeros((off[-1] + 1, x.size))
     D = np.zeros_like(P)
-    D2 = np.zeros_like(P)
 
     # diagonal seeds Pbar_{m,m} = c_m (1-x^2)^{m/2} and their x-derivatives
     c = np.sqrt((2.0 * m[1:] + 1.0) / (2.0 * m[1:]))[:, None]
@@ -112,13 +111,11 @@ def _legendre_tables(lmax: int, x: np.ndarray):
     P[off] = np.cumprod(np.vstack([P0, c * np.sqrt(s2)]), axis=0)
     mc = m[:, None]
     D[off] = -mc * x * P[off] / s2
-    D2[off] = mc * P[off] * ((mc - 2.0) * x * x - s2) / (s2 * s2)
     # step k = l - m for every block at once: first the l = m + 1 rows, then
     # the three-term recurrence in l
     i, d = off[:-1], np.sqrt(2.0 * m[:-1] + 3.0)[:, None]
     P[i + 1] = d * x * P[i]
     D[i + 1] = d * (P[i] + x * D[i])
-    D2[i + 1] = d * (2.0 * D[i] + x * D2[i])
     for k in range(2, lmax + 1):
         mk = m[: lmax + 1 - k]
         l = mk + k
@@ -128,8 +125,7 @@ def _legendre_tables(lmax: int, x: np.ndarray):
         i = off[: lmax + 1 - k] + k
         P[i] = a * x * P[i - 1] + b * P[i - 2]
         D[i] = a * (P[i - 1] + x * D[i - 1]) + b * D[i - 2]
-        D2[i] = a * (2.0 * D[i - 1] + x * D2[i - 1]) + b * D2[i - 2]
-    return P, D, D2
+    return P, D
 
 
 def _per_m_profiles(coeffs: np.ndarray, table: np.ndarray, blocks):
@@ -171,15 +167,19 @@ def _gauss_legendre(n: int):
     return x, 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
 
 
+# largest grid: its cached rule holds 8 * 256^2 * 257 bytes = 135 MB of tables
+MAX_N_THETA = 256
+
+
 @functools.lru_cache(maxsize=4)
 def _theta_rule(n_theta: int):
-    """(x, w_theta, (P, D, D2)): the Gauss-Legendre rule of ``n_theta`` nodes
+    """(x, w_theta, (P, D)): the Gauss-Legendre rule of ``n_theta`` nodes
     and its full-band Legendre tables (band n_theta - 1) at those nodes.
 
     Built on first use, then shared by every grid of that n_theta in the
-    process, so every array is read-only.  An entry holds
-    12 n_theta^2 (n_theta + 1) bytes, almost all of it tables: 0.4 MB at
-    n_theta = 32, 3.2 MB at 64, 25 MB at 128.
+    process, so every array is read-only.  The two tables hold
+    8 n_theta^2 (n_theta + 1) bytes, almost all of an entry: 0.27 MB at
+    n_theta = 32, 2.1 MB at 64, 16.9 MB at 128.
     """
     x, w_theta = _gauss_legendre(n_theta)
     tables = tuple(_legendre_tables(n_theta - 1, x))
@@ -196,7 +196,7 @@ class SphereGrid:
 
     The theta rule and the Legendre tables come from ``_theta_rule``: built
     once per n_theta in a process and shared, read-only, by every grid with
-    that n_theta (25 MB at n_theta = 128).
+    that n_theta (16.9 MB at n_theta = 128).
 
     The theta weights come from ``_gauss_legendre``, which recomputes them
     from the Legendre recurrence at the nodes: relative error about 6e-14 at
@@ -209,6 +209,8 @@ class SphereGrid:
     def __init__(self, n_theta: int, n_phi: int):
         if n_theta < 8:
             raise ValueError("n_theta must be at least 8")
+        if n_theta > MAX_N_THETA:
+            raise ValueError(f"n_theta must be at most {MAX_N_THETA}, got {n_theta}")
         if n_phi < max(16, 2 * n_theta):
             raise ValueError("n_phi must be at least max(16, 2 n_theta)")
         self.n_theta = int(n_theta)
@@ -223,7 +225,7 @@ class SphereGrid:
     # -- harmonic machinery ------------------------------------------------
 
     def tables(self):
-        """The shared, read-only Legendre tables (P, D, D2) of the grid band."""
+        """The shared, read-only Legendre tables (P, D) of the grid band."""
         return _theta_rule(self.n_theta)[2]
 
     def analyze(self, values: np.ndarray, lmax: int | None = None) -> np.ndarray:
@@ -239,7 +241,7 @@ class SphereGrid:
         if values.shape[-2:] != (self.n_theta, self.n_phi):
             raise ValueError("field shape does not match grid")
         lead = values.shape[:-2]
-        P, _, _ = self.tables()
+        P, _ = self.tables()
         G = np.fft.rfft(values.reshape(-1, self.n_theta, self.n_phi), axis=-1)
         G *= 2.0 * math.pi / self.n_phi
         # (theta, m, cos/sin part, field): block m is one matrix product
@@ -261,7 +263,7 @@ class SphereGrid:
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """Inverse transform: coefficients (..., n_coeffs) -> grid values
         (..., n_theta, n_phi)."""
-        P, _, _ = self.tables()
+        P, _ = self.tables()
         return self._assemble(*_per_m_profiles(coeffs, P, _blocks(coeffs.shape[-1], self.lmax)))
 
     def synth_derivs(self, coeffs: np.ndarray) -> dict:
@@ -270,17 +272,19 @@ class SphereGrid:
         Returns a dict with keys f, ft, fp, ftt, ftp, fpp holding the field
         and its theta/phi partial derivatives up to second order, each of
         shape (..., n_theta, n_phi) for coefficients (..., n_coeffs).
+        f_theta_theta is Lap f - cot(theta) f_theta - f_phi_phi / sin^2(theta),
+        with the round-sphere Laplacian Lap f synthesized from -l(l+1) c_lm.
         """
         blocks = _blocks(coeffs.shape[-1], self.lmax)
-        P, D, D2 = self.tables()
+        P, D = self.tables()
         m = np.arange(len(blocks)).reshape((-1,) + (1,) * coeffs.ndim)
+        l = np.floor(np.sqrt(np.arange(coeffs.shape[-1])))
         A, B = _per_m_profiles(coeffs, P, blocks)
         Ax, Bx = _per_m_profiles(coeffs, D, blocks)
-        Axx, Bxx = _per_m_profiles(coeffs, D2, blocks)
 
         f = self._assemble(A, B)
         fx = self._assemble(Ax, Bx)
-        fxx = self._assemble(Axx, Bxx)
+        lap = self._assemble(*_per_m_profiles(-l * (l + 1.0) * coeffs, P, blocks))
         fp = self._assemble(m * B, -m * A)
         fpp = self._assemble(-(m**2) * A, -(m**2) * B)
         fxp = self._assemble(m * Bx, -m * Ax)
@@ -291,7 +295,7 @@ class SphereGrid:
             "f": f,
             "ft": -s * fx,
             "fp": fp,
-            "ftt": -x * fx + s * s * fxx,
+            "ftt": lap + x * fx - fpp / (s * s),
             "ftp": -s * fxp,
             "fpp": fpp,
         }
@@ -301,7 +305,7 @@ class SphereGrid:
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         phi = np.atleast_1d(np.asarray(phi, dtype=float))
         blocks = _blocks(coeffs.size)
-        P, D, _ = _legendre_tables(len(blocks) - 1, np.cos(theta))
+        P, D = _legendre_tables(len(blocks) - 1, np.cos(theta))
         m = np.arange(len(blocks))[:, None]
         cosm, sinm = np.cos(m * phi), np.sin(m * phi)
         A, B = _per_m_profiles(coeffs, P, blocks)
@@ -322,7 +326,7 @@ class SphereGrid:
         """
         if lmax > self.lmax:
             raise ValueError(f"lmax = {lmax} beyond grid band {self.lmax}")
-        P, D, _ = self.tables()
+        P, D = self.tables()
         k = np.arange(n_coeffs(lmax))
         l = np.sqrt(k).astype(int)
         m = k - l * l - l

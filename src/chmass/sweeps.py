@@ -145,10 +145,15 @@ def sweep_table(check: str, axes: dict):
     return columns, rows_of(*values)
 
 
+def _fmt(x: float) -> str:
+    return format(x + 0.0, ".17g")  # + 0.0 folds -0.0 into 0.0
+
+
+def _csv(header, rows) -> str:
+    """CSV text, floats at 17 significant digits (round-trip exact)."""
+    return "\n".join([",".join(header), *(",".join(map(_fmt, row)) for row in rows)]) + "\n"
+
+
 def render_csv(check: str, axes: dict) -> str:
     """CSV text of a sweep, floats at 17 significant digits."""
-    columns, rows = sweep_table(check, axes)
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(format(v, ".17g") for v in row))
-    return "\n".join(lines) + "\n"
+    return _csv(*sweep_table(check, axes))

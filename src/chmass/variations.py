@@ -18,11 +18,12 @@ every variation speed.  On a minimal slice the canonical second variation is
 with Ric(nu,nu) = 1 - 4 pi/|S| + 16 pi^2 Q^2/|S|^2.
 
 A variant set of coefficients replaces zeta = 2 Lambda by Lambda itself
-(``use_lambda_coefficient`` / ``second_variation_as_printed``).  That variant
-is *not* used as truth: it fails the constant-speed null test (slices have
-constant mass, so constant phi must give zero), and it disagrees with the
-finite-difference oracles.  It is kept purely for discrepancy reporting; the
-exact gap for any phi is prefactor * (zeta - Lambda)/2 * (-int phi L phi).
+(``first_variation(..., zeta=Lambda)`` / ``second_variation_as_printed``).
+That variant is *not* used as truth: it fails the constant-speed null test
+(slices have constant mass, so constant phi must give zero), and it disagrees
+with the finite-difference oracles.  It is kept purely for discrepancy
+reporting; the exact gap for any phi is
+prefactor * (zeta - Lambda)/2 * (-int phi L phi).
 
 Every analytic formula here is adjudicated against central finite differences
 of the quadrature mass functional t -> m_CH(graph(t phi)), which in this
@@ -192,15 +193,14 @@ def first_variation(
     geom: SurfaceGeometry,
     phi: ScalarField,
     zeta: float | None = None,
-    use_lambda_coefficient: bool = False,
 ) -> float:
     """Canonical first variation of m_CH for the *normal* speed field phi.
 
     Evaluates -(2 sqrt(|S|)/(16 pi)^(3/2)) int (Lap H + Z H) phi, with the
     Laplacian term integrated by parts to int <grad H, grad phi> so only
-    first derivatives of H enter.  With ``use_lambda_coefficient`` the
-    coefficient zeta in Z is replaced by Lambda (discrepancy-reporting
-    variant, see module docstring).
+    first derivatives of H enter.  ``zeta`` defaults to that of geom;
+    zeta = Lambda gives the discrepancy-reporting variant (see module
+    docstring).
 
     phi is the speed in the unit-normal direction.  Differentiating the
     vertical graph family height -> height + t psi instead moves points
@@ -210,8 +210,6 @@ def first_variation(
     grid = geom.grid
     if (phi.grid.n_theta, phi.grid.n_phi) != (grid.n_theta, grid.n_phi):
         raise ValueError("speed field lives on a different grid")
-    if use_lambda_coefficient:
-        zeta = geom.surface.profile.lam
     return _first_variation(geom, grid.analyze(phi.values), zeta)
 
 
@@ -387,6 +385,8 @@ def cmc_foliation(
     against the model closed form Ric(nu,nu) = -f'(u)/u, so it is not a
     tautology of the integrator.
     """
+    if n_steps < 2:  # linspace would drop t1 (one step) or leak numpy's message
+        raise ValueError(f"n_steps must be at least 2, got {n_steps}")
     t0, t1 = t_range
     delta = 1e-3
     if max(abs(t0), abs(t1)) + delta > prof.s_max:

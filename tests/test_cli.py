@@ -5,12 +5,13 @@ import re
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
 
 import chmass
-from chmass import cli
+from chmass import cli, sphere
 from chmass.cli import run, to_json
 from chmass.electrostatics import verify_einstein_maxwell_static
 from chmass.models import ModelParams, nariai_from_alpha
@@ -278,6 +279,27 @@ def test_foliate_csv(capsys):
     assert mid[3] == pytest.approx(-1.56, abs=1e-10)
 
 
+@pytest.mark.parametrize("steps", ["-3", "0", "1"])
+def test_foliate_too_few_steps_is_usage_error(capsys, steps):
+    code, out, err = invoke(capsys, "foliate", "--neck-a", "0.5", "--q", "0.3", "--steps", steps)
+    assert code == 2 and out == ""
+    assert "n_steps must be at least 2" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["spectrum", "--grid", "1000000"], ["variation", "--grid", "257", "--phi", "Y:1,0"]],
+    ids=["spectrum", "variation"],
+)
+def test_grid_above_ceiling_is_usage_error(capsys, monkeypatch, argv):
+    def no_rule(n_theta):
+        raise AssertionError(f"built the rule of n_theta = {n_theta}")
+
+    monkeypatch.setattr(sphere, "_theta_rule", no_rule)  # a missed ceiling fails, never allocates
+    code, out, err = invoke(capsys, *argv, "--neck-a", "0.5", "--q", "0.3")
+    assert code == 2 and out == ""
+    assert f"n_theta must be at most {sphere.MAX_N_THETA}" in err
+
+
 def test_localmax_report(capsys):
     code, out, _ = invoke(
         capsys, "localmax", "--neck-a", "0.5", "--q", "0.3",
@@ -311,6 +333,16 @@ def test_electrostatics_zero_samples_is_usage_error(capsys):
     code, out, err = invoke(capsys, "electrostatics", "--m", "0.3", "--q", "0.3", "--samples", "0")
     assert code == 2 and out == ""
     assert "samples must be at least 1" in err
+
+
+@pytest.mark.parametrize("h", ["0", "-1", "1e-300"])
+def test_electrostatics_bad_step_is_usage_error(capsys, h):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = invoke(capsys, "electrostatics", "--m", "0.3", "--q", "0.3", "--h", h)
+    assert code == 2 and out == ""
+    assert "h must be finite and positive" in err or "residual is not finite" in err
+    assert not caught
 
 
 def test_electrostatics_nariai(capsys):
@@ -477,6 +509,13 @@ class TestSweep:
         assert code == 2 and out == ""
         assert "finite" in err and "expected one argument" not in err
 
+    def test_negative_zero_axis_value_prints_as_zero(self, capsys):
+        code, out, _ = invoke(
+            capsys, "sweep", "--check", "identity", "--a2", "0.1:0.9:2", "--q2", "0:-0:2",
+        )
+        assert code == 0
+        assert [line.split(",")[1] for line in out.strip().splitlines()[1:]] == ["0"] * 4
+
     def test_empty_or_unknown_grid_is_usage_error(self, capsys):
         code, _, err = invoke(capsys, "sweep", "--check", "identity")
         assert code == 2 and "needs axes" in err
@@ -583,11 +622,24 @@ class TestConfigAndErrors:
 
 def test_verify_quick_json(capsys):
     # the shipped suite end to end: every criterion passes its fixed bounds
-    code, out, _ = invoke(capsys, "verify", "--suite", "all", "--format", "json")
+    code, out, _ = invoke(capsys, "verify", "--format", "json")
     assert code == 0
     payload = json.loads(out)
     assert len(payload) == 14
     assert all(item["passed"] for item in payload)
+
+
+def test_verify_rejects_unknown_format(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_all", lambda: pytest.fail("ran the suite"))
+    code, out, err = invoke(capsys, "verify", "--format", "xml")
+    assert code == 2 and out == ""
+    assert "--format must be text or json" in err
+
+
+def test_verify_has_no_suite_flag(capsys):
+    code, out, err = parse_error(capsys, "verify", "--suite", "all")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --suite all" in err
 
 
 def test_verify_json_prints_margins(capsys, monkeypatch):

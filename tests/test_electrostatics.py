@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -74,6 +75,18 @@ class TestRobinsonShen:
     def test_horizon_conditioning_guard(self):
         with pytest.raises(ValueError):
             robinson_shen_residual(RNDS, 0.5 + 1e-10, h=1e-4)
+
+    @pytest.mark.parametrize("h", [0.0, -1.0, math.nan, math.inf])
+    def test_step_must_be_finite_and_positive(self, h):
+        with pytest.raises(ValueError, match="h must be finite and positive"):
+            robinson_shen_residual(RNDS, 0.8, h=h)
+
+    def test_underflowing_step_raises_without_warning(self):
+        # h^2 underflows to zero, so the residual is not finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="residual is not finite"):
+                robinson_shen_residual(RNDS, 0.8, h=1e-300)
 
 
 class TestAreaCharge:

@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 
 import chmass
+from chmass import sphere
 from chmass.sphere import (
+    MAX_N_THETA,
     ScalarField,
     _blocks,
     _random_c2_stack,
+    _theta_rule,
     build_grid,
     c2_norm,
     coeff_index,
@@ -325,6 +328,54 @@ def test_grids_of_one_n_theta_share_a_read_only_rule():
     for arr in (*a.tables(), a.x, a.w_theta):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+def test_rule_holds_two_tables():
+    # P and D of band n_theta - 1: n_theta (n_theta + 1) / 2 rows of n_theta nodes each
+    tables = _theta_rule(32)[2]
+    assert len(tables) == 2
+    assert sum(t.nbytes for t in tables) == 8 * 32**2 * 33
+
+
+def test_grid_ceiling_rejects_before_building(monkeypatch):
+    before = _theta_rule.cache_info()
+
+    def no_rule(n_theta):
+        raise AssertionError(f"built the rule of n_theta = {n_theta}")
+
+    monkeypatch.setattr(sphere, "_theta_rule", no_rule)  # a missed ceiling fails, never allocates
+    with pytest.raises(ValueError, match=f"n_theta must be at most {MAX_N_THETA}"):
+        build_grid(MAX_N_THETA + 1, 2 * (MAX_N_THETA + 1))
+    monkeypatch.undo()
+    assert _theta_rule.cache_info().currsize == before.currsize
+
+
+# closed-form fields of order m = 1, 2, 3 (degrees 1, 2, 4) and their exact
+# f_theta_theta; synth_derivs takes it from the Laplacian, where every m >= 1
+# term divides by sin^2(theta)
+_FTT_FIELDS = {
+    "m1": (lambda t, p: np.sin(t) * np.cos(p), lambda t, p: -np.sin(t) * np.cos(p)),
+    "m2": (
+        lambda t, p: np.sin(t) ** 2 * np.sin(2 * p),
+        lambda t, p: 2 * np.cos(2 * t) * np.sin(2 * p),
+    ),
+    "m3": (
+        lambda t, p: np.sin(t) ** 3 * np.cos(t) * np.cos(3 * p),
+        lambda t, p: (6 * np.sin(t) * np.cos(t) ** 3 - 10 * np.sin(t) ** 3 * np.cos(t))
+        * np.cos(3 * p),
+    ),
+}
+
+
+@pytest.mark.parametrize("n_theta", [32, 64, 128])
+@pytest.mark.parametrize("name", list(_FTT_FIELDS))
+def test_ftt_of_closed_form_fields_at_every_node(n_theta, name):
+    fn, exact = _FTT_FIELDS[name]
+    g = build_grid(n_theta, 2 * n_theta)
+    th, ph = g.theta[:, None], g.phi[None, :]
+    ftt = g.synth_derivs(g.analyze(fn(th, ph), lmax=4))["ftt"]
+    want = exact(th, ph)
+    assert np.abs(ftt - want).max() <= n_theta**2 * np.spacing(np.abs(want).max())
 
 
 def test_import_builds_no_rule():

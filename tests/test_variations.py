@@ -122,7 +122,7 @@ class TestFirstVariation:
     def test_lambda_coefficient_variant_differs_off_minimal(self, prof, grid):
         geom = induced_geometry(GraphSurface(prof, 0.6, zero(grid)))
         one = ScalarField(grid, np.ones((32, 64)))
-        printed = first_variation(geom, one, use_lambda_coefficient=True)
+        printed = first_variation(geom, one, zeta=prof.lam)
         assert abs(printed) > 1e-4  # fails the criticality null test
 
 
@@ -227,6 +227,12 @@ class TestFoliation:
     def test_range_guard(self, prof):
         with pytest.raises(ValueError):
             cmc_foliation(prof, (-2.5, 2.5), 11)
+
+    @pytest.mark.parametrize("n_steps", [-3, 0, 1])
+    def test_step_count_guard(self, prof, n_steps):
+        # one step would drop the range's upper end
+        with pytest.raises(ValueError, match="n_steps must be at least 2"):
+            cmc_foliation(prof, (-0.5, 0.5), n_steps)
 
     def test_monotonicity_brackets(self, prof):
         states = cmc_foliation(prof, (-1.0, 1.0), 21)
