@@ -250,6 +250,8 @@ def verify_einstein_maxwell_static(
 # Robinson-Shen type divergence identity
 # ---------------------------------------------------------------------------
 
+_CBRT_EPS = math.cbrt(np.finfo(float).eps)  # 6.06e-6
+
 
 def robinson_shen_residual(
     model: ModelParams | NariaiParams, point: float, h: float = 1e-4
@@ -265,16 +267,35 @@ def robinson_shen_residual(
     so the residual converges to zero at second order in h on the exact
     models.
 
+    The nested differences carry roundoff of order eps/h^3, which is O(1)
+    below h = cbrt(eps) max(1, |point|) (about 6e-6 at |point| <= 1); there
+    the residual measures roundoff, or reads exactly 0 once point +- h rounds
+    to point, so such steps are refused.
+
     Raises
     ------
     ValueError
-        If h is not finite and positive, if V <= 1e-8 somewhere on the
-        stencil (too close to a horizon for the 1/V terms to be
-        conditioned), or if the residual is not finite (h too small for h^2).
+        If h is not finite and positive, if h is below the roundoff floor
+        cbrt(eps) max(1, |point|), if the footprint point +- 3h leaves the
+        static region, if V <= 1e-8 somewhere on the footprint (too close to
+        a horizon for the 1/V terms to be conditioned), or if the residual is
+        not finite.
     """
     if not (math.isfinite(h) and h > 0.0):
         raise ValueError(f"h must be finite and positive, got {h}")
+    floor = _CBRT_EPS * max(1.0, abs(point))
+    if h < floor:
+        raise ValueError(
+            f"h = {h} is below the step floor {floor:.3g} = cbrt(eps) max(1, |point|): "
+            "the nested differences would measure roundoff"
+        )
     system = _static_system(model)
+    lo, hi = point - 3.0 * h, point + 3.0 * h
+    if not (system.lo < lo and hi < system.hi):
+        raise ValueError(
+            f"h = {h} is too wide: the stencil footprint point +- 3h = [{lo:.6g}, {hi:.6g}] "
+            f"leaves the static region ({system.lo:.6g}, {system.hi:.6g})"
+        )
     n = 3  # spatial dimension
     vfun, nfun, rho, r1 = system.v, system.n, system.rho, system.rho1
 
@@ -309,7 +330,7 @@ def robinson_shen_residual(
         # X = (1/V)(grad|gradV|^2 - (2 LapV/n) grad V), x component
         return (nfun(x) * d1(grad_sq, x) - (2.0 * lap_v(x) / n) * nfun(x) * d1(vfun, x)) / vfun(x)
 
-    with np.errstate(all="ignore"):  # an underflowing h^2 shows as a non-finite residual
+    with np.errstate(all="ignore"):  # a non-finite residual is refused below
         div_x = d1(lambda x: measure(x) * x_radial(x), point) / measure(point)
         # orthonormal Hessian components of V
         g = nfun(point)
@@ -321,7 +342,7 @@ def robinson_shen_residual(
         rhs = (2.0 / vfun(point)) * tracefree_sq + (2.0 * (n - 1.0) / n) * inner
         residual = float(abs(div_x - rhs))
     if not math.isfinite(residual):
-        raise ValueError(f"Robinson-Shen residual is not finite at h = {h} (step too small)")
+        raise ValueError(f"Robinson-Shen residual is not finite at h = {h}")
     return residual
 
 

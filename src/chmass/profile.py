@@ -87,15 +87,27 @@ _NODES, _DIFF, _TO_COEFFS = _lobatto_panel(32)
 _TAIL = 3  # trailing coefficients whose size bounds a panel's truncation error
 _NEWTON_STEPS = 25
 _MIN_PANEL = 1e-6  # smallest panel, relative to s_max
+# points per Clenshaw pass: buffers of (2, 8192) floats, 128 KB.  With glibc
+# malloc, whole-graph buffers (32768 points at n_theta 128) raised
+# oracle_fine's peak RSS by about 0.45 MB over chebval's; 8192-point passes
+# run as fast and do not.
+_BLOCK = 8192
 
 
 class _ChebyshevPanels:
     """Piecewise Chebyshev series of (u, u') on [0, s_max].
 
-    Called with arclengths s >= 0 (shape (n,)), returns the stacked (u, u')
-    of shape (2, n).  Each panel adds the roundoff-sized constant that makes
-    its series return the panel's start state exactly at its left end, so
-    the neck value u(0) = a is exact.
+    Called with arclengths s >= 0 of any shape, returns the stacked (u, u')
+    of shape (2, s.size).  Each panel adds the roundoff-sized constant that
+    makes its series return the panel's start state exactly at its left end,
+    so the neck value u(0) = a is exact.
+
+    A panel's series is summed by Clenshaw's recurrence in place, ``_BLOCK``
+    points at a time: three (2, _BLOCK) buffers rotate through the 33 steps
+    and every step writes through ``out=``, where
+    ``numpy.polynomial.chebyshev.chebval`` allocates new (2, n) temporaries
+    at each step.  The operations and their order are chebval's, so the
+    values are bit for bit the same.
     """
 
     def __init__(self, breaks, coeffs, starts):
@@ -105,19 +117,38 @@ class _ChebyshevPanels:
             np.asarray(y0) - chebval(-1.0, c) for y0, c in zip(starts, coeffs)
         ]
 
-    def _panel(self, p: int, s):
+    def _panel(self, p: int, s, out):
+        """Panel p's series at s (shape (n,)), written to out (2, n) and returned."""
         lo, hi = self.breaks[p], self.breaks[p + 1]
-        return chebval(2.0 * (s - lo) / (hi - lo) - 1.0, self.coeffs[p]) + self.offsets[p][:, None]
+        c = self.coeffs[p][:, :, None]  # (33, 2, 1): one column per component
+        for start in range(0, s.size, _BLOCK):
+            x = 2.0 * (s[start : start + _BLOCK] - lo) / (hi - lo) - 1.0
+            x2 = 2.0 * x
+            c0 = np.empty((2, x.size))
+            c1 = np.empty_like(c0)
+            tmp = np.empty_like(c0)
+            c0[...] = c[-2]
+            c1[...] = c[-1]
+            for i in range(3, len(c) + 1):
+                # chebval's step: c0, c1 <- c[-i] - c1, c0 + c1 x2
+                np.multiply(c1, x2, out=tmp)
+                tmp += c0
+                np.subtract(c[-i], c1, out=c0)
+                c1, tmp = tmp, c1
+            np.multiply(c1, x, out=tmp)
+            tmp += c0
+            np.add(tmp, self.offsets[p][:, None], out=out[:, start : start + _BLOCK])
+        return out
 
     def __call__(self, s):
-        s = np.asarray(s, dtype=float)
+        s = np.asarray(s, dtype=float).ravel()
         if len(self.coeffs) == 1:  # the common case: no per-panel gather
-            return self._panel(0, s)
+            return self._panel(0, s, np.empty((2, s.size)))
         panel = np.searchsorted(self.breaks[1:-1], s, side="right")
         out = np.empty((2, s.size))
         for p in np.unique(panel):
             sel = panel == p
-            out[:, sel] = self._panel(p, s[sel])
+            out[:, sel] = self._panel(p, s[sel], np.empty((2, np.count_nonzero(sel))))
         return out
 
 
@@ -185,19 +216,28 @@ class RadialProfile:
             raise ValueError(f"arclength outside integrated range [-{self.s_max}, {self.s_max}]")
         return s
 
+    def _state(self, s, with_ddu: bool = False):
+        """(u, u') at arclength s, and u'' too ``with_ddu``: arrays of the
+        shape of s (0-d for scalar s).
+
+        A 0-d s takes the same array arithmetic as an array of s, and u'' is
+        formed on the flat arrays before they are reshaped, so scalar and
+        array calls agree bitwise.
+        """
+        s = self._check_range(s)
+        flat = s.ravel()
+        u, du = self._sol(np.abs(flat))
+        du = np.sign(flat) * du
+        values = (u, du, profile_rhs(u, du, self.q, self.lam)) if with_ddu else (u, du)
+        return tuple(x.reshape(s.shape)[()] for x in values)
+
     def state(self, s):
         """(u, u', u'') at arclength s: u and u'' even in s, u' odd.
 
         Vectorised over s of any shape (u'' through the profile equation);
         raises ValueError outside [-s_max, s_max].
         """
-        s = self._check_range(s)
-        # a 0-d s takes the same array arithmetic as an array of s, so scalar
-        # and array calls agree bitwise
-        flat = s.ravel()
-        u, du = self._sol(np.abs(flat))
-        du = np.sign(flat) * du
-        return tuple(x.reshape(s.shape)[()] for x in (u, du, profile_rhs(u, du, self.q, self.lam)))
+        return self._state(s, with_ddu=True)
 
     def u(self, s):
         """Area radius u(s); even in s."""
@@ -322,7 +362,7 @@ def slice_hawking_mass(prof: RadialProfile, s, zeta: float | None = None):
     """
     if zeta is None:
         zeta = 2.0 * prof.lam
-    u, du, _ = prof.state(s)
+    u, du = prof._state(s)
     return _like(0.5 * u * (1.0 - du**2 - zeta * u**2 / 6.0 + prof.q**2 / u**2), s)
 
 

@@ -164,12 +164,15 @@ def _geometry_from_derivs(
     n_phi).  Returns the ``SurfaceGeometry`` fields other than surface and
     zeta: node arrays of that shape, and area, charge and mch of its leading
     shape.  With ``mass_only`` it returns area, charge and mch alone and
-    skips |A|^2, the ambient curvature and K; the values are the same either
-    way.  The transforms are linear, so the partials of t phi are t times
-    those of phi and a family of scaled graphs shares one transform.
+    skips u'', |A|^2, the ambient curvature and K; the values are the same
+    either way.  The transforms are linear, so the partials of t phi are t
+    times those of phi and a family of scaled graphs shares one transform.
     """
     f = s0 + d["f"]
-    u, du, ddu = prof.state(f)
+    if mass_only:  # the mass reads u and u' alone
+        u, du = prof._state(f)
+    else:
+        u, du, ddu = prof.state(f)
 
     s = grid.sin_theta[:, None]
     x = grid.x[:, None]
@@ -243,8 +246,11 @@ def induced_geometry(surface: GraphSurface, zeta: float | None = None) -> Surfac
 
     Every height field, constant ones included, takes the same spectral
     route; a slice is the graph of a constant height, and its closed form is
-    ``profile.curvature_scalars``.  The result is cached on the surface per
-    zeta.
+    ``profile.curvature_scalars``.  An all-zero height (the slice at s0
+    itself) is synthesized from the band-0 zero vector instead of being
+    analyzed at full band: the analysis of zeros is exactly zero, so both
+    give the same zero partials and the same geometry bit for bit.  The
+    result is cached on the surface per zeta.
 
     Parameters
     ----------
@@ -262,8 +268,9 @@ def induced_geometry(surface: GraphSurface, zeta: float | None = None) -> Surfac
         zeta = 2.0 * prof.lam
     if zeta in surface._geom_cache:
         return surface._geom_cache[zeta]
-    d = surface.grid.synth_derivs(surface.grid.analyze(surface.phi.values))
-    fields = _geometry_from_derivs(prof, surface.grid, surface.s0, d, zeta)
+    grid, values = surface.grid, surface.phi.values
+    d = grid.synth_derivs(grid.analyze(values) if values.any() else np.zeros(1))
+    fields = _geometry_from_derivs(prof, grid, surface.s0, d, zeta)
     for name in ("area", "charge", "mch"):
         fields[name] = float(fields[name])
     geom = SurfaceGeometry(surface=surface, zeta=zeta, **fields)
@@ -317,7 +324,7 @@ def gauss_curvature_brioschi(surface: GraphSurface, theta, phi) -> np.ndarray:
     f = surface.s0 + fval.reshape(TH.shape)
     ft = ft.reshape(TH.shape)
     fp = fp.reshape(TH.shape)
-    u = prof.state(f)[0]
+    u = prof._state(f)[0]
 
     E = u**2 + ft**2
     F = ft * fp

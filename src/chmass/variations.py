@@ -39,7 +39,9 @@ import numpy as np
 
 from .models import NariaiParams, lapse_squared_prime
 from .profile import RadialProfile, curvature_scalars, integrate_profile
-from .sphere import ScalarField, _random_c2_stack, build_grid, c2_norm, coeff_index
+from .sphere import (
+    ScalarField, SphereGrid, _random_c2_stack, build_grid, c2_norm, coeff_index,
+)
 from .spectrum import lambda1_analytic, stability_window
 from .surfaces import (
     _STACK_NODES,
@@ -210,15 +212,20 @@ def first_variation(
     grid = geom.grid
     if (phi.grid.n_theta, phi.grid.n_phi) != (grid.n_theta, grid.n_phi):
         raise ValueError("speed field lives on a different grid")
-    return _first_variation(geom, grid.analyze(phi.values), zeta)
+    return _first_variation(geom, _partials(phi), zeta)
 
 
-def _first_variation(geom: SurfaceGeometry, phi_coeffs: np.ndarray, zeta: float | None) -> float:
-    """``first_variation`` from the harmonic coefficients of phi on geom's grid."""
+def _partials(phi: ScalarField) -> dict:
+    """The ``synth_derivs`` dict of phi: one analysis and one synthesis."""
+    grid = phi.grid
+    return grid.synth_derivs(grid.analyze(phi.values))
+
+
+def _first_variation(geom: SurfaceGeometry, d_phi: dict, zeta: float | None) -> float:
+    """``first_variation`` from the ``synth_derivs`` dict of phi on geom's grid."""
     grid = geom.grid
     z = z_functional(geom, zeta)
     d_h = grid.synth_derivs(grid.analyze(geom.h_mean))
-    d_phi = grid.synth_derivs(phi_coeffs)
     lap_term = -geom.integral(geom.grad_inner(d_h, d_phi))
     z_term = geom.integral(z * geom.h_mean * d_phi["f"])
     pref = 2.0 * math.sqrt(geom.area) / (16.0 * math.pi) ** 1.5
@@ -230,12 +237,10 @@ def _first_variation(geom: SurfaceGeometry, phi_coeffs: np.ndarray, zeta: float 
 # ---------------------------------------------------------------------------
 
 
-def _scaled_masses(prof: RadialProfile, s0: float, phi: ScalarField, ts) -> dict:
+def _scaled_masses(prof: RadialProfile, grid: SphereGrid, s0: float, d: dict, ts) -> dict:
     """Quadrature masses {t: m_CH(graph(t phi))} over the slice at s0, as one stack of
-    the distinct t (oracle path); phi is transformed once."""
+    the distinct t (oracle path), from the ``synth_derivs`` dict d of phi on grid."""
     ts = np.array(list(dict.fromkeys(ts)), dtype=float)
-    grid = phi.grid
-    d = grid.synth_derivs(grid.analyze(phi.values))
     mch = _graph_masses(prof, grid, s0, d, 2.0 * prof.lam, ts[:, None, None])["mch"]
     return dict(zip(ts.tolist(), mch.tolist()))
 
@@ -273,7 +278,7 @@ def mass_of_scaled_graph(
     prof: RadialProfile, s0: float, phi: ScalarField, t: float
 ) -> float:
     """Quadrature mass of graph(t * phi) over the slice at s0 (oracle path)."""
-    return _scaled_masses(prof, s0, phi, [t])[t]
+    return _scaled_masses(prof, phi.grid, s0, _partials(phi), [t])[t]
 
 
 def first_variation_fd(
@@ -285,7 +290,8 @@ def first_variation_fd(
     ``value`` is the dt/2-vs-dt extrapolation.
     """
     _check_dt(dt)
-    return _first_fd(_scaled_masses(prof, s0, phi, _first_fd_steps(dt)), dt)
+    mass = _scaled_masses(prof, phi.grid, s0, _partials(phi), _first_fd_steps(dt))
+    return _first_fd(mass, dt)
 
 
 def second_variation_fd(
@@ -293,7 +299,8 @@ def second_variation_fd(
 ) -> float:
     """Five-point stencil for d2/dt2 m_CH(graph(t phi)) at t = 0."""
     _check_dt(dt)
-    return _second_fd(_scaled_masses(prof, s0, phi, _second_fd_steps(dt)), dt)
+    mass = _scaled_masses(prof, phi.grid, s0, _partials(phi), _second_fd_steps(dt))
+    return _second_fd(mass, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -519,25 +526,29 @@ def variation_report(
     oracle, step-halving gap) is filled only at s0 = 0, where its closed
     form applies.
 
-    The oracles share one mass table: phi is transformed once, each distinct
-    t of the union of the stencils is evaluated once (8 scaled graphs at
-    s0 = 0 for the first difference and both second differences, 6
-    otherwise), and the base slice is the t = 0 entry.  The analytic side
-    (first variation and both closed-form second variations) shares one
-    analysis of phi of its own, so the oracle stays independent of it.
+    phi is analyzed once and synthesized once, and both sides read those
+    coefficients and partials: the transforms are deterministic, so a copy
+    per side would repeat the same arrays bit for bit, and each side still
+    evaluates its own formula from them (the oracle the mass of each scaled
+    graph, the analytic side the variation integrals).  The oracles share one
+    mass table: each distinct t of the union of the stencils is evaluated
+    once (8 scaled graphs at s0 = 0 for the first difference and both second
+    differences, 6 otherwise), and the base slice is the t = 0 entry.
     """
     _check_dt(dt)
-    base = GraphSurface(prof, s0, ScalarField(phi.grid, np.zeros_like(phi.values)))
+    grid = phi.grid
+    base = GraphSurface(prof, s0, ScalarField(grid, np.zeros_like(phi.values)))
     geom = induced_geometry(base)
+    coeffs = grid.analyze(phi.values)
+    d = grid.synth_derivs(coeffs)
     ts = _first_fd_steps(dt)
     if s0 == 0.0:
         ts += _second_fd_steps(dt) + _second_fd_steps(dt / 2.0)
-    mass = _scaled_masses(prof, s0, phi, [t for t in ts if t != 0.0])
+    mass = _scaled_masses(prof, grid, s0, d, [t for t in ts if t != 0.0])
     mass[0.0] = geom.mch
     fd = _first_fd(mass, dt)
-    coeffs = phi.grid.analyze(phi.values)
     report = VariationReport(
-        first_analytic=_first_variation(geom, coeffs, None),
+        first_analytic=_first_variation(geom, d, None),
         first_fd=fd.value,
         first_order=fd.order,
         z_max=float(np.abs(z_functional(geom)).max()),

@@ -140,9 +140,10 @@ def crit_03_profile_conservation():
 def crit_04_slice_mass_constancy():
     prof = integrate_profile(0.5, 0.3, 1.0, s_max=2.0, tol=1e-10)
     s0 = np.linspace(-1.8, 1.8, 50)
-    # the 50 slices are the graphs of one zero height over a stack of s0
+    # the 50 slices are the graphs of one zero height over a stack of s0; a
+    # zero height is band 0, synthesized from its one zero coefficient
     grid = build_grid(32, 64)
-    zero = grid.synth_derivs(grid.analyze(np.zeros((32, 64))))
+    zero = grid.synth_derivs(np.zeros(1))
     quad = _graph_masses(prof, grid, s0[:, None, None], zero, 2.0)
     return [
         ("closed-form slice mass", np.abs(slice_hawking_mass(prof, s0) - prof.m).max(), 1e-8),

@@ -341,8 +341,27 @@ def test_electrostatics_bad_step_is_usage_error(capsys, h):
         warnings.simplefilter("always")
         code, out, err = invoke(capsys, "electrostatics", "--m", "0.3", "--q", "0.3", "--h", h)
     assert code == 2 and out == ""
-    assert "h must be finite and positive" in err or "residual is not finite" in err
+    assert (
+        "h must be finite and positive" in err
+        or "residual is not finite" in err
+        or "below the step floor" in err
+    )
     assert not caught
+
+
+@pytest.mark.parametrize("h", ["1e-160", "1e-8"])
+def test_electrostatics_roundoff_step_is_usage_error(capsys, h):
+    # these steps printed residual 0 (1e-160) and 4.5e5 (1e-8) with exit 0
+    code, out, err = invoke(capsys, "electrostatics", "--m", "0.3", "--q", "0.3", "--h", h)
+    assert code == 2 and out == ""
+    assert f"h = {float(h)} is below the step floor 6.06e-06" in err
+
+
+def test_electrostatics_wide_step_names_the_stencil(capsys):
+    code, out, err = invoke(capsys, "electrostatics", "--m", "0.3", "--q", "0.3", "--h", "1e10")
+    assert code == 2 and out == ""
+    assert "h = 10000000000.0 is too wide: the stencil footprint point +- 3h" in err
+    assert "leaves the static region" in err and "lapse_squared" not in err
 
 
 def test_electrostatics_nariai(capsys):

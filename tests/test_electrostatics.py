@@ -82,11 +82,34 @@ class TestRobinsonShen:
             robinson_shen_residual(RNDS, 0.8, h=h)
 
     def test_underflowing_step_raises_without_warning(self):
-        # h^2 underflows to zero, so the residual is not finite
+        # h^2 would underflow to zero; the step floor refuses h first
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="residual is not finite"):
+            with pytest.raises(ValueError, match="below the step floor"):
                 robinson_shen_residual(RNDS, 0.8, h=1e-300)
+
+    @pytest.mark.parametrize("h", [1e-160, 1e-8, 6e-6])
+    def test_step_below_roundoff_floor_is_refused(self, h):
+        # at 1e-160, 0.8 +- h rounds to 0.8 and the residual read exactly 0;
+        # at 1e-8 it read 4.5e5: eps/h^3 roundoff, not the identity
+        with pytest.raises(ValueError, match=r"h = .* below the step floor 6\.06e-06"):
+            robinson_shen_residual(RNDS, 0.8, h=h)
+
+    def test_step_floor_scales_with_the_point(self):
+        # the floor is cbrt(eps) max(1, |point|): 1e-5 passes at the RNdS
+        # point 0.8 and is refused at de Sitter's r = 1.7, floor 1.03e-5
+        assert math.isfinite(robinson_shen_residual(RNDS, 0.8, h=1e-5))
+        with pytest.raises(ValueError, match=r"step floor 1\.03e-05"):
+            robinson_shen_residual(DESITTER, 1.7, h=1e-5)
+
+    @pytest.mark.parametrize(
+        "model,point,h", [(RNDS, 0.8, 1e10), (RNDS, 0.8, 0.2), (DESITTER, 0.1, 0.05),
+                          (NARIAI, 0.1, 0.05)],
+        ids=["rnds-huge", "rnds-past-horizon", "desitter-past-centre", "nariai-past-end"],
+    )
+    def test_wide_step_names_h_and_the_stencil(self, model, point, h):
+        with pytest.raises(ValueError, match=r"h = .* too wide: the stencil footprint point \+- 3h"):
+            robinson_shen_residual(model, point, h=h)
 
 
 class TestAreaCharge:

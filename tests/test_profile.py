@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebval
 from scipy.integrate import quad, solve_ivp
 
 from chmass import profile
@@ -50,6 +51,40 @@ def test_scalar_and_array_state_agree_bitwise(neck_profile):
     scalar = np.array([neck_profile.state(x) for x in s])
     assert np.array_equal(scalar, np.column_stack((u, du, ddu)))
     assert all(neck_profile.ddu(x) == want for x, want in zip(s, ddu))
+
+
+def _chebval_panels(sol, s):
+    """(u, u') of a ``_ChebyshevPanels`` at s, each panel summed by numpy's chebval."""
+    s = np.asarray(s, dtype=float).ravel()
+    panel = np.searchsorted(sol.breaks[1:-1], s, side="right")
+    out = np.empty((2, s.size))
+    for p in np.unique(panel):
+        sel = panel == p
+        lo, hi = sol.breaks[p], sol.breaks[p + 1]
+        x = 2.0 * (s[sel] - lo) / (hi - lo) - 1.0
+        out[:, sel] = chebval(x, sol.coeffs[p]) + sol.offsets[p][:, None]
+    return out
+
+
+@pytest.mark.parametrize(
+    "a, q, s_max, tol, panels",
+    [(0.5, 0.3, 2.0, 1e-10, 1), (0.3, 0.2, 6.0, 1e-12, 3)],
+    ids=["one-panel", "three-panels"],
+)
+def test_in_place_clenshaw_matches_chebval_bitwise(a, q, s_max, tol, panels):
+    sol = integrate_profile(a, q, 1.0, s_max=s_max, tol=tol)._sol
+    assert len(sol.coeffs) == panels
+    rng = np.random.default_rng(panels)
+    s = np.concatenate([
+        rng.uniform(0.0, s_max, 4 * profile._BLOCK),  # several passes per panel
+        sol.breaks,  # panel breaks, 0 and s_max included
+        np.nextafter(sol.breaks[1:], 0.0),  # just left of each break
+    ])
+    assert np.array_equal(sol(s), _chebval_panels(sol, s))
+    for point in (np.float64(s_max), np.array(0.7 * s_max), 0.0, sol.breaks[-2]):
+        got = sol(point)  # 0-d s: one column
+        assert got.shape == (2, 1)
+        assert np.array_equal(got, _chebval_panels(sol, point))
 
 
 def test_reflection_symmetry(neck_profile):

@@ -280,6 +280,19 @@ def test_basis_rows_match_unit_vector_transforms(n_theta):
         assert np.abs(Yp[k] - d["fp"]).max() <= 1e-12
 
 
+@pytest.mark.parametrize("n_theta", [32, 64, 128])
+def test_zero_height_is_band_zero(n_theta):
+    # the band-0 zero vector synthesizes the partials of the full-band
+    # analysis of zero grid values
+    g = build_grid(n_theta, 2 * n_theta)
+    short = g.synth_derivs(np.zeros(1))
+    full = g.synth_derivs(g.analyze(np.zeros((g.n_theta, g.n_phi))))
+    assert short.keys() == full.keys()
+    for key in full:
+        assert short[key].shape == full[key].shape
+        assert np.array_equal(short[key], full[key])
+
+
 @pytest.mark.parametrize("n_theta", [32, 128])
 def test_stacked_transforms_match_single_calls(n_theta):
     g = build_grid(n_theta, 2 * n_theta)

@@ -34,6 +34,16 @@ def zero_field(grid):
 
 
 class TestSlices:
+    @pytest.mark.parametrize("s0", [0.0, -0.7, 1.3])
+    def test_zero_height_geometry_is_that_of_the_full_band_route(self, prof, grid, s0):
+        # induced_geometry synthesizes a zero height from the band-0 zero
+        # vector; every field equals the full-band route's bit for bit
+        geom = induced_geometry(GraphSurface(prof, s0, zero_field(grid)))
+        d = grid.synth_derivs(grid.analyze(np.zeros((grid.n_theta, grid.n_phi))))
+        full = _geometry_from_derivs(prof, grid, s0, d, 2.0 * prof.lam)
+        for name, want in full.items():
+            assert np.array_equal(getattr(geom, name), want), name
+
     def test_neck_closed_forms(self, prof, grid):
         geom = induced_geometry(GraphSurface(prof, 0.0, zero_field(grid)))
         assert np.all(geom.h_mean == 0.0)

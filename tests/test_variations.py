@@ -406,8 +406,8 @@ class TestScaledGraphOracles:
             variation_report(prof, 0.0, phi, dt=t / 2)
 
     def test_variation_report_counts(self, prof, grid, monkeypatch):
-        # deterministic counting gate: the oracle transforms phi once and the
-        # geometry kernel sees each of the 9 distinct t of the stencils once:
+        # deterministic counting gate: phi is transformed once for the oracle
+        # and the analytic side together, and the geometry kernel sees each of the 9 distinct t of the stencils once:
         # t = 0 as the base slice, the 8 scaled graphs as one stack
         phi = random_c2_field(grid, 5, 4, 0.5)
         analyzed, synthesized, kernel_t, kernel_rows = [], [], [], []
@@ -434,14 +434,15 @@ class TestScaledGraphOracles:
         dt = 1e-2
         variation_report(prof, 0.0, phi, dt)
 
-        # analysed: the base slice's zero height and its mean curvature, and
-        # phi twice: once for the oracle and once for the analytic side (first
-        # variation and both closed-form second variations); never a scaled
-        # copy t phi
-        assert sum(np.array_equal(v, phi.values) for v in analyzed) == 2
-        assert len(analyzed) == 4
-        # synthesised: base slice, its mean curvature, phi (analytic), phi (oracle)
-        assert len(synthesized) == 4
+        # analysed: phi once, for the oracle and the analytic side alike, and
+        # the base slice's mean curvature; never the base slice's zero height
+        # nor a scaled copy t phi
+        assert sum(np.array_equal(v, phi.values) for v in analyzed) == 1
+        assert len(analyzed) == 2
+        # synthesised: the base slice from the band-0 zero vector, its mean
+        # curvature, and phi once for both sides
+        assert len(synthesized) == 3
+        assert any(np.array_equal(c, np.zeros(1)) for c in synthesized)
         expected = sorted([0.0] + [s * h for h in (dt / 4, dt / 2, dt, 2 * dt) for s in (1, -1)])
         np.testing.assert_allclose(sorted(kernel_t), expected, rtol=1e-12, atol=1e-15)
         # the base slice, then the 8 scaled graphs at n_theta 32 in one call
@@ -472,10 +473,51 @@ class TestScaledGraphOracles:
         lo, hi = phi.values.min(), phi.values.max()
         assert abs(lo) != abs(hi)
         t = prof.s_max / max(abs(lo), abs(hi))
-        inside = variations._scaled_masses(prof, 0.0, phi, [0.0, 0.99 * t])
+        d = variations._partials(phi)
+        inside = variations._scaled_masses(prof, grid, 0.0, d, [0.0, 0.99 * t])
         assert inside[0.99 * t] < inside[0.0]
         with pytest.raises(ValueError, match="leaves the integrated range"):
-            variations._scaled_masses(prof, 0.0, phi, [0.0, 0.99 * t, 1.01 * t])
+            variations._scaled_masses(prof, grid, 0.0, d, [0.0, 0.99 * t, 1.01 * t])
+
+
+# (s0, first_analytic, first_fd, first_order, z_max) of crit 08's ten
+# variation reports (phi = random_c2_field(grid, 400 + i, 4, 0.5), dt 2e-2),
+# as computed when phi was still analyzed once per side and the base slice's
+# zero height at full band
+CRIT_08_REPORTS = [
+    (0.2, -1.4193011349100968e-19, -3.7932620008026184e-14,
+     1.9999688083514906, 1.3357370765021415e-15),
+    (-0.35, 2.322078806912095e-19, 3.700743415417189e-15,
+     2.000006223507114, 1.5543122344752192e-15),
+    (0.5, 1.3478195266701101e-18, -7.956598343146955e-14,
+     1.9999724542167654, 2.220446049250313e-15),
+    (0.3, -1.182906947948474e-19, 1.5681900222830336e-13,
+     1.9999663582019231, 1.1102230246251565e-15),
+    (-0.45, 1.0779929221930775e-18, -2.868076146948321e-14,
+     1.999986438713454, 1.5681900222830336e-15),
+    (0.6, -5.735214586077688e-19, 9.71445146547012e-15,
+     1.9999877398773895, 1.6653345369377348e-15),
+    (-0.25, 3.7471206254621052e-19, -6.013708050052931e-15,
+     1.9999449398570959, 1.1171619185290638e-15),
+    (0.4, -7.732076094483477e-19, -1.1564823173178714e-14,
+     1.9999652481271624, 2.0122792321330962e-15),
+    (-0.55, 6.072972077387786e-20, -6.938893903907228e-15,
+     1.9895528036450787, 1.6930901125533637e-15),
+    (0.15, 2.0224490726376371e-19, 4.117077049651622e-14,
+     1.9999678728952583, 2.6680047060523293e-15),
+]
+
+
+def test_crit_08_reports_are_pinned_bitwise():
+    # sharing phi's transform between the oracle and the analytic side, and
+    # the band-0 zero height, leave every field bit for bit as it was
+    prof = integrate_profile(0.5, 0.3, 1.0, s_max=2.0, tol=1e-10)
+    grid = build_grid(32, 64)
+    for i, (s0, *fields) in enumerate(CRIT_08_REPORTS):
+        rep = variation_report(prof, s0, random_c2_field(grid, 400 + i, 4, 0.5), 2e-2)
+        got = (rep.first_analytic, rep.first_fd, rep.first_order, rep.z_max)
+        assert [x.hex() for x in got] == [x.hex() for x in fields], s0
+        assert rep.dt == 2e-2 and rep.second_analytic is None
 
 
 def test_instability_constant_positive_across_window():
