@@ -432,7 +432,9 @@ def random_c2_field(
     normalized on the spectral partials of its drawn coefficients, so its
     C^2 norm is ``amplitude`` and ``c2_norm`` (which re-analyzes the values)
     agrees to roundoff.  The draw depends only on (seed, l, m), never on
-    iteration order or thread count.
+    iteration order or thread count.  The SeedSequence hash of every key is
+    computed vectorized (``_seed_states``, checked bit for bit against
+    numpy's ``SeedSequence`` in the tests) and seeds numpy's own PCG64.
     """
     return ScalarField(grid, _random_c2_stack(grid, [seed], lmax, amplitude)["f"][0])
 
@@ -441,23 +443,119 @@ def _random_c2_stack(grid: SphereGrid, seeds, lmax: int, amplitude: float) -> di
     """The ``synth_derivs`` dict of ``random_c2_field`` for each seed, each array
     of shape (len(seeds), n_theta, n_phi).
 
-    The drawn coefficients (band lmax) are derivative-synthesized once, as one
-    stack; the transforms are linear, so scaling all six arrays by amplitude
-    over the C^2 norm of the unscaled partials normalizes values and partials
-    alike, and no stack is ever analyzed."""
+    The PCG64 states of all (seed, l, m) keys are hashed in one
+    ``_seed_states`` call; each coefficient is then one standard normal of
+    numpy's Generator on its state.  The drawn coefficients (band lmax) are
+    derivative-synthesized once, as one stack; the transforms are linear, so
+    scaling all six arrays by amplitude over the C^2 norm of the unscaled
+    partials normalizes values and partials alike, and no stack is ever
+    analyzed."""
     if lmax > grid.n_theta / 4:
         raise ValueError("lmax too large for this grid (need lmax <= n_theta/4)")
     if amplitude < 0:
         raise ValueError("amplitude must be nonnegative")
-    coeffs = np.zeros((len(seeds), n_coeffs(lmax)))
-    for i, seed in enumerate(seeds):
-        for k in range(coeffs.shape[1]):
-            l = math.isqrt(k)  # flat index k = l^2 + l + m, so m + l = k - l^2
-            ss = np.random.SeedSequence([int(seed), l, k - l * l])
-            coeffs[i, k] = np.random.Generator(np.random.PCG64(ss)).standard_normal()
+    keys = [(l, m + l) for l in range(lmax + 1) for m in range(-l, l + 1)]
+    # PCG64 seeds itself from generate_state(4, uint64): 8 little-endian words
+    states = _seed_states([int(s) for s in seeds], keys, 8)
+    states = states.astype("<u4").view("<u8").astype(np.uint64).reshape(-1, 4)
+    given = _given_seed_sequence()
+    coeffs = np.array(
+        [np.random.Generator(np.random.PCG64(given(s))).standard_normal() for s in states]
+    ).reshape(len(seeds), len(keys))
     d = grid.synth_derivs(coeffs)
     scale = (amplitude / _c2_norms(grid, d))[:, None, None]
     return {key: scale * v for key, v in d.items()}
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), on uint32 words
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _seed_states(heads, tails, n_words: int) -> np.ndarray:
+    """``SeedSequence([head, *tail]).generate_state(n_words)`` for every head
+    and tail row, as uint32 of shape (len(heads), len(tails), n_words).
+
+    heads are nonnegative Python ints of any size, each entering the entropy as
+    its 32-bit words, least significant first; tails are rows of equal length
+    whose entries are below 2^32, one word each.  The hash runs once per
+    entropy length over all rows of that length: zero-padding to the pool of
+    4 words is exact, but each word beyond 4 adds mixing rounds, so heads are
+    grouped by word count."""
+    tails = np.asarray(tails).reshape(len(tails), -1)
+    if ((tails < 0) | (tails > _MASK32)).any():
+        raise ValueError("seed tail entries must be in [0, 2^32)")
+    tails = tails.astype(np.uint32)
+    words = []
+    for head in heads:
+        if head < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {head}")
+        w = [head & _MASK32]
+        while head := head >> 32:
+            w.append(head & _MASK32)
+        words.append(w)
+    out = np.empty((len(words), len(tails), n_words), np.uint32)
+    for width in {len(w) for w in words}:
+        rows = [i for i, w in enumerate(words) if len(w) == width]
+        head = np.array([words[i] for i in rows], np.uint32)
+        entropy = [np.repeat(col, len(tails)) for col in head.T]
+        entropy += [np.tile(col, len(rows)) for col in tails.T]
+        out[rows] = _seed_sequence_hash(entropy, n_words).reshape(len(rows), len(tails), n_words)
+    return out
+
+
+def _seed_sequence_hash(entropy: list, n_words: int) -> np.ndarray:
+    """SeedSequence's mix_entropy then generate_state(n_words), for the entropy
+    columns (each a uint32 array over rows); uint32 of shape (rows, n_words).
+    uint32 array arithmetic wraps mod 2^32, as the C code does."""
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value = value * const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        value = x * _MIX_L - y * _MIX_R
+        return value ^ (value >> 16)
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const = _INIT_B
+    out = np.empty((len(zero), n_words), np.uint32)
+    for i in range(n_words):
+        value = pool[i % 4] ^ const
+        const = const * _MULT_B & _MASK32
+        value = value * const
+        out[:, i] = value ^ (value >> 16)
+    return out
+
+
+@functools.cache
+def _given_seed_sequence() -> type:
+    """A seed sequence that hands PCG64 a precomputed state.  Defined on first
+    use, so that importing this module does not load numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class GivenState(ISeedSequence):
+        def __init__(self, state):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+
+    return GivenState
 
 
 def scalar_field_to_dict(f: ScalarField) -> dict:

@@ -40,7 +40,8 @@ import numpy as np
 from .models import NariaiParams, lapse_squared_prime
 from .profile import RadialProfile, curvature_scalars, integrate_profile
 from .sphere import (
-    ScalarField, SphereGrid, _random_c2_stack, build_grid, c2_norm, coeff_index,
+    ScalarField, SphereGrid, _random_c2_stack, _seed_states, build_grid, c2_norm,
+    coeff_index,
 )
 from .spectrum import lambda1_analytic, stability_window
 from .surfaces import (
@@ -466,7 +467,8 @@ def local_max_experiment(
 
     Sample k draws a height with l <= 4 on the 32 x 64 grid from
     random_c2_field, seeded by SeedSequence([seed, k]).generate_state(1)[0],
-    at the given C^2 amplitude.
+    at the given C^2 amplitude; the n_samples seeds are hashed in one
+    vectorized ``_seed_states`` call, bit for bit those of numpy.
     Reports the largest mass excess m_CH(graph) - m over all samples and, for
     samples within ``_NEAR_TOL`` of equality, the largest C^2 norm of the
     nonconstant part of the height (equality should only occur for slices).
@@ -486,8 +488,7 @@ def local_max_experiment(
         raise ValueError(f"neck a^2 = {a**2} outside the stability window {w}")
     prof = integrate_profile(a, q, 1.0, s_max=1.0)
     grid = build_grid(_N_THETA, _N_PHI)
-    seeds = [int(np.random.SeedSequence([int(seed), k]).generate_state(1)[0])
-             for k in range(n_samples)]
+    seeds = _seed_states([int(seed)], np.arange(n_samples)[:, None], 1).ravel().tolist()
     stack = _STACK_NODES // (_N_THETA * _N_PHI)
     excess = []
     near = []

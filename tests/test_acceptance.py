@@ -4,6 +4,7 @@ Bounds live in chmass.verification and are fixed; run with ``pytest -s``
 to see the per-criterion lines.
 """
 
+import numpy as np
 import pytest
 
 from chmass import sphere, surfaces
@@ -85,6 +86,22 @@ def test_transform_and_kernel_counts_per_criterion(monkeypatch):
                 calls.get(name, 0) for name in ("analyze", "synth_derivs", "_geometry_from_derivs")
             )
     assert counts == KERNEL_COUNTS
+
+
+def test_run_all_constructs_no_seed_sequence(monkeypatch):
+    # seeded draws hash their keys vectorized (sphere._seed_states) instead of
+    # building a numpy SeedSequence per coefficient or per sample
+    built = []
+    cls = np.random.SeedSequence
+
+    class Counted(cls):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", Counted)
+    run_all()
+    assert len(built) == 0
 
 
 def test_run_all_builds_each_legendre_rule_once(monkeypatch):

@@ -67,6 +67,17 @@ def test_runtime_never_imports_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cli_import_leaves_numpy_random_unloaded():
+    # numpy loads numpy.random lazily; the seeded draw defines its numpy.random
+    # classes on first use, so a CLI start that draws nothing never pays for it
+    code = "import sys, chmass.cli; print('numpy.random' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chmass.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_json_serializer_digits_and_specials():
     text = to_json({"x": 0.1, "flag": True, "none": None, "bad": float("nan"), "neg": -0.0})
     parsed = json.loads(text)

@@ -13,6 +13,7 @@ from chmass.sphere import (
     ScalarField,
     _blocks,
     _random_c2_stack,
+    _seed_states,
     _theta_rule,
     build_grid,
     c2_norm,
@@ -214,6 +215,61 @@ class TestRandomField:
             for amplitude in (0.02, 0.5):
                 f = random_c2_field(g, seed, 4, amplitude)
                 assert c2_norm(f) == pytest.approx(amplitude, rel=rel)
+
+
+_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**70 + 3]
+
+
+@pytest.mark.parametrize("n_words", [1, 8])
+@pytest.mark.parametrize("n_tail", [1, 2, 3])
+def test_seed_states_are_numpys_seed_sequence(n_tail, n_words):
+    # seeds of 1 to 3 words and tails of 1 to 3 give entropy of 2 to 6
+    # words: rows shorter than the pool of 4, equal to it and longer
+    tails = np.random.default_rng(n_tail).integers(0, 2**32, size=(5, n_tail))
+    tails[0], tails[1] = 0, 2**32 - 1
+    got = _seed_states(_SEEDS, tails, n_words)
+    assert got.dtype == np.uint32 and got.shape == (len(_SEEDS), len(tails), n_words)
+    for i, seed in enumerate(_SEEDS):
+        for j, tail in enumerate(tails.tolist()):
+            want = np.random.SeedSequence([seed, *tail]).generate_state(n_words)
+            assert np.array_equal(got[i, j], want), (seed, tail)
+
+
+def test_seed_states_refuse_negative_and_wide_entries():
+    with pytest.raises(ValueError):
+        _seed_states([-1], [[0]], 1)
+    with pytest.raises(ValueError):
+        _seed_states([0], [[2**32]], 1)
+    with pytest.raises(ValueError):
+        _seed_states([0], [[-1]], 1)
+
+
+def _per_coefficient_stack(grid, seeds, lmax, amplitude):
+    """The draw as one SeedSequence, PCG64 and Generator per coefficient."""
+    coeffs = np.zeros((len(seeds), n_coeffs(lmax)))
+    for i, seed in enumerate(seeds):
+        for k in range(coeffs.shape[1]):
+            l = math.isqrt(k)
+            ss = np.random.SeedSequence([int(seed), l, k - l * l])
+            coeffs[i, k] = np.random.Generator(np.random.PCG64(ss)).standard_normal()
+    d = grid.synth_derivs(coeffs)
+    scale = (amplitude / sphere._c2_norms(grid, d))[:, None, None]
+    return {key: scale * v for key, v in d.items()}
+
+
+def test_stack_is_the_per_coefficient_draw_bitwise():
+    g = build_grid(64, 128)
+    seeds = [0, 7, np.uint32(5), np.uint32(2**32 - 1), 2**32, 2**64, 2**70 + 3]
+    got = _random_c2_stack(g, seeds, 8, 0.05)
+    want = _per_coefficient_stack(g, seeds, 8, 0.05)
+    assert set(got) == set(want)
+    for name in want:
+        assert np.array_equal(got[name], want[name]), name
+
+
+def test_negative_seed_is_refused(grid):
+    with pytest.raises(ValueError):
+        random_c2_field(grid, -1, 4, 0.05)
 
 
 def test_json_round_trip(grid):
