@@ -244,9 +244,9 @@ def _parse_speed(spec: str, grid) -> ScalarField:
     if spec.startswith("Y:"):
         l_str, m_str = spec[2:].split(",")
         l, m = int(l_str), int(m_str)
-        c = np.zeros(n_coeffs(max(l, 1)))
+        c = np.zeros(n_coeffs(l))
         c[coeff_index(l, m)] = 1.0
-        return ScalarField(grid, grid.synthesize(c))
+        return ScalarField.from_coeffs(grid, c)
     with open(spec) as fh:
         return scalar_field_from_dict(json.load(fh), grid=grid)
 

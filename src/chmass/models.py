@@ -47,7 +47,8 @@ CLASS_DOUBLE_OUTER = "double-outer"
 CLASS_DOUBLE_INNER = "double-inner"
 CLASS_DEGENERATE = "other/degenerate"
 
-# Two polished roots r_i, r_j are merged when |r_i - r_j| <= tol * max(1, |r_i|).
+# Two polished roots r_i, r_j are merged when |r_i - r_j| <= tol * max(1, |r_i|),
+# unless both are horizons (HORIZON_TOL) and their mean is not.
 DOUBLE_ROOT_TOL = 1e-6
 
 # A radius counts as a horizon when |f(r_h)| is below this.
@@ -160,7 +161,8 @@ def horizon_roots(p: ModelParams) -> HorizonStructure:
     Roots come from the companion-matrix eigenvalues of the monic quartic
     r^4 - (3/Lambda) r^2 + (6m/Lambda) r - 3Q^2/Lambda, polished with at most
     five Newton steps each.  Near-coincident roots (within DOUBLE_ROOT_TOL
-    relative spacing) are merged into a multiple root.
+    relative spacing) are merged into a multiple root, unless that would turn
+    horizons into a mean that is none (5e-7 apart at Q = 1e-4, near m_min).
 
     Parameters
     ----------
@@ -194,12 +196,17 @@ def horizon_roots(p: ModelParams) -> HorizonStructure:
     polished.sort()
 
     # Cluster near-coincident polished roots into multiple roots.
+    def is_horizon(r):  # |f(r)| <= HORIZON_TOL, with f = -quartic / r^2
+        return abs(_quartic(r, p)) <= HORIZON_TOL * r * r
+
     clusters: list[list[float]] = []
     for r in polished:
         if clusters and abs(r - clusters[-1][-1]) <= DOUBLE_ROOT_TOL * max(1.0, abs(r)):
-            clusters[-1].append(r)
-        else:
-            clusters.append([r])
+            merged = clusters[-1] + [r]
+            if is_horizon(np.mean(merged)) or not all(map(is_horizon, merged)):
+                clusters[-1].append(r)
+                continue
+        clusters.append([r])
     roots = tuple((float(np.mean(c)), len(c)) for c in clusters)
 
     classification, named = _classify(roots)

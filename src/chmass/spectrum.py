@@ -189,7 +189,7 @@ def spectral_report(a: float, q: float, n_theta: int = 32, k: int = 9) -> Spectr
     """Assemble the full spectral diagnostic package for one neck."""
     grid = build_grid(n_theta, 2 * n_theta)
     prof = integrate_profile(a, q, 1.0, s_max=1.0)
-    surf = GraphSurface(prof, 0.0, ScalarField(grid, np.zeros((n_theta, 2 * n_theta))))
+    surf = GraphSurface(prof, 0.0, ScalarField.from_coeffs(grid, np.zeros(1)))
     return SpectralReport(
         lambda1_analytic=lambda1_analytic(a, q),
         lambda1_discrete=lambda1_discrete(surf),

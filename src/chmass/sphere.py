@@ -21,13 +21,17 @@ indices l^2+l+m (cos m phi part) and l^2+l-m (sin m phi part).
 grid values (..., n_theta, n_phi) <-> coefficients (..., n_coeffs).  A stack
 of fields is transformed together, as extra rows or columns of the one matrix
 product per m block.
+
+A ``ScalarField`` carries its coefficients, which every operator reads.  Grid
+values from outside are analyzed once, on input; heights born as coefficients
+(``ScalarField.from_coeffs``, seeded draws) are never analyzed.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -351,17 +355,32 @@ class SphereGrid:
 
 @dataclass(eq=False)
 class ScalarField:
-    """Scalar samples on a SphereGrid, stored row-major theta-then-phi."""
+    """Scalar samples on a SphereGrid, stored row-major theta-then-phi, and
+    their real harmonic coefficients: ``ScalarField(grid, values)`` analyzes
+    the values once, over the full grid band.  A caller that synthesized the
+    values from coefficients passes those as ``coeffs`` instead."""
 
     grid: SphereGrid
     values: np.ndarray
+    coeffs: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
+        self.values = np.array(self.values, dtype=float)  # a copy: coeffs describe it
         if self.values.shape != (self.grid.n_theta, self.grid.n_phi):
             raise ValueError("field shape does not match grid")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field contains non-finite values")
+        if self.coeffs is None:
+            self.coeffs = self.grid.analyze(self.values)
+
+    @classmethod
+    def from_coeffs(cls, grid: SphereGrid, coeffs) -> ScalarField:
+        """The field of a flat coefficient vector of band L <= the grid band,
+        never analyzed: its values are one synthesis of ``coeffs``."""
+        coeffs = np.array(coeffs, dtype=float)
+        if coeffs.ndim != 1 or not np.all(np.isfinite(coeffs)):
+            raise ValueError("coefficients must be one finite vector")
+        return cls(grid, grid.synthesize(coeffs), coeffs)
 
 
 def build_grid(n_theta: int, n_phi: int) -> SphereGrid:
@@ -377,13 +396,10 @@ def integrate(f: ScalarField) -> float:
 def laplace_beltrami(f: ScalarField) -> ScalarField:
     """Spectral Laplace-Beltrami operator on the unit sphere.
 
-    Exact (to transform accuracy) on fields band-limited below the grid
-    band; higher content aliases.
+    Exact (to transform accuracy) on the coefficients of f: -l(l+1) c_lm.
     """
-    g = f.grid
-    coeffs = g.analyze(f.values)
-    l = np.floor(np.sqrt(np.arange(coeffs.size))).astype(int)
-    return ScalarField(g, g.synthesize(-l * (l + 1.0) * coeffs))
+    l = np.floor(np.sqrt(np.arange(f.coeffs.size)))
+    return ScalarField.from_coeffs(f.grid, -l * (l + 1.0) * f.coeffs)
 
 
 def _c2_pointwise(grid: SphereGrid, d: dict):
@@ -412,14 +428,14 @@ def c2_norm(f: ScalarField) -> float:
     evaluated spectrally; the result is a max over grid nodes (the poles
     carry no nodes, so pole suprema are approached but not sampled).
 
-    Accuracy is set by the polar rows: there the Hessian amplifies roundoff
-    in the analyzed coefficients by about l^2 (P_l'(1) = l(l+1)/2 P_l(1)),
-    so with full-band analysis the error grows with n_theta, which accurate
-    quadrature weights cannot prevent (cos theta: about 8e-13, 2e-12 and
-    9e-11 at n_theta = 32, 64 and 128).
+    The partials are synthesized from ``f.coeffs``.  For a field analyzed
+    from values, accuracy is set by the polar rows: there the Hessian
+    amplifies the analysis roundoff by about l^2 (P_l'(1) = l(l+1)/2 P_l(1)),
+    so the error grows with n_theta, which accurate quadrature weights cannot
+    prevent (cos theta: about 8e-13, 2e-12 and 9e-11 at n_theta = 32, 64 and
+    128).  A field born as coefficients has no analysis roundoff.
     """
-    g = f.grid
-    return float(_c2_norms(g, g.synth_derivs(g.analyze(f.values))))
+    return float(_c2_norms(f.grid, f.grid.synth_derivs(f.coeffs)))
 
 
 def random_c2_field(
@@ -430,26 +446,28 @@ def random_c2_field(
     Each coefficient (l, m) is a standard normal drawn from an independent
     PCG64 stream keyed by SeedSequence([seed, l, m + l]); the field is then
     normalized on the spectral partials of its drawn coefficients, so its
-    C^2 norm is ``amplitude`` and ``c2_norm`` (which re-analyzes the values)
-    agrees to roundoff.  The draw depends only on (seed, l, m), never on
-    iteration order or thread count.  The SeedSequence hash of every key is
-    computed vectorized (``_seed_states``, checked bit for bit against
-    numpy's ``SeedSequence`` in the tests) and seeds numpy's own PCG64.
+    C^2 norm is ``amplitude``.  It carries the scaled band-lmax coefficients
+    and the values drawn with them, so it is never analyzed, and ``c2_norm``
+    reads it back to a few ulps.  The draw depends only on (seed, l, m),
+    never on iteration order or thread count (see ``_random_c2_stack``).
     """
-    return ScalarField(grid, _random_c2_stack(grid, [seed], lmax, amplitude)["f"][0])
+    d, coeffs = _random_c2_stack(grid, [seed], lmax, amplitude)
+    return ScalarField(grid, d["f"][0], coeffs[0])
 
 
-def _random_c2_stack(grid: SphereGrid, seeds, lmax: int, amplitude: float) -> dict:
-    """The ``synth_derivs`` dict of ``random_c2_field`` for each seed, each array
-    of shape (len(seeds), n_theta, n_phi).
+def _random_c2_stack(grid: SphereGrid, seeds, lmax: int, amplitude: float):
+    """The ``synth_derivs`` dict of ``random_c2_field`` for each seed, arrays of
+    shape (len(seeds), n_theta, n_phi), and the scaled coefficients of shape
+    (len(seeds), n_coeffs(lmax)).
 
     The PCG64 states of all (seed, l, m) keys are hashed in one
-    ``_seed_states`` call; each coefficient is then one standard normal of
-    numpy's Generator on its state.  The drawn coefficients (band lmax) are
+    ``_seed_states`` call (bit for bit numpy's ``SeedSequence``, checked in
+    the tests); each coefficient is then one standard normal of numpy's
+    Generator on its state.  The drawn coefficients (band lmax) are
     derivative-synthesized once, as one stack; the transforms are linear, so
-    scaling all six arrays by amplitude over the C^2 norm of the unscaled
-    partials normalizes values and partials alike, and no stack is ever
-    analyzed."""
+    scaling the coefficients and all six arrays by amplitude over the C^2
+    norm of the unscaled partials normalizes them alike, and no stack is
+    ever analyzed."""
     if lmax > grid.n_theta / 4:
         raise ValueError("lmax too large for this grid (need lmax <= n_theta/4)")
     if amplitude < 0:
@@ -463,8 +481,8 @@ def _random_c2_stack(grid: SphereGrid, seeds, lmax: int, amplitude: float) -> di
         [np.random.Generator(np.random.PCG64(given(s))).standard_normal() for s in states]
     ).reshape(len(seeds), len(keys))
     d = grid.synth_derivs(coeffs)
-    scale = (amplitude / _c2_norms(grid, d))[:, None, None]
-    return {key: scale * v for key, v in d.items()}
+    scale = amplitude / _c2_norms(grid, d)
+    return {key: scale[:, None, None] * v for key, v in d.items()}, scale[:, None] * coeffs
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx), on uint32 words

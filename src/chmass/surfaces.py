@@ -63,10 +63,11 @@ class SurfaceGeometry:
 
     Pointwise arrays are (n_theta, n_phi) node values; ``area_element``
     already contains the quadrature weights' measure factor u^2 W, so
-    integrals are sum(w_node * area_element * field).
+    integrals are sum(w_node * area_element * field).  It holds the grid,
+    not the surface, so caching it on the surface makes no reference cycle.
     """
 
-    surface: GraphSurface
+    grid: SphereGrid
     zeta: float
     area: float
     charge: float
@@ -83,10 +84,6 @@ class SurfaceGeometry:
     hinv_tt: np.ndarray = field(repr=False)  # inverse induced metric, coords
     hinv_tp: np.ndarray = field(repr=False)
     hinv_pp: np.ndarray = field(repr=False)
-
-    @property
-    def grid(self) -> SphereGrid:
-        return self.surface.grid
 
     def integral(self, values: np.ndarray) -> float:
         """Surface integral of node values against the induced measure."""
@@ -161,7 +158,7 @@ def _geometry_from_derivs(
     """Quadrature geometry of the graph of s0 + f from the spectral partials of f.
 
     ``d`` is a ``synth_derivs`` dict of node arrays of shape (..., n_theta,
-    n_phi).  Returns the ``SurfaceGeometry`` fields other than surface and
+    n_phi).  Returns the ``SurfaceGeometry`` fields other than grid and
     zeta: node arrays of that shape, and area, charge and mch of its leading
     shape.  With ``mass_only`` it returns area, charge and mch alone and
     skips u'', |A|^2, the ambient curvature and K; the values are the same
@@ -245,12 +242,10 @@ def induced_geometry(surface: GraphSurface, zeta: float | None = None) -> Surfac
     """Compute the full geometric package of a graph surface by quadrature.
 
     Every height field, constant ones included, takes the same spectral
-    route; a slice is the graph of a constant height, and its closed form is
-    ``profile.curvature_scalars``.  An all-zero height (the slice at s0
-    itself) is synthesized from the band-0 zero vector instead of being
-    analyzed at full band: the analysis of zeros is exactly zero, so both
-    give the same zero partials and the same geometry bit for bit.  The
-    result is cached on the surface per zeta.
+    route: its partials are one synthesis of ``phi.coeffs``, at the band the
+    height carries.  A slice is the graph of a constant height, and its
+    closed form is ``profile.curvature_scalars``.  The result is cached on
+    the surface per zeta.
 
     Parameters
     ----------
@@ -268,12 +263,12 @@ def induced_geometry(surface: GraphSurface, zeta: float | None = None) -> Surfac
         zeta = 2.0 * prof.lam
     if zeta in surface._geom_cache:
         return surface._geom_cache[zeta]
-    grid, values = surface.grid, surface.phi.values
-    d = grid.synth_derivs(grid.analyze(values) if values.any() else np.zeros(1))
+    grid = surface.grid
+    d = grid.synth_derivs(surface.phi.coeffs)
     fields = _geometry_from_derivs(prof, grid, surface.s0, d, zeta)
     for name in ("area", "charge", "mch"):
         fields[name] = float(fields[name])
-    geom = SurfaceGeometry(surface=surface, zeta=zeta, **fields)
+    geom = SurfaceGeometry(grid=grid, zeta=zeta, **fields)
     surface._geom_cache[zeta] = geom
     return geom
 
@@ -313,14 +308,13 @@ def gauss_curvature_brioschi(surface: GraphSurface, theta, phi) -> np.ndarray:
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
     prof = surface.profile
     grid = surface.grid
-    coeffs = grid.analyze(surface.phi.values)
 
     step = 2e-3
     offs = step * np.arange(-2.0, 3.0)
     TH = theta[:, None, None] + offs[None, :, None] + 0.0 * offs[None, None, :]
     PH = phi[:, None, None] + 0.0 * offs[None, :, None] + offs[None, None, :]
 
-    fval, ft, fp = grid.evaluate_at(coeffs, TH.ravel(), PH.ravel())
+    fval, ft, fp = grid.evaluate_at(surface.phi.coeffs, TH.ravel(), PH.ravel())
     f = surface.s0 + fval.reshape(TH.shape)
     ft = ft.reshape(TH.shape)
     fp = fp.reshape(TH.shape)

@@ -209,17 +209,10 @@ def first_variation(
     vertical graph family height -> height + t psi instead moves points
     along d/ds, which is the normal speed psi / W plus a tangential
     reparametrization; over slices W = 1 and the two families agree exactly.
+    phi is read on geom's grid from its coefficients, of any band up to the
+    grid band.
     """
-    grid = geom.grid
-    if (phi.grid.n_theta, phi.grid.n_phi) != (grid.n_theta, grid.n_phi):
-        raise ValueError("speed field lives on a different grid")
-    return _first_variation(geom, _partials(phi), zeta)
-
-
-def _partials(phi: ScalarField) -> dict:
-    """The ``synth_derivs`` dict of phi: one analysis and one synthesis."""
-    grid = phi.grid
-    return grid.synth_derivs(grid.analyze(phi.values))
+    return _first_variation(geom, geom.grid.synth_derivs(phi.coeffs), zeta)
 
 
 def _first_variation(geom: SurfaceGeometry, d_phi: dict, zeta: float | None) -> float:
@@ -279,7 +272,7 @@ def mass_of_scaled_graph(
     prof: RadialProfile, s0: float, phi: ScalarField, t: float
 ) -> float:
     """Quadrature mass of graph(t * phi) over the slice at s0 (oracle path)."""
-    return _scaled_masses(prof, phi.grid, s0, _partials(phi), [t])[t]
+    return _scaled_masses(prof, phi.grid, s0, phi.grid.synth_derivs(phi.coeffs), [t])[t]
 
 
 def first_variation_fd(
@@ -291,7 +284,8 @@ def first_variation_fd(
     ``value`` is the dt/2-vs-dt extrapolation.
     """
     _check_dt(dt)
-    mass = _scaled_masses(prof, phi.grid, s0, _partials(phi), _first_fd_steps(dt))
+    d = phi.grid.synth_derivs(phi.coeffs)
+    mass = _scaled_masses(prof, phi.grid, s0, d, _first_fd_steps(dt))
     return _first_fd(mass, dt)
 
 
@@ -300,7 +294,8 @@ def second_variation_fd(
 ) -> float:
     """Five-point stencil for d2/dt2 m_CH(graph(t phi)) at t = 0."""
     _check_dt(dt)
-    mass = _scaled_masses(prof, phi.grid, s0, _partials(phi), _second_fd_steps(dt))
+    d = phi.grid.synth_derivs(phi.coeffs)
+    mass = _scaled_masses(prof, phi.grid, s0, d, _second_fd_steps(dt))
     return _second_fd(mass, dt)
 
 
@@ -314,19 +309,12 @@ def second_variation_minimal(a: float, q: float, phi: ScalarField) -> float:
 
     (|S|^(1/2)/32 pi^(3/2)) [Ric(nu,nu) int |grad phi|^2 - int (Lap phi)^2]
     with Ric(nu,nu) = -lambda1_analytic(a, Q); exactly zero for constant phi.
-    """
-    return _second_variation_minimal(a, q, phi.grid.analyze(phi.values))
-
-
-def _second_variation_minimal(a: float, q: float, coeffs: np.ndarray) -> float:
-    """``second_variation_minimal`` from the harmonic coefficients of phi.
-
     On the radius-a slice, int |grad phi|^2 and int (Lap phi)^2 weight each
-    squared coefficient by l(l+1) and l^2 (l+1)^2 / a^2.
+    squared coefficient of phi by l(l+1) and l^2 (l+1)^2 / a^2.
     """
-    l = np.floor(np.sqrt(np.arange(coeffs.size))).astype(int)
+    l = np.floor(np.sqrt(np.arange(phi.coeffs.size))).astype(int)
     mu_unit = l * (l + 1.0)
-    c2 = coeffs**2
+    c2 = phi.coeffs**2
     grad2 = float((mu_unit * c2).sum())
     lap2 = float((mu_unit**2 * c2).sum()) / a**2
     ric = -lambda1_analytic(a, q)
@@ -342,16 +330,11 @@ def second_variation_as_printed(a: float, q: float, phi: ScalarField) -> float:
     phi, contradicting slice mass constancy; the gap to the canonical form is
     prefactor * (zeta - Lambda)/2 * (-int phi L phi) with zeta = 2.
     """
-    return _second_variation_as_printed(a, q, phi.grid.analyze(phi.values))
-
-
-def _second_variation_as_printed(a: float, q: float, coeffs: np.ndarray) -> float:
-    """``second_variation_as_printed`` from the harmonic coefficients of phi."""
     area = 4.0 * math.pi * a**2
     ric = -lambda1_analytic(a, q)
-    l = np.floor(np.sqrt(np.arange(coeffs.size))).astype(int)
+    l = np.floor(np.sqrt(np.arange(phi.coeffs.size))).astype(int)
     mu_slice = l * (l + 1.0) / a**2
-    c2 = coeffs**2
+    c2 = phi.coeffs**2
     int_phi_l_phi = float(((ric - mu_slice) * c2).sum()) * a**2
     int_l_phi_sq = float(((ric - mu_slice) ** 2 * c2).sum()) * a**2
     coefficient = (area * 1.0 - 8.0 * math.pi) / (2.0 * area) + 16.0 * math.pi**2 * q**2 / area**2
@@ -476,8 +459,8 @@ def local_max_experiment(
     Graphs are drawn, normalized and evaluated in stacks of at most
     ``_STACK_NODES`` grid nodes; each draw depends on its sample alone.  A
     stack is derivative-synthesized once from its drawn coefficients, and
-    those partials serve both its C^2 normalization and its masses; only a
-    sample within ``_NEAR_TOL`` of equality is analyzed, to strip its mean.
+    those partials serve both its C^2 normalization and its masses.  A
+    sample within ``_NEAR_TOL`` of equality loses its mean as c_00 = 0.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
@@ -493,14 +476,13 @@ def local_max_experiment(
     excess = []
     near = []
     for start in range(0, n_samples, stack):
-        d = _random_c2_stack(grid, seeds[start : start + stack], _LMAX, amplitude)
+        d, coeffs = _random_c2_stack(grid, seeds[start : start + stack], _LMAX, amplitude)
         mch = _graph_masses(prof, grid, 0.0, d, 2.0 * prof.lam)["mch"]
-        for h, e in zip(d["f"], mch - prof.m):
+        for c, e in zip(coeffs, mch - prof.m):
             excess.append(float(e))
             if e >= -_NEAR_TOL:
-                coeffs = grid.analyze(h)
-                coeffs[coeff_index(0, 0)] = 0.0
-                near.append(c2_norm(ScalarField(grid, grid.synthesize(coeffs))))
+                c[coeff_index(0, 0)] = 0.0
+                near.append(c2_norm(ScalarField.from_coeffs(grid, c)))
     return LocalMaxReport(
         a=a, q=q, n_samples=n_samples, amplitude=amplitude, seed=seed,
         max_excess=max(excess),
@@ -527,21 +509,19 @@ def variation_report(
     oracle, step-halving gap) is filled only at s0 = 0, where its closed
     form applies.
 
-    phi is analyzed once and synthesized once, and both sides read those
-    coefficients and partials: the transforms are deterministic, so a copy
-    per side would repeat the same arrays bit for bit, and each side still
-    evaluates its own formula from them (the oracle the mass of each scaled
-    graph, the analytic side the variation integrals).  The oracles share one
-    mass table: each distinct t of the union of the stencils is evaluated
+    phi's coefficients are derivative-synthesized once, and both sides read
+    those coefficients and partials: a copy per side would repeat the same
+    arrays bit for bit, and each side still evaluates its own formula from
+    them (the oracle the mass of each scaled graph, the analytic side the
+    variation integrals).  The base slice is the band-0 zero height.  The
+    oracles share one mass table: each distinct t of the union of the stencils is evaluated
     once (8 scaled graphs at s0 = 0 for the first difference and both second
     differences, 6 otherwise), and the base slice is the t = 0 entry.
     """
     _check_dt(dt)
     grid = phi.grid
-    base = GraphSurface(prof, s0, ScalarField(grid, np.zeros_like(phi.values)))
-    geom = induced_geometry(base)
-    coeffs = grid.analyze(phi.values)
-    d = grid.synth_derivs(coeffs)
+    geom = induced_geometry(GraphSurface(prof, s0, ScalarField.from_coeffs(grid, np.zeros(1))))
+    d = grid.synth_derivs(phi.coeffs)
     ts = _first_fd_steps(dt)
     if s0 == 0.0:
         ts += _second_fd_steps(dt) + _second_fd_steps(dt / 2.0)
@@ -558,8 +538,8 @@ def variation_report(
     if s0 == 0.0:
         d2_h = _second_fd(mass, dt)
         d2_h2 = _second_fd(mass, dt / 2.0)
-        report.second_analytic = _second_variation_minimal(prof.a, prof.q, coeffs)
-        report.second_as_printed = _second_variation_as_printed(prof.a, prof.q, coeffs)
+        report.second_analytic = second_variation_minimal(prof.a, prof.q, phi)
+        report.second_as_printed = second_variation_as_printed(prof.a, prof.q, phi)
         report.second_fd = d2_h2
         report.second_fd_step_gap = abs(d2_h - d2_h2)
     return report

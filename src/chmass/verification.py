@@ -154,7 +154,7 @@ def crit_04_slice_mass_constancy():
 def crit_05_charge_invariance():
     prof = integrate_profile(0.5, 0.3, 1.0, s_max=1.0, tol=1e-10)
     grid = build_grid(64, 128)
-    drawn = _random_c2_stack(grid, range(20), 4, 0.05)
+    drawn, _ = _random_c2_stack(grid, range(20), 4, 0.05)
     flux = _graph_masses(prof, grid, 0.0, drawn, 2.0)["charge"]
     return [("flux charge over 20 seeded graphs", np.abs(flux - 0.3).max(), 1e-6)]
 
@@ -163,7 +163,7 @@ def crit_06_spectra():
     grid = build_grid(32, 64)
     gap = laplace_spectrum_discrete(grid, 0.5, 2)[1]
     prof = integrate_profile(0.5, 0.3, 1.0, s_max=1.0, tol=1e-10)
-    surf = GraphSurface(prof, 0.0, ScalarField(grid, np.zeros((32, 64))))
+    surf = GraphSurface(prof, 0.0, ScalarField.from_coeffs(grid, np.zeros(1)))
     lam1 = lambda1_discrete(surf)
     lo, hi = stability_window(0.3)
     return [
@@ -188,7 +188,7 @@ def crit_07_identity_grid():
 def crit_08_first_variation():
     prof = integrate_profile(0.5, 0.3, 1.0, s_max=2.0, tol=1e-10)
     grid = build_grid(32, 64)
-    zero = ScalarField(grid, np.zeros((32, 64)))
+    zero = ScalarField.from_coeffs(grid, np.zeros(1))
     slices = [induced_geometry(GraphSurface(prof, s0, zero)) for s0 in np.linspace(-1.2, 1.2, 7)]
     s0_list = [0.2, -0.35, 0.5, 0.3, -0.45, 0.6, -0.25, 0.4, -0.55, 0.15]
     reports = [
@@ -207,10 +207,10 @@ def crit_09_second_variation():
     grid = build_grid(32, 64)
     c = np.zeros(n_coeffs(1))
     c[coeff_index(1, 0)] = 2.0  # L2-normalized on the a = 0.5 slice
-    psi = ScalarField(grid, grid.synthesize(c))
+    psi = ScalarField.from_coeffs(grid, c)
     analytic = second_variation_minimal(0.5, 0.3, psi)
     fd_dev = max(abs(second_variation_fd(prof, psi, dt) - analytic) for dt in (1e-2, 5e-3))
-    one = ScalarField(grid, np.ones((32, 64)))
+    one = ScalarField.from_coeffs(grid, [math.sqrt(4.0 * math.pi)])  # c_00 of 1
     return [
         ("value vs -0.760761", abs(analytic + 0.760761), 1e-3),
         ("FD oracle match", fd_dev, max(1e-4, 5 * 1e-2**2)),

@@ -46,16 +46,16 @@ def test_total_runtime(summary):
 # crit 09's two 5-graph stencils in one call each, crit 10's 200 graphs in 25.
 # A random stack is derivative-synthesized once from its drawn coefficients
 # and never analyzed: crit 05 draws one stack, crit 08 ten single fields and
-# crit 10 25 stacks.  A zero height (crit 04's slices, crit 06's neck and
-# crit 08's slices and base slices) is synthesized from the band-0 zero
-# vector, never analyzed; each of crit 08's reports analyzes phi and the base
-# slice's mean curvature once each and synthesizes phi, H and the base slice.
+# crit 10 25 stacks.  Every height is born as coefficients (the seeded draws,
+# the band-0 zero heights of crit 04, 06 and 08, crit 09's psi and its
+# constant), so the only analysis left is of each of crit 08's base slices'
+# mean curvature; each report synthesizes phi, H and the base slice.
 KERNEL_COUNTS = {
     "04": (0, 1, 7),
     "05": (0, 1, 10),
     "06": (0, 1, 1),
-    "08": (20, 47, 27),
-    "09": (5, 2, 2),
+    "08": (10, 47, 27),
+    "09": (0, 2, 2),
     "10": (0, 25, 25),
 }
 

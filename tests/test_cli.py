@@ -434,6 +434,15 @@ class TestSweep:
         assert lines[0] == "q2,mfrac,m,margin,pass"
         assert all(line.endswith(",1") for line in lines[1:])
 
+    def test_near_extremal_area_charge_sweep_passes(self, capsys):
+        # Q = 1e-4 at 1e-9 of the window above m_min: the two inner horizons are
+        # 5.2e-7 apart and stay distinct, so each is checked as a horizon
+        code, out, _ = invoke(
+            capsys, "sweep", "--check", "areacharge", "--q2", "1e-8:1e-8:1", "--mfrac", "1e-9:1e-9:1",
+        )
+        assert code == 0
+        assert out.strip().splitlines()[1].endswith(",1")
+
     def test_window_agreement(self, capsys):
         code, out, _ = invoke(
             capsys, "sweep", "--check", "window", "--q2", "0.01:0.2:8", "--a2", "0.2:0.8:8",

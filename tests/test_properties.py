@@ -99,15 +99,15 @@ def test_stable_neck_obeys_the_area_charge_inequality(neck):
 
 # mass fractions within 1e-9 of the window's edges: near-extremal (m_min, the
 # inner and outer horizons merging) and near-Nariai (m_max, the outer and
-# cosmological horizons merging).  Q starts at 0.01: at Q = 1e-4 and mfrac
-# 1e-9 the near-extremal root fails surface_gravity's |f| <= HORIZON_TOL
-# check, an open defect, not a violation of the bound.
+# cosmological horizons merging).  At Q = 1e-4 and mfrac 1e-9 the two inner
+# roots are 5.2e-7 apart; horizon_roots keeps them distinct, since their
+# mean fails the |f| <= HORIZON_TOL check that each of them passes.
 NEAR_EDGES = st.sampled_from([1e-9, 1.0 - 1e-9])
 
 
 @PROPERTY
 @given(
-    q=st.floats(0.01, 0.4999),
+    q=st.floats(1e-4, 0.4999),
     mfrac=st.one_of(NEAR_EDGES, st.floats(1e-9, 1.0 - 1e-9)),
 )
 @example(q=0.3, mfrac=1e-9)
@@ -116,6 +116,7 @@ NEAR_EDGES = st.sampled_from([1e-9, 1.0 - 1e-9])
 @example(q=0.4999, mfrac=1.0 - 1e-9)
 @example(q=0.01, mfrac=1e-9)
 @example(q=0.01, mfrac=1.0 - 1e-9)
+@example(q=1e-4, mfrac=1e-9)
 def test_every_horizon_obeys_the_area_charge_bound(q, mfrac):
     # Lambda |dN| + 48 pi^2 Q^2 / |dN| <= 12 pi on every horizon sphere of
     # every model inside the admissible mass window (Lambda = 1)

@@ -11,6 +11,7 @@ from chmass import sphere
 from chmass.sphere import (
     MAX_N_THETA,
     ScalarField,
+    SphereGrid,
     _blocks,
     _random_c2_stack,
     _seed_states,
@@ -196,25 +197,43 @@ class TestRandomField:
         # 128 ftt then differs by about 9 n_theta^2 ulps, so there the values
         # are analyzed at the drawn band.
         g = build_grid(n_theta, 2 * n_theta)
-        d = _random_c2_stack(g, range(5), 4, 0.05)
+        d, _ = _random_c2_stack(g, range(5), 4, 0.05)
         again = g.synth_derivs(g.analyze(d["f"], lmax=band))
         tol = n_theta**2 * np.finfo(float).eps
         assert set(d) == set(again)
         for name, want in again.items():
             assert np.abs(d[name] - want).max() <= tol * np.abs(want).max(), name
 
+    @pytest.mark.parametrize("n_theta", [32, 128])
+    def test_stack_coefficients_are_those_of_its_partials(self, n_theta):
+        # the scaled coefficients a stack hands back synthesize its partials:
+        # both are the drawn coefficients' transforms times one scale, so they
+        # differ by rounding alone, here within 100 ulps of each array's max
+        g = build_grid(n_theta, 2 * n_theta)
+        d, coeffs = _random_c2_stack(g, range(5), 4, 0.05)
+        assert coeffs.shape == (5, n_coeffs(4))
+        again = g.synth_derivs(coeffs)
+        tol = 100 * np.finfo(float).eps
+        for name, want in d.items():
+            assert np.abs(again[name] - want).max() <= tol * np.abs(want).max(), name
+        # a field is the one-seed stack: its scaled coefficients and the
+        # values drawn with them
+        f = random_c2_field(g, 3, 4, 0.05)
+        d, coeffs = _random_c2_stack(g, [3], 4, 0.05)
+        np.testing.assert_array_equal(f.coeffs, coeffs[0])
+        np.testing.assert_array_equal(f.values, d["f"][0])
+
     @pytest.mark.parametrize("n_theta", [16, 32, 64, 128])
     def test_norm_is_the_amplitude(self, n_theta):
         # normalized on the partials of its drawn coefficients, the field has
-        # C^2 norm amplitude; c2_norm re-analyzes its values over the full band
-        # and agrees to its own polar-row roundoff (see c2_norm), which grows
-        # like n_theta^3 ulps: 1e-13 relative holds at n_theta 16
+        # C^2 norm amplitude; it carries its band-4 coefficients, so c2_norm
+        # reads them back without a full-band re-analysis and agrees to 1e-13
+        # relative on every grid
         g = build_grid(n_theta, 2 * n_theta)
-        rel = max(1e-13, 0.1 * n_theta**3 * np.finfo(float).eps)
         for seed in range(5):
             for amplitude in (0.02, 0.5):
                 f = random_c2_field(g, seed, 4, amplitude)
-                assert c2_norm(f) == pytest.approx(amplitude, rel=rel)
+                assert c2_norm(f) == pytest.approx(amplitude, rel=1e-13)
 
 
 _SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**70 + 3]
@@ -260,7 +279,7 @@ def _per_coefficient_stack(grid, seeds, lmax, amplitude):
 def test_stack_is_the_per_coefficient_draw_bitwise():
     g = build_grid(64, 128)
     seeds = [0, 7, np.uint32(5), np.uint32(2**32 - 1), 2**32, 2**64, 2**70 + 3]
-    got = _random_c2_stack(g, seeds, 8, 0.05)
+    got, _ = _random_c2_stack(g, seeds, 8, 0.05)
     want = _per_coefficient_stack(g, seeds, 8, 0.05)
     assert set(got) == set(want)
     for name in want:
@@ -270,6 +289,36 @@ def test_stack_is_the_per_coefficient_draw_bitwise():
 def test_negative_seed_is_refused(grid):
     with pytest.raises(ValueError):
         random_c2_field(grid, -1, 4, 0.05)
+
+
+class TestFromCoeffs:
+    def test_values_are_one_synthesis_and_nothing_is_analyzed(self, grid, monkeypatch):
+        c = np.random.default_rng(3).standard_normal(n_coeffs(5))
+        monkeypatch.setattr(SphereGrid, "analyze", lambda *a, **k: pytest.fail("analyzed"))
+        f = ScalarField.from_coeffs(grid, c)
+        np.testing.assert_array_equal(f.values, grid.synthesize(c))
+        np.testing.assert_array_equal(f.coeffs, c)
+        c[0] = 7.0  # the field keeps its own copy
+        assert f.coeffs[0] != 7.0
+
+    def test_values_are_analyzed_once_at_full_band(self, grid):
+        values = random_c2_field(grid, 4, 4, 0.05).values
+        f = ScalarField(grid, values)
+        np.testing.assert_array_equal(f.coeffs, grid.analyze(values))
+        assert f.coeffs.size == n_coeffs(grid.lmax)
+        values[0, 0] += 1.0  # the field keeps its own copy, which its coeffs describe
+        assert f.values[0, 0] != values[0, 0]
+
+    @pytest.mark.parametrize("coeffs, match", [
+        (np.array([1.0, np.nan, 0.0, 0.0]), "finite"),
+        (np.array([np.inf]), "finite"),
+        (np.zeros((2, 4)), "one finite vector"),
+        (np.zeros(5), "not \\(lmax \\+ 1\\)\\^2"),
+        (np.zeros(n_coeffs(32)), "beyond grid band 31"),
+    ])
+    def test_refuses_bad_vectors(self, grid, coeffs, match):
+        with pytest.raises(ValueError, match=match):
+            ScalarField.from_coeffs(grid, coeffs)
 
 
 def test_json_round_trip(grid):

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -36,9 +38,9 @@ def zero_field(grid):
 class TestSlices:
     @pytest.mark.parametrize("s0", [0.0, -0.7, 1.3])
     def test_zero_height_geometry_is_that_of_the_full_band_route(self, prof, grid, s0):
-        # induced_geometry synthesizes a zero height from the band-0 zero
-        # vector; every field equals the full-band route's bit for bit
-        geom = induced_geometry(GraphSurface(prof, s0, zero_field(grid)))
+        # a zero height born as the band-0 zero vector gives every field of
+        # the full-band route bit for bit
+        geom = induced_geometry(GraphSurface(prof, s0, ScalarField.from_coeffs(grid, np.zeros(1))))
         d = grid.synth_derivs(grid.analyze(np.zeros((grid.n_theta, grid.n_phi))))
         full = _geometry_from_derivs(prof, grid, s0, d, 2.0 * prof.lam)
         for name, want in full.items():
@@ -133,10 +135,11 @@ class TestGraphs:
     def test_brioschi_cross_check(self, prof, grid):
         # intrinsic coordinate formula vs the ambient Gauss equation
         fld = random_c2_field(grid, 7, 4, 0.05)
-        geom = induced_geometry(GraphSurface(prof, 0.0, fld))
+        surf = GraphSurface(prof, 0.0, fld)
+        geom = induced_geometry(surf)
         ith = [6, 11, 16, 21, 26]
         iph = [3, 17, 33, 41, 55]
-        kb = gauss_curvature_brioschi(geom.surface, grid.theta[ith], grid.phi[iph])
+        kb = gauss_curvature_brioschi(surf, grid.theta[ith], grid.phi[iph])
         kg = geom.gauss_k[ith, iph]
         assert np.abs(kb - kg).max() <= 1e-6
 
@@ -164,6 +167,23 @@ class TestGraphs:
         fld = random_c2_field(grid, 11, 4, 0.05)
         surf = GraphSurface(prof, 0.0, fld)
         assert charged_hawking_mass(surf) < prof.m
+
+
+def test_surface_with_cached_geometry_frees_on_del(prof, grid):
+    # the cached geometry holds the grid, not the surface: no reference cycle
+    # keeps a surface and its node arrays alive until the cyclic collector
+    surf = GraphSurface(prof, 0.0, random_c2_field(grid, 3, 4, 0.05))
+    geom = induced_geometry(surf)
+    assert geom.grid is grid and induced_geometry(surf) is geom
+    ref = weakref.ref(surf)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del surf, geom
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_range_violation_rejected(prof, grid):
@@ -216,7 +236,7 @@ def test_stacked_slices_match_per_slice_geometry(prof, grid):
 def test_stack_chunks_bound_the_kernel_and_keep_the_values(prof, grid, monkeypatch):
     # chunks of at most _STACK_NODES nodes (at least one graph each) reach the
     # kernel; the chunk size changes no value
-    heights = _random_c2_stack(grid, range(11), 4, 0.05)
+    heights, _ = _random_c2_stack(grid, range(11), 4, 0.05)
     kernel = surfaces._geometry_from_derivs
     rows = []
 
@@ -237,7 +257,7 @@ def test_stack_chunks_bound_the_kernel_and_keep_the_values(prof, grid, monkeypat
 
 
 def test_stack_check_rejects_any_graph(prof, grid):
-    heights = _random_c2_stack(grid, range(3), 4, 0.05)
+    heights, _ = _random_c2_stack(grid, range(3), 4, 0.05)
     bad = {key: v.copy() for key, v in heights.items()}
     bad["f"][1, 3, 5] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
@@ -250,7 +270,7 @@ def test_stack_check_rejects_any_graph(prof, grid):
 def test_drawn_stack_is_checked_on_the_heights_it_measures(prof, grid):
     # a drawn stack reaches _graph_masses as its derivative dict, and the
     # range check reads its heights d["f"]: a stack just past s_max raises
-    drawn = _random_c2_stack(grid, range(3), 4, 0.05)
+    drawn, _ = _random_c2_stack(grid, range(3), 4, 0.05)
     scale = prof.s_max / np.abs(drawn["f"]).max()
     with pytest.raises(ValueError, match="leaves the integrated range"):
         _graph_masses(prof, grid, 0.0, {key: 1.01 * scale * v for key, v in drawn.items()}, 2.0)

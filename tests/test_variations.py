@@ -406,8 +406,9 @@ class TestScaledGraphOracles:
             variation_report(prof, 0.0, phi, dt=t / 2)
 
     def test_variation_report_counts(self, prof, grid, monkeypatch):
-        # deterministic counting gate: phi is transformed once for the oracle
-        # and the analytic side together, and the geometry kernel sees each of the 9 distinct t of the stencils once:
+        # deterministic counting gate: phi's coefficients are synthesized once
+        # for the oracle and the analytic side together, phi is never analyzed,
+        # and the geometry kernel sees each of the 9 distinct t of the stencils once:
         # t = 0 as the base slice, the 8 scaled graphs as one stack
         phi = random_c2_field(grid, 5, 4, 0.5)
         analyzed, synthesized, kernel_t, kernel_rows = [], [], [], []
@@ -434,19 +435,49 @@ class TestScaledGraphOracles:
         dt = 1e-2
         variation_report(prof, 0.0, phi, dt)
 
-        # analysed: phi once, for the oracle and the analytic side alike, and
-        # the base slice's mean curvature; never the base slice's zero height
-        # nor a scaled copy t phi
-        assert sum(np.array_equal(v, phi.values) for v in analyzed) == 1
-        assert len(analyzed) == 2
+        # analysed: the base slice's mean curvature alone; never phi, the base
+        # slice's zero height nor a scaled copy t phi
+        assert len(analyzed) == 1
+        assert not any(np.array_equal(v, phi.values) for v in analyzed)
         # synthesised: the base slice from the band-0 zero vector, its mean
-        # curvature, and phi once for both sides
+        # curvature, and phi's own coefficients once for both sides
         assert len(synthesized) == 3
         assert any(np.array_equal(c, np.zeros(1)) for c in synthesized)
+        assert sum(c is phi.coeffs for c in synthesized) == 1
         expected = sorted([0.0] + [s * h for h in (dt / 4, dt / 2, dt, 2 * dt) for s in (1, -1)])
         np.testing.assert_allclose(sorted(kernel_t), expected, rtol=1e-12, atol=1e-15)
         # the base slice, then the 8 scaled graphs at n_theta 32 in one call
         assert kernel_rows == [1, 8]
+
+    def test_coefficient_field_is_never_analyzed(self, prof, grid, monkeypatch):
+        # a height built from coefficients is read through them: c2_norm,
+        # induced_geometry and variation_report analyze nothing but the mean
+        # curvature H of variation_report's base slice
+        c = np.zeros(n_coeffs(3))
+        c[coeff_index(2, 1)], c[coeff_index(3, -2)] = 0.02, -0.01
+        phi = ScalarField.from_coeffs(grid, c)
+        base = induced_geometry(GraphSurface(prof, 0.0, zero(grid)))
+        analyzed = []
+        analyze = SphereGrid.analyze
+
+        def spy(self, values, lmax=None):
+            analyzed.append(np.array(values))
+            return analyze(self, values, lmax)
+
+        monkeypatch.setattr(SphereGrid, "analyze", spy)
+        c2_norm(phi)
+        induced_geometry(GraphSurface(prof, 0.1, phi))
+        assert analyzed == []
+        variation_report(prof, 0.0, phi, 1e-2)
+        assert len(analyzed) == 1 and np.array_equal(analyzed[0], base.h_mean)
+
+    def test_speed_is_read_on_the_geometry_grid(self, prof, grid):
+        # a speed is its coefficients: one drawn on a coarser grid gives the
+        # first variation of the same coefficients on the geometry's grid
+        coarse = random_c2_field(build_grid(16, 32), 8, 4, 0.5)
+        geom = induced_geometry(GraphSurface(prof, 0.2, random_c2_field(grid, 9, 4, 0.05)))
+        want = first_variation(geom, ScalarField.from_coeffs(grid, coarse.coeffs))
+        assert first_variation(geom, coarse) == want != 0.0
 
     def test_nonfinite_step_is_rejected(self, prof, grid):
         phi = random_c2_field(grid, 5, 4, 0.5)
@@ -473,7 +504,7 @@ class TestScaledGraphOracles:
         lo, hi = phi.values.min(), phi.values.max()
         assert abs(lo) != abs(hi)
         t = prof.s_max / max(abs(lo), abs(hi))
-        d = variations._partials(phi)
+        d = grid.synth_derivs(phi.coeffs)
         inside = variations._scaled_masses(prof, grid, 0.0, d, [0.0, 0.99 * t])
         assert inside[0.99 * t] < inside[0.0]
         with pytest.raises(ValueError, match="leaves the integrated range"):
@@ -482,35 +513,34 @@ class TestScaledGraphOracles:
 
 # (s0, first_analytic, first_fd, first_order, z_max) of crit 08's ten
 # variation reports (phi = random_c2_field(grid, 400 + i, 4, 0.5), dt 2e-2),
-# as computed when phi was still analyzed once per side and the base slice's
-# zero height at full band
+# as computed with phi read through its band-4 coefficients
 CRIT_08_REPORTS = [
-    (0.2, -1.4193011349100968e-19, -3.7932620008026184e-14,
+    (0.2, -1.4193011349144323e-19, -3.7932620008026184e-14,
      1.9999688083514906, 1.3357370765021415e-15),
-    (-0.35, 2.322078806912095e-19, 3.700743415417189e-15,
+    (-0.35, 2.322078806929139e-19, 3.700743415417189e-15,
      2.000006223507114, 1.5543122344752192e-15),
-    (0.5, 1.3478195266701101e-18, -7.956598343146955e-14,
+    (0.5, 1.3478195266698183e-18, -7.956598343146955e-14,
      1.9999724542167654, 2.220446049250313e-15),
-    (0.3, -1.182906947948474e-19, 1.5681900222830336e-13,
+    (0.3, -1.182906947950594e-19, 1.5681900222830336e-13,
      1.9999663582019231, 1.1102230246251565e-15),
-    (-0.45, 1.0779929221930775e-18, -2.868076146948321e-14,
+    (-0.45, 1.0779929221916658e-18, -2.868076146948321e-14,
      1.999986438713454, 1.5681900222830336e-15),
-    (0.6, -5.735214586077688e-19, 9.71445146547012e-15,
+    (0.6, -5.735214586060245e-19, 9.71445146547012e-15,
      1.9999877398773895, 1.6653345369377348e-15),
-    (-0.25, 3.7471206254621052e-19, -6.013708050052931e-15,
-     1.9999449398570959, 1.1171619185290638e-15),
-    (0.4, -7.732076094483477e-19, -1.1564823173178714e-14,
+    (-0.25, 3.7471206254517365e-19, -2.3129646346357427e-15,
+     1.9999711588155218, 1.1171619185290638e-15),
+    (0.4, -7.732076094485988e-19, -1.1564823173178714e-14,
      1.9999652481271624, 2.0122792321330962e-15),
-    (-0.55, 6.072972077387786e-20, -6.938893903907228e-15,
+    (-0.55, 6.072972077169212e-20, -6.938893903907228e-15,
      1.9895528036450787, 1.6930901125533637e-15),
-    (0.15, 2.0224490726376371e-19, 4.117077049651622e-14,
+    (0.15, 2.0224490726320623e-19, 4.117077049651622e-14,
      1.9999678728952583, 2.6680047060523293e-15),
 ]
 
 
 def test_crit_08_reports_are_pinned_bitwise():
-    # sharing phi's transform between the oracle and the analytic side, and
-    # the band-0 zero height, leave every field bit for bit as it was
+    # every field bit for bit: a change to the first variation, its FD
+    # oracle, the base slice or phi's transforms shows here
     prof = integrate_profile(0.5, 0.3, 1.0, s_max=2.0, tol=1e-10)
     grid = build_grid(32, 64)
     for i, (s0, *fields) in enumerate(CRIT_08_REPORTS):
