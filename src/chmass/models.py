@@ -160,9 +160,11 @@ def horizon_roots(p: ModelParams) -> HorizonStructure:
 
     Roots come from the companion-matrix eigenvalues of the monic quartic
     r^4 - (3/Lambda) r^2 + (6m/Lambda) r - 3Q^2/Lambda, polished with at most
-    five Newton steps each.  Near-coincident roots (within DOUBLE_ROOT_TOL
-    relative spacing) are merged into a multiple root, unless that would turn
-    horizons into a mean that is none (5e-7 apart at Q = 1e-4, near m_min).
+    five Newton steps each; a step that raises |quartic| is not taken, since
+    at a double root one can jump off the root.  Near-coincident roots
+    (within DOUBLE_ROOT_TOL relative spacing) are merged into a multiple
+    root, unless that would turn horizons into a mean that is none (5e-7
+    apart at Q = 1e-4, near m_min).
 
     Parameters
     ----------
@@ -184,12 +186,16 @@ def horizon_roots(p: ModelParams) -> HorizonStructure:
 
     polished = []
     for r in real:
+        f = _quartic(r, p)
         for _ in range(5):
             fp = _quartic_prime(r, p)
             if fp == 0.0:
                 break
-            step = _quartic(r, p) / fp
-            r = r - step
+            step = f / fp
+            f_next = _quartic(r - step, p)
+            if abs(f_next) > abs(f):
+                break
+            r, f = r - step, f_next
             if abs(step) <= 1e-15 * max(1.0, abs(r)):
                 break
         polished.append(r)

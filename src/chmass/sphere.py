@@ -61,6 +61,11 @@ def n_coeffs(lmax: int) -> int:
     return (lmax + 1) ** 2
 
 
+def _degrees(n: int) -> np.ndarray:
+    """Degree l, as a float, of each flat coefficient index k = l^2 + l + m below n."""
+    return np.floor(np.sqrt(np.arange(n)))
+
+
 def _block_start(m, L: int):
     """First row (l = m) of block m in an m-major table of band L."""
     return m * (L + 1) - m * (m - 1) // 2
@@ -282,7 +287,7 @@ class SphereGrid:
         blocks = _blocks(coeffs.shape[-1], self.lmax)
         P, D = self.tables()
         m = np.arange(len(blocks)).reshape((-1,) + (1,) * coeffs.ndim)
-        l = np.floor(np.sqrt(np.arange(coeffs.shape[-1])))
+        l = _degrees(coeffs.shape[-1])
         A, B = _per_m_profiles(coeffs, P, blocks)
         Ax, Bx = _per_m_profiles(coeffs, D, blocks)
 
@@ -331,9 +336,8 @@ class SphereGrid:
         if lmax > self.lmax:
             raise ValueError(f"lmax = {lmax} beyond grid band {self.lmax}")
         P, D = self.tables()
-        k = np.arange(n_coeffs(lmax))
-        l = np.sqrt(k).astype(int)
-        m = k - l * l - l
+        l = _degrees(n_coeffs(lmax)).astype(int)
+        m = np.arange(l.size) - l * l - l
         rows = _block_start(np.abs(m), self.lmax) + l - np.abs(m)  # table row of (l, |m|)
         az = np.arange(-lmax, lmax + 1)[:, None]
         mphi = np.abs(az) * self.phi
@@ -398,7 +402,7 @@ def laplace_beltrami(f: ScalarField) -> ScalarField:
 
     Exact (to transform accuracy) on the coefficients of f: -l(l+1) c_lm.
     """
-    l = np.floor(np.sqrt(np.arange(f.coeffs.size)))
+    l = _degrees(f.coeffs.size)
     return ScalarField.from_coeffs(f.grid, -l * (l + 1.0) * f.coeffs)
 
 
@@ -439,17 +443,18 @@ def c2_norm(f: ScalarField) -> float:
 
 
 def random_c2_field(
-    grid: SphereGrid, seed: int, lmax: int, amplitude: float
+    grid: SphereGrid, seed: int | list[int], lmax: int, amplitude: float
 ) -> ScalarField:
     """Deterministic random band-limited field with prescribed C^2 norm.
 
-    Each coefficient (l, m) is a standard normal drawn from an independent
-    PCG64 stream keyed by SeedSequence([seed, l, m + l]); the field is then
+    The coefficients are ``np.random.default_rng(seed).standard_normal(n)``
+    for n = n_coeffs(lmax), in flat l^2 + l + m order, so a band-4 draw is
+    the prefix of the band-8 draw of the same seed.  The field is then
     normalized on the spectral partials of its drawn coefficients, so its
     C^2 norm is ``amplitude``.  It carries the scaled band-lmax coefficients
     and the values drawn with them, so it is never analyzed, and ``c2_norm``
-    reads it back to a few ulps.  The draw depends only on (seed, l, m),
-    never on iteration order or thread count (see ``_random_c2_stack``).
+    reads it back to a few ulps.  The draw depends on the seed alone (see
+    ``_random_c2_stack``).
     """
     d, coeffs = _random_c2_stack(grid, [seed], lmax, amplitude)
     return ScalarField(grid, d["f"][0], coeffs[0])
@@ -460,10 +465,9 @@ def _random_c2_stack(grid: SphereGrid, seeds, lmax: int, amplitude: float):
     shape (len(seeds), n_theta, n_phi), and the scaled coefficients of shape
     (len(seeds), n_coeffs(lmax)).
 
-    The PCG64 states of all (seed, l, m) keys are hashed in one
-    ``_seed_states`` call (bit for bit numpy's ``SeedSequence``, checked in
-    the tests); each coefficient is then one standard normal of numpy's
-    Generator on its state.  The drawn coefficients (band lmax) are
+    Each seed is a nonnegative integer or a sequence of them, as numpy's
+    ``default_rng`` takes it; row i is one ``standard_normal`` draw of its
+    own Generator.  The drawn coefficients (band lmax) are
     derivative-synthesized once, as one stack; the transforms are linear, so
     scaling the coefficients and all six arrays by amplitude over the C^2
     norm of the unscaled partials normalizes them alike, and no stack is
@@ -472,108 +476,14 @@ def _random_c2_stack(grid: SphereGrid, seeds, lmax: int, amplitude: float):
         raise ValueError("lmax too large for this grid (need lmax <= n_theta/4)")
     if amplitude < 0:
         raise ValueError("amplitude must be nonnegative")
-    keys = [(l, m + l) for l in range(lmax + 1) for m in range(-l, l + 1)]
-    # PCG64 seeds itself from generate_state(4, uint64): 8 little-endian words
-    states = _seed_states([int(s) for s in seeds], keys, 8)
-    states = states.astype("<u4").view("<u8").astype(np.uint64).reshape(-1, 4)
-    given = _given_seed_sequence()
-    coeffs = np.array(
-        [np.random.Generator(np.random.PCG64(given(s))).standard_normal() for s in states]
-    ).reshape(len(seeds), len(keys))
+    for seed in seeds:
+        if np.min(seed) < 0:  # the negative entry: sample seeds are [seed, k]
+            raise ValueError(f"seed must be a nonnegative integer, got {np.min(seed)}")
+    # np.random is loaded on first draw, not when chmass is imported
+    coeffs = np.array([np.random.default_rng(s).standard_normal(n_coeffs(lmax)) for s in seeds])
     d = grid.synth_derivs(coeffs)
     scale = amplitude / _c2_norms(grid, d)
     return {key: scale[:, None, None] * v for key, v in d.items()}, scale[:, None] * coeffs
-
-
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), on uint32 words
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-
-
-def _seed_states(heads, tails, n_words: int) -> np.ndarray:
-    """``SeedSequence([head, *tail]).generate_state(n_words)`` for every head
-    and tail row, as uint32 of shape (len(heads), len(tails), n_words).
-
-    heads are nonnegative Python ints of any size, each entering the entropy as
-    its 32-bit words, least significant first; tails are rows of equal length
-    whose entries are below 2^32, one word each.  The hash runs once per
-    entropy length over all rows of that length: zero-padding to the pool of
-    4 words is exact, but each word beyond 4 adds mixing rounds, so heads are
-    grouped by word count."""
-    tails = np.asarray(tails).reshape(len(tails), -1)
-    if ((tails < 0) | (tails > _MASK32)).any():
-        raise ValueError("seed tail entries must be in [0, 2^32)")
-    tails = tails.astype(np.uint32)
-    words = []
-    for head in heads:
-        if head < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {head}")
-        w = [head & _MASK32]
-        while head := head >> 32:
-            w.append(head & _MASK32)
-        words.append(w)
-    out = np.empty((len(words), len(tails), n_words), np.uint32)
-    for width in {len(w) for w in words}:
-        rows = [i for i, w in enumerate(words) if len(w) == width]
-        head = np.array([words[i] for i in rows], np.uint32)
-        entropy = [np.repeat(col, len(tails)) for col in head.T]
-        entropy += [np.tile(col, len(rows)) for col in tails.T]
-        out[rows] = _seed_sequence_hash(entropy, n_words).reshape(len(rows), len(tails), n_words)
-    return out
-
-
-def _seed_sequence_hash(entropy: list, n_words: int) -> np.ndarray:
-    """SeedSequence's mix_entropy then generate_state(n_words), for the entropy
-    columns (each a uint32 array over rows); uint32 of shape (rows, n_words).
-    uint32 array arithmetic wraps mod 2^32, as the C code does."""
-    const = _INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ const
-        const = const * _MULT_A & _MASK32
-        value = value * const
-        return value ^ (value >> 16)
-
-    def mix(x, y):
-        value = x * _MIX_L - y * _MIX_R
-        return value ^ (value >> 16)
-
-    zero = np.zeros_like(entropy[0])
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    const = _INIT_B
-    out = np.empty((len(zero), n_words), np.uint32)
-    for i in range(n_words):
-        value = pool[i % 4] ^ const
-        const = const * _MULT_B & _MASK32
-        value = value * const
-        out[:, i] = value ^ (value >> 16)
-    return out
-
-
-@functools.cache
-def _given_seed_sequence() -> type:
-    """A seed sequence that hands PCG64 a precomputed state.  Defined on first
-    use, so that importing this module does not load numpy.random."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class GivenState(ISeedSequence):
-        def __init__(self, state):
-            self.state = state
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.state
-
-    return GivenState
 
 
 def scalar_field_to_dict(f: ScalarField) -> dict:

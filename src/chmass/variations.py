@@ -40,8 +40,7 @@ import numpy as np
 from .models import NariaiParams, lapse_squared_prime
 from .profile import RadialProfile, curvature_scalars, integrate_profile
 from .sphere import (
-    ScalarField, SphereGrid, _random_c2_stack, _seed_states, build_grid, c2_norm,
-    coeff_index,
+    ScalarField, SphereGrid, _degrees, _random_c2_stack, build_grid, c2_norm, coeff_index,
 )
 from .spectrum import lambda1_analytic, stability_window
 from .surfaces import (
@@ -304,6 +303,19 @@ def second_variation_fd(
 # ---------------------------------------------------------------------------
 
 
+def _minimal_slice(a: float, q: float) -> tuple[float, float]:
+    """(prefactor, Ric(nu,nu)) at the minimal slice of neck radius a (Lambda = 1):
+    the prefactor |S|^(1/2)/(32 pi^(3/2)) of the second variation and
+    Ric(nu,nu) = -lambda1_analytic(a, Q)."""
+    return math.sqrt(4.0 * math.pi * a**2) / (32.0 * math.pi**1.5), -lambda1_analytic(a, q)
+
+
+def _check_strictly_stable(a: float, q: float) -> None:
+    w = stability_window(q)
+    if w is None or not (w[0] < a**2 < w[1]):
+        raise ValueError(f"neck a^2 = {a**2} is not strictly inside the stability window {w}")
+
+
 def second_variation_minimal(a: float, q: float, phi: ScalarField) -> float:
     """Canonical second variation at the minimal slice of neck radius a.
 
@@ -312,13 +324,12 @@ def second_variation_minimal(a: float, q: float, phi: ScalarField) -> float:
     On the radius-a slice, int |grad phi|^2 and int (Lap phi)^2 weight each
     squared coefficient of phi by l(l+1) and l^2 (l+1)^2 / a^2.
     """
-    l = np.floor(np.sqrt(np.arange(phi.coeffs.size))).astype(int)
+    l = _degrees(phi.coeffs.size)
     mu_unit = l * (l + 1.0)
     c2 = phi.coeffs**2
     grad2 = float((mu_unit * c2).sum())
     lap2 = float((mu_unit**2 * c2).sum()) / a**2
-    ric = -lambda1_analytic(a, q)
-    pref = math.sqrt(4.0 * math.pi * a**2) / (32.0 * math.pi**1.5)
+    pref, ric = _minimal_slice(a, q)
     return pref * (ric * grad2 - lap2)
 
 
@@ -331,14 +342,13 @@ def second_variation_as_printed(a: float, q: float, phi: ScalarField) -> float:
     prefactor * (zeta - Lambda)/2 * (-int phi L phi) with zeta = 2.
     """
     area = 4.0 * math.pi * a**2
-    ric = -lambda1_analytic(a, q)
-    l = np.floor(np.sqrt(np.arange(phi.coeffs.size))).astype(int)
+    pref, ric = _minimal_slice(a, q)
+    l = _degrees(phi.coeffs.size)
     mu_slice = l * (l + 1.0) / a**2
     c2 = phi.coeffs**2
     int_phi_l_phi = float(((ric - mu_slice) * c2).sum()) * a**2
     int_l_phi_sq = float(((ric - mu_slice) ** 2 * c2).sum()) * a**2
     coefficient = (area * 1.0 - 8.0 * math.pi) / (2.0 * area) + 16.0 * math.pi**2 * q**2 / area**2
-    pref = math.sqrt(area) / (32.0 * math.pi**1.5)
     return pref * (coefficient * int_phi_l_phi - int_l_phi_sq)
 
 
@@ -350,11 +360,8 @@ def strict_instability_constant(a: float, q: float) -> float:
     increasing in mu_l whenever Ric < 0 < mu_l, so C is the l = 1 value.
     Requires a strictly stable neck (a^2 inside the stability window).
     """
-    w = stability_window(q)
-    if w is None or not (w[0] < a**2 < w[1]):
-        raise ValueError(f"a^2 = {a**2} is not strictly inside the stability window {w}")
-    ric = -lambda1_analytic(a, q)
-    pref = math.sqrt(4.0 * math.pi * a**2) / (32.0 * math.pi**1.5)
+    _check_strictly_stable(a, q)
+    pref, ric = _minimal_slice(a, q)
     mu = 2.0 / a**2  # mu_1
     return float(pref * mu * (mu - ric))
 
@@ -448,10 +455,9 @@ def local_max_experiment(
 ) -> LocalMaxReport:
     """Sample random graphs over the neck and test local maximality of m_CH.
 
-    Sample k draws a height with l <= 4 on the 32 x 64 grid from
-    random_c2_field, seeded by SeedSequence([seed, k]).generate_state(1)[0],
-    at the given C^2 amplitude; the n_samples seeds are hashed in one
-    vectorized ``_seed_states`` call, bit for bit those of numpy.
+    Sample k draws a height with l <= 4 on the 32 x 64 grid as
+    random_c2_field does, from the seed [seed, k] (numpy's
+    ``default_rng([seed, k])``), at the given C^2 amplitude.
     Reports the largest mass excess m_CH(graph) - m over all samples and, for
     samples within ``_NEAR_TOL`` of equality, the largest C^2 norm of the
     nonconstant part of the height (equality should only occur for slices).
@@ -466,12 +472,10 @@ def local_max_experiment(
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     if amplitude > 0.05:
         raise ValueError("experiment calibrated for amplitude <= 0.05")
-    w = stability_window(q)
-    if w is None or not (w[0] < a**2 < w[1]):
-        raise ValueError(f"neck a^2 = {a**2} outside the stability window {w}")
+    _check_strictly_stable(a, q)
     prof = integrate_profile(a, q, 1.0, s_max=1.0)
     grid = build_grid(_N_THETA, _N_PHI)
-    seeds = _seed_states([int(seed)], np.arange(n_samples)[:, None], 1).ravel().tolist()
+    seeds = [[seed, k] for k in range(n_samples)]
     stack = _STACK_NODES // (_N_THETA * _N_PHI)
     excess = []
     near = []

@@ -88,20 +88,24 @@ def test_transform_and_kernel_counts_per_criterion(monkeypatch):
     assert counts == KERNEL_COUNTS
 
 
-def test_run_all_constructs_no_seed_sequence(monkeypatch):
-    # seeded draws hash their keys vectorized (sphere._seed_states) instead of
-    # building a numpy SeedSequence per coefficient or per sample
-    built = []
-    cls = np.random.SeedSequence
+# numpy Generators each criterion builds: one per seeded field (crit 05's 20
+# graphs, crit 08's 10 speed fields, crit 10's 200 samples; 230 in run_all),
+# none per coefficient or per sample key
+DRAW_COUNTS = {"05": 20, "08": 10, "10": 200}
 
-    class Counted(cls):
-        def __init__(self, *args, **kwargs):
-            built.append(args)
-            super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(np.random, "SeedSequence", Counted)
-    run_all()
-    assert len(built) == 0
+def test_run_all_draws_one_generator_per_seeded_field(monkeypatch):
+    counts = {}
+    default_rng = np.random.default_rng
+
+    def counted(*args, **kwargs):
+        counts[cid] = counts.get(cid, 0) + 1
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    for cid, _, fn in CRITERIA:
+        fn()
+    assert counts == DRAW_COUNTS
 
 
 def test_run_all_builds_each_legendre_rule_once(monkeypatch):

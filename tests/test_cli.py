@@ -68,8 +68,8 @@ def test_runtime_never_imports_scipy():
 
 
 def test_cli_import_leaves_numpy_random_unloaded():
-    # numpy loads numpy.random lazily; the seeded draw defines its numpy.random
-    # classes on first use, so a CLI start that draws nothing never pays for it
+    # numpy loads numpy.random lazily; the seeded draw reaches it on first use,
+    # so a CLI start that draws nothing never pays for it
     code = "import sys, chmass.cli; print('numpy.random' in sys.modules)"
     src = os.path.dirname(os.path.dirname(os.path.abspath(chmass.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -101,6 +101,19 @@ def test_horizons_from_mass_flags(capsys):
     code, out, _ = invoke(capsys, "horizons", "--m", "0.3191667", "--q", "0.3", "--lambda", "1")
     assert code == 0
     assert json.loads(out)["classification"] == "three-distinct-positive"
+
+
+def test_horizons_exact_double_root_stays_on_the_root(capsys):
+    # m = m_min at Q^2 = 0.01875: the companion eigenvalues of the double root
+    # come out as a complex pair, and Newton polishing must not jump off it
+    code, out, _ = invoke(
+        capsys, "horizons", "--m", "0.13649657128902754", "--q", "0.13693067315251176"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    double = [r["r"] for r in payload["roots"] if r["multiplicity"] == 2]
+    assert double == [pytest.approx(0.1382585, abs=1e-7)]
+    assert payload["classification"] == "double-inner"
 
 
 def test_profile_csv_schema(capsys, tmp_path):
@@ -326,6 +339,12 @@ def test_localmax_zero_samples_is_usage_error(capsys):
     code, out, err = invoke(capsys, "localmax", "--neck-a", "0.5", "--q", "0.3", "--samples", "0")
     assert code == 2 and out == ""
     assert "n_samples" in err
+
+
+def test_localmax_negative_seed_is_usage_error(capsys):
+    code, out, err = invoke(capsys, "localmax", "--neck-a", "0.5", "--q", "0.3", "--seed", "-1")
+    assert code == 2 and out == ""
+    assert "seed must be a nonnegative integer, got -1" in err
 
 
 def test_electrostatics_rnds(capsys):

@@ -8,6 +8,7 @@ from chmass.models import (
     CLASS_DOUBLE_INNER,
     CLASS_DOUBLE_OUTER,
     CLASS_GENERIC,
+    HORIZON_TOL,
     ModelParams,
     admissible_window,
     horizon_roots,
@@ -86,6 +87,18 @@ class TestHorizonRoots:
     def test_requires_positive_lambda(self):
         with pytest.raises(ValueError):
             horizon_roots(ModelParams(0.1, 0.1, 0.0))
+
+    def test_double_roots_at_the_window_edges_are_horizons(self):
+        # at m_min and m_max two horizons coincide; the companion eigenvalues
+        # often come out as a complex pair, whose real part Newton polishing
+        # must not leave for a radius where f is no longer zero
+        for q2 in np.linspace(1e-4, 0.25, 200)[:-1]:
+            q = math.sqrt(q2)
+            for m in admissible_window(q):
+                p = ModelParams(m, q)
+                double = [r for r, k in horizon_roots(p).roots if k == 2]
+                assert len(double) == 1, (q2, m)
+                assert abs(lapse_squared(double[0], p)) <= HORIZON_TOL, (q2, m)
 
     def test_neck_radius_is_always_a_root(self):
         for a in np.linspace(0.35, 0.92, 7):

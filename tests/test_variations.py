@@ -273,8 +273,7 @@ class TestExperiments:
         grid = build_grid(32, 64)
         excess, near = [], []
         for k in range(n_samples):
-            sub_seed = int(np.random.SeedSequence([7, k]).generate_state(1)[0])
-            fld = random_c2_field(grid, sub_seed, 4, amplitude)
+            fld = random_c2_field(grid, [7, k], 4, amplitude)
             geom = induced_geometry(GraphSurface(prof, 0.0, fld))
             excess.append(geom.mch - prof.m)
             if excess[-1] >= -1e-9:
@@ -512,29 +511,29 @@ class TestScaledGraphOracles:
 
 
 # (s0, first_analytic, first_fd, first_order, z_max) of crit 08's ten
-# variation reports (phi = random_c2_field(grid, 400 + i, 4, 0.5), dt 2e-2),
-# as computed with phi read through its band-4 coefficients
+# variation reports (phi = random_c2_field(grid, 400 + i, 4, 0.5), drawn from
+# default_rng(400 + i); dt 2e-2), with phi read through its band-4 coefficients
 CRIT_08_REPORTS = [
-    (0.2, -1.4193011349144323e-19, -3.7932620008026184e-14,
-     1.9999688083514906, 1.3357370765021415e-15),
-    (-0.35, 2.322078806929139e-19, 3.700743415417189e-15,
-     2.000006223507114, 1.5543122344752192e-15),
-    (0.5, 1.3478195266698183e-18, -7.956598343146955e-14,
-     1.9999724542167654, 2.220446049250313e-15),
-    (0.3, -1.182906947950594e-19, 1.5681900222830336e-13,
-     1.9999663582019231, 1.1102230246251565e-15),
-    (-0.45, 1.0779929221916658e-18, -2.868076146948321e-14,
-     1.999986438713454, 1.5681900222830336e-15),
-    (0.6, -5.735214586060245e-19, 9.71445146547012e-15,
-     1.9999877398773895, 1.6653345369377348e-15),
-    (-0.25, 3.7471206254517365e-19, -2.3129646346357427e-15,
-     1.9999711588155218, 1.1171619185290638e-15),
-    (0.4, -7.732076094485988e-19, -1.1564823173178714e-14,
-     1.9999652481271624, 2.0122792321330962e-15),
-    (-0.55, 6.072972077169212e-20, -6.938893903907228e-15,
-     1.9895528036450787, 1.6930901125533637e-15),
-    (0.15, 2.0224490726320623e-19, 4.117077049651622e-14,
-     1.9999678728952583, 2.6680047060523293e-15),
+    (0.2, 1.7522453446087817e-19, -1.3415194880887308e-14,
+     1.9999848009520271, 1.3357370765021415e-15),
+    (-0.35, 4.3123647975264145e-19, 4.440892098500626e-14,
+     1.9999544846423074, 1.5543122344752192e-15),
+    (0.5, 9.75574376636699e-19, -5.689893001203927e-14,
+     1.999970432533783, 2.220446049250313e-15),
+    (0.3, -6.148171015730552e-21, -1.3877787807814457e-14,
+     1.9999812852106227, 1.1102230246251565e-15),
+    (-0.45, 9.933007030980335e-19, -8.650487733537678e-14,
+     1.9999702575901004, 1.5681900222830336e-15),
+    (0.6, 8.350450839725282e-19, 1.2721305490496585e-13,
+     1.9999511442181914, 1.6653345369377348e-15),
+    (-0.25, 1.1109285146173214e-19, -4.6721885619642e-14,
+     1.999971831979744, 1.1171619185290638e-15),
+    (0.4, -4.1416930474728816e-19, -4.625929269271486e-14,
+     1.9998754861956092, 2.0122792321330962e-15),
+    (-0.55, -5.723890504158409e-19, 3.376928366568185e-14,
+     1.9999727259285567, 1.6930901125533637e-15),
+    (0.15, 2.822900522209449e-20, -2.0816681711721685e-14,
+     1.9999674534892373, 2.6680047060523293e-15),
 ]
 
 
