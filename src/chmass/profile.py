@@ -11,7 +11,12 @@ with the slice mass
 as a first integral.  Profiles solve the initial value problem from the neck
 (u, u')(0) = (a, 0) by Chebyshev collocation of the first-order system
 (u, v = u'), marched in panels of 33 Chebyshev-Lobatto nodes, and are
-extended to negative arclength by the reflection u(-s) = u(s).
+extended to negative arclength by the reflection u(-s) = u(s).  Each accepted
+panel is then cut into ``_PIECES`` equal pieces, and each piece carries its
+own Chebyshev series: the panel series, less the piece's start state,
+interpolated at the piece's 33 Lobatto nodes, with its negligible tail
+dropped (about 10 terms near the neck).  A graph's nodes span a sliver of
+one piece, so the profile there is summed from that piece's short series.
 
 Sign convention (used consistently across the package): the unit normal of a
 slice is nu = +d/ds and the mean curvature is H = -2 u'/u, so expanding
@@ -87,6 +92,15 @@ _NODES, _DIFF, _TO_COEFFS = _lobatto_panel(32)
 _TAIL = 3  # trailing coefficients whose size bounds a panel's truncation error
 _NEWTON_STEPS = 25
 _MIN_PANEL = 1e-6  # smallest panel, relative to s_max
+_PIECES = 8  # equal pieces per collocation panel, each with its own series
+# a piece drops the trailing coefficients whose absolute sum is at most this
+# times its largest |u| or |u'|
+_DROP = 4.0 * np.finfo(float).eps
+# T_1..T_32 at the 33 Lobatto nodes of each piece, in its panel's coordinate:
+# (_PIECES, 33, 32), so that _PIECE_BASIS @ c[1:] is a panel's series there less c[0]
+_PIECE_BASIS = chebvander(
+    (2.0 * np.arange(_PIECES)[:, None] + _NODES + 1.0) / _PIECES - 1.0, 32
+)[..., 1:]
 # points per Clenshaw pass: buffers of (2, 8192) floats, 128 KB.  With glibc
 # malloc, whole-graph buffers (32768 points at n_theta 128) raised
 # oracle_fine's peak RSS by about 0.45 MB over chebval's; 8192-point passes
@@ -100,19 +114,22 @@ class _ChebyshevPanels:
     Called with arclengths s >= 0 of any shape, returns the stacked (u, u')
     of shape (2, s.size).  Each panel adds the roundoff-sized constant that
     makes its series return the panel's start state exactly at its left end,
-    so the neck value u(0) = a is exact.
+    so the neck value u(0) = a is exact.  The panels are either the
+    collocation panels (33 terms each) or their pieces (``_pieces``), whose
+    coefficient arrays are ragged: a piece keeps only the terms it needs.
 
     A panel's series is summed by Clenshaw's recurrence in place, ``_BLOCK``
-    points at a time: three (2, _BLOCK) buffers rotate through the 33 steps
+    points at a time: three (2, _BLOCK) buffers rotate through the steps
     and every step writes through ``out=``, where
     ``numpy.polynomial.chebyshev.chebval`` allocates new (2, n) temporaries
     at each step.  The operations and their order are chebval's, so the
-    values are bit for bit the same.
+    values are bit for bit the same.  Every point's value depends on its s
+    alone, whatever the other points of the call.
     """
 
     def __init__(self, breaks, coeffs, starts):
         self.breaks = np.asarray(breaks)  # panel p spans breaks[p]..breaks[p + 1]
-        self.coeffs = coeffs  # (panels, 33, 2)
+        self.coeffs = coeffs  # per panel a (terms, 2) array, terms >= 2
         self.offsets = [
             np.asarray(y0) - chebval(-1.0, c) for y0, c in zip(starts, coeffs)
         ]
@@ -120,7 +137,7 @@ class _ChebyshevPanels:
     def _panel(self, p: int, s, out):
         """Panel p's series at s (shape (n,)), written to out (2, n) and returned."""
         lo, hi = self.breaks[p], self.breaks[p + 1]
-        c = self.coeffs[p][:, :, None]  # (33, 2, 1): one column per component
+        c = self.coeffs[p][:, :, None]  # (terms, 2, 1): one column per component
         for start in range(0, s.size, _BLOCK):
             x = 2.0 * (s[start : start + _BLOCK] - lo) / (hi - lo) - 1.0
             x2 = 2.0 * x
@@ -142,14 +159,57 @@ class _ChebyshevPanels:
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float).ravel()
-        if len(self.coeffs) == 1:  # the common case: no per-panel gather
-            return self._panel(0, s, np.empty((2, s.size)))
-        panel = np.searchsorted(self.breaks[1:-1], s, side="right")
+        inner = self.breaks[1:-1]
+        if s.size:
+            first, last = np.searchsorted(inner, (s.min(), s.max()), side="right")
+            if first == last:  # the common case: all of s in one panel, no gather
+                return self._panel(first, s, np.empty((2, s.size)))
+        panel = np.searchsorted(inner, s, side="right")
         out = np.empty((2, s.size))
-        for p in np.unique(panel):
+        for p in np.flatnonzero(np.bincount(panel)):  # the panels present; s is not sorted
             sel = panel == p
             out[:, sel] = self._panel(p, s[sel], np.empty((2, np.count_nonzero(sel))))
         return out
+
+
+def _pieces(breaks, coeffs, starts) -> _ChebyshevPanels:
+    """The collocation panels (``_ChebyshevPanels`` arguments) cut into
+    ``_PIECES`` equal pieces, each with its own short series.
+
+    A piece's start state is its panel's value at the piece start; the first
+    piece of a panel starts from the panel's own start state, so u(0) = a
+    and u'(0) = 0 stay exact.  Its series is the start state plus the
+    interpolant (``_TO_COEFFS``) of the panel's series less its value at the
+    piece start, at the piece's 33 Lobatto nodes.  Taken without its
+    constant, the panel's series is as close to exact at those nodes as
+    Clenshaw's sum (``_PIECE_BASIS``), and the transform's roundoff scales
+    with how much the piece varies, not with u.  A piece's trailing
+    coefficients are dropped while their absolute sum stays at most
+    ``_DROP`` times its largest |u| or |u'| (two terms are always kept),
+    which bounds what the cut changes.
+    """
+    piece_breaks, piece_coeffs, piece_starts, scales = [], [], [], []
+    for lo, hi, c, y0 in zip(breaks[:-1], breaks[1:], coeffs, starts):
+        varying = _PIECE_BASIS @ c[1:]  # (pieces, 33, 2)
+        values = varying + (c[0] + (y0 - chebval(-1.0, c)))
+        start = values[:, 0]
+        start[0] = y0
+        c_piece = _TO_COEFFS @ (varying - varying[:, :1])
+        # with the start as its constant term the series meets the start within
+        # roundoff, so the offset that makes it exact there is exact itself
+        c_piece[:, 0] += start
+        piece_coeffs.extend(c_piece)
+        scales.extend(np.abs(values).max(axis=(1, 2)))
+        piece_breaks.extend(np.linspace(lo, hi, _PIECES + 1)[:-1])  # lo exactly
+        piece_starts.extend(start)
+    size = np.abs(np.array(piece_coeffs)).max(axis=2)  # (pieces, 33)
+    tail = np.cumsum(size[:, ::-1], axis=1)[:, ::-1]  # tail[:, k] = size[:, k:].sum()
+    terms = np.maximum(2, (tail > _DROP * np.array(scales)[:, None]).sum(axis=1))
+    return _ChebyshevPanels(
+        piece_breaks + [breaks[-1]],
+        [c[:n] for c, n in zip(piece_coeffs, terms)],
+        piece_starts,
+    )
 
 
 def _newton_panel(s0: float, h: float, y0, q: float, lam: float, step_tol: float):
@@ -272,6 +332,12 @@ def integrate_profile(
     the last accepted one (the whole range at the start) and halved until its
     Chebyshev series converges to within ``tol``.
 
+    The accepted panels are then cut into ``_PIECES`` equal pieces
+    (``_pieces``), each with its own short series that keeps within
+    16 eps max|c| of its panel's series, and the profile is evaluated from
+    those: a graph's nodes span a sliver of one piece, and about 10 terms
+    there cost a third of the panel's 33.
+
     Parameters
     ----------
     a : float
@@ -339,7 +405,7 @@ def integrate_profile(
 
     return RadialProfile(
         a=a, q=q, lam=lam, m=m, kind=kind, s_max=s_max, tol=tol,
-        _sol=_ChebyshevPanels(breaks, np.array(coeffs), starts),
+        _sol=_pieces(breaks, coeffs, starts),
     )
 
 

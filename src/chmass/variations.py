@@ -148,6 +148,10 @@ class LocalMaxReport:
     amplitude: float
     seed: int
     max_excess: float
+    # max over samples of |excess / (d2m/2) - 1|, d2m the second variation of
+    # the sample's height: the first variation vanishes at the neck, so the
+    # excess is d2m/2 up to O(amplitude)
+    max_second_variation_gap: float
     n_near_equality: int
     max_nonconstant_c2: float
     all_near_equality_are_slices: bool
@@ -324,11 +328,17 @@ def second_variation_minimal(a: float, q: float, phi: ScalarField) -> float:
     On the radius-a slice, int |grad phi|^2 and int (Lap phi)^2 weight each
     squared coefficient of phi by l(l+1) and l^2 (l+1)^2 / a^2.
     """
-    l = _degrees(phi.coeffs.size)
+    return float(_second_variations(a, q, phi.coeffs))
+
+
+def _second_variations(a: float, q: float, coeffs) -> np.ndarray:
+    """``second_variation_minimal`` of each flat coefficient vector along the
+    last axis of coeffs (one row per speed field)."""
+    l = _degrees(coeffs.shape[-1])
     mu_unit = l * (l + 1.0)
-    c2 = phi.coeffs**2
-    grad2 = float((mu_unit * c2).sum())
-    lap2 = float((mu_unit**2 * c2).sum()) / a**2
+    c2 = coeffs**2
+    grad2 = (mu_unit * c2).sum(axis=-1)
+    lap2 = (mu_unit**2 * c2).sum(axis=-1) / a**2
     pref, ric = _minimal_slice(a, q)
     return pref * (ric * grad2 - lap2)
 
@@ -458,9 +468,12 @@ def local_max_experiment(
     Sample k draws a height with l <= 4 on the 32 x 64 grid as
     random_c2_field does, from the seed [seed, k] (numpy's
     ``default_rng([seed, k])``), at the given C^2 amplitude.
-    Reports the largest mass excess m_CH(graph) - m over all samples and, for
-    samples within ``_NEAR_TOL`` of equality, the largest C^2 norm of the
-    nonconstant part of the height (equality should only occur for slices).
+    Reports the largest mass excess m_CH(graph) - m over all samples; the
+    largest |excess / (d2m/2) - 1| over all samples, with d2m the closed-form
+    ``second_variation_minimal`` of the sample's height (the excess is d2m/2
+    up to O(amplitude), since the neck is critical); and, for samples within
+    ``_NEAR_TOL`` of equality, the largest C^2 norm of the nonconstant part
+    of the height (equality should only occur for slices).
 
     Graphs are drawn, normalized and evaluated in stacks of at most
     ``_STACK_NODES`` grid nodes; each draw depends on its sample alone.  A
@@ -478,18 +491,23 @@ def local_max_experiment(
     seeds = [[seed, k] for k in range(n_samples)]
     stack = _STACK_NODES // (_N_THETA * _N_PHI)
     excess = []
+    gap = 0.0
     near = []
     for start in range(0, n_samples, stack):
         d, coeffs = _random_c2_stack(grid, seeds[start : start + stack], _LMAX, amplitude)
         mch = _graph_masses(prof, grid, 0.0, d, 2.0 * prof.lam)["mch"]
-        for c, e in zip(coeffs, mch - prof.m):
-            excess.append(float(e))
-            if e >= -_NEAR_TOL:
+        e, half_d2m = mch - prof.m, 0.5 * _second_variations(a, q, coeffs)
+        with np.errstate(divide="ignore", invalid="ignore"):  # inf where d2m = 0 != e
+            gap = max(gap, float(np.where(e == half_d2m, 0.0, np.abs(e / half_d2m - 1.0)).max()))
+        for c, ek in zip(coeffs, e):
+            excess.append(float(ek))
+            if ek >= -_NEAR_TOL:
                 c[coeff_index(0, 0)] = 0.0
                 near.append(c2_norm(ScalarField.from_coeffs(grid, c)))
     return LocalMaxReport(
         a=a, q=q, n_samples=n_samples, amplitude=amplitude, seed=seed,
         max_excess=max(excess),
+        max_second_variation_gap=gap,
         n_near_equality=len(near),
         max_nonconstant_c2=max(near) if near else 0.0,
         all_near_equality_are_slices=all(v <= 1e-6 for v in near),

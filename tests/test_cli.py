@@ -335,6 +335,15 @@ def test_localmax_report(capsys):
     assert payload["all_near_equality_are_slices"] is True
 
 
+def test_localmax_prints_second_variation_gap(capsys):
+    code, out, _ = invoke(
+        capsys, "localmax", "--neck-a", "0.5", "--q", "0.3",
+        "--samples", "10", "--amp", "0.02", "--seed", "1",
+    )
+    assert code == 0
+    assert 0.0 < json.loads(out)["max_second_variation_gap"] <= 1e-3
+
+
 def test_localmax_zero_samples_is_usage_error(capsys):
     code, out, err = invoke(capsys, "localmax", "--neck-a", "0.5", "--q", "0.3", "--samples", "0")
     assert code == 2 and out == ""

@@ -73,7 +73,7 @@ def _chebval_panels(sol, s):
 )
 def test_in_place_clenshaw_matches_chebval_bitwise(a, q, s_max, tol, panels):
     sol = integrate_profile(a, q, 1.0, s_max=s_max, tol=tol)._sol
-    assert len(sol.coeffs) == panels
+    assert len(sol.coeffs) == panels * profile._PIECES  # collocation panels, cut in pieces
     rng = np.random.default_rng(panels)
     s = np.concatenate([
         rng.uniform(0.0, s_max, 4 * profile._BLOCK),  # several passes per panel
@@ -85,6 +85,38 @@ def test_in_place_clenshaw_matches_chebval_bitwise(a, q, s_max, tol, panels):
         got = sol(point)  # 0-d s: one column
         assert got.shape == (2, 1)
         assert np.array_equal(got, _chebval_panels(sol, point))
+
+
+@pytest.mark.parametrize(
+    "a, q, s_max, tol",
+    [(0.5, 0.3, 2.0, 1e-10), (0.3, 0.2, 6.0, 1e-12)],
+    ids=["one-panel", "three-panels"],
+)
+def test_pieces_follow_their_collocation_panels(monkeypatch, a, q, s_max, tol):
+    # each piece's short series stays within 16 eps max|c| of its collocation
+    # panel's 33-term series (max|c| of that panel), breaks included, and the
+    # neck state is exact
+    sol = integrate_profile(a, q, 1.0, s_max=s_max, tol=tol)._sol
+    monkeypatch.setattr(profile, "_pieces", profile._ChebyshevPanels)
+    panels = integrate_profile(a, q, 1.0, s_max=s_max, tol=tol)._sol
+    assert np.array_equal(sol.breaks[:: profile._PIECES], panels.breaks)
+    rng = np.random.default_rng(7)
+    s = np.concatenate([
+        rng.uniform(0.0, s_max, 4 * profile._BLOCK),
+        sol.breaks,
+        np.nextafter(sol.breaks[1:], 0.0),
+    ])
+    panel = np.searchsorted(panels.breaks[1:-1], s, side="right")
+    scale = np.array([np.abs(c).max() for c in panels.coeffs])[panel]
+    assert np.all(np.abs(sol(s) - panels(s)) <= 16.0 * np.finfo(float).eps * scale)
+    assert np.array_equal(sol(0.0), [[a], [0.0]])
+
+
+@pytest.mark.parametrize("s_max", [1.0, 2.0])
+def test_neck_pieces_are_short(s_max):
+    # the cost of the profile at graph nodes; a gate that may only fall
+    sol = integrate_profile(0.5, 0.3, 1.0, s_max=s_max, tol=1e-10)._sol
+    assert max(len(c) for c in sol.coeffs) <= 12
 
 
 def test_reflection_symmetry(neck_profile):

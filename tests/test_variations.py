@@ -284,6 +284,17 @@ class TestExperiments:
         assert rep.n_near_equality == len(near)
         assert rep.max_nonconstant_c2 == (max(near) if near else 0.0)
 
+    def test_local_max_second_variation_gap(self, monkeypatch):
+        # crit 10's draws: the excess is d2m/2 to O(amplitude) against the
+        # closed form of the background's Q, and misses crit 10's bound 1e-3
+        # against the closed form of Q = 0.31 (the failing control)
+        assert local_max_experiment(0.5, 0.3, 200, 0.02, 1).max_second_variation_gap <= 1e-3
+        second_variations = variations._second_variations
+        monkeypatch.setattr(
+            variations, "_second_variations", lambda a, q, c: second_variations(a, 0.31, c)
+        )
+        assert local_max_experiment(0.5, 0.3, 200, 0.02, 1).max_second_variation_gap > 1e-3
+
     def test_local_max_transform_counts(self, monkeypatch):
         # deterministic counting gate: each stack of 8 graphs is
         # derivative-synthesised once from its drawn coefficients, and those
@@ -513,27 +524,28 @@ class TestScaledGraphOracles:
 # (s0, first_analytic, first_fd, first_order, z_max) of crit 08's ten
 # variation reports (phi = random_c2_field(grid, 400 + i, 4, 0.5), drawn from
 # default_rng(400 + i); dt 2e-2), with phi read through its band-4 coefficients
+# and the profile summed from its pieces' short series
 CRIT_08_REPORTS = [
-    (0.2, 1.7522453446087817e-19, -1.3415194880887308e-14,
-     1.9999848009520271, 1.3357370765021415e-15),
-    (-0.35, 4.3123647975264145e-19, 4.440892098500626e-14,
-     1.9999544846423074, 1.5543122344752192e-15),
-    (0.5, 9.75574376636699e-19, -5.689893001203927e-14,
-     1.999970432533783, 2.220446049250313e-15),
-    (0.3, -6.148171015730552e-21, -1.3877787807814457e-14,
-     1.9999812852106227, 1.1102230246251565e-15),
-    (-0.45, 9.933007030980335e-19, -8.650487733537678e-14,
-     1.9999702575901004, 1.5681900222830336e-15),
-    (0.6, 8.350450839725282e-19, 1.2721305490496585e-13,
-     1.9999511442181914, 1.6653345369377348e-15),
-    (-0.25, 1.1109285146173214e-19, -4.6721885619642e-14,
-     1.999971831979744, 1.1171619185290638e-15),
-    (0.4, -4.1416930474728816e-19, -4.625929269271486e-14,
-     1.9998754861956092, 2.0122792321330962e-15),
-    (-0.55, -5.723890504158409e-19, 3.376928366568185e-14,
-     1.9999727259285567, 1.6930901125533637e-15),
-    (0.15, 2.822900522209449e-20, -2.0816681711721685e-14,
-     1.9999674534892373, 2.6680047060523293e-15),
+    (0.2, 6.804678301590145e-20, -1.3877787807814457e-14,
+     1.999975231253565, 1.779826286352204e-15),
+    (-0.35, 4.836937485718153e-19, 4.440892098500626e-14,
+     1.9999684892148097, 1.5681900222830336e-15),
+    (0.5, 7.134599597915827e-19, -5.643633708511212e-14,
+     1.9999781153639655, 2.6506574712925612e-15),
+    (0.3, -3.4054749460771517e-20, -1.3877787807814457e-14,
+     1.9999812852106227, 2.005340338229189e-15),
+    (-0.45, 8.598033085316688e-19, -8.650487733537678e-14,
+     1.9999674080500818, 1.5681900222830336e-15),
+    (0.6, 8.68856952706459e-19, 1.2675046197803871e-13,
+     1.9999541864770012, 1.582067810090848e-15),
+    (-0.25, 3.6514276496975124e-19, -4.6721885619642e-14,
+     1.99997612421398, 2.2273849431542203e-15),
+    (0.4, -3.5727301136621377e-19, -4.625929269271486e-14,
+     1.9998935966265718, 1.3322676295501878e-15),
+    (-0.55, -5.974225159417322e-19, 2.960594732333751e-14,
+     1.9999599982554175, 1.6653345369377348e-15),
+    (0.15, 1.9078654882461472e-19, -2.1279274638648833e-14,
+     1.9999244931511235, 2.6662699825763525e-15),
 ]
 
 
