@@ -11,7 +11,8 @@ A flat ``key = value`` config file (keys equal to long flag names) can seed
 any of a subcommand's flags; explicitly passed flags win, and keys the
 subcommand does not read are ignored.  A subcommand returns its report;
 ``run`` renders it (a string as is, anything else as JSON) and writes it to
-``--out`` or stdout.
+``--out`` or stdout.  Each subcommand imports the chmass modules it runs, so
+a process loads only those of the subcommand it dispatches.
 """
 
 from __future__ import annotations
@@ -24,38 +25,7 @@ import sys
 
 import numpy as np
 
-from .electrostatics import (
-    area_charge_report,
-    robinson_shen_residual,
-    verify_einstein_maxwell_static,
-)
-from .models import (
-    ModelParams,
-    horizon_roots,
-    lapse_squared,
-    nariai_from_alpha,
-    params_from_neck,
-    surface_gravity,
-)
-from .profile import curvature_scalars, integrate_profile, slice_hawking_mass
-from .sphere import (
-    ScalarField,
-    build_grid,
-    coeff_index,
-    n_coeffs,
-    scalar_field_from_dict,
-    scalar_field_to_dict,
-)
-from .spectrum import spectral_report
-from .surfaces import GraphSurface, induced_geometry
 from .sweeps import _csv, _fmt, parse_axis, render_csv
-from .variations import (
-    cmc_foliation,
-    local_max_experiment,
-    nariai_flow_diagnostic,
-    variation_report,
-)
-from .verification import run_all
 
 __all__ = ["main", "run"]
 
@@ -149,10 +119,11 @@ def _resolve(args: argparse.Namespace, config: dict, defaults: dict) -> dict:
     return values
 
 
-def _model_from(v: dict, alt: str, build) -> ModelParams:
+def _model_from(v: dict, alt: str, build):
     """``build(v[alt])`` when the alternative parameter (--neck-a or
     --nariai-alpha) is given, else the model of --m, --q and --lambda, which
     then needs --m."""
+    from .models import ModelParams
     if v[alt] is not None:
         return build(v[alt])
     if v["m"] is None:
@@ -166,6 +137,7 @@ def _model_from(v: dict, alt: str, build) -> ModelParams:
 
 
 def cmd_horizons(v: dict):
+    from .models import horizon_roots, lapse_squared, params_from_neck, surface_gravity
     p = _model_from(v, "neck_a", lambda a: params_from_neck(a, v["q"], v["lambda"]))
     hs = horizon_roots(p)
     gravities = [
@@ -182,6 +154,7 @@ def cmd_horizons(v: dict):
 
 
 def cmd_profile(v: dict):
+    from .profile import curvature_scalars, integrate_profile, slice_hawking_mass
     prof = integrate_profile(v["neck_a"], v["q"], v["lambda"], s_max=v["s_max"], tol=v["tol"])
     s = np.linspace(-prof.s_max, prof.s_max, 513)
     sc = curvature_scalars(prof, s)
@@ -192,6 +165,9 @@ def cmd_profile(v: dict):
 
 
 def _surface_from_file(path: str, s_pad: float = 0.5):
+    from .profile import integrate_profile
+    from .sphere import scalar_field_from_dict
+    from .surfaces import GraphSurface
     with open(path) as fh:
         payload = json.load(fh)
     missing = [k for k in ("base", "phi") if not isinstance(payload, dict) or k not in payload]
@@ -217,13 +193,15 @@ def _surface_from_file(path: str, s_pad: float = 0.5):
     return GraphSurface(prof, s0, phi)
 
 
-def _maybe_emit_field(v: dict, field: ScalarField):
+def _maybe_emit_field(v: dict, field):
     if v["emit_phi"]:
+        from .sphere import scalar_field_to_dict
         with open(v["emit_phi"], "w") as fh:
             fh.write(to_json(scalar_field_to_dict(field)) + "\n")
 
 
 def cmd_mass(v: dict):
+    from .surfaces import induced_geometry
     surf = _surface_from_file(v["surface"])
     geom = induced_geometry(surf, zeta=v["zeta"])
     _maybe_emit_field(v, surf.phi)
@@ -237,10 +215,12 @@ def cmd_mass(v: dict):
 
 
 def cmd_spectrum(v: dict):
+    from .spectrum import spectral_report
     return spectral_report(v["neck_a"], v["q"], n_theta=v["grid"], k=v["k"])
 
 
-def _parse_speed(spec: str, grid) -> ScalarField:
+def _parse_speed(spec: str, grid):
+    from .sphere import ScalarField, coeff_index, n_coeffs, scalar_field_from_dict
     if spec.startswith("Y:"):
         l_str, m_str = spec[2:].split(",")
         l, m = int(l_str), int(m_str)
@@ -252,6 +232,9 @@ def _parse_speed(spec: str, grid) -> ScalarField:
 
 
 def cmd_variation(v: dict):
+    from .profile import integrate_profile
+    from .sphere import build_grid
+    from .variations import variation_report
     s0, n = v["s0"], v["grid"]
     speed = _parse_speed(v["phi"], build_grid(n, 2 * n))
     prof = integrate_profile(v["neck_a"], v["q"], 1.0, s_max=max(1.0, abs(s0) + 0.5))
@@ -277,6 +260,8 @@ def cmd_variation(v: dict):
 
 
 def cmd_foliate(v: dict):
+    from .profile import integrate_profile
+    from .variations import cmc_foliation
     t_max = v["t_max"]
     prof = integrate_profile(v["neck_a"], v["q"], v["lambda"], s_max=t_max + 0.1)
     states = cmc_foliation(prof, (-t_max, t_max), v["steps"])
@@ -287,10 +272,15 @@ def cmd_foliate(v: dict):
 
 
 def cmd_localmax(v: dict):
+    from .variations import local_max_experiment
     return local_max_experiment(v["neck_a"], v["q"], v["samples"], v["amp"], v["seed"])
 
 
 def cmd_electrostatics(v: dict):
+    from .electrostatics import (
+        area_charge_report, robinson_shen_residual, verify_einstein_maxwell_static,
+    )
+    from .models import nariai_from_alpha
     model = _model_from(v, "nariai_alpha", lambda alpha: nariai_from_alpha(alpha, v["lambda"]))
     h = v["h"]
     system = verify_einstein_maxwell_static(model, samples=v["samples"])
@@ -313,6 +303,8 @@ def cmd_electrostatics(v: dict):
 
 
 def cmd_nariai(v: dict):
+    from .models import nariai_from_alpha
+    from .variations import nariai_flow_diagnostic
     npar = nariai_from_alpha(v["alpha"], v["lambda"])
     flow = nariai_flow_diagnostic(npar)
     return {
@@ -338,6 +330,7 @@ def cmd_verify(v: dict):
     """Returns (exit code, report): 1 when any criterion fails."""
     if v["format"] not in ("text", "json"):
         raise ValueError(f"--format must be text or json, got {v['format']!r}")
+    from .verification import run_all
     summary = run_all()
     code = 0 if summary.all_passed else 1
     if v["format"] == "json":

@@ -272,7 +272,7 @@ class RadialProfile:
 
     def _check_range(self, s):
         s = np.asarray(s, dtype=float)
-        if np.any(np.abs(s) > self.s_max * (1.0 + 1e-12)):
+        if not np.all(np.abs(s) <= self.s_max * (1.0 + 1e-12)):  # NaN fails too
             raise ValueError(f"arclength outside integrated range [-{self.s_max}, {self.s_max}]")
         return s
 
@@ -295,7 +295,7 @@ class RadialProfile:
         """(u, u', u'') at arclength s: u and u'' even in s, u' odd.
 
         Vectorised over s of any shape (u'' through the profile equation);
-        raises ValueError outside [-s_max, s_max].
+        raises ValueError outside [-s_max, s_max] and at NaN.
         """
         return self._state(s, with_ddu=True)
 

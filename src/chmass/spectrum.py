@@ -18,10 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .profile import integrate_profile
-from .sphere import ScalarField, build_grid
-from .surfaces import GraphSurface, SurfaceGeometry, induced_geometry
-
 __all__ = [
     "SpectralReport",
     "lambda1_analytic",
@@ -94,7 +90,7 @@ def _pencil_eigvalsh(stiff: np.ndarray, mass: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(np.linalg.solve(lower, half.T))
 
 
-def _rayleigh_pencil(geom: SurfaceGeometry, lmax: int, potential: np.ndarray):
+def _rayleigh_pencil(geom, lmax: int, potential: np.ndarray):
     """Stiffness/mass matrices of the Jacobi form in the harmonic basis."""
     factors, col = geom.grid._separable_basis(lmax)
     w = geom.grid.w_node * geom.area_element
@@ -110,7 +106,7 @@ def _rayleigh_pencil(geom: SurfaceGeometry, lmax: int, potential: np.ndarray):
     return stiff - pot, _gram(factors, col, w, "f", "f")
 
 
-def lambda1_discrete(surface: GraphSurface, lmax: int = 8) -> float:
+def lambda1_discrete(surface, lmax: int = 8) -> float:
     """Discrete first Jacobi eigenvalue of a graph surface.
 
     Minimizes the Rayleigh quotient over spherical harmonics up to ``lmax``,
@@ -124,6 +120,7 @@ def lambda1_discrete(surface: GraphSurface, lmax: int = 8) -> float:
     Gram matrix is assembled from azimuthal products per theta row and one
     contraction over theta; the dense basis is never built.
     """
+    from .surfaces import induced_geometry  # graph surfaces only: sweeps never load it
     geom = induced_geometry(surface)
     Kmat, Mmat = _rayleigh_pencil(geom, lmax, geom.ric_nn + geom.a_norm2)
     return float(_pencil_eigvalsh(Kmat, Mmat)[0])
@@ -187,6 +184,9 @@ def eigenvalue_area_charge_residual(a, q):
 
 def spectral_report(a: float, q: float, n_theta: int = 32, k: int = 9) -> SpectralReport:
     """Assemble the full spectral diagnostic package for one neck."""
+    from .profile import integrate_profile
+    from .sphere import ScalarField, build_grid
+    from .surfaces import GraphSurface
     grid = build_grid(n_theta, 2 * n_theta)
     prof = integrate_profile(a, q, 1.0, s_max=1.0)
     surf = GraphSurface(prof, 0.0, ScalarField.from_coeffs(grid, np.zeros(1)))

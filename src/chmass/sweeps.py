@@ -2,7 +2,9 @@
 
 Each check maps its two 1-D axis arrays to rows in row-major order (x outer,
 y inner).  ``identity`` is one array expression over the meshgrid; the
-horizon-root checks ``areacharge`` and ``window`` evaluate point by point.
+horizon-root checks ``areacharge`` and ``window`` evaluate point by point
+and import ``models`` and ``electrostatics`` there, so an ``identity`` sweep
+loads neither.
 """
 
 from __future__ import annotations
@@ -10,20 +12,13 @@ from __future__ import annotations
 import itertools
 import math
 
-# Imported only so that the benchmark tracer (perfbench/spans.py) can patch
-# this name; no sweep code calls it.
+# No sweep code calls it.  It stays imported because the benchmark tracer
+# (perfbench/spans.py) patches this name to time a pool's futures, and
+# tests/test_tracer.py asserts that the patch is made.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 
 import numpy as np
 
-from .models import (
-    CLASS_GENERIC,
-    ModelParams,
-    admissible_window,
-    horizon_roots,
-    params_from_neck,
-)
-from .electrostatics import area_charge_report
 from .spectrum import eigenvalue_area_charge_residual, stability_window
 
 __all__ = ["SWEEP_CHECKS", "sweep_table", "render_csv", "parse_axis"]
@@ -54,6 +49,8 @@ def _identity_rows(a2: np.ndarray, q2: np.ndarray):
 
 
 def _area_charge_row(q2: float, mfrac: float):
+    from .electrostatics import area_charge_report
+    from .models import ModelParams, admissible_window
     q = math.sqrt(q2)
     lo, hi = admissible_window(q, 1.0)
     m = lo + mfrac * (hi - lo)
@@ -67,6 +64,7 @@ def _window_row(q2: float, a2: float):
     # a is a root of its induced model by construction, but it is a *neck*
     # (the middle root r_plus) exactly when a^2 sits in the stability window;
     # outside the window the same radius reappears as r_minus or r_cosmo.
+    from .models import CLASS_GENERIC, horizon_roots, params_from_neck
     q = math.sqrt(q2)
     a = math.sqrt(a2)
     w = stability_window(q)
@@ -149,9 +147,25 @@ def _fmt(x: float) -> str:
     return format(x + 0.0, ".17g")  # + 0.0 folds -0.0 into 0.0
 
 
+class _Texts(dict):
+    """Value -> ``_fmt`` text, stored on first use.  Equal values share a
+    text (-0.0 and 0.0 both print "0"); a NaN equals no key and is not stored."""
+
+    def __missing__(self, x):
+        text = _fmt(x)
+        if x == x:
+            self[x] = text
+        return text
+
+
 def _csv(header, rows) -> str:
-    """CSV text, floats at 17 significant digits (round-trip exact)."""
-    return "\n".join([",".join(header), *(",".join(map(_fmt, row)) for row in rows)]) + "\n"
+    """CSV text, floats at 17 significant digits (round-trip exact).
+
+    Each distinct value is formatted once: a sweep repeats every axis value
+    along the other axis.
+    """
+    text = _Texts().__getitem__
+    return "\n".join([",".join(header), *(",".join(map(text, row)) for row in rows)]) + "\n"
 
 
 def render_csv(check: str, axes: dict) -> str:

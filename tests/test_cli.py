@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -76,6 +77,54 @@ def test_cli_import_leaves_numpy_random_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _fresh_chmass_modules(code):
+    """The chmass submodules a fresh interpreter has loaded after ``code``."""
+    code += "\nimport sys; print(' '.join(m for m in sys.modules if m.startswith('chmass.')))"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chmass.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_package_import_loads_no_submodule():
+    assert _fresh_chmass_modules("import chmass") == set()
+
+
+@pytest.mark.parametrize("argv", [
+    ["horizons", "--m", "0.3191667", "--q", "0.3"],
+    ["electrostatics", "--m", "0.3191667", "--q", "0.3"],
+    ["sweep", "--check", "identity", "--a2", "0.1:0.9:3", "--q2", "0:0.2:3"],
+    ["sweep", "--check", "window", "--q2", "0.02:0.2:3", "--a2", "0.1:0.9:3"],
+    ["sweep", "--check", "areacharge", "--q2", "0.02:0.2:3", "--mfrac", "0.1:0.9:3"],
+], ids=["horizons", "electrostatics", "sweep-identity", "sweep-window", "sweep-areacharge"])
+def test_closed_form_subcommands_skip_the_surface_modules(argv):
+    # these subcommands read closed forms only; the spherical-harmonic, profile
+    # and surface stack, the variations and the suite stay unloaded
+    loaded = _fresh_chmass_modules(textwrap.dedent(f"""
+        import contextlib, io, chmass.cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert chmass.cli.run({argv!r}) == 0
+    """))
+    assert "chmass.sweeps" in loaded
+    heavy = {f"chmass.{m}" for m in ("sphere", "profile", "surfaces", "variations", "verification")}
+    assert not loaded & heavy
+    if "identity" in argv:  # the closed form lives in spectrum alone
+        assert loaded == {"chmass.cli", "chmass.sweeps", "chmass.spectrum"}
+
+
+def test_export_table_resolves_each_name_in_its_submodule():
+    for name in chmass.__all__:
+        module = importlib.import_module(f"chmass.{chmass._SOURCE[name]}")
+        assert getattr(chmass, name) is getattr(module, name), name
+    assert set(chmass.__all__) <= set(dir(chmass))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        chmass.no_such_name  # noqa: B018
+    from chmass import build_grid
+
+    assert build_grid is sphere.build_grid
 
 
 def test_json_serializer_digits_and_specials():
@@ -583,6 +632,42 @@ class TestSweep:
         assert code == 0
         assert [line.split(",")[1] for line in out.strip().splitlines()[1:]] == ["0"] * 4
 
+    @staticmethod
+    def _plain_csv(header, rows):
+        """Reference CSV: every value formatted on its own."""
+        lines = [",".join(header)]
+        lines += [",".join(format(x + 0.0, ".17g") for x in row) for row in rows]
+        return "\n".join(lines) + "\n"
+
+    def test_csv_formats_like_each_value_on_its_own(self):
+        from chmass.sweeps import _Texts, _csv
+
+        nan, inf = float("nan"), float("inf")
+        rows = [
+            (0.1, -0.0, 0.0), (0.1, 0.0, -0.0), (nan, nan, 0.1), (inf, -inf, inf),
+            (1, 1.0, np.float64(1.0)), (np.float64(0.1), 0.1, 1e-300), (-inf, nan, -0.0),
+        ]
+        text = _csv(["a", "b", "c"], rows)
+        assert text == self._plain_csv(["a", "b", "c"], rows)
+        assert text.splitlines()[1:4] == [
+            "0.10000000000000001,0,0", "0.10000000000000001,0,0", "nan,nan,0.10000000000000001",
+        ]
+        grid = np.array([[0.25, -0.0, nan], [0.25, 0.0, inf]] * 3)
+        assert _csv(["x", "y", "z"], grid) == self._plain_csv(["x", "y", "z"], grid)
+        texts = _Texts()
+        assert texts[nan] == texts[np.nan] == "nan" and not texts  # no NaN key is kept
+        assert texts[-0.0] == texts[0.0] == "0" and len(texts) == 1
+
+    @pytest.mark.parametrize("check, axes", [
+        ("identity", {"a2": (0.05, 0.95, 30), "q2": (0.0, 0.25, 30)}),
+        ("areacharge", {"q2": (0.01, 0.2, 5), "mfrac": (0.05, 0.95, 5)}),
+        ("window", {"q2": (0.01, 0.2, 6), "a2": (0.02, 0.98, 6)}),
+    ])
+    def test_render_csv_formats_like_each_value_on_its_own(self, check, axes):
+        from chmass.sweeps import render_csv, sweep_table
+
+        assert render_csv(check, axes) == self._plain_csv(*sweep_table(check, axes))
+
     def test_empty_or_unknown_grid_is_usage_error(self, capsys):
         code, _, err = invoke(capsys, "sweep", "--check", "identity")
         assert code == 2 and "needs axes" in err
@@ -697,7 +782,7 @@ def test_verify_quick_json(capsys):
 
 
 def test_verify_rejects_unknown_format(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "run_all", lambda: pytest.fail("ran the suite"))
+    monkeypatch.setattr("chmass.verification.run_all", lambda: pytest.fail("ran the suite"))
     code, out, err = invoke(capsys, "verify", "--format", "xml")
     assert code == 2 and out == ""
     assert "--format must be text or json" in err
@@ -758,7 +843,7 @@ def test_verify_text_rendering_and_failure_exit(capsys, monkeypatch):
             )
         ]
     )
-    monkeypatch.setattr(cli, "run_all", lambda: fake)
+    monkeypatch.setattr("chmass.verification.run_all", lambda: fake)
     code, out, _ = invoke(capsys, "verify")
     assert code == 1
     assert "[FAIL] 99 synthetic criterion" in out

@@ -276,6 +276,16 @@ class TestErrors:
         with pytest.raises(ValueError):
             first_integral(neck_profile, -2.1)
 
+    def test_nan_arclength_is_refused(self, neck_profile):
+        # NaN compares false with the bound, so the check must be "all within"
+        nan = float("nan")
+        with pytest.raises(ValueError, match="outside integrated range"):
+            neck_profile.u(nan)
+        with pytest.raises(ValueError, match="outside integrated range"):
+            neck_profile.state([0.1, nan])
+        with pytest.raises(ValueError, match="outside integrated range"):
+            curvature_scalars(neck_profile, nan)
+
     def test_tolerance_bounds(self):
         with pytest.raises(ValueError):
             integrate_profile(0.5, 0.3, 1.0, tol=1e-4)

@@ -55,3 +55,21 @@ def test_install_then_uninstall_restores_every_patched_name(spans):
     for space, ns in before.items():
         changed = [attr for attr, value in ns.items() if after[space].get(attr) is not value]
         assert not changed, f"{space}: not restored: {changed}"
+
+
+def test_package_name_resolved_while_traced_is_restored(spans):
+    # the package caches no resolved export, so a name first read while the
+    # tracer is installed does not keep the tracer's wrapper after uninstall
+    import chmass
+    import chmass.profile
+
+    original = chmass.profile.integrate_profile
+    assert "integrate_profile" not in vars(chmass)
+    rec = spans.Recorder()
+    rec.install()
+    try:
+        assert chmass.integrate_profile is not original
+        assert chmass.integrate_profile is chmass.profile.integrate_profile
+    finally:
+        rec.uninstall()
+    assert chmass.integrate_profile is chmass.profile.integrate_profile is original
