@@ -11,7 +11,6 @@ import numpy as np
 from chmass import (
     arclength_from_r,
     curvature_scalars,
-    first_integral,
     integrate_profile,
     params_from_neck,
     slice_hawking_mass,
@@ -34,7 +33,7 @@ def main():
     print()
 
     s_grid = np.linspace(-3.3, 3.3, 1101)
-    drift = np.abs(first_integral(prof, s_grid) - prof.m).max()
+    drift = np.abs(slice_hawking_mass(prof, s_grid) - prof.m).max()
     print(f"first-integral drift over [-3.3, 3.3]:  {drift:.2e}   (bound 1e-8)")
 
     u = prof.u(s_grid)

@@ -22,8 +22,9 @@ _EXPORTS = {  # submodule: the names the package exports from it
         "lapse_squared", "nariai_from_alpha", "params_from_neck", "surface_gravity",
     ),
     "profile": (
-        "ProfileIntegrationError", "RadialProfile", "arclength_from_r", "curvature_scalars",
-        "first_integral", "integrate_profile", "slice_hawking_mass",
+        "FoliationState", "ProfileIntegrationError", "RadialProfile", "arclength_from_r",
+        "cmc_foliation", "curvature_scalars", "integrate_profile", "monotonicity_report",
+        "nariai_flow_diagnostic", "slice_hawking_mass",
     ),
     "sphere": (
         "ScalarField", "SphereGrid", "build_grid", "c2_norm", "integrate", "laplace_beltrami",
@@ -38,8 +39,7 @@ _EXPORTS = {  # submodule: the names the package exports from it
         "eigenvalue_area_charge_residual", "spectral_report", "stability_window",
     ),
     "variations": (
-        "FoliationState", "LocalMaxReport", "VariationReport", "cmc_foliation", "first_variation",
-        "local_max_experiment", "monotonicity_report", "nariai_flow_diagnostic",
+        "LocalMaxReport", "VariationReport", "first_variation", "local_max_experiment",
         "second_variation_as_printed", "second_variation_minimal", "strict_instability_constant",
         "variation_report", "z_functional",
     ),

@@ -260,8 +260,7 @@ def cmd_variation(v: dict):
 
 
 def cmd_foliate(v: dict):
-    from .profile import integrate_profile
-    from .variations import cmc_foliation
+    from .profile import cmc_foliation, integrate_profile
     t_max = v["t_max"]
     prof = integrate_profile(v["neck_a"], v["q"], v["lambda"], s_max=t_max + 0.1)
     states = cmc_foliation(prof, (-t_max, t_max), v["steps"])
@@ -304,7 +303,7 @@ def cmd_electrostatics(v: dict):
 
 def cmd_nariai(v: dict):
     from .models import nariai_from_alpha
-    from .variations import nariai_flow_diagnostic
+    from .profile import nariai_flow_diagnostic
     npar = nariai_from_alpha(v["alpha"], v["lambda"])
     flow = nariai_flow_diagnostic(npar)
     return {

@@ -18,6 +18,12 @@ interpolated at the piece's 33 Lobatto nodes, with its negligible tail
 dropped (about 10 terms near the neck).  A graph's nodes span a sliver of
 one piece, so the profile there is summed from that piece's short series.
 
+The closed forms of slices live here too: ``slice_hawking_mass`` (the first
+integral at zeta = 2 Lambda), ``curvature_scalars``, and what is read from
+them alone -- the model CMC foliation (``cmc_foliation``,
+``monotonicity_report``) and the area-charge equality on a charged Nariai
+cylinder (``nariai_flow_diagnostic``, ``area_charge_value``).
+
 Sign convention (used consistently across the package): the unit normal of a
 slice is nu = +d/ds and the mean curvature is H = -2 u'/u, so expanding
 slices (u' > 0) have H < 0 while their area grows.
@@ -35,7 +41,9 @@ from numpy.polynomial.chebyshev import chebval, chebvander
 from .models import (
     CLASS_GENERIC,
     ModelParams,
+    NariaiParams,
     horizon_roots,
+    lapse_squared_prime,
     params_from_neck,
 )
 from .sphere import _gauss_legendre
@@ -44,9 +52,15 @@ __all__ = [
     "RadialProfile",
     "ProfileIntegrationError",
     "integrate_profile",
-    "first_integral",
     "slice_hawking_mass",
     "curvature_scalars",
+    "FoliationState",
+    "MonotonicityReport",
+    "NariaiFlowReport",
+    "cmc_foliation",
+    "monotonicity_report",
+    "nariai_flow_diagnostic",
+    "area_charge_value",
     "arclength_from_r",
     "profile_rhs",
 ]
@@ -409,16 +423,6 @@ def integrate_profile(
     )
 
 
-def first_integral(prof: RadialProfile, s):
-    """Slice mass I(s) = (u/2)(1 - u'^2 - Lambda u^2/3 + Q^2/u^2).
-
-    Constant (equal to prof.m) along exact solutions; deviations measure
-    integrator error.  It is the slice Hawking mass at zeta = 2 Lambda, where
-    zeta u^2/6 equals Lambda u^2/3 exactly.
-    """
-    return slice_hawking_mass(prof, s)
-
-
 def slice_hawking_mass(prof: RadialProfile, s, zeta: float | None = None):
     """Closed-form charged Hawking mass of the slice at arclength s.
 
@@ -464,6 +468,148 @@ def curvature_scalars(prof: RadialProfile, s) -> dict:
         "a2_slice": 0.5 * h**2,
         "e2": prof.q**2 / u**4,
     }
+
+
+@dataclass
+class FoliationState:
+    """One slice of the model CMC foliation (lapse identically one)."""
+
+    t: float
+    u: float
+    du: float
+    h_mean: float
+    dh_dt: float
+    lambda1: float
+    dmch_dt: float
+    evolution_identity_residual: float
+
+
+@dataclass(eq=False)
+class MonotonicityReport:
+    """Per-slice mass-derivative decomposition along the model foliation.
+
+    ``bracket_scalar_zeta`` is int (R - zeta - 2|E|^2) dsigma, which vanishes
+    on the models; ``bracket_scalar_printed`` evaluates the same term with
+    Lambda in place of zeta and equals Lambda |Sigma_t| there -- recorded as
+    the coefficient discrepancy, never asserted to vanish.
+    """
+
+    t: np.ndarray
+    dmch_dt: np.ndarray
+    bracket_scalar_zeta: np.ndarray
+    bracket_scalar_printed: np.ndarray
+    bracket_charge: np.ndarray
+
+
+@dataclass
+class NariaiFlowReport:
+    """Area-charge equality and flow estimate on an exact Nariai cylinder."""
+
+    alpha: float
+    area: float
+    q2: float
+    area_charge_value: float
+    equality_residual: float
+    max_abs_h: float
+    hprime_lhs: float
+    hprime_rhs: float
+
+
+def cmc_foliation(
+    prof: RadialProfile, t_range: tuple[float, float], n_steps: int
+) -> list[FoliationState]:
+    """Model CMC foliation Sigma(t) = slice at s = t, lapse rho_t = 1.
+
+    Records H(t) = -2u'/u, its t-derivative, the slice Jacobi eigenvalue
+    lambda1(t), the mass drift d/dt m_CH (central difference of the
+    closed-form slice mass), and the evolution-identity residual
+    |H'(t) - (Ric(nu,nu) + |A|^2)|.  The residual pits the integrated u''
+    against the model closed form Ric(nu,nu) = -f'(u)/u, so it is not a
+    tautology of the integrator.
+    """
+    if n_steps < 2:  # linspace would drop t1 (one step) or leak numpy's message
+        raise ValueError(f"n_steps must be at least 2, got {n_steps}")
+    t0, t1 = t_range
+    delta = 1e-3
+    if max(abs(t0), abs(t1)) + delta > prof.s_max:
+        raise ValueError("t range leaves the integrated profile (need slack for FD)")
+    t = np.linspace(t0, t1, n_steps)
+    sc = curvature_scalars(prof, t)
+    ric_model = -lapse_squared_prime(sc["u"], prof.params) / sc["u"]
+    jacobi = ric_model + sc["a2_slice"]  # Ric(nu,nu) + |A|^2 = -lambda1
+    m_plus, m_minus = slice_hawking_mass(prof, np.stack([t + delta, t - delta]))
+    dmch = (m_plus - m_minus) / (2.0 * delta)
+    rows = np.column_stack([  # in FoliationState's field order
+        t, sc["u"], sc["du"], sc["h_slice"], sc["dh_ds"], -jacobi, dmch,
+        np.abs(sc["dh_ds"] - jacobi),
+    ])
+    return [FoliationState(*map(float, row)) for row in rows]
+
+
+def monotonicity_report(
+    prof: RadialProfile,
+    states: list[FoliationState],
+    zeta: float | None = None,
+) -> MonotonicityReport:
+    """Evaluate the mass-derivative decomposition along the foliation.
+
+    All terms are closed-form slice integrals, read off ``curvature_scalars``.
+    On the exact models the zeta-form scalar bracket and the charge bracket
+    vanish; the Lambda-coefficient scalar bracket equals Lambda |Sigma_t| and
+    is reported as the recorded discrepancy.  The umbilicity bracket and the
+    mean-lapse terms are not reported: the model slices are umbilic with
+    constant lapse, so they are zero by construction.
+    """
+    if zeta is None:
+        zeta = 2.0 * prof.lam
+    t = np.array([st.t for st in states])
+    sc = curvature_scalars(prof, t)
+    area = 4.0 * math.pi * sc["u"] ** 2
+    e2 = sc["e2"]
+    bracket_zeta = (sc["R"] - zeta - 2.0 * e2) * area
+    bracket_printed = (sc["R"] - prof.lam - 2.0 * e2) * area
+    bracket_charge = e2 * area - 16.0 * math.pi**2 * prof.q**2 / area
+    return MonotonicityReport(
+        t=t,
+        dmch_dt=np.array([st.dmch_dt for st in states]),
+        bracket_scalar_zeta=bracket_zeta,
+        bracket_scalar_printed=bracket_printed,
+        bracket_charge=bracket_charge,
+    )
+
+
+def area_charge_value(area: float, q: float) -> float:
+    """|Sigma| + 16 pi^2 Q^2 / |Sigma| -- at most 4 pi on area-minimizing spheres."""
+    return area + 16.0 * math.pi**2 * q**2 / area
+
+
+def nariai_flow_diagnostic(npar: NariaiParams, t_eval: float = 0.3) -> NariaiFlowReport:
+    """Equality case of the area-charge bound on an exact Nariai cylinder.
+
+    Checks |Sigma| + 16 pi^2 Q^2/|Sigma| = 4 pi on the neck, that the
+    integrated profile stays exactly cylindrical (H identically 0), and
+    evaluates both sides of the flow estimate
+    |Sigma_t| H'(t) int (1/rho) <= (16 pi^2 Q^2/|Sigma_0|) int_0^t H |Sigma_s| ds,
+    which degenerates to 0 <= 0 there.
+    """
+    prof = integrate_profile(npar.alpha, math.sqrt(npar.q2), npar.lam, s_max=max(1.0, 2 * t_eval))
+    s_grid = np.linspace(0.0, t_eval, 201)
+    sc = curvature_scalars(prof, s_grid)
+    end = curvature_scalars(prof, t_eval)
+    u, h = sc["u"], sc["h_slice"]
+    area = 4.0 * math.pi * float(u[0]) ** 2
+    value = area_charge_value(area, npar.q)
+    area_t = 4.0 * math.pi * end["u"] ** 2
+    lhs = area_t * end["dh_ds"] * area_t  # int 1/rho = |Sigma_t| for rho = 1
+    kappa = 16.0 * math.pi**2 * npar.q2 / area
+    rhs = kappa * np.trapezoid(h * 4.0 * math.pi * u**2, s_grid)
+    return NariaiFlowReport(
+        alpha=npar.alpha, area=area, q2=npar.q2,
+        area_charge_value=value,
+        equality_residual=value - 4.0 * math.pi,
+        max_abs_h=float(np.max(np.abs(h))),
+        hprime_lhs=float(lhs), hprime_rhs=float(rhs),
+    )
 
 
 @functools.lru_cache(maxsize=1)

@@ -14,8 +14,7 @@ cross-check.
 
 This module is the quadrature side of every graph, slices included (a slice
 is the graph of a constant height).  The closed-form side of a slice is
-``profile.curvature_scalars`` together with ``profile.slice_hawking_mass``,
-which this module re-exports.
+``profile.curvature_scalars`` together with ``profile.slice_hawking_mass``.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .profile import RadialProfile, slice_hawking_mass
+from .profile import RadialProfile
 from .sphere import ScalarField, SphereGrid
 
 __all__ = [
@@ -35,7 +34,6 @@ __all__ = [
     "area",
     "charge",
     "charged_hawking_mass",
-    "slice_hawking_mass",
     "gauss_curvature_brioschi",
 ]
 
@@ -77,9 +75,7 @@ class SurfaceGeometry:
     gauss_k: np.ndarray = field(repr=False)  # intrinsic Gauss curvature
     ric_nn: np.ndarray = field(repr=False)   # ambient Ricci along the normal
     r_ambient: np.ndarray = field(repr=False)
-    e_dot_nu: np.ndarray = field(repr=False)
     area_element: np.ndarray = field(repr=False)  # u^2 W (per unit solid angle)
-    u: np.ndarray = field(repr=False)
     w_tilt: np.ndarray = field(repr=False)   # W = sqrt(1 + |grad phi|^2 / u^2)
     hinv_tt: np.ndarray = field(repr=False)  # inverse induced metric, coords
     hinv_tp: np.ndarray = field(repr=False)
@@ -233,7 +229,7 @@ def _geometry_from_derivs(
     return dict(
         area=area_val, charge=charge_val, mch=mch,
         h_mean=H, a_norm2=A2, gauss_k=K, ric_nn=ric_nn, r_ambient=R_amb,
-        e_dot_nu=e_dot_nu, area_element=area_el, u=u, w_tilt=W,
+        area_element=area_el, w_tilt=W,
         hinv_tt=hinv_tt, hinv_tp=hinv_tp, hinv_pp=hinv_pp,
     )
 

@@ -112,10 +112,16 @@ def _check_domain(check: str, name: str, lo: float, hi: float):
         )
 
 
+# the most grid points a sweep evaluates (46 times a 150 x 150 grid); a larger
+# grid's rows could exhaust memory
+_MAX_POINTS = 2**20
+
+
 def sweep_table(check: str, axes: dict):
     """Evaluate a named check over the grid; returns (header, rows).
 
-    Rows come back in row-major grid order of the check's two axes.
+    Rows come back in row-major grid order of the check's two axes.  A grid
+    of more than ``_MAX_POINTS`` points is refused before any array is built.
     """
     if check not in SWEEP_CHECKS:
         raise ValueError(f"unknown sweep check {check!r} (have {sorted(SWEEP_CHECKS)})")
@@ -137,6 +143,11 @@ def sweep_table(check: str, axes: dict):
                 f"smallest q2 = {q2_min:g} for check 'window' (above it the neck has "
                 f"negative mass), got bounds {axes['a2'][0]:g}:{axes['a2'][1]:g}"
             )
+    nx, ny = (axes[name][2] for name in axis_names)
+    if nx * ny > _MAX_POINTS:
+        raise ValueError(
+            f"sweep grid of {nx} x {ny} = {nx * ny} points exceeds the limit of {_MAX_POINTS} points"
+        )
     values = [_axis_values(axes[name]) for name in axis_names]
     if not all(len(v) for v in values):
         raise ValueError("empty sweep grid")

@@ -10,7 +10,6 @@ stacked route of ``surfaces``.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -30,7 +29,9 @@ from .models import (
     nariai_from_alpha,
     params_from_neck,
 )
-from .profile import curvature_scalars, first_integral, integrate_profile
+from .profile import (
+    area_charge_value, cmc_foliation, curvature_scalars, integrate_profile, slice_hawking_mass,
+)
 from .sphere import (
     ScalarField, _random_c2_stack, build_grid, coeff_index, n_coeffs, random_c2_field,
 )
@@ -41,11 +42,9 @@ from .spectrum import (
     laplace_spectrum_discrete,
     stability_window,
 )
-from .surfaces import GraphSurface, _graph_masses, induced_geometry, slice_hawking_mass
-from .sweeps import render_csv, sweep_table
+from .surfaces import GraphSurface, _graph_masses, induced_geometry
+from .sweeps import sweep_table
 from .variations import (
-    area_charge_value,
-    cmc_foliation,
     local_max_experiment,
     second_variation_as_printed,
     second_variation_fd,
@@ -127,7 +126,7 @@ def crit_02_admissible_window():
 def crit_03_profile_conservation():
     prof = integrate_profile(0.5, 0.3, 1.0, s_max=2.0, tol=1e-10)
     s = np.linspace(-2.0, 2.0, 801)
-    drift = float(np.abs(first_integral(prof, s) - prof.m).max())
+    drift = float(np.abs(slice_hawking_mass(prof, s) - prof.m).max())
     sc = curvature_scalars(prof, s)
     scalar = float(np.abs(sc["R"] - 2.0 - 2.0 * sc["e2"]).max())
     return [
@@ -284,14 +283,6 @@ def crit_13_appendix():
     ]
 
 
-def crit_14_sweep_determinism():
-    axes = {"a2": (0.05, 0.95, 25), "q2": (0.0, 0.25, 25)}
-    lines = render_csv("identity", axes).splitlines()
-    grid = [(float(x), float(y)) for x, y, _ in (line.split(",") for line in lines[1:])]
-    expected = list(itertools.product(*(np.linspace(*axes[k]).tolist() for k in ("a2", "q2"))))
-    return [("rows in row-major order, axes round-trip exact", _flag(grid == expected), 0.5)]
-
-
 CRITERIA = [
     ("01", "Nariai double root data", crit_01_nariai_double_root),
     ("02", "admissible mass window", crit_02_admissible_window),
@@ -306,7 +297,6 @@ CRITERIA = [
     ("11", "area-charge equality and strict case", crit_11_area_charge_equality),
     ("12", "CMC foliation diagnostics", crit_12_foliation),
     ("13", "electrostatic system and bounds", crit_13_appendix),
-    ("14", "sweep determinism", crit_14_sweep_determinism),
 ]
 
 

@@ -1,7 +1,9 @@
 import importlib
+import inspect
 import json
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -99,18 +101,27 @@ def test_package_import_loads_no_submodule():
     ["sweep", "--check", "identity", "--a2", "0.1:0.9:3", "--q2", "0:0.2:3"],
     ["sweep", "--check", "window", "--q2", "0.02:0.2:3", "--a2", "0.1:0.9:3"],
     ["sweep", "--check", "areacharge", "--q2", "0.02:0.2:3", "--mfrac", "0.1:0.9:3"],
-], ids=["horizons", "electrostatics", "sweep-identity", "sweep-window", "sweep-areacharge"])
+    ["nariai", "--alpha", "0.8"],
+    ["foliate", "--neck-a", "0.5", "--q", "0.3"],
+], ids=[
+    "horizons", "electrostatics", "sweep-identity", "sweep-window", "sweep-areacharge",
+    "nariai", "foliate",
+])
 def test_closed_form_subcommands_skip_the_surface_modules(argv):
-    # these subcommands read closed forms only; the spherical-harmonic, profile
-    # and surface stack, the variations and the suite stay unloaded
+    # these subcommands read closed forms only: the surface stack, the
+    # variations and the suite stay unloaded, and so do the spherical-harmonic
+    # and profile modules, except where the closed form is the profile's (the
+    # foliation and the Nariai equality)
     loaded = _fresh_chmass_modules(textwrap.dedent(f"""
         import contextlib, io, chmass.cli
         with contextlib.redirect_stdout(io.StringIO()):
             assert chmass.cli.run({argv!r}) == 0
     """))
     assert "chmass.sweeps" in loaded
-    heavy = {f"chmass.{m}" for m in ("sphere", "profile", "surfaces", "variations", "verification")}
-    assert not loaded & heavy
+    heavy = {"surfaces", "variations", "verification"}
+    if argv[0] not in ("nariai", "foliate"):
+        heavy |= {"sphere", "profile"}
+    assert not loaded & {f"chmass.{m}" for m in heavy}
     if "identity" in argv:  # the closed form lives in spectrum alone
         assert loaded == {"chmass.cli", "chmass.sweeps", "chmass.spectrum"}
 
@@ -119,6 +130,13 @@ def test_export_table_resolves_each_name_in_its_submodule():
     for name in chmass.__all__:
         module = importlib.import_module(f"chmass.{chmass._SOURCE[name]}")
         assert getattr(chmass, name) is getattr(module, name), name
+    # each function and class has one home: no module lists another's in __all__
+    for info in pkgutil.iter_modules(chmass.__path__):
+        module = importlib.import_module(f"chmass.{info.name}")
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if inspect.isfunction(obj) or inspect.isclass(obj):
+                assert obj.__module__ == module.__name__, (module.__name__, name)
     assert set(chmass.__all__) <= set(dir(chmass))
     with pytest.raises(AttributeError, match="no_such_name"):
         chmass.no_such_name  # noqa: B018
@@ -668,6 +686,22 @@ class TestSweep:
 
         assert render_csv(check, axes) == self._plain_csv(*sweep_table(check, axes))
 
+    @pytest.mark.parametrize("check, axes", [
+        ("identity", ("--a2", "0.1:0.9:20000", "--q2", "0:0.2:20000")),
+        ("window", ("--q2", "0.01:0.2:1025", "--a2", "0.1:0.9:1024")),
+        ("areacharge", ("--q2", "0.01:0.2:3", "--mfrac", "0.1:0.9:1000000000000")),
+    ])
+    def test_oversized_grid_is_refused_before_any_array(self, capsys, monkeypatch, check, axes):
+        # 2**20 points at most; the refusal comes before an axis array is built
+        from chmass import sweeps
+
+        monkeypatch.setattr(sweeps, "_axis_values", lambda triple: pytest.fail("built an axis"))
+        code, out, err = invoke(capsys, "sweep", "--check", check, *axes)
+        counts = [int(spec.split(":")[2]) for spec in axes[1::2]]
+        assert code == 2 and out == ""
+        assert f"{counts[0]} x {counts[1]} = {counts[0] * counts[1]} points" in err
+        assert "limit of 1048576 points" in err and "Traceback" not in err
+
     def test_empty_or_unknown_grid_is_usage_error(self, capsys):
         code, _, err = invoke(capsys, "sweep", "--check", "identity")
         assert code == 2 and "needs axes" in err
@@ -777,7 +811,7 @@ def test_verify_quick_json(capsys):
     code, out, _ = invoke(capsys, "verify", "--format", "json")
     assert code == 0
     payload = json.loads(out)
-    assert len(payload) == 14
+    assert len(payload) == 13
     assert all(item["passed"] for item in payload)
 
 

@@ -11,9 +11,9 @@ from chmass.profile import (
     ProfileIntegrationError,
     arclength_from_r,
     curvature_scalars,
-    first_integral,
     integrate_profile,
     profile_rhs,
+    slice_hawking_mass,
 )
 
 
@@ -140,7 +140,7 @@ def test_solution_against_high_precision_oracle(neck_profile):
 
 def test_first_integral_conservation(neck_profile):
     s = np.linspace(-2.0, 2.0, 801)
-    drift = np.abs(first_integral(neck_profile, s) - neck_profile.m)
+    drift = np.abs(slice_hawking_mass(neck_profile, s) - neck_profile.m)
     assert drift.max() <= 1e-8
 
 
@@ -183,7 +183,7 @@ def test_long_ranges_against_dop853(s_max, bound, panels):
     ref = dop853(0.5, 0.3, s_max)(s)
     assert np.abs(prof.u(s) - ref[0]).max() <= bound
     assert np.abs(prof.du(s) - ref[1]).max() <= bound
-    assert np.abs(first_integral(prof, s) - prof.m).max() <= 1e-13
+    assert np.abs(slice_hawking_mass(prof, s) - prof.m).max() <= 1e-13
 
 
 def test_panel_collapse_reports_last_accepted_node(monkeypatch):
@@ -274,7 +274,7 @@ class TestErrors:
         with pytest.raises(ValueError):
             neck_profile.u(2.5)
         with pytest.raises(ValueError):
-            first_integral(neck_profile, -2.1)
+            slice_hawking_mass(neck_profile, -2.1)
 
     def test_nan_arclength_is_refused(self, neck_profile):
         # NaN compares false with the bound, so the check must be "all within"
@@ -305,7 +305,7 @@ class TestErrors:
 def test_nariai_first_integral_is_the_nariai_mass():
     prof = integrate_profile(0.8, 0.48, 1.0, s_max=1.5, tol=1e-10)
     for s in (-1.2, 0.0, 0.7, 1.5):
-        assert first_integral(prof, s) == pytest.approx(0.4586666666666667, abs=1e-12)
+        assert slice_hawking_mass(prof, s) == pytest.approx(0.4586666666666667, abs=1e-12)
 
 
 def test_arclength_robust_near_horizons():

@@ -10,11 +10,10 @@ from hypothesis.extra.numpy import arrays
 
 from chmass.electrostatics import area_charge_report
 from chmass.models import ModelParams, admissible_window
-from chmass.profile import integrate_profile, slice_hawking_mass
+from chmass.profile import area_charge_value, integrate_profile, slice_hawking_mass
 from chmass.spectrum import stability_window
 from chmass.sphere import ScalarField, build_grid, n_coeffs, random_c2_field
 from chmass.surfaces import GraphSurface, _graph_masses, charged_hawking_mass
-from chmass.variations import area_charge_value
 
 # fixed examples keep tier-1 reproducible; no example database on disk
 PROPERTY = settings(max_examples=40, deadline=None, database=None, derandomize=True)

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from chmass import surfaces
-from chmass.profile import RadialProfile, curvature_scalars, integrate_profile
+from chmass.profile import (
+    RadialProfile, curvature_scalars, integrate_profile, slice_hawking_mass,
+)
 from chmass.sphere import ScalarField, _random_c2_stack, build_grid, random_c2_field
 from chmass.surfaces import (
     GraphSurface,
@@ -17,7 +19,6 @@ from chmass.surfaces import (
     charged_hawking_mass,
     gauss_curvature_brioschi,
     induced_geometry,
-    slice_hawking_mass,
 )
 
 

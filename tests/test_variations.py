@@ -5,7 +5,13 @@ import pytest
 
 from chmass.models import nariai_from_alpha
 from chmass import surfaces, variations
-from chmass.profile import integrate_profile
+from chmass.profile import (
+    area_charge_value,
+    cmc_foliation,
+    integrate_profile,
+    monotonicity_report,
+    nariai_flow_diagnostic,
+)
 from chmass.sphere import (
     ScalarField,
     SphereGrid,
@@ -18,14 +24,10 @@ from chmass.sphere import (
 from chmass.spectrum import lambda1_analytic
 from chmass.surfaces import GraphSurface, induced_geometry
 from chmass.variations import (
-    area_charge_value,
-    cmc_foliation,
     first_variation,
     first_variation_fd,
     local_max_experiment,
     mass_of_scaled_graph,
-    monotonicity_report,
-    nariai_flow_diagnostic,
     second_variation_as_printed,
     second_variation_fd,
     second_variation_minimal,
