@@ -119,6 +119,19 @@ def _resolve(args: argparse.Namespace, config: dict, defaults: dict) -> dict:
     return values
 
 
+# largest --steps (foliation slices) and --samples (localmax graphs,
+# electrostatics radial points): a larger count is refused before anything
+# is allocated
+_MAX_COUNT = 2**16
+
+
+def _count(v: dict, dest: str) -> int:
+    """The count ``v[dest]``, refused above ``_MAX_COUNT`` as a usage error."""
+    if v[dest] > _MAX_COUNT:
+        raise ValueError(f"{_DESTS[dest][0]} must be at most {_MAX_COUNT}, got {v[dest]}")
+    return v[dest]
+
+
 def _model_from(v: dict, alt: str, build):
     """``build(v[alt])`` when the alternative parameter (--neck-a or
     --nariai-alpha) is given, else the model of --m, --q and --lambda, which
@@ -261,9 +274,9 @@ def cmd_variation(v: dict):
 
 def cmd_foliate(v: dict):
     from .profile import cmc_foliation, integrate_profile
-    t_max = v["t_max"]
+    t_max, steps = v["t_max"], _count(v, "steps")
     prof = integrate_profile(v["neck_a"], v["q"], v["lambda"], s_max=t_max + 0.1)
-    states = cmc_foliation(prof, (-t_max, t_max), v["steps"])
+    states = cmc_foliation(prof, (-t_max, t_max), steps)
     rows = [
         (st.t, st.u, st.h_mean, st.dh_dt, st.lambda1, st.dmch_dt) for st in states
     ]
@@ -272,17 +285,18 @@ def cmd_foliate(v: dict):
 
 def cmd_localmax(v: dict):
     from .variations import local_max_experiment
-    return local_max_experiment(v["neck_a"], v["q"], v["samples"], v["amp"], v["seed"])
+    return local_max_experiment(v["neck_a"], v["q"], _count(v, "samples"), v["amp"], v["seed"])
 
 
 def cmd_electrostatics(v: dict):
+    samples = _count(v, "samples")
     from .electrostatics import (
         area_charge_report, robinson_shen_residual, verify_einstein_maxwell_static,
     )
     from .models import nariai_from_alpha
     model = _model_from(v, "nariai_alpha", lambda alpha: nariai_from_alpha(alpha, v["lambda"]))
     h = v["h"]
-    system = verify_einstein_maxwell_static(model, samples=v["samples"])
+    system = verify_einstein_maxwell_static(model, samples=samples)
     bounds = area_charge_report(model)
     return {
         "kind": system.kind,

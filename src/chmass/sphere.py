@@ -460,10 +460,13 @@ def random_c2_field(
     return ScalarField(grid, d["f"][0], coeffs[0])
 
 
-def _random_c2_stack(grid: SphereGrid, seeds, lmax: int, amplitude: float):
+def _random_c2_stack(
+    grid: SphereGrid, seeds, lmax: int, amplitude: float, partials: bool = True
+):
     """The ``synth_derivs`` dict of ``random_c2_field`` for each seed, arrays of
     shape (len(seeds), n_theta, n_phi), and the scaled coefficients of shape
-    (len(seeds), n_coeffs(lmax)).
+    (len(seeds), n_coeffs(lmax)).  With ``partials`` false the dict is None:
+    a caller that reads only the coefficients leaves the six arrays unscaled.
 
     Each seed is a nonnegative integer or a sequence of them, as numpy's
     ``default_rng`` takes it; row i is one ``standard_normal`` draw of its
@@ -483,6 +486,8 @@ def _random_c2_stack(grid: SphereGrid, seeds, lmax: int, amplitude: float):
     coeffs = np.array([np.random.default_rng(s).standard_normal(n_coeffs(lmax)) for s in seeds])
     d = grid.synth_derivs(coeffs)
     scale = amplitude / _c2_norms(grid, d)
+    if not partials:
+        return None, scale[:, None] * coeffs
     return {key: scale[:, None, None] * v for key, v in d.items()}, scale[:, None] * coeffs
 
 

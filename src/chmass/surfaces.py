@@ -97,9 +97,10 @@ class SurfaceGeometry:
         )
 
 
-# Grid nodes per geometry-kernel call on a stack: 8 graphs of 32 x 64 nodes.
-# Three 40-graph local_max_experiment runs peaked at 89 MB RSS with this cap
-# and at 110 MB as one uncapped stack.
+# Grid nodes per geometry-kernel call on a stack: 8 graphs of 32 x 64 nodes
+# or 32 of 16 x 32.  local_max_experiment also draws its heights in stacks of
+# this many nodes.  Three 40-graph local_max_experiment runs in a fresh
+# interpreter peaked at 42 MB RSS with this cap and at 45 MB with 2**16.
 _STACK_NODES = 2**14
 
 

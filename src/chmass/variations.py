@@ -114,6 +114,9 @@ class LocalMaxReport:
     # the sample's height: the first variation vanishes at the neck, so the
     # excess is d2m/2 up to O(amplitude)
     max_second_variation_gap: float
+    # |m(16 x 32) - m(32 x 64)| of the largest-excess sample: the error of
+    # the mass grid, measured on every run
+    mass_resolution: float
     n_near_equality: int
     max_nonconstant_c2: float
     all_near_equality_are_slices: bool
@@ -329,10 +332,14 @@ def strict_instability_constant(a: float, q: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-# The sampling design of local_max_experiment: graphs on a 32 x 64 grid with
-# heights band-limited to l <= 4; a sample within _NEAR_TOL of equality must be
-# a slice.
+# The sampling design of local_max_experiment: heights band-limited to l <= 4,
+# drawn and C^2-normalized on a 32 x 64 grid, and their masses summed on a
+# _MASS_N_THETA x 2 _MASS_N_THETA grid, which holds a quarter of the draw
+# grid's nodes and resolves a band-4 graph at amplitude <= 0.05 to about 2e-16
+# (each run reports its resolution); a sample within _NEAR_TOL of equality
+# must be a slice.
 _N_THETA, _N_PHI, _LMAX = 32, 64, 4
+_MASS_N_THETA = 16
 _NEAR_TOL = 1e-9
 
 
@@ -347,19 +354,24 @@ def local_max_experiment(
 
     Sample k draws a height with l <= 4 on the 32 x 64 grid as
     random_c2_field does, from the seed [seed, k] (numpy's
-    ``default_rng([seed, k])``), at the given C^2 amplitude.
+    ``default_rng([seed, k])``), at the given C^2 amplitude; its mass is
+    summed on the 16 x 32 grid.
     Reports the largest mass excess m_CH(graph) - m over all samples; the
     largest |excess / (d2m/2) - 1| over all samples, with d2m the closed-form
     ``second_variation_minimal`` of the sample's height (the excess is d2m/2
-    up to O(amplitude), since the neck is critical); and, for samples within
+    up to O(amplitude), since the neck is critical); the mass resolution,
+    |m(16 x 32) - m(32 x 64)| of the sample with the largest excess, whose
+    mass is summed once more on the draw grid; and, for samples within
     ``_NEAR_TOL`` of equality, the largest C^2 norm of the nonconstant part
-    of the height (equality should only occur for slices).
+    of the height on the draw grid (equality should only occur for slices).
 
-    Graphs are drawn, normalized and evaluated in stacks of at most
-    ``_STACK_NODES`` grid nodes; each draw depends on its sample alone.  A
-    stack is derivative-synthesized once from its drawn coefficients, and
-    those partials serve both its C^2 normalization and its masses.  A
-    sample within ``_NEAR_TOL`` of equality loses its mean as c_00 = 0.
+    Heights are drawn and normalized in stacks of ``_STACK_NODES`` draw-grid
+    nodes (8 graphs), and only their scaled coefficients are kept; each draw
+    depends on its sample alone.  The masses are summed in blocks of
+    ``_STACK_NODES`` mass-grid nodes (32 graphs): each block is
+    derivative-synthesized once on the mass grid and sent through the
+    mass-only kernel once.  A sample within ``_NEAR_TOL`` of equality loses
+    its mean as c_00 = 0.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
@@ -367,27 +379,36 @@ def local_max_experiment(
         raise ValueError("experiment calibrated for amplitude <= 0.05")
     _check_strictly_stable(a, q)
     prof = integrate_profile(a, q, 1.0, s_max=1.0)
+    zeta = 2.0 * prof.lam
     grid = build_grid(_N_THETA, _N_PHI)
-    seeds = [[seed, k] for k in range(n_samples)]
-    stack = _STACK_NODES // (_N_THETA * _N_PHI)
-    excess = []
-    gap = 0.0
-    near = []
-    for start in range(0, n_samples, stack):
-        d, coeffs = _random_c2_stack(grid, seeds[start : start + stack], _LMAX, amplitude)
-        mch = _graph_masses(prof, grid, 0.0, d, 2.0 * prof.lam)["mch"]
-        e, half_d2m = mch - prof.m, 0.5 * _second_variations(a, q, coeffs)
-        with np.errstate(divide="ignore", invalid="ignore"):  # inf where d2m = 0 != e
-            gap = max(gap, float(np.where(e == half_d2m, 0.0, np.abs(e / half_d2m - 1.0)).max()))
-        for c, ek in zip(coeffs, e):
-            excess.append(float(ek))
-            if ek >= -_NEAR_TOL:
-                c[coeff_index(0, 0)] = 0.0
-                near.append(c2_norm(ScalarField.from_coeffs(grid, c)))
+    mass_grid = build_grid(_MASS_N_THETA, 2 * _MASS_N_THETA)
+    draw = _STACK_NODES // (grid.n_theta * grid.n_phi)
+    coeffs = np.concatenate([
+        _random_c2_stack(
+            grid, [[seed, k] for k in range(start, min(start + draw, n_samples))],
+            _LMAX, amplitude, partials=False,
+        )[1]
+        for start in range(0, n_samples, draw)
+    ])
+    block = _STACK_NODES // (mass_grid.n_theta * mass_grid.n_phi)
+    mch = np.concatenate([
+        _graph_masses(prof, mass_grid, 0.0, mass_grid.synth_derivs(part), zeta)["mch"]
+        for part in (coeffs[i : i + block] for i in range(0, n_samples, block))
+    ])
+    excess = mch - prof.m
+    half_d2m = 0.5 * _second_variations(a, q, coeffs)
+    with np.errstate(divide="ignore", invalid="ignore"):  # inf where d2m = 0 != excess
+        gap = np.where(excess == half_d2m, 0.0, np.abs(excess / half_d2m - 1.0)).max()
+    top = int(np.argmax(excess))
+    m_draw = _graph_masses(prof, grid, 0.0, grid.synth_derivs(coeffs[top : top + 1]), zeta)["mch"]
+    nonconstant = coeffs[excess >= -_NEAR_TOL]
+    nonconstant[:, coeff_index(0, 0)] = 0.0
+    near = [c2_norm(ScalarField.from_coeffs(grid, c)) for c in nonconstant]
     return LocalMaxReport(
         a=a, q=q, n_samples=n_samples, amplitude=amplitude, seed=seed,
-        max_excess=max(excess),
-        max_second_variation_gap=gap,
+        max_excess=float(excess[top]),
+        max_second_variation_gap=float(gap),
+        mass_resolution=abs(float(mch[top] - m_draw[0])),
         n_near_equality=len(near),
         max_nonconstant_c2=max(near) if near else 0.0,
         all_near_equality_are_slices=all(v <= 1e-6 for v in near),

@@ -227,6 +227,7 @@ def crit_10_local_max_experiment():
     return [
         ("max mass excess over 200 graphs", rep.max_excess, 1e-9),
         ("max |excess / (d2m/2) - 1| over 200 graphs", rep.max_second_variation_gap, 1e-3),
+        ("mass resolution of the largest-excess sample", rep.mass_resolution, 1e-12),
         ("near-equality cases are slices", _flag(rep.all_near_equality_are_slices), 0.5),
     ]
 

@@ -39,30 +39,36 @@ def test_total_runtime(summary):
 
 
 # (analyze, synth_derivs, geometry-kernel) calls of each criterion that makes
-# any.  Every stack of graphs reaches the kernel in chunks of at most
-# surfaces._STACK_NODES grid nodes: crit 04's 50 slices at n_theta 32 in 7
-# calls, crit 05's 20 graphs at n_theta 64 in 10, crit 08's 10 cases in one
-# call for the base slice and one for the 6 FD graphs each (plus its 7 slices),
-# crit 09's two 5-graph stencils in one call each, crit 10's 200 graphs in 25.
-# A random stack is derivative-synthesized once from its drawn coefficients
-# and never analyzed: crit 05 draws one stack, crit 08 ten single fields and
-# crit 10 25 stacks.  Every height is born as coefficients (the seeded draws,
-# the band-0 zero heights of crit 04, 06 and 08, crit 09's psi and its
-# constant), so the only analysis left is of each of crit 08's base slices'
-# mean curvature; each report synthesizes phi, H and the base slice.
+# any, and the grid nodes it sends through the kernel.  Every stack of graphs
+# reaches the kernel in chunks of at most surfaces._STACK_NODES grid nodes:
+# crit 04's 50 slices at n_theta 32 in 7 calls, crit 05's 20 graphs at
+# n_theta 64 in 10, crit 08's 10 cases in one call for the base slice and one
+# for the 6 FD graphs each (plus its 7 slices), crit 09's two 5-graph stencils
+# in one call each.  Crit 10 draws its 200 heights on the 32 x 64 grid in 25
+# stacks of 8 and keeps their coefficients; it sums their masses on the
+# 16 x 32 grid in 7 blocks of at most 32 graphs (one transform and one kernel
+# call each, 200 x 512 nodes), and once more for its largest-excess sample on
+# the draw grid (2048 nodes).  A random stack is derivative-synthesized once
+# from its drawn coefficients and never analyzed: crit 05 draws one stack,
+# crit 08 ten single fields and crit 10 25 stacks.  Every height is born as
+# coefficients (the seeded draws, the band-0 zero heights of crit 04, 06 and
+# 08, crit 09's psi and its constant), so the only analysis left is of each
+# of crit 08's base slices' mean curvature; each report synthesizes phi, H
+# and the base slice.
 KERNEL_COUNTS = {
-    "04": (0, 1, 7),
-    "05": (0, 1, 10),
-    "06": (0, 1, 1),
-    "08": (10, 47, 27),
-    "09": (0, 2, 2),
-    "10": (0, 25, 25),
+    "04": (0, 1, 7, 50 * 2048),
+    "05": (0, 1, 10, 20 * 8192),
+    "06": (0, 1, 1, 2048),
+    "08": (10, 47, 27, 77 * 2048),
+    "09": (0, 2, 2, 10 * 2048),
+    "10": (0, 33, 8, 200 * 512 + 2048),
 }
 
 
 def test_transform_and_kernel_counts_per_criterion(monkeypatch):
     # deterministic counting gate for run_all: a per-graph loop shows up as
-    # a count that grows with the number of graphs
+    # a count that grows with the number of graphs, and a grid finer than the
+    # graphs need as a node count that grows with it
     calls = {}
 
     def spy(owner, name):
@@ -76,14 +82,22 @@ def test_transform_and_kernel_counts_per_criterion(monkeypatch):
 
     spy(SphereGrid, "analyze")
     spy(SphereGrid, "synth_derivs")
-    spy(surfaces, "_geometry_from_derivs")
+    kernel = surfaces._geometry_from_derivs
+
+    def kernel_counted(prof, grid, s0, d, *args, **kwargs):
+        calls["_geometry_from_derivs"] = calls.get("_geometry_from_derivs", 0) + 1
+        calls["nodes"] = calls.get("nodes", 0) + np.broadcast(np.asarray(s0), d["f"]).size
+        return kernel(prof, grid, s0, d, *args, **kwargs)
+
+    monkeypatch.setattr(surfaces, "_geometry_from_derivs", kernel_counted)
     counts = {}
     for cid, _, fn in CRITERIA:
         calls.clear()
         fn()
         if calls:
             counts[cid] = tuple(
-                calls.get(name, 0) for name in ("analyze", "synth_derivs", "_geometry_from_derivs")
+                calls.get(name, 0)
+                for name in ("analyze", "synth_derivs", "_geometry_from_derivs", "nodes")
             )
     assert counts == KERNEL_COUNTS
 
@@ -121,4 +135,4 @@ def test_run_all_builds_each_legendre_rule_once(monkeypatch):
     monkeypatch.setattr(sphere, "_legendre_tables", spy)
     sphere._theta_rule.cache_clear()
     run_all()
-    assert sorted(built) == [32, 64]
+    assert sorted(built) == [16, 32, 64]

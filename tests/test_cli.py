@@ -423,6 +423,26 @@ def test_localmax_negative_seed_is_usage_error(capsys):
     assert "seed must be a nonnegative integer, got -1" in err
 
 
+@pytest.mark.parametrize("argv, entry", [
+    (["foliate", "--neck-a", "0.5", "--q", "0.3", "--steps"], "chmass.profile.integrate_profile"),
+    (
+        ["electrostatics", "--m", "0.3191667", "--q", "0.3", "--samples"],
+        "chmass.electrostatics.verify_einstein_maxwell_static",
+    ),
+    (
+        ["localmax", "--neck-a", "0.5", "--q", "0.3", "--samples"],
+        "chmass.variations.local_max_experiment",
+    ),
+])
+@pytest.mark.parametrize("count", [2**16 + 1, 10**9])
+def test_oversized_count_is_refused_before_any_work(capsys, monkeypatch, argv, entry, count):
+    # 2**16 at most; the refusal comes before the subcommand's first call
+    monkeypatch.setattr(entry, lambda *args, **kwargs: pytest.fail("ran the subcommand"))
+    code, out, err = invoke(capsys, *argv, str(count))
+    assert code == 2 and out == ""
+    assert f"{argv[-1]} must be at most 65536, got {count}" in err and "Traceback" not in err
+
+
 def test_electrostatics_rnds(capsys):
     code, out, _ = invoke(
         capsys, "electrostatics", "--m", "0.3191667", "--q", "0.3", "--lambda", "1",

@@ -14,6 +14,7 @@ from chmass.profile import area_charge_value, integrate_profile, slice_hawking_m
 from chmass.spectrum import stability_window
 from chmass.sphere import ScalarField, build_grid, n_coeffs, random_c2_field
 from chmass.surfaces import GraphSurface, _graph_masses, charged_hawking_mass
+from chmass.variations import _LMAX, _MASS_N_THETA, _N_PHI, _N_THETA
 
 # fixed examples keep tier-1 reproducible; no example database on disk
 PROPERTY = settings(max_examples=40, deadline=None, database=None, derandomize=True)
@@ -62,6 +63,27 @@ def test_mass_invariant_under_azimuthal_roll(seed, amplitude, s0, shift):
     m = charged_hawking_mass(GraphSurface(p, s0, phi))
     m_rolled = charged_hawking_mass(GraphSurface(p, s0, rolled))
     assert abs(m_rolled - m) <= 1e-13 * abs(m)
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    amplitude=st.floats(0.0, 0.05, exclude_min=True),
+)
+@example(seed=1, amplitude=0.02)
+@example(seed=0, amplitude=0.05)
+def test_mass_grid_resolves_the_sampled_graphs(seed, amplitude):
+    # local_max_experiment draws band-4 heights on its draw grid and sums
+    # their masses on its coarser mass grid: there the mass of every such
+    # graph at amplitude <= 0.05 is that of the 64 x 128 grid to roundoff
+    p = prof()
+    coeffs = random_c2_field(build_grid(_N_THETA, _N_PHI), seed, _LMAX, amplitude).coeffs
+
+    def mass(n):
+        graph = GraphSurface(p, 0.0, ScalarField.from_coeffs(build_grid(n, 2 * n), coeffs))
+        return charged_hawking_mass(graph)
+
+    assert abs(mass(_MASS_N_THETA) - mass(64)) <= 1e-15
 
 
 @st.composite

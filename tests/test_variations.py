@@ -297,11 +297,28 @@ class TestExperiments:
         )
         assert local_max_experiment(0.5, 0.3, 200, 0.02, 1).max_second_variation_gap > 1e-3
 
+    def test_local_max_mass_resolution(self, monkeypatch):
+        # crit 10's mass grid gives the draw grid's masses to roundoff; a mass
+        # grid of n_theta 8 misses them by about 1e-11 at the largest-excess
+        # sample and fails crit 10's resolution check (the failing control)
+        from chmass.verification import crit_10_local_max_experiment
+
+        def resolution():
+            (check,) = (c for c in crit_10_local_max_experiment() if "resolution" in c[0])
+            return check[1:]
+
+        value, bound = resolution()
+        assert value <= 1e-15 < bound
+        monkeypatch.setattr(variations, "_MASS_N_THETA", 8)
+        value, bound = resolution()
+        assert value > bound
+
     def test_local_max_transform_counts(self, monkeypatch):
-        # deterministic counting gate: each stack of 8 graphs is
-        # derivative-synthesised once from its drawn coefficients, and those
-        # partials serve its C^2 normalization and its geometry; 40 samples
-        # are 5 stacks
+        # deterministic counting gate: each draw stack of 8 graphs is
+        # derivative-synthesised once for its C^2 normalization, each mass
+        # block of 32 graphs once on the mass grid, and the largest-excess
+        # sample once more on the draw grid; 40 samples are 5 draw stacks,
+        # 2 mass blocks and 1 resolution
         calls = {"analyze": 0, "synthesize": 0, "synth_derivs": 0}
         for name in calls:
             def spy(self, *args, _method=getattr(SphereGrid, name), _name=name, **kwargs):
@@ -310,7 +327,7 @@ class TestExperiments:
 
             monkeypatch.setattr(SphereGrid, name, spy)
         local_max_experiment(0.5, 0.3, 40, 0.02, 1)
-        assert calls == {"analyze": 0, "synthesize": 0, "synth_derivs": 5}
+        assert calls == {"analyze": 0, "synthesize": 0, "synth_derivs": 8}
 
     def test_amplitude_guard(self):
         with pytest.raises(ValueError):
