@@ -150,13 +150,15 @@ def _model_from(v: dict, alt: str, build):
 
 
 def cmd_horizons(v: dict):
-    from .models import horizon_roots, lapse_squared, params_from_neck, surface_gravity
+    from .models import (
+        HORIZON_TOL, horizon_roots, lapse_squared, params_from_neck, surface_gravity,
+    )
     p = _model_from(v, "neck_a", lambda a: params_from_neck(a, v["q"], v["lambda"]))
     hs = horizon_roots(p)
-    gravities = [
+    gravities = [  # the roots that surface_gravity accepts as horizons
         {"r": r, "k": surface_gravity(r, p)}
         for r, _ in hs.roots
-        if r > 0 and abs(lapse_squared(r, p)) <= 1e-8
+        if r > 0 and abs(lapse_squared(r, p)) <= HORIZON_TOL
     ]
     return {
         "params": {"m": p.m, "q": p.q, "lambda": p.lam},

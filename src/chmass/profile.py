@@ -106,6 +106,10 @@ _NODES, _DIFF, _TO_COEFFS = _lobatto_panel(32)
 _TAIL = 3  # trailing coefficients whose size bounds a panel's truncation error
 _NEWTON_STEPS = 25
 _MIN_PANEL = 1e-6  # smallest panel, relative to s_max
+# largest s_max, 50 times the widest range the tests integrate (200): work and
+# memory grow linearly with s_max (at 2e4: 47,808 pieces, 7.5 s and 156 MB
+# peak RSS on a 2-vCPU Xeon VM)
+_MAX_S = 1e4
 _PIECES = 8  # equal pieces per collocation panel, each with its own series
 # a piece drops the trailing coefficients whose absolute sum is at most this
 # times its largest |u| or |u'|
@@ -360,7 +364,8 @@ def integrate_profile(
     q, lam : float
         Charge and cosmological constant.
     s_max : float
-        Half-width of the integrated arclength range [-s_max, s_max].
+        Half-width of the integrated arclength range [-s_max, s_max]; in
+        (0, 1e4].
     tol : float
         Bound on each panel's trailing Chebyshev coefficients of (u, u'),
         relative to the panel's largest |u| or |u'|; within [1e-14, 1e-6].
@@ -378,8 +383,8 @@ def integrate_profile(
         raise ValueError("integrate_profile requires a > 0")
     if not (1e-14 <= tol <= 1e-6):
         raise ValueError("tol must lie in [1e-14, 1e-6]")
-    if s_max <= 0.0:
-        raise ValueError("s_max must be positive")
+    if not 0.0 < s_max <= _MAX_S:
+        raise ValueError(f"s_max must be positive and at most {_MAX_S:g}, got {s_max}")
     ddu0 = profile_rhs(a, 0.0, q, lam)
     if ddu0 < -1e-10:
         raise ValueError(

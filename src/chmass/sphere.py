@@ -406,23 +406,19 @@ def laplace_beltrami(f: ScalarField) -> ScalarField:
     return ScalarField.from_coeffs(f.grid, -l * (l + 1.0) * f.coeffs)
 
 
-def _c2_pointwise(grid: SphereGrid, d: dict):
-    """|f|, |grad f| and |Hess f|_F at each node from a ``synth_derivs`` dict."""
+def _c2_norms(grid: SphereGrid, d: dict) -> np.ndarray:
+    """The C^2 norm of each field of a ``synth_derivs`` dict of shape (..., n_theta, n_phi):
+    the max over nodes of |f|, |grad f| and |Hess f|_F."""
     s = grid.sin_theta[:, None]
-    x = grid.x[:, None]
-    cot = x / s
+    cot = grid.x[:, None] / s
     grad2 = d["ft"] ** 2 + (d["fp"] / s) ** 2
     # covariant Hessian in the orthonormal frame (e_theta, e_phi/sin)
     h11 = d["ftt"]
     h12 = (d["ftp"] - cot * d["fp"]) / s
     h22 = d["fpp"] / (s * s) + cot * d["ft"]
     hess2 = h11**2 + 2.0 * h12**2 + h22**2
-    return np.abs(d["f"]), np.sqrt(grad2), np.sqrt(hess2)
-
-
-def _c2_norms(grid: SphereGrid, d: dict) -> np.ndarray:
-    """The C^2 norm of each field of a ``synth_derivs`` dict of shape (..., n_theta, n_phi)."""
-    return np.max([v.max(axis=(-2, -1)) for v in _c2_pointwise(grid, d)], axis=0)
+    norms = (np.abs(d["f"]), np.sqrt(grad2), np.sqrt(hess2))
+    return np.max([v.max(axis=(-2, -1)) for v in norms], axis=0)
 
 
 def c2_norm(f: ScalarField) -> float:
@@ -456,25 +452,24 @@ def random_c2_field(
     reads it back to a few ulps.  The draw depends on the seed alone (see
     ``_random_c2_stack``).
     """
-    d, coeffs = _random_c2_stack(grid, [seed], lmax, amplitude)
-    return ScalarField(grid, d["f"][0], coeffs[0])
+    d, scale, coeffs = _random_c2_stack(grid, [seed], lmax, amplitude)
+    return ScalarField(grid, scale[0] * d["f"][0], coeffs[0])
 
 
-def _random_c2_stack(
-    grid: SphereGrid, seeds, lmax: int, amplitude: float, partials: bool = True
-):
-    """The ``synth_derivs`` dict of ``random_c2_field`` for each seed, arrays of
-    shape (len(seeds), n_theta, n_phi), and the scaled coefficients of shape
-    (len(seeds), n_coeffs(lmax)).  With ``partials`` false the dict is None:
-    a caller that reads only the coefficients leaves the six arrays unscaled.
+def _random_c2_stack(grid: SphereGrid, seeds, lmax: int, amplitude: float):
+    """The draws of ``random_c2_field``, one per seed: their ``synth_derivs``
+    dict, unscaled, of arrays of shape (len(seeds), n_theta, n_phi); each
+    draw's scale, amplitude over the C^2 norm of those partials, of shape
+    (len(seeds),); and the scaled coefficients, of shape (len(seeds),
+    n_coeffs(lmax)).
 
     Each seed is a nonnegative integer or a sequence of them, as numpy's
     ``default_rng`` takes it; row i is one ``standard_normal`` draw of its
     own Generator.  The drawn coefficients (band lmax) are
-    derivative-synthesized once, as one stack; the transforms are linear, so
-    scaling the coefficients and all six arrays by amplitude over the C^2
-    norm of the unscaled partials normalizes them alike, and no stack is
-    ever analyzed."""
+    derivative-synthesized once, as one stack, and no stack is ever
+    analyzed.  The transforms are linear, so draw i's partials times
+    scale[i] are those of its scaled coefficients: a caller scales only
+    what it reads (``_graph_masses`` takes the scales as its t)."""
     if lmax > grid.n_theta / 4:
         raise ValueError("lmax too large for this grid (need lmax <= n_theta/4)")
     if amplitude < 0:
@@ -486,9 +481,7 @@ def _random_c2_stack(
     coeffs = np.array([np.random.default_rng(s).standard_normal(n_coeffs(lmax)) for s in seeds])
     d = grid.synth_derivs(coeffs)
     scale = amplitude / _c2_norms(grid, d)
-    if not partials:
-        return None, scale[:, None] * coeffs
-    return {key: scale[:, None, None] * v for key, v in d.items()}, scale[:, None] * coeffs
+    return d, scale, scale[:, None] * coeffs
 
 
 def scalar_field_to_dict(f: ScalarField) -> dict:

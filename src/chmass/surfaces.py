@@ -122,22 +122,25 @@ def _graph_masses(
     """Area, charge and mch of the stack of graphs s0 + t f, from the
     ``synth_derivs`` dict ``d`` of the heights f.
 
-    A random stack passes the dict it was drawn as; a caller holding grid
-    values transforms them itself.  s0 and d["f"] broadcast to (n, n_theta,
-    n_phi); t is None or a stack (n, 1, 1) scaling one height, which is then
-    checked through t times its extremes.  The check reads d["f"], the heights
-    the kernel measures.  The stack reaches the kernel in chunks of at most
-    ``_STACK_NODES`` nodes (one graph at least).  The kernel runs mass only:
-    it stops at these three scalars, which equal ``induced_geometry``'s bit
-    for bit, and never computes the curvature fields a stack would throw away."""
+    s0 and d["f"] broadcast to (n, n_theta, n_phi); a caller holding grid
+    values transforms them itself.  t is None or one scale per graph, (n, 1,
+    1): a stencil scales one height n ways, a drawn stack passes its unscaled
+    dict and the scales ``_random_c2_stack`` returned.  The check reads s0 +
+    t times each height's extremes, the heights the kernel measures.  Chunks
+    of at most ``_STACK_NODES`` nodes (one graph at least) reach the kernel,
+    each scaled on its own.  The kernel runs mass only: it stops at these
+    three scalars, which equal ``induced_geometry``'s bit for bit."""
     heights = d["f"]
-    _check_heights(prof, s0, heights if t is None else t * np.array([heights.min(), heights.max()]))
-    n = np.broadcast_shapes(np.shape(s0), np.shape(t), heights.shape)[0]
+    if t is not None:  # s0 + t h is extreme where h is, graph by graph
+        nodes = dict(axis=(-2, -1), keepdims=True)
+        heights = t * np.concatenate([heights.min(**nodes), heights.max(**nodes)], axis=-1)
+    _check_heights(prof, s0, heights)
+    n = np.broadcast_shapes(np.shape(s0), np.shape(t), d["f"].shape)[0]
     step = max(1, _STACK_NODES // (grid.n_theta * grid.n_phi))
     out = {name: np.empty(n) for name in ("area", "charge", "mch")}
     for part in (slice(i, i + step) for i in range(0, n, step)):
         rows = {key: v[part] if v.ndim == 3 else v for key, v in d.items()}
-        if t is not None:  # scaled per chunk, so no scaled stack is ever whole
+        if t is not None:
             rows = {key: t[part] * v for key, v in rows.items()}
         geom = _geometry_from_derivs(
             prof, grid, s0[part] if np.ndim(s0) == 3 else s0, rows, zeta, mass_only=True

@@ -12,29 +12,23 @@ from __future__ import annotations
 import itertools
 import math
 
-# No sweep code calls it.  It stays imported because the benchmark tracer
-# (perfbench/spans.py) patches this name to time a pool's futures, and
-# tests/test_tracer.py asserts that the patch is made.
-from concurrent.futures import ThreadPoolExecutor  # noqa: F401
-
 import numpy as np
 
 from .spectrum import eigenvalue_area_charge_residual, stability_window
 
 __all__ = ["SWEEP_CHECKS", "sweep_table", "render_csv", "parse_axis"]
 
+# No sweep builds a pool; the name stays for the benchmark tracer
+# (perfbench/spans.py), which patches it with its own traced pool class.
+ThreadPoolExecutor = None
+
 
 def parse_axis(spec: str) -> tuple[float, float, int]:
-    """Parse 'lo:hi:count' into an axis triple."""
+    """Parse 'lo:hi:count' into an axis triple; ``sweep_table`` checks its values."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError(f"axis spec must be lo:hi:count, got {spec!r}")
-    lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"axis bounds must be finite, got {spec!r}")
-    if count < 1:
-        raise ValueError("axis count must be positive")
-    return lo, hi, count
+    return float(parts[0]), float(parts[1]), int(parts[2])
 
 
 def _axis_values(triple):
@@ -100,8 +94,13 @@ _DOMAINS = {
 }
 
 
-def _check_domain(check: str, name: str, lo: float, hi: float):
-    """Reject an axis whose bounds leave the check's domain, naming the axis."""
+def _check_axis(check: str, name: str, lo: float, hi: float, count: int):
+    """Reject an axis triple that is not finite bounds and an integer count
+    of at least 1, or whose bounds leave the check's domain, naming the axis."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"axis {name} bounds must be finite, got {lo:g}:{hi:g}")
+    if not (isinstance(count, (int, np.integer)) and count >= 1):
+        raise ValueError(f"axis {name} count must be a positive integer, got {count!r}")
     if min(lo, hi) < 0.0:  # a2 and q2 are squares, mfrac a fraction of the mass window
         raise ValueError(f"axis {name} must be nonnegative, got bounds {lo:g}:{hi:g}")
     d_lo, d_hi = _DOMAINS[check].get(name, (-math.inf, math.inf))
@@ -120,8 +119,10 @@ _MAX_POINTS = 2**20
 def sweep_table(check: str, axes: dict):
     """Evaluate a named check over the grid; returns (header, rows).
 
-    Rows come back in row-major grid order of the check's two axes.  A grid
-    of more than ``_MAX_POINTS`` points is refused before any array is built.
+    ``axes`` maps each axis name to a (lo, hi, count) triple: finite bounds
+    inside the check's domain and an integer count of at least 1.  Rows come
+    back in row-major grid order of the check's two axes.  A grid of more
+    than ``_MAX_POINTS`` points is refused before any array is built.
     """
     if check not in SWEEP_CHECKS:
         raise ValueError(f"unknown sweep check {check!r} (have {sorted(SWEEP_CHECKS)})")
@@ -130,7 +131,7 @@ def sweep_table(check: str, axes: dict):
     if missing:
         raise ValueError(f"sweep {check!r} needs axes {axis_names}, missing {missing}")
     for name in axis_names:
-        _check_domain(check, name, *axes[name][:2])
+        _check_axis(check, name, *axes[name])
     if check == "window":
         # a neck has m >= 0 only while a^4 - 3 a^2 - 3 Q^2 <= 0 (Lambda = 1); that
         # bound on a2 grows with q2, so the smallest q2 on the axis decides.  At
@@ -148,10 +149,7 @@ def sweep_table(check: str, axes: dict):
         raise ValueError(
             f"sweep grid of {nx} x {ny} = {nx * ny} points exceeds the limit of {_MAX_POINTS} points"
         )
-    values = [_axis_values(axes[name]) for name in axis_names]
-    if not all(len(v) for v in values):
-        raise ValueError("empty sweep grid")
-    return columns, rows_of(*values)
+    return columns, rows_of(*(_axis_values(axes[name]) for name in axis_names))
 
 
 def _fmt(x: float) -> str:

@@ -385,9 +385,8 @@ def local_max_experiment(
     draw = _STACK_NODES // (grid.n_theta * grid.n_phi)
     coeffs = np.concatenate([
         _random_c2_stack(
-            grid, [[seed, k] for k in range(start, min(start + draw, n_samples))],
-            _LMAX, amplitude, partials=False,
-        )[1]
+            grid, [[seed, k] for k in range(start, min(start + draw, n_samples))], _LMAX, amplitude
+        )[2]
         for start in range(0, n_samples, draw)
     ])
     block = _STACK_NODES // (mass_grid.n_theta * mass_grid.n_phi)

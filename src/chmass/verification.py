@@ -153,8 +153,8 @@ def crit_04_slice_mass_constancy():
 def crit_05_charge_invariance():
     prof = integrate_profile(0.5, 0.3, 1.0, s_max=1.0, tol=1e-10)
     grid = build_grid(64, 128)
-    drawn, _ = _random_c2_stack(grid, range(20), 4, 0.05)
-    flux = _graph_masses(prof, grid, 0.0, drawn, 2.0)["charge"]
+    drawn, scale, _ = _random_c2_stack(grid, range(20), 4, 0.05)
+    flux = _graph_masses(prof, grid, 0.0, drawn, 2.0, scale[:, None, None])["charge"]
     return [("flux charge over 20 seeded graphs", np.abs(flux - 0.3).max(), 1e-6)]
 
 

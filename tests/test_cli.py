@@ -72,13 +72,15 @@ def test_runtime_never_imports_scipy():
 
 def test_cli_import_leaves_numpy_random_unloaded():
     # numpy loads numpy.random lazily; the seeded draw reaches it on first use,
-    # so a CLI start that draws nothing never pays for it
-    code = "import sys, chmass.cli; print('numpy.random' in sys.modules)"
+    # so a CLI start that draws nothing never pays for it.  Sweeps run
+    # serially, so no CLI start loads concurrent.futures either.
+    modules = ["numpy.random", "concurrent.futures"]
+    code = f"import sys, chmass.cli; print([m for m in {modules} if m in sys.modules])"
     src = os.path.dirname(os.path.dirname(os.path.abspath(chmass.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def _fresh_chmass_modules(code):
@@ -443,6 +445,48 @@ def test_oversized_count_is_refused_before_any_work(capsys, monkeypatch, argv, e
     assert f"{argv[-1]} must be at most 65536, got {count}" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, just_above", [
+    (["profile", "--neck-a", "0.5", "--q", "0.3", "--s-max"], "10000.000001"),
+    (["foliate", "--neck-a", "0.5", "--q", "0.3", "--t-max"], "9999.900001"),
+    (["variation", "--neck-a", "0.5", "--q", "0.3", "--phi", "Y:2,0", "--s0"], "9999.500001"),
+], ids=["profile-s-max", "foliate-t-max", "variation-s0"])
+@pytest.mark.parametrize("size", ["just-above", "1e9"])
+def test_oversized_range_is_refused_before_any_panel(capsys, monkeypatch, argv, just_above, size):
+    # each flag sets the profile's s_max (t_max + 0.1, |s0| + 0.5), which
+    # is at most 1e4; the refusal comes before the first collocation panel
+    monkeypatch.setattr("chmass.profile._newton_panel", lambda *a: pytest.fail("solved a panel"))
+    code, out, err = invoke(capsys, *argv, just_above if size == "just-above" else size)
+    assert code == 2 and out == ""
+    assert "s_max must be positive and at most 10000, got" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("s0", [9999.500001, 1e9])
+def test_mass_surface_beyond_the_range_bound_is_refused(capsys, monkeypatch, tmp_path, s0):
+    # a surface's profile reaches |s0| + max |phi| + 0.5, at most 1e4
+    monkeypatch.setattr("chmass.profile._newton_panel", lambda *a: pytest.fail("solved a panel"))
+    surface = {
+        "base": {"neck_a": 0.5, "q": 0.3, "lambda": 1.0, "s0": s0},
+        "phi": scalar_field_to_dict(ScalarField(build_grid(16, 32), np.zeros((16, 32)))),
+    }
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(surface))
+    code, out, err = invoke(capsys, "mass", "--surface", str(path))
+    assert code == 2 and out == ""
+    assert "s_max must be positive and at most 10000, got" in err and "Traceback" not in err
+
+
+def test_localmax_negative_amplitude_is_usage_error(capsys):
+    code, out, err = invoke(capsys, "localmax", "--neck-a", "0.5", "--q", "0.3", "--amp", "-0.01")
+    assert code == 2 and out == ""
+    assert "amplitude must be nonnegative" in err
+
+
+def test_variation_order_above_degree_is_usage_error(capsys):
+    code, out, err = invoke(capsys, "variation", "--neck-a", "0.5", "--q", "0.3", "--phi", "Y:1,2")
+    assert code == 2 and out == ""
+    assert "|m| = 2 exceeds l = 1" in err
+
+
 def test_electrostatics_rnds(capsys):
     code, out, _ = invoke(
         capsys, "electrostatics", "--m", "0.3191667", "--q", "0.3", "--lambda", "1",
@@ -722,6 +766,22 @@ class TestSweep:
         assert f"{counts[0]} x {counts[1]} = {counts[0] * counts[1]} points" in err
         assert "limit of 1048576 points" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("axes, message", [
+        ({"a2": (0.1, 0.9, -1)}, "axis a2 count must be a positive integer, got -1"),
+        ({"a2": (0.1, 0.9, 2.5)}, "axis a2 count must be a positive integer, got 2.5"),
+        ({"q2": (0.0, 0.2, 0)}, "axis q2 count must be a positive integer, got 0"),
+        ({"a2": (-math.inf, 0.9, 2)}, "axis a2 bounds must be finite, got -inf:0.9"),
+        ({"q2": (0.0, math.nan, 2)}, "axis q2 bounds must be finite, got 0:nan"),
+    ], ids=["count-negative", "count-fraction", "count-zero", "bound-inf", "bound-nan"])
+    def test_axis_triple_is_checked_by_name(self, axes, message):
+        # an API caller's triple gets the checks the CLI's axis specs get,
+        # before the domain check and before any axis array is built
+        from chmass.sweeps import sweep_table
+
+        axes = {"a2": (0.1, 0.9, 2), "q2": (0.0, 0.2, 2), **axes}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sweep_table("identity", axes)
+
     def test_empty_or_unknown_grid_is_usage_error(self, capsys):
         code, _, err = invoke(capsys, "sweep", "--check", "identity")
         assert code == 2 and "needs axes" in err
@@ -814,6 +874,18 @@ class TestConfigAndErrors:
             with pytest.raises(SystemExit) as err:
                 run(argv)
             assert err.value.code == 2
+
+    def test_config_line_without_equals_is_named(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# comment\nneck-a 0.5\n")
+        code, out, err = invoke(capsys, "horizons", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert f"{cfg}:2: expected 'key = value'" in err
+
+    def test_horizons_without_model_flags_needs_m(self, capsys):
+        code, out, err = invoke(capsys, "horizons")
+        assert code == 2 and out == ""
+        assert "missing required option --m" in err
 
     def test_missing_required_exits_2(self, capsys):
         code, _, err = invoke(capsys, "profile")

@@ -50,6 +50,12 @@ class TestSystemResiduals:
         with pytest.raises(ValueError):
             verify_einstein_maxwell_static(ModelParams(0.45, 0.1, 1.0))  # above the window
 
+    def test_double_outer_model_params_have_no_static_region(self):
+        # the Nariai family entered through plain (m, Q, Lambda): its two
+        # outer horizons coincide, so the static interval in r is empty
+        with pytest.raises(ValueError, match="no static region between distinct horizons"):
+            verify_einstein_maxwell_static(ModelParams(NARIAI.m, NARIAI.q, 1.0))
+
 
 class TestRobinsonShen:
     def test_rnds_residual_at_reference_step(self):
@@ -75,6 +81,10 @@ class TestRobinsonShen:
     def test_horizon_conditioning_guard(self):
         with pytest.raises(ValueError):
             robinson_shen_residual(RNDS, 0.5 + 1e-10, h=1e-4)
+        # a Nariai footprint that starts 1e-12 inside the static region,
+        # where V = sin(omega s) is about 7e-13
+        with pytest.raises(ValueError, match="too close to a horizon"):
+            robinson_shen_residual(NARIAI, 3e-4 + 1e-12, h=1e-4)
 
     @pytest.mark.parametrize("h", [0.0, -1.0, math.nan, math.inf])
     def test_step_must_be_finite_and_positive(self, h):

@@ -13,6 +13,8 @@ from chmass.models import (
     admissible_window,
     horizon_roots,
     lapse_squared,
+    lapse_squared_prime,
+    lapse_squared_second,
     nariai_from_alpha,
     params_from_neck,
     surface_gravity,
@@ -40,6 +42,29 @@ def test_lapse_is_minus_quartic_over_r_squared():
 def test_lapse_rejects_nonpositive_radius():
     with pytest.raises(ValueError):
         lapse_squared(0.0, ModelParams(0.1, 0.1, 1.0))
+    for fn in (lapse_squared_prime, lapse_squared_second):
+        for r in (0.0, -0.5):
+            with pytest.raises(ValueError, match=f"{fn.__name__} requires r > 0"):
+                fn(r, ModelParams(0.1, 0.1, 1.0))
+
+
+def test_negative_mass_is_refused():
+    with pytest.raises(ValueError, match="mass must be nonnegative, got -0.1"):
+        ModelParams(-0.1, 0.1, 1.0)
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0])
+def test_window_and_nariai_need_positive_lambda(lam):
+    with pytest.raises(ValueError, match="admissible_window requires Lambda > 0"):
+        admissible_window(0.3, lam)
+    with pytest.raises(ValueError, match="nariai_from_alpha requires Lambda > 0"):
+        nariai_from_alpha(0.8, lam)
+
+
+@pytest.mark.parametrize("a", [0.0, -0.5])
+def test_neck_constructor_needs_positive_radius(a):
+    with pytest.raises(ValueError, match="params_from_neck requires a > 0"):
+        params_from_neck(a, 0.3, 1.0)
 
 
 def test_mass_identity_algebraic():

@@ -292,6 +292,19 @@ class TestErrors:
         with pytest.raises(ValueError):
             integrate_profile(0.5, 0.3, 1.0, tol=1e-16)
 
+    @pytest.mark.parametrize("s_max", [0.0, -1.0])
+    def test_s_max_must_be_positive(self, s_max):
+        with pytest.raises(ValueError, match="s_max must be positive"):
+            integrate_profile(0.5, 0.3, 1.0, s_max=s_max)
+
+    @pytest.mark.parametrize("s_max", [np.nextafter(1e4, np.inf), 1e9])
+    def test_s_max_above_the_bound_is_refused_before_any_panel(self, monkeypatch, s_max):
+        # work and memory grow linearly with s_max, so a range past 1e4 is
+        # refused before the first collocation panel is solved
+        monkeypatch.setattr(profile, "_newton_panel", lambda *a: pytest.fail("solved a panel"))
+        with pytest.raises(ValueError, match=f"at most 10000, got {s_max}"):
+            integrate_profile(0.5, 0.3, 1.0, s_max=s_max)
+
     def test_belly_start_rejected(self):
         # a = 1.5 is the outer root of its induced model: u''(0) < 0
         with pytest.raises(ValueError):

@@ -235,3 +235,9 @@ def test_laplace_spectrum_discrete_matches_scipy_eigh(grid, monkeypatch):
     (stiff, mass), = pencils
     ref = scipy.linalg.eigh(stiff, mass, eigvals_only=True)
     np.testing.assert_allclose(vals, ref[:25], rtol=0, atol=1e-12 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("a", [0.0, -0.5])
+def test_laplace_spectrum_needs_positive_radius(a):
+    with pytest.raises(ValueError, match="laplace_spectrum requires a > 0"):
+        laplace_spectrum(a, 3)

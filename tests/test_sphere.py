@@ -221,22 +221,24 @@ class TestRandomField:
 
     @pytest.mark.parametrize("n_theta", [32, 128])
     def test_stack_coefficients_are_those_of_its_partials(self, n_theta):
-        # the scaled coefficients a stack hands back synthesize its partials:
-        # both are the drawn coefficients' transforms times one scale, so they
-        # differ by rounding alone, here within 100 ulps of each array's max
+        # the scaled coefficients a stack hands back synthesize its scaled
+        # partials: both are the drawn coefficients' transforms times one
+        # scale, so they differ by rounding alone, here within 100 ulps of
+        # each array's max
         g = build_grid(n_theta, 2 * n_theta)
-        d, coeffs = _random_c2_stack(g, range(5), 4, 0.05)
+        d, scale, coeffs = _random_c2_stack(g, range(5), 4, 0.05)
         assert coeffs.shape == (5, n_coeffs(4))
         again = g.synth_derivs(coeffs)
         tol = 100 * np.finfo(float).eps
-        for name, want in d.items():
+        for name, v in d.items():
+            want = scale[:, None, None] * v
             assert np.abs(again[name] - want).max() <= tol * np.abs(want).max(), name
         # a field is the one-seed stack: its scaled coefficients and the
         # values drawn with them
         f = random_c2_field(g, 3, 4, 0.05)
-        d, coeffs = _random_c2_stack(g, [3], 4, 0.05)
+        d, scale, coeffs = _random_c2_stack(g, [3], 4, 0.05)
         np.testing.assert_array_equal(f.coeffs, coeffs[0])
-        np.testing.assert_array_equal(f.values, d["f"][0])
+        np.testing.assert_array_equal(f.values, scale[0] * d["f"][0])
 
     @pytest.mark.parametrize("n_theta", [16, 32, 64, 128])
     def test_norm_is_the_amplitude(self, n_theta):
@@ -262,7 +264,7 @@ def _raw_draws(monkeypatch, grid, seeds, lmax, amplitude):
         return seen[-1][1]
 
     monkeypatch.setattr(SphereGrid, "synth_derivs", spy)
-    _, coeffs = _random_c2_stack(grid, seeds, lmax, amplitude)
+    _, _, coeffs = _random_c2_stack(grid, seeds, lmax, amplitude)
     monkeypatch.undo()
     (raw, d), = seen
     return coeffs, raw, d

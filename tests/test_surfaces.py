@@ -236,8 +236,8 @@ def test_stacked_slices_match_per_slice_geometry(prof, grid):
 
 def test_stack_chunks_bound_the_kernel_and_keep_the_values(prof, grid, monkeypatch):
     # chunks of at most _STACK_NODES nodes (at least one graph each) reach the
-    # kernel; the chunk size changes no value
-    heights, _ = _random_c2_stack(grid, range(11), 4, 0.05)
+    # kernel, each with its graphs' own scales; the chunk size changes no value
+    heights, scale, _ = _random_c2_stack(grid, range(11), 4, 0.05)
     kernel = surfaces._geometry_from_derivs
     rows = []
 
@@ -250,7 +250,7 @@ def test_stack_chunks_bound_the_kernel_and_keep_the_values(prof, grid, monkeypat
     for cap, want in [(1, [1] * 11), (2**14, [8, 3]), (2**20, [11])]:
         monkeypatch.setattr(surfaces, "_STACK_NODES", cap)
         rows.clear()
-        results[cap] = _graph_masses(prof, grid, 0.1, heights, 2.0)
+        results[cap] = _graph_masses(prof, grid, 0.1, heights, 2.0, scale[:, None, None])
         assert rows == want
     for name, values in results[2**14].items():
         np.testing.assert_array_equal(values, results[1][name])
@@ -258,22 +258,54 @@ def test_stack_chunks_bound_the_kernel_and_keep_the_values(prof, grid, monkeypat
 
 
 def test_stack_check_rejects_any_graph(prof, grid):
-    heights, _ = _random_c2_stack(grid, range(3), 4, 0.05)
+    heights, scale, _ = _random_c2_stack(grid, range(3), 4, 0.05)
+    t = scale[:, None, None]
     bad = {key: v.copy() for key, v in heights.items()}
     bad["f"][1, 3, 5] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        _graph_masses(prof, grid, 0.0, bad, 2.0)
+        _graph_masses(prof, grid, 0.0, bad, 2.0, t)
     s0 = np.array([0.0, 2.5, 0.0])[:, None, None]
     with pytest.raises(ValueError, match="leaves the integrated range"):
-        _graph_masses(prof, grid, s0, heights, 2.0)
+        _graph_masses(prof, grid, s0, heights, 2.0, t)
 
 
 def test_drawn_stack_is_checked_on_the_heights_it_measures(prof, grid):
-    # a drawn stack reaches _graph_masses as its derivative dict, and the
-    # range check reads its heights d["f"]: a stack just past s_max raises
-    drawn, _ = _random_c2_stack(grid, range(3), 4, 0.05)
-    scale = prof.s_max / np.abs(drawn["f"]).max()
+    # a drawn stack reaches _graph_masses as its unscaled derivative dict and
+    # its scales, and the range check reads the scaled heights t d["f"]: a
+    # stack just past s_max raises
+    drawn, scale, _ = _random_c2_stack(grid, range(3), 4, 0.05)
+    t = scale[:, None, None]
+    reach = prof.s_max / np.abs(t * drawn["f"]).max()
     with pytest.raises(ValueError, match="leaves the integrated range"):
-        _graph_masses(prof, grid, 0.0, {key: 1.01 * scale * v for key, v in drawn.items()}, 2.0)
-    inside = {key: 0.99 * scale * v for key, v in drawn.items()}
-    assert np.all(np.isfinite(_graph_masses(prof, grid, 0.0, inside, 2.0)["mch"]))
+        _graph_masses(prof, grid, 0.0, drawn, 2.0, 1.01 * reach * t)
+    inside = _graph_masses(prof, grid, 0.0, drawn, 2.0, 0.99 * reach * t)
+    assert np.all(np.isfinite(inside["mch"]))
+
+
+@pytest.mark.parametrize("n_theta", [32, 64])
+def test_drawn_stack_with_its_scales_is_the_scaled_stack(prof, n_theta):
+    # scaling each chunk by t gives the masses of the scaled stack bit for
+    # bit: the products are the same, taken chunk by chunk
+    g = build_grid(n_theta, 2 * n_theta)
+    drawn, scale, _ = _random_c2_stack(g, range(5), 4, 0.05)
+    t = scale[:, None, None]
+    masses = _graph_masses(prof, g, 0.0, drawn, 2.0, t)
+    scaled = _graph_masses(prof, g, 0.0, {key: t * v for key, v in drawn.items()}, 2.0)
+    for name in ("area", "charge", "mch"):
+        np.testing.assert_array_equal(masses[name], scaled[name], err_msg=name)
+
+
+def test_scaled_heights_are_checked_not_the_unscaled(prof, grid):
+    # unscaled, the three heights reach 0.9, 0.45 and 0.9 of s_max.  A scale
+    # of 2.3 carries the second out of the range; one of 2.2 keeps it inside,
+    # since each graph is checked on its own extremes (2.2 times the largest
+    # height of the stack would leave the range)
+    drawn, _, _ = _random_c2_stack(grid, range(3), 4, 0.05)
+    peak = np.abs(drawn["f"]).max(axis=(1, 2), keepdims=True)
+    reach = np.array([0.9, 0.45, 0.9])[:, None, None] * prof.s_max
+    heights = {key: (reach / peak) * v for key, v in drawn.items()}
+    assert np.abs(heights["f"]).max() < prof.s_max
+    with pytest.raises(ValueError, match="leaves the integrated range"):
+        _graph_masses(prof, grid, 0.0, heights, 2.0, np.array([1.0, 2.3, 1.0])[:, None, None])
+    inside = _graph_masses(prof, grid, 0.0, heights, 2.0, np.array([1.0, 2.2, 1.0])[:, None, None])
+    assert np.all(np.isfinite(inside["mch"]))
