@@ -2,7 +2,8 @@
 
 Every float in JSON and CSV output is serialized with 17 significant digits
 (round-trip exact), and sweep rows come in row-major grid order.  Exit codes:
-0 success or all checks passed, 1 verification failure, 2 usage error.
+0 success or all checks passed, 1 verification failure, 2 usage or domain
+error (an input whose profile cannot be integrated among them).
 
 ``_COMMANDS`` declares each subcommand once: its function and the flags it
 reads, with their defaults.  A subcommand accepts only those flags plus
@@ -12,7 +13,8 @@ any of a subcommand's flags; explicitly passed flags win, and keys the
 subcommand does not read are ignored.  A subcommand returns its report;
 ``run`` renders it (a string as is, anything else as JSON) and writes it to
 ``--out`` or stdout.  Each subcommand imports the chmass modules it runs, so
-a process loads only those of the subcommand it dispatches.
+a process loads only those of the subcommand it dispatches.  ``variation``
+and ``nariai`` print their reports' own fields, renamed by ``_KEYS``.
 """
 
 from __future__ import annotations
@@ -149,6 +151,14 @@ def _model_from(v: dict, alt: str, build):
 # ---------------------------------------------------------------------------
 
 
+_KEYS = {"lam": "lambda", "first_order": "first_fd_order"}  # report field: output key
+
+
+def _fields(report) -> dict:
+    """A report dataclass's fields in order, keyed by their output names."""
+    return {_KEYS.get(k, k): x for k, x in dataclasses.asdict(report).items()}
+
+
 def cmd_horizons(v: dict):
     from .models import (
         HORIZON_TOL, horizon_roots, lapse_squared, params_from_neck, surface_gravity,
@@ -216,14 +226,14 @@ def _maybe_emit_field(v: dict, field):
 
 
 def cmd_mass(v: dict):
-    from .surfaces import induced_geometry
+    from .surfaces import charged_hawking_mass, induced_geometry
     surf = _surface_from_file(v["surface"])
-    geom = induced_geometry(surf, zeta=v["zeta"])
+    geom = induced_geometry(surf)
     _maybe_emit_field(v, surf.phi)
     return {
         "area": geom.area,
         "charge": geom.charge,
-        "mch": geom.mch,
+        "mch": charged_hawking_mass(surf, v["zeta"]),
         "h_min": float(geom.h_mean.min()),
         "h_max": float(geom.h_mean.max()),
     }
@@ -254,24 +264,9 @@ def cmd_variation(v: dict):
     speed = _parse_speed(v["phi"], build_grid(n, 2 * n))
     prof = integrate_profile(v["neck_a"], v["q"], 1.0, s_max=max(1.0, abs(s0) + 0.5))
     report = variation_report(prof, s0, speed, dt=v["dt"])
-    payload = {
-        "first_analytic": report.first_analytic,
-        "first_fd": report.first_fd,
-        "first_fd_order": report.first_order,
-        "z_max": report.z_max,
-        "dt": report.dt,
-    }
-    if report.second_analytic is not None:
-        payload.update(
-            {
-                "second_analytic": report.second_analytic,
-                "second_as_printed": report.second_as_printed,
-                "second_fd": report.second_fd,
-                "second_fd_step_gap": report.second_fd_step_gap,
-            }
-        )
     _maybe_emit_field(v, speed)
-    return payload
+    # the second-variation block is None away from the minimal slice
+    return {k: x for k, x in _fields(report).items() if x is not None}
 
 
 def cmd_foliate(v: dict):
@@ -321,17 +316,8 @@ def cmd_nariai(v: dict):
     from .models import nariai_from_alpha
     from .profile import nariai_flow_diagnostic
     npar = nariai_from_alpha(v["alpha"], v["lambda"])
-    flow = nariai_flow_diagnostic(npar)
-    return {
-        "alpha": npar.alpha, "lambda": npar.lam,
-        "m": npar.m, "q2": npar.q2, "r_minus": npar.r_minus, "omega": npar.omega,
-        "area": flow.area,
-        "area_charge_value": flow.area_charge_value,
-        "equality_residual": flow.equality_residual,
-        "max_abs_h": flow.max_abs_h,
-        "hprime_lhs": flow.hprime_lhs,
-        "hprime_rhs": flow.hprime_rhs,
-    }
+    # the flow report repeats alpha and q2 of npar, so the keys keep npar's order
+    return {**_fields(npar), **_fields(nariai_flow_diagnostic(npar))}
 
 
 def cmd_sweep(v: dict):

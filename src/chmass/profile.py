@@ -69,8 +69,10 @@ KIND_RNDS = "rnds"
 KIND_NARIAI = "nariai"
 
 
-class ProfileIntegrationError(RuntimeError):
-    """Integration stopped before reaching s_max (u -> 0 or panel collapse)."""
+class ProfileIntegrationError(RuntimeError, ValueError):
+    """Integration stopped before reaching s_max (u -> 0 or panel collapse).
+
+    A ValueError too: the input has no profile on the range (a domain error)."""
 
     def __init__(self, message: str, last_s: float):
         super().__init__(f"{message} (last valid s = {last_s:.6g})")
@@ -288,6 +290,11 @@ class RadialProfile:
     # piecewise Chebyshev series of the collocation panels
     _sol: object = field(repr=False)
 
+    @property
+    def zeta(self) -> float:
+        """Cosmological term of the mass functional: 2 Lambda, its exact value on the models."""
+        return 2.0 * self.lam
+
     def _check_range(self, s):
         s = np.asarray(s, dtype=float)
         if not np.all(np.abs(s) <= self.s_max * (1.0 + 1e-12)):  # NaN fails too
@@ -344,11 +351,13 @@ def integrate_profile(
     """Integrate the profile equation from a neck of radius a.
 
     The first-order system u' = v, v' = F(u, v) is collocated on panels of
-    33 Chebyshev-Lobatto nodes and solved by Newton (stopping at a step of
-    1e-13 a).  Panels march outward from the neck, each starting from the
-    previous panel's end state; a panel is first tried at twice the width of
-    the last accepted one (the whole range at the start) and halved until its
-    Chebyshev series converges to within ``tol``.
+    33 Chebyshev-Lobatto nodes and solved by Newton, stopping at a step of
+    1e-13 a floored at 16 eps max(1, |u|, |u'|) of the panel's start state
+    (on a small neck 1e-13 a lies below the ulp of u' = O(1)).  Panels march
+    outward from the neck, each starting from the previous panel's end state;
+    a panel is first tried at twice the width of the last accepted one (the
+    whole range at the start) and halved until its Chebyshev series converges
+    to within ``tol``.
 
     The accepted panels are then cut into ``_PIECES`` equal pieces
     (``_pieces``), each with its own short series that keeps within
@@ -399,7 +408,8 @@ def integrate_profile(
         width = min(width, s_max - s0)
         if width < _MIN_PANEL * s_max:
             raise ProfileIntegrationError("collocation panel width collapsed", s0)
-        nodes = _newton_panel(s0, width, y0, q, lam, 1e-13 * a)
+        step_tol = max(1e-13 * a, 16.0 * np.finfo(float).eps * max(1.0, np.abs(y0).max()))
+        nodes = _newton_panel(s0, width, y0, q, lam, step_tol)
         if nodes is not None:
             c = _TO_COEFFS @ np.column_stack(nodes)  # (33, 2)
             scale = np.abs(c).max()
@@ -428,17 +438,14 @@ def integrate_profile(
     )
 
 
-def slice_hawking_mass(prof: RadialProfile, s, zeta: float | None = None):
+def slice_hawking_mass(prof: RadialProfile, s):
     """Closed-form charged Hawking mass of the slice at arclength s.
 
-    (u/2)(1 - u'^2 - zeta u^2/6 + Q^2/u^2); for zeta = 2 Lambda (the
-    default) this is the first integral of the profile equation and is
-    therefore constant in s.
+    (u/2)(1 - u'^2 - zeta u^2/6 + Q^2/u^2) at zeta = 2 Lambda: the first
+    integral of the profile equation, and therefore constant in s.
     """
-    if zeta is None:
-        zeta = 2.0 * prof.lam
     u, du = prof._state(s)
-    return _like(0.5 * u * (1.0 - du**2 - zeta * u**2 / 6.0 + prof.q**2 / u**2), s)
+    return _like(0.5 * u * (1.0 - du**2 - prof.zeta * u**2 / 6.0 + prof.q**2 / u**2), s)
 
 
 def curvature_scalars(prof: RadialProfile, s) -> dict:
@@ -551,11 +558,7 @@ def cmc_foliation(
     return [FoliationState(*map(float, row)) for row in rows]
 
 
-def monotonicity_report(
-    prof: RadialProfile,
-    states: list[FoliationState],
-    zeta: float | None = None,
-) -> MonotonicityReport:
+def monotonicity_report(prof: RadialProfile, states: list[FoliationState]) -> MonotonicityReport:
     """Evaluate the mass-derivative decomposition along the foliation.
 
     All terms are closed-form slice integrals, read off ``curvature_scalars``.
@@ -565,13 +568,11 @@ def monotonicity_report(
     mean-lapse terms are not reported: the model slices are umbilic with
     constant lapse, so they are zero by construction.
     """
-    if zeta is None:
-        zeta = 2.0 * prof.lam
     t = np.array([st.t for st in states])
     sc = curvature_scalars(prof, t)
     area = 4.0 * math.pi * sc["u"] ** 2
     e2 = sc["e2"]
-    bracket_zeta = (sc["R"] - zeta - 2.0 * e2) * area
+    bracket_zeta = (sc["R"] - prof.zeta - 2.0 * e2) * area
     bracket_printed = (sc["R"] - prof.lam - 2.0 * e2) * area
     bracket_charge = e2 * area - 16.0 * math.pi**2 * prof.q**2 / area
     return MonotonicityReport(

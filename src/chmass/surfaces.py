@@ -48,7 +48,7 @@ class GraphSurface:
 
     def __post_init__(self):
         _check_heights(self.profile, self.s0, self.phi.values)
-        self._geom_cache: dict = {}
+        self._geom: SurfaceGeometry | None = None  # induced_geometry's result
 
     @property
     def grid(self) -> SphereGrid:
@@ -116,11 +116,9 @@ def _check_heights(prof: RadialProfile, s0, heights: np.ndarray) -> None:
         )
 
 
-def _graph_masses(
-    prof: RadialProfile, grid: SphereGrid, s0, d: dict, zeta: float, t=None
-) -> dict:
-    """Area, charge and mch of the stack of graphs s0 + t f, from the
-    ``synth_derivs`` dict ``d`` of the heights f.
+def _graph_masses(prof: RadialProfile, grid: SphereGrid, s0, d: dict, t=None) -> dict:
+    """Area, charge and mch (at zeta = 2 Lambda) of the stack of graphs
+    s0 + t f, from the ``synth_derivs`` dict ``d`` of the heights f.
 
     s0 and d["f"] broadcast to (n, n_theta, n_phi); a caller holding grid
     values transforms them itself.  t is None or one scale per graph, (n, 1,
@@ -143,7 +141,7 @@ def _graph_masses(
         if t is not None:
             rows = {key: t[part] * v for key, v in rows.items()}
         geom = _geometry_from_derivs(
-            prof, grid, s0[part] if np.ndim(s0) == 3 else s0, rows, zeta, mass_only=True
+            prof, grid, s0[part] if np.ndim(s0) == 3 else s0, rows, mass_only=True
         )
         for name, values in out.items():
             values[part] = geom[name]
@@ -152,18 +150,18 @@ def _graph_masses(
 
 
 def _geometry_from_derivs(
-    prof: RadialProfile, grid: SphereGrid, s0: float, d: dict, zeta: float,
-    mass_only: bool = False,
+    prof: RadialProfile, grid: SphereGrid, s0: float, d: dict, *, mass_only: bool = False
 ) -> dict:
     """Quadrature geometry of the graph of s0 + f from the spectral partials of f.
 
     ``d`` is a ``synth_derivs`` dict of node arrays of shape (..., n_theta,
     n_phi).  Returns the ``SurfaceGeometry`` fields other than grid and
-    zeta: node arrays of that shape, and area, charge and mch of its leading
-    shape.  With ``mass_only`` it returns area, charge and mch alone and
-    skips u'', |A|^2, the ambient curvature and K; the values are the same
-    either way.  The transforms are linear, so the partials of t phi are t
-    times those of phi and a family of scaled graphs shares one transform.
+    zeta: node arrays of that shape, and area, charge and mch (at the
+    profile's zeta = 2 Lambda) of its leading shape.  With ``mass_only`` it
+    returns area, charge and mch alone and skips u'', |A|^2, the ambient
+    curvature and K; the values are the same either way.  The transforms are
+    linear, so the partials of t phi are t times those of phi and a family of
+    scaled graphs shares one transform.
     """
     f = s0 + d["f"]
     if mass_only:  # the mass reads u and u' alone
@@ -206,11 +204,7 @@ def _geometry_from_derivs(
     charge_val = np.sum(grid.w_node * area_el * e_dot_nu, axis=nodes) / (4.0 * math.pi)
 
     h2_int = np.sum(grid.w_node * area_el * H**2, axis=nodes)
-    mch = np.sqrt(area_val / (16.0 * math.pi)) * (
-        1.0
-        - (h2_int + (2.0 / 3.0) * zeta * area_val) / (16.0 * math.pi)
-        + 4.0 * math.pi * charge_val**2 / area_val
-    )
+    mch = _hawking_mass(area_val, charge_val, h2_int, prof.zeta)
     if mass_only:
         return dict(area=area_val, charge=charge_val, mch=mch)
 
@@ -238,39 +232,32 @@ def _geometry_from_derivs(
     )
 
 
-def induced_geometry(surface: GraphSurface, zeta: float | None = None) -> SurfaceGeometry:
+def _hawking_mass(area_val, charge_val, h2_int, zeta: float):
+    """m_CH (``charged_hawking_mass``) from |S|, Q(S) and int H^2 of one graph or a stack."""
+    return np.sqrt(area_val / (16.0 * math.pi)) * (
+        1.0 - (h2_int + (2.0 / 3.0) * zeta * area_val) / (16.0 * math.pi)
+        + 4.0 * math.pi * charge_val**2 / area_val
+    )
+
+
+def induced_geometry(surface: GraphSurface) -> SurfaceGeometry:
     """Compute the full geometric package of a graph surface by quadrature.
 
     Every height field, constant ones included, takes the same spectral
     route: its partials are one synthesis of ``phi.coeffs``, at the band the
     height carries.  A slice is the graph of a constant height, and its
-    closed form is ``profile.curvature_scalars``.  The result is cached on
-    the surface per zeta.
-
-    Parameters
-    ----------
-    surface : GraphSurface
-    zeta : float, optional
-        Cosmological term of the mass functional; defaults to 2 Lambda,
-        its exact value on the model backgrounds.
-
-    Returns
-    -------
-    SurfaceGeometry
+    closed form is ``profile.curvature_scalars``.  The mass is taken at the
+    profile's zeta = 2 Lambda; ``charged_hawking_mass`` evaluates any other
+    zeta from this geometry.  The result is cached on the surface.
     """
-    prof = surface.profile
-    if zeta is None:
-        zeta = 2.0 * prof.lam
-    if zeta in surface._geom_cache:
-        return surface._geom_cache[zeta]
-    grid = surface.grid
-    d = grid.synth_derivs(surface.phi.coeffs)
-    fields = _geometry_from_derivs(prof, grid, surface.s0, d, zeta)
-    for name in ("area", "charge", "mch"):
-        fields[name] = float(fields[name])
-    geom = SurfaceGeometry(grid=grid, zeta=zeta, **fields)
-    surface._geom_cache[zeta] = geom
-    return geom
+    if surface._geom is None:
+        prof, grid = surface.profile, surface.grid
+        d = grid.synth_derivs(surface.phi.coeffs)
+        fields = _geometry_from_derivs(prof, grid, surface.s0, d)
+        for name in ("area", "charge", "mch"):
+            fields[name] = float(fields[name])
+        surface._geom = SurfaceGeometry(grid=grid, zeta=prof.zeta, **fields)
+    return surface._geom
 
 
 def area(surface: GraphSurface) -> float:
@@ -290,9 +277,14 @@ def charged_hawking_mass(surface: GraphSurface, zeta: float | None = None) -> fl
     """Charged Hawking mass of the graph surface.
 
     m_CH = sqrt(|S|/16 pi) (1 - (1/16 pi) int (H^2 + 2 zeta/3) + 4 pi Q(S)^2/|S|)
-    with zeta defaulting to 2 Lambda.
+    with zeta defaulting to 2 Lambda.  This is the one place another zeta is
+    evaluated: from the cached geometry's |S|, Q(S) and H, with no new
+    quadrature; at zeta = 2 Lambda it equals ``induced_geometry(surface).mch``
+    bit for bit.
     """
-    return induced_geometry(surface, zeta=zeta).mch
+    geom = induced_geometry(surface)
+    zeta = geom.zeta if zeta is None else zeta
+    return float(_hawking_mass(geom.area, geom.charge, geom.integral(geom.h_mean**2), zeta))
 
 
 def gauss_curvature_brioschi(surface: GraphSurface, theta, phi) -> np.ndarray:

@@ -189,7 +189,7 @@ def _scaled_masses(prof: RadialProfile, grid: SphereGrid, s0: float, d: dict, ts
     """Quadrature masses {t: m_CH(graph(t phi))} over the slice at s0, as one stack of
     the distinct t (oracle path), from the ``synth_derivs`` dict d of phi on grid."""
     ts = np.array(list(dict.fromkeys(ts)), dtype=float)
-    mch = _graph_masses(prof, grid, s0, d, 2.0 * prof.lam, ts[:, None, None])["mch"]
+    mch = _graph_masses(prof, grid, s0, d, ts[:, None, None])["mch"]
     return dict(zip(ts.tolist(), mch.tolist()))
 
 
@@ -379,7 +379,6 @@ def local_max_experiment(
         raise ValueError("experiment calibrated for amplitude <= 0.05")
     _check_strictly_stable(a, q)
     prof = integrate_profile(a, q, 1.0, s_max=1.0)
-    zeta = 2.0 * prof.lam
     grid = build_grid(_N_THETA, _N_PHI)
     mass_grid = build_grid(_MASS_N_THETA, 2 * _MASS_N_THETA)
     draw = _STACK_NODES // (grid.n_theta * grid.n_phi)
@@ -391,7 +390,7 @@ def local_max_experiment(
     ])
     block = _STACK_NODES // (mass_grid.n_theta * mass_grid.n_phi)
     mch = np.concatenate([
-        _graph_masses(prof, mass_grid, 0.0, mass_grid.synth_derivs(part), zeta)["mch"]
+        _graph_masses(prof, mass_grid, 0.0, mass_grid.synth_derivs(part))["mch"]
         for part in (coeffs[i : i + block] for i in range(0, n_samples, block))
     ])
     excess = mch - prof.m
@@ -399,7 +398,7 @@ def local_max_experiment(
     with np.errstate(divide="ignore", invalid="ignore"):  # inf where d2m = 0 != excess
         gap = np.where(excess == half_d2m, 0.0, np.abs(excess / half_d2m - 1.0)).max()
     top = int(np.argmax(excess))
-    m_draw = _graph_masses(prof, grid, 0.0, grid.synth_derivs(coeffs[top : top + 1]), zeta)["mch"]
+    m_draw = _graph_masses(prof, grid, 0.0, grid.synth_derivs(coeffs[top : top + 1]))["mch"]
     nonconstant = coeffs[excess >= -_NEAR_TOL]
     nonconstant[:, coeff_index(0, 0)] = 0.0
     near = [c2_norm(ScalarField.from_coeffs(grid, c)) for c in nonconstant]

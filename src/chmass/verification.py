@@ -143,7 +143,7 @@ def crit_04_slice_mass_constancy():
     # zero height is band 0, synthesized from its one zero coefficient
     grid = build_grid(32, 64)
     zero = grid.synth_derivs(np.zeros(1))
-    quad = _graph_masses(prof, grid, s0[:, None, None], zero, 2.0)
+    quad = _graph_masses(prof, grid, s0[:, None, None], zero)
     return [
         ("closed-form slice mass", np.abs(slice_hawking_mass(prof, s0) - prof.m).max(), 1e-8),
         ("quadrature slice mass", np.abs(quad["mch"] - prof.m).max(), 1e-5),
@@ -154,7 +154,7 @@ def crit_05_charge_invariance():
     prof = integrate_profile(0.5, 0.3, 1.0, s_max=1.0, tol=1e-10)
     grid = build_grid(64, 128)
     drawn, scale, _ = _random_c2_stack(grid, range(20), 4, 0.05)
-    flux = _graph_masses(prof, grid, 0.0, drawn, 2.0, scale[:, None, None])["charge"]
+    flux = _graph_masses(prof, grid, 0.0, drawn, scale[:, None, None])["charge"]
     return [("flux charge over 20 seeded graphs", np.abs(flux - 0.3).max(), 1e-6)]
 
 

@@ -254,6 +254,16 @@ def test_variation_minimal_slice(capsys):
     assert payload["second_fd"] == pytest.approx(payload["second_analytic"], abs=1e-6)
     assert payload["first_analytic"] == pytest.approx(0.0, abs=1e-12)
     assert payload["z_max"] <= 1e-10
+    # the report's own fields, first_order renamed; the second-variation
+    # block only at s0 = 0
+    first = ["first_analytic", "first_fd", "first_fd_order", "z_max", "dt"]
+    second = ["second_analytic", "second_as_printed", "second_fd", "second_fd_step_gap"]
+    assert list(payload) == first + second
+    code, out, _ = invoke(
+        capsys, "variation", "--neck-a", "0.5", "--q", "0.3", "--s0", "0.3",
+        "--phi", "Y:1,0", "--grid", "16",
+    )
+    assert code == 0 and list(json.loads(out)) == first
 
 
 def test_mass_wrong_length_surface_is_named(capsys, tmp_path):
@@ -460,6 +470,24 @@ def test_oversized_range_is_refused_before_any_panel(capsys, monkeypatch, argv, 
     assert "s_max must be positive and at most 10000, got" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("entry", ["profile", "mass"])
+def test_profile_that_cannot_be_integrated_is_a_domain_error(capsys, tmp_path, entry):
+    # a neck of radius 1e-9 collapses its first panel even with the step
+    # floor: exit 2 and one line on stderr, not a traceback
+    argv = ["profile", "--neck-a", "1e-9"]
+    if entry == "mass":
+        surface = {
+            "base": {"neck_a": 1e-9, "q": 0.0},
+            "phi": scalar_field_to_dict(ScalarField(build_grid(16, 32), np.zeros((16, 32)))),
+        }
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(surface))
+        argv = ["mass", "--surface", str(path)]
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"chmass {entry}: error: collocation panel width collapsed (last valid s = 0)\n"
+
+
 @pytest.mark.parametrize("s0", [9999.500001, 1e9])
 def test_mass_surface_beyond_the_range_bound_is_refused(capsys, monkeypatch, tmp_path, s0):
     # a surface's profile reaches |s0| + max |phi| + 0.5, at most 1e4
@@ -570,6 +598,11 @@ def test_nariai_subcommand(capsys):
     payload = json.loads(out)
     assert payload["equality_residual"] == pytest.approx(0.0, abs=1e-12)
     assert payload["q2"] == pytest.approx(0.2304, abs=1e-12)
+    # NariaiParams' fields (lam renamed), then those the flow report adds
+    assert list(payload) == [
+        "alpha", "lambda", "m", "q2", "r_minus", "omega", "area", "area_charge_value",
+        "equality_residual", "max_abs_h", "hprime_lhs", "hprime_rhs",
+    ]
 
 
 class TestSweep:

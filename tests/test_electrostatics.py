@@ -86,6 +86,17 @@ class TestRobinsonShen:
         with pytest.raises(ValueError, match="too close to a horizon"):
             robinson_shen_residual(NARIAI, 3e-4 + 1e-12, h=1e-4)
 
+    def test_non_finite_residual_is_refused(self, monkeypatch):
+        # past the conditioning guard, which reads V alone: a NaN charge
+        # makes |E|^2 and so the residual NaN
+        system = electrostatics._static_system
+        monkeypatch.setattr(
+            electrostatics, "_static_system",
+            lambda model: dataclasses.replace(system(model), q2=math.nan),
+        )
+        with pytest.raises(ValueError, match="residual is not finite at h = 0.0001"):
+            robinson_shen_residual(RNDS, 0.8, h=1e-4)
+
     @pytest.mark.parametrize("h", [0.0, -1.0, math.nan, math.inf])
     def test_step_must_be_finite_and_positive(self, h):
         with pytest.raises(ValueError, match="h must be finite and positive"):

@@ -195,6 +195,54 @@ def test_panel_collapse_reports_last_accepted_node(monkeypatch):
     assert info.value.last_s == 0.0
 
 
+@pytest.mark.parametrize("a", [3e-3, 1e-3, 1e-5])
+def test_small_strictly_stable_necks_integrate(a):
+    # with Q = 0 every a^2 in (0, 1) is a strictly stable neck; a Newton step
+    # of 1e-13 a lies below the ulp of u' = O(1) there, so the step
+    # tolerance is floored at 16 eps max(1, |y0|)
+    prof = integrate_profile(a, 0.0)
+    s = np.linspace(-2.0, 2.0, 801)
+    assert np.abs(slice_hawking_mass(prof, s) - prof.m).max() <= 1e-13
+
+
+def test_singular_newton_jacobian_halves_the_panel(monkeypatch, neck_profile):
+    # np.linalg.solve raising once makes _newton_panel refuse that panel,
+    # which is halved; the integration still completes
+    solve, raised = np.linalg.solve, []
+
+    def solve_once_singular(*args):
+        if not raised:
+            raised.append(True)
+            raise np.linalg.LinAlgError("singular matrix")
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", solve_once_singular)
+    prof = integrate_profile(0.5, 0.3, 1.0, s_max=2.0, tol=1e-10)
+    assert raised == [True]
+    s = np.linspace(-2.0, 2.0, 401)
+    assert np.abs(slice_hawking_mass(prof, s) - prof.m).max() <= 1e-8
+    assert np.abs(prof.u(s) - neck_profile.u(s)).max() <= 1e-9
+
+
+def test_radius_collapse_reports_the_node_before_it(monkeypatch):
+    # a panel whose u falls linearly from a to -a has an exact two-term
+    # series, so it passes the tail check and reaches the radius check
+    a, returned = 0.5, []
+
+    def collapsing_panel(s0, h, y0, q, lam, step_tol):
+        tau = 0.5 * (profile._NODES + 1.0)
+        returned.append(y0[0] * (1.0 - 2.0 * tau))
+        return returned[-1], np.full_like(tau, -2.0 * y0[0] / h)
+
+    monkeypatch.setattr(profile, "_newton_panel", collapsing_panel)
+    with pytest.raises(ProfileIntegrationError, match="radius collapsed") as info:
+        integrate_profile(a, 0.3, 1.0, s_max=2.0)
+    (u,) = returned
+    k = np.flatnonzero(u < 1e-3 * a)[0]
+    assert 0 < k and u[k - 1] >= 1e-3 * a
+    assert info.value.last_s == 0.5 * 2.0 * (profile._NODES[k - 1] + 1.0)
+
+
 def test_nariai_profile_is_constant():
     prof = integrate_profile(0.8, 0.48, 1.0, s_max=2.0, tol=1e-10)
     assert prof.kind == "nariai"

@@ -105,7 +105,7 @@ def test_slices_of_a_stable_neck_keep_its_mass_and_charge(neck):
     s0 = np.linspace(-1.0, 1.0, 9)
     g = grid()
     zero = g.synth_derivs(g.analyze(np.zeros((g.n_theta, g.n_phi))))
-    quad = _graph_masses(p, g, s0[:, None, None], zero, 2.0)
+    quad = _graph_masses(p, g, s0[:, None, None], zero)
     assert np.abs(slice_hawking_mass(p, s0) - p.m).max() <= 1e-8
     assert np.abs(quad["mch"] - p.m).max() <= 1e-5
     assert np.abs(quad["charge"] - q).max() <= 1e-6

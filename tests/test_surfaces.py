@@ -43,7 +43,7 @@ class TestSlices:
         # the full-band route bit for bit
         geom = induced_geometry(GraphSurface(prof, s0, ScalarField.from_coeffs(grid, np.zeros(1))))
         d = grid.synth_derivs(grid.analyze(np.zeros((grid.n_theta, grid.n_phi))))
-        full = _geometry_from_derivs(prof, grid, s0, d, 2.0 * prof.lam)
+        full = _geometry_from_derivs(prof, grid, s0, d)
         for name, want in full.items():
             assert np.array_equal(getattr(geom, name), want), name
 
@@ -113,6 +113,46 @@ def test_flat_round_sphere_has_zero_mass(grid):
     )
     surf = GraphSurface(flat, 1.0, ScalarField(grid, np.zeros((32, 64))))
     assert charged_hawking_mass(surf, zeta=0.0) == pytest.approx(0.0, abs=1e-13)
+
+
+class TestZeta:
+    """zeta enters the mass functional alone: the geometry is taken at 2 Lambda."""
+
+    @pytest.fixture
+    def surf(self, prof, grid):
+        return GraphSurface(prof, 0.2, random_c2_field(grid, 7, 4, 0.1))
+
+    def test_default_zeta_is_the_geometry_mass(self, prof, surf):
+        geom = induced_geometry(surf)
+        assert geom.zeta == 2.0 * prof.lam
+        assert charged_hawking_mass(surf, 2.0 * prof.lam) == geom.mch
+        assert charged_hawking_mass(surf) == geom.mch
+
+    def test_mass_is_affine_in_zeta(self, prof, surf):
+        # d m_CH / d zeta = -(2/3) |S|^(3/2) / (16 pi)^(3/2)
+        geom = induced_geometry(surf)
+        slope = -(2.0 / 3.0) * geom.area**1.5 / (16.0 * math.pi) ** 1.5
+        for zeta in (0.0, prof.lam, 3.0):
+            want = geom.mch + slope * (zeta - 2.0 * prof.lam)
+            assert charged_hawking_mass(surf, zeta) == pytest.approx(want, rel=0, abs=1e-15)
+
+    def test_one_kernel_call_per_surface(self, prof, grid, monkeypatch):
+        # lambda1_discrete, charge and the mass at three zeta read one geometry
+        from chmass.spectrum import lambda1_discrete
+        kernel, calls = surfaces._geometry_from_derivs, []
+
+        def spy(*args, **kw):
+            calls.append(kw.get("mass_only", False))
+            return kernel(*args, **kw)
+
+        monkeypatch.setattr(surfaces, "_geometry_from_derivs", spy)
+        for seed in (1, 2):
+            surf = GraphSurface(prof, 0.0, random_c2_field(grid, seed, 4, 0.05))
+            lambda1_discrete(surf, lmax=4)
+            charge(surf)
+            for zeta in (0.0, prof.lam, 2.0 * prof.lam):
+                charged_hawking_mass(surf, zeta)
+        assert calls == [False, False]
 
 
 class TestGraphs:
@@ -201,7 +241,7 @@ def test_grid_shape_guard(prof, grid):
 def test_stacked_geometry_kernel_matches_induced_geometry(prof, n_theta):
     g = build_grid(n_theta, 2 * n_theta)
     heights = np.stack([random_c2_field(g, seed, 4, 0.1).values for seed in (21, 22, 23)])
-    stacked = _geometry_from_derivs(prof, g, 0.1, g.synth_derivs(g.analyze(heights)), 2.0 * prof.lam)
+    stacked = _geometry_from_derivs(prof, g, 0.1, g.synth_derivs(g.analyze(heights)))
     # a stack changes the shapes of the per-m matrix products, so transforms
     # may differ in the last bit; spectral second derivatives amplify that by
     # about l^2 at the polar rows (see c2_norm), hence n_theta^2 ulps
@@ -218,7 +258,7 @@ def test_stacked_slices_match_per_slice_geometry(prof, grid):
     # every scalar equals the per-slice quadrature bit for bit
     s0 = np.linspace(-1.8, 1.8, 11)
     zero = grid.synth_derivs(grid.analyze(np.zeros((32, 64))))
-    stacked = _graph_masses(prof, grid, s0[:, None, None], zero, 2.0)
+    stacked = _graph_masses(prof, grid, s0[:, None, None], zero)
     for i, s in enumerate(s0):
         geom = induced_geometry(GraphSurface(prof, float(s), zero_field(grid)))
         for name in ("area", "charge", "mch"):
@@ -228,8 +268,8 @@ def test_stacked_slices_match_per_slice_geometry(prof, grid):
     phi = random_c2_field(grid, 5, 4, 0.5).values
     t = np.array([-2e-2, -1e-2, 5e-3, 1e-2, 2e-2])[:, None, None]
     d = grid.synth_derivs(grid.analyze(phi))
-    scaled = _graph_masses(prof, grid, 0.0, d, 2.0, t=t)
-    full = _geometry_from_derivs(prof, grid, 0.0, {key: t * v for key, v in d.items()}, 2.0)
+    scaled = _graph_masses(prof, grid, 0.0, d, t=t)
+    full = _geometry_from_derivs(prof, grid, 0.0, {key: t * v for key, v in d.items()})
     for name in ("area", "charge", "mch"):
         np.testing.assert_array_equal(scaled[name], full[name], err_msg=name)
 
@@ -241,16 +281,16 @@ def test_stack_chunks_bound_the_kernel_and_keep_the_values(prof, grid, monkeypat
     kernel = surfaces._geometry_from_derivs
     rows = []
 
-    def spy(prof, grid, s0, d, zeta, **kw):
+    def spy(prof, grid, s0, d, **kw):
         rows.append(len(d["f"]))
-        return kernel(prof, grid, s0, d, zeta, **kw)
+        return kernel(prof, grid, s0, d, **kw)
 
     monkeypatch.setattr(surfaces, "_geometry_from_derivs", spy)
     results = {}
     for cap, want in [(1, [1] * 11), (2**14, [8, 3]), (2**20, [11])]:
         monkeypatch.setattr(surfaces, "_STACK_NODES", cap)
         rows.clear()
-        results[cap] = _graph_masses(prof, grid, 0.1, heights, 2.0, scale[:, None, None])
+        results[cap] = _graph_masses(prof, grid, 0.1, heights, scale[:, None, None])
         assert rows == want
     for name, values in results[2**14].items():
         np.testing.assert_array_equal(values, results[1][name])
@@ -263,10 +303,10 @@ def test_stack_check_rejects_any_graph(prof, grid):
     bad = {key: v.copy() for key, v in heights.items()}
     bad["f"][1, 3, 5] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        _graph_masses(prof, grid, 0.0, bad, 2.0, t)
+        _graph_masses(prof, grid, 0.0, bad, t)
     s0 = np.array([0.0, 2.5, 0.0])[:, None, None]
     with pytest.raises(ValueError, match="leaves the integrated range"):
-        _graph_masses(prof, grid, s0, heights, 2.0, t)
+        _graph_masses(prof, grid, s0, heights, t)
 
 
 def test_drawn_stack_is_checked_on_the_heights_it_measures(prof, grid):
@@ -277,8 +317,8 @@ def test_drawn_stack_is_checked_on_the_heights_it_measures(prof, grid):
     t = scale[:, None, None]
     reach = prof.s_max / np.abs(t * drawn["f"]).max()
     with pytest.raises(ValueError, match="leaves the integrated range"):
-        _graph_masses(prof, grid, 0.0, drawn, 2.0, 1.01 * reach * t)
-    inside = _graph_masses(prof, grid, 0.0, drawn, 2.0, 0.99 * reach * t)
+        _graph_masses(prof, grid, 0.0, drawn, 1.01 * reach * t)
+    inside = _graph_masses(prof, grid, 0.0, drawn, 0.99 * reach * t)
     assert np.all(np.isfinite(inside["mch"]))
 
 
@@ -289,8 +329,8 @@ def test_drawn_stack_with_its_scales_is_the_scaled_stack(prof, n_theta):
     g = build_grid(n_theta, 2 * n_theta)
     drawn, scale, _ = _random_c2_stack(g, range(5), 4, 0.05)
     t = scale[:, None, None]
-    masses = _graph_masses(prof, g, 0.0, drawn, 2.0, t)
-    scaled = _graph_masses(prof, g, 0.0, {key: t * v for key, v in drawn.items()}, 2.0)
+    masses = _graph_masses(prof, g, 0.0, drawn, t)
+    scaled = _graph_masses(prof, g, 0.0, {key: t * v for key, v in drawn.items()})
     for name in ("area", "charge", "mch"):
         np.testing.assert_array_equal(masses[name], scaled[name], err_msg=name)
 
@@ -306,6 +346,6 @@ def test_scaled_heights_are_checked_not_the_unscaled(prof, grid):
     heights = {key: (reach / peak) * v for key, v in drawn.items()}
     assert np.abs(heights["f"]).max() < prof.s_max
     with pytest.raises(ValueError, match="leaves the integrated range"):
-        _graph_masses(prof, grid, 0.0, heights, 2.0, np.array([1.0, 2.3, 1.0])[:, None, None])
-    inside = _graph_masses(prof, grid, 0.0, heights, 2.0, np.array([1.0, 2.2, 1.0])[:, None, None])
+        _graph_masses(prof, grid, 0.0, heights, np.array([1.0, 2.3, 1.0])[:, None, None])
+    inside = _graph_masses(prof, grid, 0.0, heights, np.array([1.0, 2.2, 1.0])[:, None, None])
     assert np.all(np.isfinite(inside["mch"]))

@@ -452,11 +452,11 @@ class TestScaledGraphOracles:
             synthesized.append(coeffs)
             return synth_derivs(self, coeffs)
 
-        def spy_kernel(prof, grid, s0, d, zeta, **kw):
+        def spy_kernel(prof, grid, s0, d, **kw):
             rows = np.reshape(d["f"], (-1,) + phi.values.shape)  # t of each stack row
             kernel_t.extend(np.sum(rows * phi.values, axis=(1, 2)) / np.sum(phi.values**2))
             kernel_rows.append(len(rows))
-            return kernel(prof, grid, s0, d, zeta, **kw)
+            return kernel(prof, grid, s0, d, **kw)
 
         monkeypatch.setattr(SphereGrid, "analyze", spy_analyze)
         monkeypatch.setattr(SphereGrid, "synth_derivs", spy_synth_derivs)
