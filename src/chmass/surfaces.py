@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .profile import RadialProfile
-from .sphere import ScalarField, SphereGrid
+from .sphere import ScalarField, SphereGrid, build_grid
 
 __all__ = [
     "GraphSurface",
@@ -97,11 +97,20 @@ class SurfaceGeometry:
         )
 
 
-# Grid nodes per geometry-kernel call on a stack: 8 graphs of 32 x 64 nodes
-# or 32 of 16 x 32.  local_max_experiment also draws its heights in stacks of
-# this many nodes.  Three 40-graph local_max_experiment runs in a fresh
-# interpreter peaked at 42 MB RSS with this cap and at 45 MB with 2**16.
+# Grid nodes per geometry-kernel call on a stack: 8 graphs of 32 x 64 nodes or
+# 32 of _mass_grid's band-4 16 x 32.  local_max_experiment also draws its heights
+# in stacks of this many nodes.  Three 40-graph local_max_experiment runs in a
+# fresh interpreter peaked at 42 MB RSS with this cap and at 45 MB with 2**16.
 _STACK_NODES = 2**14
+
+
+def _mass_grid(grid: SphereGrid, lmax: int, size: float) -> SphereGrid:
+    """The grid that sums the masses of band-``lmax`` heights of C^2 size <= ``size``:
+    n_theta = max(16, 4 lmax) (the draws' rule lmax <= n_theta/4) by twice that
+    if size <= 0.05 (``local_max_experiment``'s limit) and that n_theta is below
+    ``grid``'s, else ``grid``.  Bands 1-8 then read a 96 x 192 grid's masses to 3e-16."""
+    n = max(16, 4 * lmax)
+    return build_grid(n, 2 * n) if size <= 0.05 and n < grid.n_theta else grid
 
 
 def _check_heights(prof: RadialProfile, s0, heights: np.ndarray) -> None:

@@ -41,15 +41,12 @@ import numpy as np
 
 from .profile import RadialProfile, integrate_profile
 from .sphere import (
-    ScalarField, SphereGrid, _degrees, _random_c2_stack, build_grid, c2_norm, coeff_index,
+    ScalarField, SphereGrid, _c2_norms, _degrees, _random_c2_stack, build_grid, c2_norm,
+    coeff_index,
 )
 from .spectrum import lambda1_analytic, stability_window
 from .surfaces import (
-    _STACK_NODES,
-    GraphSurface,
-    SurfaceGeometry,
-    _graph_masses,
-    induced_geometry,
+    _STACK_NODES, GraphSurface, SurfaceGeometry, _graph_masses, _mass_grid, induced_geometry,
 )
 
 __all__ = [
@@ -81,8 +78,10 @@ class VariationReport:
     first_analytic: float
     first_fd: float
     first_order: float
+    first_floor_ratio: float  # FDDerivative.floor_ratio
     z_max: float
     dt: float
+    mass_resolution: float  # |m(stencil grid) - m(phi's grid)| at the largest |t|
     second_analytic: float | None = None
     second_as_printed: float | None = None
     second_fd: float | None = None
@@ -98,6 +97,7 @@ class FDDerivative:
     d_h2: float
     d_h4: float
     order: float
+    floor_ratio: float  # eps |m| / dt over min |d_h - d_h2|, |d_h2 - d_h4| (inf if 0)
 
 
 @dataclass
@@ -114,8 +114,8 @@ class LocalMaxReport:
     # the sample's height: the first variation vanishes at the neck, so the
     # excess is d2m/2 up to O(amplitude)
     max_second_variation_gap: float
-    # |m(16 x 32) - m(32 x 64)| of the largest-excess sample: the error of
-    # the mass grid, measured on every run
+    # |m(mass grid) - m(draw grid)| of the largest-excess sample: the error of
+    # _mass_grid's grid, measured on every run
     mass_resolution: float
     n_near_equality: int
     max_nonconstant_c2: float
@@ -185,12 +185,20 @@ def _first_variation(geom: SurfaceGeometry, d_phi: dict, zeta: float | None) -> 
 # ---------------------------------------------------------------------------
 
 
-def _scaled_masses(prof: RadialProfile, grid: SphereGrid, s0: float, d: dict, ts) -> dict:
+def _scaled_masses(prof: RadialProfile, grid: SphereGrid, s0: float, coeffs, ts):
     """Quadrature masses {t: m_CH(graph(t phi))} over the slice at s0, as one stack of
-    the distinct t (oracle path), from the ``synth_derivs`` dict d of phi on grid."""
+    the distinct t (oracle path), from phi's coefficients; the grid that summed them,
+    ``_mass_grid`` of phi's band and of the stencil's C^2 size (max |t| times phi's
+    C^2 norm, read from its partials on the band's grid); and those partials."""
     ts = np.array(list(dict.fromkeys(ts)), dtype=float)
-    mch = _graph_masses(prof, grid, s0, d, ts[:, None, None])["mch"]
-    return dict(zip(ts.tolist(), mch.tolist()))
+    lmax = math.isqrt(coeffs.size) - 1
+    mass_grid = _mass_grid(grid, lmax, 0.0)
+    d = mass_grid.synth_derivs(coeffs)
+    size = np.abs(ts).max() * _c2_norms(mass_grid, d)
+    if mass_grid is not grid and _mass_grid(grid, lmax, size) is grid:
+        mass_grid, d = grid, grid.synth_derivs(coeffs)
+    mch = _graph_masses(prof, mass_grid, s0, d, ts[:, None, None])["mch"]
+    return dict(zip(ts.tolist(), mch.tolist())), mass_grid, d
 
 
 def _check_dt(dt: float) -> None:
@@ -212,7 +220,8 @@ def _first_fd(mass: dict, dt: float) -> FDDerivative:
     d1, d2, d4 = ((mass[h] - mass[-h]) / (2.0 * h) for h in (dt, dt / 2.0, dt / 4.0))
     num, den = abs(d1 - d2), abs(d2 - d4)
     order = math.log2(num / den) if den > 0 and num > 0 else float("nan")
-    return FDDerivative(value=(4.0 * d2 - d1) / 3.0, d_h=d1, d_h2=d2, d_h4=d4, order=order)
+    ratio = math.ulp(1.0) * abs(mass[dt]) / dt / min(num, den) if min(num, den) > 0 else math.inf
+    return FDDerivative((4.0 * d2 - d1) / 3.0, d1, d2, d4, order, ratio)
 
 
 def _second_fd(mass: dict, dt: float) -> float:
@@ -226,7 +235,7 @@ def mass_of_scaled_graph(
     prof: RadialProfile, s0: float, phi: ScalarField, t: float
 ) -> float:
     """Quadrature mass of graph(t * phi) over the slice at s0 (oracle path)."""
-    return _scaled_masses(prof, phi.grid, s0, phi.grid.synth_derivs(phi.coeffs), [t])[t]
+    return _scaled_masses(prof, phi.grid, s0, phi.coeffs, [t])[0][t]
 
 
 def first_variation_fd(
@@ -238,9 +247,7 @@ def first_variation_fd(
     ``value`` is the dt/2-vs-dt extrapolation.
     """
     _check_dt(dt)
-    d = phi.grid.synth_derivs(phi.coeffs)
-    mass = _scaled_masses(prof, phi.grid, s0, d, _first_fd_steps(dt))
-    return _first_fd(mass, dt)
+    return _first_fd(_scaled_masses(prof, phi.grid, s0, phi.coeffs, _first_fd_steps(dt))[0], dt)
 
 
 def second_variation_fd(
@@ -248,9 +255,7 @@ def second_variation_fd(
 ) -> float:
     """Five-point stencil for d2/dt2 m_CH(graph(t phi)) at t = 0."""
     _check_dt(dt)
-    d = phi.grid.synth_derivs(phi.coeffs)
-    mass = _scaled_masses(prof, phi.grid, s0, d, _second_fd_steps(dt))
-    return _second_fd(mass, dt)
+    return _second_fd(_scaled_masses(prof, phi.grid, s0, phi.coeffs, _second_fd_steps(dt))[0], dt)
 
 
 # ---------------------------------------------------------------------------
@@ -333,13 +338,11 @@ def strict_instability_constant(a: float, q: float) -> float:
 
 
 # The sampling design of local_max_experiment: heights band-limited to l <= 4,
-# drawn and C^2-normalized on a 32 x 64 grid, and their masses summed on a
-# _MASS_N_THETA x 2 _MASS_N_THETA grid, which holds a quarter of the draw
-# grid's nodes and resolves a band-4 graph at amplitude <= 0.05 to about 2e-16
-# (each run reports its resolution); a sample within _NEAR_TOL of equality
-# must be a slice.
+# drawn and C^2-normalized on a 32 x 64 grid, and their masses summed on the
+# 16 x 32 grid of _mass_grid, a quarter of the draw grid's nodes (each run
+# reports its resolution); a sample within _NEAR_TOL of equality must be a
+# slice.
 _N_THETA, _N_PHI, _LMAX = 32, 64, 4
-_MASS_N_THETA = 16
 _NEAR_TOL = 1e-9
 
 
@@ -355,12 +358,12 @@ def local_max_experiment(
     Sample k draws a height with l <= 4 on the 32 x 64 grid as
     random_c2_field does, from the seed [seed, k] (numpy's
     ``default_rng([seed, k])``), at the given C^2 amplitude; its mass is
-    summed on the 16 x 32 grid.
+    summed on the grid of ``_mass_grid`` (16 x 32).
     Reports the largest mass excess m_CH(graph) - m over all samples; the
     largest |excess / (d2m/2) - 1| over all samples, with d2m the closed-form
     ``second_variation_minimal`` of the sample's height (the excess is d2m/2
     up to O(amplitude), since the neck is critical); the mass resolution,
-    |m(16 x 32) - m(32 x 64)| of the sample with the largest excess, whose
+    |m(mass grid) - m(32 x 64)| of the sample with the largest excess, whose
     mass is summed once more on the draw grid; and, for samples within
     ``_NEAR_TOL`` of equality, the largest C^2 norm of the nonconstant part
     of the height on the draw grid (equality should only occur for slices).
@@ -380,7 +383,7 @@ def local_max_experiment(
     _check_strictly_stable(a, q)
     prof = integrate_profile(a, q, 1.0, s_max=1.0)
     grid = build_grid(_N_THETA, _N_PHI)
-    mass_grid = build_grid(_MASS_N_THETA, 2 * _MASS_N_THETA)
+    mass_grid = _mass_grid(grid, _LMAX, amplitude)
     draw = _STACK_NODES // (grid.n_theta * grid.n_phi)
     coeffs = np.concatenate([
         _random_c2_stack(
@@ -425,31 +428,35 @@ def variation_report(
     oracle, step-halving gap) is filled only at s0 = 0, where its closed
     form applies.
 
-    phi's coefficients are derivative-synthesized once, and both sides read
-    those coefficients and partials: a copy per side would repeat the same
-    arrays bit for bit, and each side still evaluates its own formula from
-    them (the oracle the mass of each scaled graph, the analytic side the
-    variation integrals).  The base slice is the band-0 zero height.  The
-    oracles share one mass table: each distinct t of the union of the stencils is evaluated
-    once (8 scaled graphs at s0 = 0 for the first difference and both second
-    differences, 6 otherwise), and the base slice is the t = 0 entry.
+    The analytic side and the base slice are read on phi's grid, from one
+    synthesis of phi's coefficients (the oracle's, when the stencil is summed
+    on phi's grid).  The oracles share one mass table, a stack of each
+    distinct t of the union of the stencils (9 scaled graphs at s0 = 0 for
+    the first difference and both second differences, t = 0 included; 6
+    otherwise), summed on the grid of ``_scaled_masses``.  When that is
+    coarser than phi's grid, the largest-|t| member is summed once more on
+    phi's grid, and ``mass_resolution`` is the difference.
     """
     _check_dt(dt)
     grid = phi.grid
     geom = induced_geometry(GraphSurface(prof, s0, ScalarField.from_coeffs(grid, np.zeros(1))))
-    d = grid.synth_derivs(phi.coeffs)
     ts = _first_fd_steps(dt)
     if s0 == 0.0:
         ts += _second_fd_steps(dt) + _second_fd_steps(dt / 2.0)
-    mass = _scaled_masses(prof, grid, s0, d, [t for t in ts if t != 0.0])
-    mass[0.0] = geom.mch
+    mass, mass_grid, d = _scaled_masses(prof, grid, s0, phi.coeffs, ts)
+    d = d if mass_grid is grid else grid.synth_derivs(phi.coeffs)
+    top = max(mass, key=abs)
+    fine = mass[top] if mass_grid is grid else float(_graph_masses(
+        prof, grid, s0, d, np.full((1, 1, 1), top))["mch"][0])
     fd = _first_fd(mass, dt)
     report = VariationReport(
         first_analytic=_first_variation(geom, d, None),
         first_fd=fd.value,
         first_order=fd.order,
+        first_floor_ratio=fd.floor_ratio,
         z_max=float(np.abs(z_functional(geom)).max()),
         dt=dt,
+        mass_resolution=abs(mass[top] - fine),
     )
     if s0 == 0.0:
         d2_h = _second_fd(mass, dt)

@@ -42,7 +42,7 @@ from .spectrum import (
     laplace_spectrum_discrete,
     stability_window,
 )
-from .surfaces import GraphSurface, _graph_masses, induced_geometry
+from .surfaces import GraphSurface, _graph_masses, _mass_grid, induced_geometry
 from .sweeps import sweep_table
 from .variations import (
     local_max_experiment,
@@ -141,7 +141,7 @@ def crit_04_slice_mass_constancy():
     s0 = np.linspace(-1.8, 1.8, 50)
     # the 50 slices are the graphs of one zero height over a stack of s0; a
     # zero height is band 0, synthesized from its one zero coefficient
-    grid = build_grid(32, 64)
+    grid = _mass_grid(build_grid(32, 64), 0, 0.0)
     zero = grid.synth_derivs(np.zeros(1))
     quad = _graph_masses(prof, grid, s0[:, None, None], zero)
     return [
@@ -152,9 +152,10 @@ def crit_04_slice_mass_constancy():
 
 def crit_05_charge_invariance():
     prof = integrate_profile(0.5, 0.3, 1.0, s_max=1.0, tol=1e-10)
-    grid = build_grid(64, 128)
-    drawn, scale, _ = _random_c2_stack(grid, range(20), 4, 0.05)
-    flux = _graph_masses(prof, grid, 0.0, drawn, scale[:, None, None])["charge"]
+    draw_grid = build_grid(64, 128)
+    coeffs = _random_c2_stack(draw_grid, range(20), 4, 0.05)[2]
+    grid = _mass_grid(draw_grid, 4, 0.05)
+    flux = _graph_masses(prof, grid, 0.0, grid.synth_derivs(coeffs))["charge"]
     return [("flux charge over 20 seeded graphs", np.abs(flux - 0.3).max(), 1e-6)]
 
 
@@ -198,6 +199,8 @@ def crit_08_first_variation():
         ("Z on slices", max(np.abs(z_functional(geom)).max() for geom in slices), 1e-10),
         ("analytic first variation on slices", max(abs(r.first_analytic) for r in reports), 1e-10),
         ("FD convergence order deviation", max(abs(r.first_order - 2.0) for r in reports), 0.4),
+        ("FD roundoff floor / least difference", max(r.first_floor_ratio for r in reports), 1e-2),
+        ("mass resolution of the FD stencils", max(r.mass_resolution for r in reports), 1e-12),
     ]
 
 

@@ -40,30 +40,31 @@ def test_total_runtime(summary):
 
 # (analyze, synth_derivs, geometry-kernel) calls of each criterion that makes
 # any, and the grid nodes it sends through the kernel.  Every stack of graphs
-# reaches the kernel in chunks of at most surfaces._STACK_NODES grid nodes:
-# crit 04's 50 slices at n_theta 32 in 7 calls, crit 05's 20 graphs at
-# n_theta 64 in 10, crit 08's 10 cases in one call for the base slice and one
-# for the 6 FD graphs each (plus its 7 slices), crit 09's two 5-graph stencils
-# in one call each.  Crit 10 draws its 200 heights on the 32 x 64 grid in 25
-# stacks of 8 and keeps their coefficients; it sums their masses on the
-# 16 x 32 grid in 7 blocks of at most 32 graphs (one transform and one kernel
-# call each, 200 x 512 nodes), and once more for its largest-excess sample on
-# the draw grid (2048 nodes).  A random stack is derivative-synthesized once
-# from its drawn coefficients and never analyzed: crit 05 draws one stack,
-# crit 08 ten single fields and crit 10 25 stacks.  Every height is born as
-# coefficients (the seeded draws, the band-0 zero heights of crit 04, 06 and
-# 08, crit 09's psi and its constant), so the only analysis left is of each
-# of crit 08's base slices' mean curvature; each report synthesizes phi, H
-# and the base slice.
+# reaches the kernel in chunks of at most surfaces._STACK_NODES grid nodes, on
+# the grid of surfaces._mass_grid: crit 04's 50 slices (band 0) at n_theta 16
+# in 2 calls, crit 05's 20 graphs (drawn at n_theta 64) at n_theta 16 in one,
+# crit 09's two 5-graph stencils at n_theta 16 in one call each.  Crit 08's 10
+# cases each send the base slice (n_theta 32), the 6-graph stencil (n_theta
+# 16) and its largest-|t| graph re-summed on phi's grid (n_theta 32) in one
+# call each, plus its 7 slices.  Crit 10 draws its 200 heights on the 32 x 64
+# grid in 25 stacks of 8 and keeps their coefficients; it sums their masses on
+# the 16 x 32 grid in 7 blocks of at most 32 graphs (one transform and one
+# kernel call each, 200 x 512 nodes), and once more for its largest-excess
+# sample on the draw grid (2048 nodes).  A random stack is
+# derivative-synthesized once from its drawn coefficients and never analyzed:
+# crit 05 draws one stack, crit 08 ten single fields and crit 10 25 stacks.
+# Every height is born as coefficients (the seeded draws, the band-0 zero
+# heights of crit 04, 06 and 08, crit 09's psi and its constant), so the only
+# analysis left is of each of crit 08's base slices' mean curvature; each
+# report synthesizes phi on its grid and on the stencil's, H and the base slice.
 KERNEL_COUNTS = {
-    "04": (0, 1, 7, 50 * 2048),
-    "05": (0, 1, 10, 20 * 8192),
+    "04": (0, 1, 2, 50 * 512),
+    "05": (0, 2, 1, 20 * 512),
     "06": (0, 1, 1, 2048),
-    "08": (10, 47, 27, 77 * 2048),
-    "09": (0, 2, 2, 10 * 2048),
+    "08": (10, 57, 37, 7 * 2048 + 10 * (2048 + 6 * 512 + 2048)),
+    "09": (0, 2, 2, 10 * 512),
     "10": (0, 33, 8, 200 * 512 + 2048),
 }
-
 
 def test_transform_and_kernel_counts_per_criterion(monkeypatch):
     # deterministic counting gate for run_all: a per-graph loop shows up as

@@ -256,7 +256,10 @@ def test_variation_minimal_slice(capsys):
     assert payload["z_max"] <= 1e-10
     # the report's own fields, first_order renamed; the second-variation
     # block only at s0 = 0
-    first = ["first_analytic", "first_fd", "first_fd_order", "z_max", "dt"]
+    first = [
+        "first_analytic", "first_fd", "first_fd_order", "first_floor_ratio", "z_max", "dt",
+        "mass_resolution",
+    ]
     second = ["second_analytic", "second_as_printed", "second_fd", "second_fd_step_gap"]
     assert list(payload) == first + second
     code, out, _ = invoke(

@@ -13,8 +13,7 @@ from chmass.models import ModelParams, admissible_window
 from chmass.profile import area_charge_value, integrate_profile, slice_hawking_mass
 from chmass.spectrum import stability_window
 from chmass.sphere import ScalarField, build_grid, n_coeffs, random_c2_field
-from chmass.surfaces import GraphSurface, _graph_masses, charged_hawking_mass
-from chmass.variations import _LMAX, _MASS_N_THETA, _N_PHI, _N_THETA
+from chmass.surfaces import GraphSurface, _graph_masses, _mass_grid, charged_hawking_mass
 
 # fixed examples keep tier-1 reproducible; no example database on disk
 PROPERTY = settings(max_examples=40, deadline=None, database=None, derandomize=True)
@@ -68,22 +67,30 @@ def test_mass_invariant_under_azimuthal_roll(seed, amplitude, s0, shift):
 @PROPERTY
 @given(
     seed=st.integers(0, 2**31 - 1),
-    amplitude=st.floats(0.0, 0.05, exclude_min=True),
+    lmax=st.integers(1, 8),
+    size=st.floats(0.0, 0.05, exclude_min=True),
+    s0=st.sampled_from([0.0, 0.55, -0.55]),
 )
-@example(seed=1, amplitude=0.02)
-@example(seed=0, amplitude=0.05)
-def test_mass_grid_resolves_the_sampled_graphs(seed, amplitude):
-    # local_max_experiment draws band-4 heights on its draw grid and sums
-    # their masses on its coarser mass grid: there the mass of every such
-    # graph at amplitude <= 0.05 is that of the 64 x 128 grid to roundoff
-    p = prof()
-    coeffs = random_c2_field(build_grid(_N_THETA, _N_PHI), seed, _LMAX, amplitude).coeffs
+@example(seed=1, lmax=4, size=0.02, s0=0.0)
+@example(seed=0, lmax=4, size=0.05, s0=-0.55)
+@example(seed=0, lmax=8, size=0.05, s0=0.55)
+def test_mass_grid_resolves_the_sampled_graphs(seed, lmax, size, s0):
+    # a band-lmax height of C^2 size <= 0.05, drawn on 64 x 128, has on the
+    # grid of _mass_grid (16 x 32 up to band 4, 4 lmax x 8 lmax beyond) the
+    # mass of the 64 x 128 grid to roundoff; a larger size or a full-band
+    # field keeps the caller's grid
+    p, fine = prof(), build_grid(64, 128)
+    coeffs = random_c2_field(fine, seed, lmax, size).coeffs
+    rule = _mass_grid(fine, lmax, size)
+    assert rule.n_theta == max(16, 4 * lmax) and rule.n_phi == 2 * rule.n_theta
 
-    def mass(n):
-        graph = GraphSurface(p, 0.0, ScalarField.from_coeffs(build_grid(n, 2 * n), coeffs))
-        return charged_hawking_mass(graph)
+    def mass(g):
+        return charged_hawking_mass(GraphSurface(p, s0, ScalarField.from_coeffs(g, coeffs)))
 
-    assert abs(mass(_MASS_N_THETA) - mass(64)) <= 1e-15
+    assert abs(mass(rule) - mass(fine)) <= 1e-15
+    assert _mass_grid(fine, lmax, math.nextafter(0.05, 1.0)) is fine
+    assert _mass_grid(fine, fine.lmax, size) is fine
+    assert _mass_grid(rule, lmax, size) is rule
 
 
 @st.composite

@@ -21,8 +21,8 @@ from chmass.sphere import (
     n_coeffs,
     random_c2_field,
 )
-from chmass.spectrum import lambda1_analytic
-from chmass.surfaces import GraphSurface, induced_geometry
+from chmass.spectrum import lambda1_analytic, lambda1_discrete
+from chmass.surfaces import GraphSurface, charge, induced_geometry
 from chmass.variations import (
     first_variation,
     first_variation_fd,
@@ -298,9 +298,10 @@ class TestExperiments:
         assert local_max_experiment(0.5, 0.3, 200, 0.02, 1).max_second_variation_gap > 1e-3
 
     def test_local_max_mass_resolution(self, monkeypatch):
-        # crit 10's mass grid gives the draw grid's masses to roundoff; a mass
-        # grid of n_theta 8 misses them by about 1e-11 at the largest-excess
-        # sample and fails crit 10's resolution check (the failing control)
+        # crit 10's mass grid gives the draw grid's masses to roundoff; a rule
+        # that returns an 8 x 16 grid misses them by about 1e-11 at the
+        # largest-excess sample and fails crit 10's resolution check (the
+        # failing control)
         from chmass.verification import crit_10_local_max_experiment
 
         def resolution():
@@ -309,7 +310,7 @@ class TestExperiments:
 
         value, bound = resolution()
         assert value <= 1e-15 < bound
-        monkeypatch.setattr(variations, "_MASS_N_THETA", 8)
+        monkeypatch.setattr(variations, "_mass_grid", lambda grid, lmax, size: build_grid(8, 16))
         value, bound = resolution()
         assert value > bound
 
@@ -436,9 +437,11 @@ class TestScaledGraphOracles:
 
     def test_variation_report_counts(self, prof, grid, monkeypatch):
         # deterministic counting gate: phi's coefficients are synthesized once
-        # for the oracle and the analytic side together, phi is never analyzed,
-        # and the geometry kernel sees each of the 9 distinct t of the stencils once:
-        # t = 0 as the base slice, the 8 scaled graphs as one stack
+        # on phi's grid for the analytic side and once on the 16 x 32 grid of
+        # _mass_grid for the oracle, phi is never analyzed, and the geometry
+        # kernel sees the base slice, the 9 distinct t of the stencils (t = 0
+        # included) as one stack on the 16 x 32 grid, and the largest-|t|
+        # graph once more on phi's grid for the mass resolution
         phi = random_c2_field(grid, 5, 4, 0.5)
         analyzed, synthesized, kernel_t, kernel_rows = [], [], [], []
         analyze, synth_derivs = SphereGrid.analyze, SphereGrid.synth_derivs
@@ -449,34 +452,63 @@ class TestScaledGraphOracles:
             return analyze(self, values, lmax)
 
         def spy_synth_derivs(self, coeffs):
-            synthesized.append(coeffs)
+            synthesized.append((self.n_theta, coeffs))
             return synth_derivs(self, coeffs)
 
         def spy_kernel(prof, grid, s0, d, **kw):
-            rows = np.reshape(d["f"], (-1,) + phi.values.shape)  # t of each stack row
-            kernel_t.extend(np.sum(rows * phi.values, axis=(1, 2)) / np.sum(phi.values**2))
-            kernel_rows.append(len(rows))
+            on_grid = grid.synthesize(phi.coeffs)
+            rows = np.reshape(d["f"], (-1,) + on_grid.shape)  # t of each stack row
+            kernel_t.extend(np.sum(rows * on_grid, axis=(1, 2)) / np.sum(on_grid**2))
+            kernel_rows.append((grid.n_theta, len(rows)))
             return kernel(prof, grid, s0, d, **kw)
 
         monkeypatch.setattr(SphereGrid, "analyze", spy_analyze)
         monkeypatch.setattr(SphereGrid, "synth_derivs", spy_synth_derivs)
         monkeypatch.setattr(surfaces, "_geometry_from_derivs", spy_kernel)
         dt = 1e-2
-        variation_report(prof, 0.0, phi, dt)
+        rep = variation_report(prof, 0.0, phi, dt)
 
         # analysed: the base slice's mean curvature alone; never phi, the base
         # slice's zero height nor a scaled copy t phi
         assert len(analyzed) == 1
         assert not any(np.array_equal(v, phi.values) for v in analyzed)
         # synthesised: the base slice from the band-0 zero vector, its mean
-        # curvature, and phi's own coefficients once for both sides
-        assert len(synthesized) == 3
-        assert any(np.array_equal(c, np.zeros(1)) for c in synthesized)
-        assert sum(c is phi.coeffs for c in synthesized) == 1
-        expected = sorted([0.0] + [s * h for h in (dt / 4, dt / 2, dt, 2 * dt) for s in (1, -1)])
+        # curvature, and phi's own coefficients once on each grid
+        assert len(synthesized) == 4
+        assert any(n == 32 and np.array_equal(c, np.zeros(1)) for n, c in synthesized)
+        assert sorted(n for n, c in synthesized if c is phi.coeffs) == [16, 32]
+        stencil = [s * h for h in (dt / 4, dt / 2, dt, 2 * dt) for s in (1, -1)]
+        expected = sorted([0.0, 0.0, 2 * dt] + stencil)
         np.testing.assert_allclose(sorted(kernel_t), expected, rtol=1e-12, atol=1e-15)
-        # the base slice, then the 8 scaled graphs at n_theta 32 in one call
-        assert kernel_rows == [1, 8]
+        # the base slice, the 9-graph stencil at n_theta 16 in one call, and
+        # the resolution graph at n_theta 32
+        assert kernel_rows == [(32, 1), (16, 9), (32, 1)]
+        assert 0.0 < rep.mass_resolution <= 1e-15
+
+    def test_fine_oracle_op_kernel_nodes(self, prof, monkeypatch):
+        # counting gate for one phi at n_theta 128 adjudicated at s0 = 0 and
+        # off the neck, then a perturbed graph read twice: each report's base
+        # slice and resolution graph (128 x 256 nodes each) and its stencil
+        # (9 and 6 graphs of 16 x 32) in one kernel call each, and the graph
+        # once for lambda1 and its charge; 17 graphs of 128 x 256 before the
+        # stencils were summed on the grid of _mass_grid
+        kernel = surfaces._geometry_from_derivs
+        nodes = []
+
+        def spy(prof, grid, s0, d, **kw):
+            nodes.append(np.broadcast(np.asarray(s0), d["f"]).size)
+            return kernel(prof, grid, s0, d, **kw)
+
+        monkeypatch.setattr(surfaces, "_geometry_from_derivs", spy)
+        grid = build_grid(128, 256)
+        phi = random_c2_field(grid, 7919, 4, 0.5)
+        variation_report(prof, 0.0, phi, dt=1e-2)
+        variation_report(prof, -0.3, phi, dt=2e-2)
+        surf = GraphSurface(prof, 0.0, ScalarField(grid, 0.1 * phi.values))
+        lambda1_discrete(surf)
+        charge(surf)
+        assert len(nodes) == 7
+        assert sum(nodes) == 5 * 128 * 256 + 15 * 16 * 32 == 171_520
 
     def test_coefficient_field_is_never_analyzed(self, prof, grid, monkeypatch):
         # a height built from coefficients is read through them: c2_norm,
@@ -533,39 +565,87 @@ class TestScaledGraphOracles:
         lo, hi = phi.values.min(), phi.values.max()
         assert abs(lo) != abs(hi)
         t = prof.s_max / max(abs(lo), abs(hi))
-        d = grid.synth_derivs(phi.coeffs)
-        inside = variations._scaled_masses(prof, grid, 0.0, d, [0.0, 0.99 * t])
+        inside = variations._scaled_masses(prof, grid, 0.0, phi.coeffs, [0.0, 0.99 * t])[0]
         assert inside[0.99 * t] < inside[0.0]
         with pytest.raises(ValueError, match="leaves the integrated range"):
-            variations._scaled_masses(prof, grid, 0.0, d, [0.0, 0.99 * t, 1.01 * t])
+            variations._scaled_masses(prof, grid, 0.0, phi.coeffs, [0.0, 0.99 * t, 1.01 * t])
 
 
 # (s0, first_analytic, first_fd, first_order, z_max) of crit 08's ten
 # variation reports (phi = random_c2_field(grid, 400 + i, 4, 0.5), drawn from
-# default_rng(400 + i); dt 2e-2), with phi read through its band-4 coefficients
-# and the profile summed from its pieces' short series
+# default_rng(400 + i); dt 2e-2), with phi read through its band-4 coefficients,
+# the profile summed from its pieces' short series and the stencils' masses
+# summed on the 16 x 32 grid of _mass_grid
 CRIT_08_REPORTS = [
-    (0.2, 6.804678301590145e-20, -1.3877787807814457e-14,
-     1.999975231253565, 1.779826286352204e-15),
-    (-0.35, 4.836937485718153e-19, 4.440892098500626e-14,
-     1.9999684892148097, 1.5681900222830336e-15),
-    (0.5, 7.134599597915827e-19, -5.643633708511212e-14,
-     1.9999781153639655, 2.6506574712925612e-15),
-    (0.3, -3.4054749460771517e-20, -1.3877787807814457e-14,
-     1.9999812852106227, 2.005340338229189e-15),
-    (-0.45, 8.598033085316688e-19, -8.650487733537678e-14,
-     1.9999674080500818, 1.5681900222830336e-15),
-    (0.6, 8.68856952706459e-19, 1.2675046197803871e-13,
-     1.9999541864770012, 1.582067810090848e-15),
-    (-0.25, 3.6514276496975124e-19, -4.6721885619642e-14,
-     1.99997612421398, 2.2273849431542203e-15),
-    (0.4, -3.5727301136621377e-19, -4.625929269271486e-14,
-     1.9998935966265718, 1.3322676295501878e-15),
-    (-0.55, -5.974225159417322e-19, 2.960594732333751e-14,
-     1.9999599982554175, 1.6653345369377348e-15),
-    (0.15, 1.9078654882461472e-19, -2.1279274638648833e-14,
-     1.9999244931511235, 2.6662699825763525e-15),
+    (0.2, 6.804678301590145e-20, -1.0639637319324416e-14,
+     1.9999893043569554, 1.779826286352204e-15),
+    (-0.35, 4.836937485718153e-19, 4.487151391193341e-14,
+     1.9999680515601697, 1.5681900222830336e-15),
+    (0.5, 7.134599597915827e-19, -6.013708050052931e-14,
+     1.9999683372194148, 2.6506574712925612e-15),
+    (0.3, -3.4054749460771517e-20, -1.0639637319324416e-14,
+     1.9998900542670646, 2.005340338229189e-15),
+    (-0.45, 8.598033085316688e-19, -8.28041339199596e-14,
+     1.9999663394823364, 1.5681900222830336e-15),
+    (0.6, 8.68856952706459e-19, 1.258252761241844e-13,
+     1.9999516811039053, 1.582067810090848e-15),
+    (-0.25, 3.6514276496975124e-19, -4.810966440042345e-14,
+     1.999971027171084, 2.2273849431542203e-15),
+    (0.4, -3.5727301136621377e-19, -5.088522196198634e-14,
+     1.9998800134054684, 1.3322676295501878e-15),
+    (-0.55, -5.974225159417322e-19, 3.700743415417188e-14,
+     1.999938179485601, 1.6653345369377348e-15),
+    (0.15, 1.9078654882461472e-19, -1.7578531223231646e-14,
+     2.0, 2.6662699825763525e-15),
 ]
+
+
+def _crit_08_check(name):
+    from chmass.verification import crit_08_first_variation
+
+    (check,) = (c for c in crit_08_first_variation() if c[0] == name)
+    return check[1:]
+
+
+def test_crit_08_stencil_mass_resolution(monkeypatch):
+    # the stencils' 16 x 32 grid gives phi's grid's masses to roundoff; a rule
+    # that returns an 8 x 16 grid misses them by about 1e-11 and fails crit
+    # 08's resolution check (the failing control)
+    name = "mass resolution of the FD stencils"
+    value, bound = _crit_08_check(name)
+    assert value <= 1e-15 < bound
+    monkeypatch.setattr(variations, "_mass_grid", lambda grid, lmax, size: build_grid(8, 16))
+    value, bound = _crit_08_check(name)
+    assert value > bound
+
+
+def test_crit_08_noise_floor():
+    # crit 08's ten fields: at its dt = 2e-2 the smallest difference of each
+    # order estimate is far above the roundoff floor; at dt = 1e-3 the order
+    # check still passes (deviation 0.30 < 0.4) while the floor check fails,
+    # and at dt = 1e-4 both fail (the failing controls)
+    value, bound = _crit_08_check("FD roundoff floor / least difference")
+    assert value <= 1e-4 < bound
+    prof = integrate_profile(0.5, 0.3, 1.0, s_max=2.0, tol=1e-10)
+    grid = build_grid(32, 64)
+    for dt in (1e-3, 1e-4):
+        reports = [
+            variation_report(prof, s0, random_c2_field(grid, 400 + i, 4, 0.5), dt)
+            for i, (s0, *_) in enumerate(CRIT_08_REPORTS)
+        ]
+        assert max(r.first_floor_ratio for r in reports) > bound
+
+
+def test_floor_ratio_reads_the_smaller_difference():
+    # m(t) = 0.3 + t + t^3: the central differences are 1 + h^2, so the two
+    # differences of the order estimate are 3 dt^2/4 and 3 dt^2/16, and the
+    # floor is divided by the smaller; a table with no t^3 term reads inf
+    dt = 1e-2
+    steps = [sign * h for h in (dt, dt / 2, dt / 4) for sign in (1, -1)]
+    fd = variations._first_fd({t: 0.3 + t + t**3 for t in steps}, dt)
+    floor = np.finfo(float).eps * (0.3 + dt + dt**3) / dt
+    assert fd.floor_ratio == pytest.approx(floor / (3 * dt**2 / 16), rel=1e-6)
+    assert variations._first_fd({t: 0.25 + t for t in steps}, dt).floor_ratio == math.inf
 
 
 def test_crit_08_reports_are_pinned_bitwise():
