@@ -12,15 +12,21 @@ Y_{l,+m} = sqrt(2) Pbar_{l,m}(x) cos(m phi), Y_{l,-m} = sqrt(2) Pbar_{l,m}(x)
 sin(m phi), with Pbar normalized so the Y are orthonormal in L^2(S^2).
 Coefficient vectors are flat with index l^2 + l + m.
 
-Transforms loop over m alone (per-m blocks, Schaeffer 2013, arXiv:1202.6522).
-The Legendre tables of band L are m-major and packed: block m holds rows
-l = m..L from row m(L+1) - m(m-1)/2, and ``_blocks`` maps it to the flat
-indices l^2+l+m (cos m phi part) and l^2+l-m (sin m phi part).
+Synthesis takes one of two routes, chosen by the band L of the coefficients.
+At L <= ``_PRODUCT_BAND`` (16) every real harmonic and partial is a theta
+profile times one of 2L + 1 azimuthal functions (``_separable_factors``), so a
+synthesis is two small products: coefficients into per-m theta profiles, then
+those profiles times the (2L + 1) x n_phi azimuth matrix, with no FFT.  Above
+that band, and for every analysis, transforms loop over m alone with one FFT
+in phi (per-m blocks, Schaeffer 2013, arXiv:1202.6522).  The Legendre tables
+of band L are m-major and packed: block m holds rows l = m..L from row
+m(L+1) - m(m-1)/2, and ``_blocks`` maps it to the flat indices l^2+l+m
+(cos m phi part) and l^2+l-m (sin m phi part).
 
 ``analyze``, ``synthesize`` and ``synth_derivs`` take optional leading axes:
 grid values (..., n_theta, n_phi) <-> coefficients (..., n_coeffs).  A stack
-of fields is transformed together, as extra rows or columns of the one matrix
-product per m block.
+of fields is transformed together, as extra rows or columns of each matrix
+product.
 
 A ``ScalarField`` carries its coefficients, which every operator reads.  Grid
 values from outside are analyzed once, on input; heights born as coefficients
@@ -52,6 +58,8 @@ __all__ = [
 
 def coeff_index(l: int, m: int) -> int:
     """Flat index of the (l, m) real-harmonic coefficient."""
+    if l < 0:
+        raise ValueError(f"l must be nonnegative, got {l}")
     if abs(m) > l:
         raise ValueError(f"|m| = {abs(m)} exceeds l = {l}")
     return l * l + l + m
@@ -197,6 +205,56 @@ def _theta_rule(n_theta: int):
     return x, w_theta, tables
 
 
+# Highest coefficient band synthesized by the separable product route.  Its
+# cost grows with the band times the grid, the FFT route's mostly with the
+# grid: for stacks of 8 the product route was 2.5-3x faster at band 16 on
+# 32 x 64 to 128 x 256 and about even at band 24, and it lost at band 31 on
+# 32 x 64 and 64 x 128 (2-vCPU Xeon, numpy 2.4 with OpenBLAS).
+_PRODUCT_BAND = 16
+
+
+def _separable_factors(n_theta: int, n_phi: int, lmax: int):
+    """(theta, az, col): the real harmonics up to lmax and their partials as
+    products of a theta profile and an azimuthal function.
+
+    ``theta`` holds three (n_coeffs(lmax), n_theta) profiles: row k is Pbar
+    of Y_k, its theta derivative -sin(theta) Pbar' and its second theta
+    derivative -l(l+1) Pbar + x Pbar' + m^2 Pbar / sin^2(theta), read from
+    the rows of ``_theta_rule``'s tables.  ``az`` holds three
+    (2 lmax + 1, n_phi) arrays: the azimuthal functions of m = -lmax..lmax
+    (sqrt(2) sin(|m| phi) for m < 0, 1, sqrt(2) cos(m phi) for m > 0) and
+    their first and second phi derivatives.  Coefficient k = l^2 + l + m pairs
+    with azimuthal row col[k] = m + lmax.  The arrays are separate, so a
+    caller that keeps some of them frees the rest, and read-only.
+    """
+    x, _, (P, D) = _theta_rule(n_theta)
+    s2 = 1.0 - x**2
+    l = _degrees(n_coeffs(lmax)).astype(int)
+    m = np.arange(l.size) - l * l - l
+    rows = _block_start(np.abs(m), n_theta - 1) + l - np.abs(m)  # table row of (l, |m|)
+    Pk, Dk = P[rows], D[rows]
+    lc, mc = l[:, None], m[:, None]
+    theta = (Pk, -np.sqrt(s2) * Dk, -lc * (lc + 1.0) * Pk + x * Dk + mc * mc * Pk / s2)
+    az = np.arange(-lmax, lmax + 1)[:, None]
+    mphi = np.abs(az) * (2.0 * math.pi * np.arange(n_phi) / n_phi)
+    nrm = np.where(az == 0, 1.0, math.sqrt(2.0))
+    trig = nrm * np.where(az < 0, np.sin(mphi), np.cos(mphi))
+    dtrig = np.abs(az) * nrm * np.where(az < 0, np.cos(mphi), -np.sin(mphi))
+    az = (trig, dtrig, -(az * az) * trig)
+    col = m + lmax
+    for a in theta + az + (col,):
+        a.flags.writeable = False
+    return theta, az, col
+
+
+# The product route's factors, built on first use and shared by every grid of
+# one size: n_coeffs x n_theta profiles and (2 lmax + 1) x n_phi functions of a
+# band <= _PRODUCT_BAND (0.13 MB at 128 x 256, band 4).  ``_separable_basis``
+# builds its own per call, so the Jacobi pencil's factors do not stay in
+# memory after it.
+_product_factors = functools.lru_cache(maxsize=16)(_separable_factors)
+
+
 class SphereGrid:
     """Gauss-Legendre x uniform-phi quadrature grid on the unit sphere.
 
@@ -271,9 +329,9 @@ class SphereGrid:
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """Inverse transform: coefficients (..., n_coeffs) -> grid values
-        (..., n_theta, n_phi)."""
-        P, _ = self.tables()
-        return self._assemble(*_per_m_profiles(coeffs, P, _blocks(coeffs.shape[-1], self.lmax)))
+        (..., n_theta, n_phi), by the route of the coefficients' band (see
+        ``synth_derivs``)."""
+        return self._route(coeffs)(coeffs, derivs=False)["f"]
 
     def synth_derivs(self, coeffs: np.ndarray) -> dict:
         """Field and coordinate partials on the grid, all spectral.
@@ -282,16 +340,60 @@ class SphereGrid:
         and its theta/phi partial derivatives up to second order, each of
         shape (..., n_theta, n_phi) for coefficients (..., n_coeffs).
         f_theta_theta is Lap f - cot(theta) f_theta - f_phi_phi / sin^2(theta),
-        with the round-sphere Laplacian Lap f synthesized from -l(l+1) c_lm.
+        with the round-sphere Laplacian Lap f from -l(l+1) c_lm.
+
+        Coefficients of band L <= ``_PRODUCT_BAND`` take the separable
+        product route (``_product_route``: no FFT); higher bands, such as a
+        field analyzed over the full band of a grid with n_theta > 17, take
+        the per-m FFT route (``_fft_route``).  The two agree to roundoff.
         """
+        return self._route(coeffs)(coeffs)
+
+    def _route(self, coeffs: np.ndarray):
+        """The synthesis route of a coefficient stack, by its band."""
+        band = math.isqrt(coeffs.shape[-1]) - 1
+        return self._product_route if band <= _PRODUCT_BAND else self._fft_route
+
+    def _product_route(self, coeffs: np.ndarray, derivs: bool = True) -> dict:
+        """``synth_derivs`` (or, without ``derivs``, only its "f") as two
+        products: the coefficients into a theta profile per azimuthal
+        function, then the profiles times the azimuth matrix."""
+        lmax = len(_blocks(coeffs.shape[-1], self.lmax)) - 1
+        theta, az, col = _product_factors(self.n_theta, self.n_phi, lmax)
+        c = coeffs.reshape(-1, col.size)
+        # row (field, m) of C holds the coefficients of order m in place
+        C = np.zeros((c.shape[0], 2 * lmax + 1, col.size))
+        C[:, col, np.arange(col.size)] = c
+        shape = coeffs.shape[:-1] + (self.n_theta, self.n_phi)
+
+        def grid_values(profiles, azimuth):
+            return (profiles.swapaxes(-1, -2) @ azimuth).reshape(shape)
+
+        A = C @ theta[0]
+        if not derivs:
+            return {"f": grid_values(A, az[0])}
+        At, Att = C @ theta[1], C @ theta[2]
+        return {
+            "f": grid_values(A, az[0]),
+            "ft": grid_values(At, az[0]),
+            "fp": grid_values(A, az[1]),
+            "ftt": grid_values(Att, az[0]),
+            "ftp": grid_values(At, az[1]),
+            "fpp": grid_values(A, az[2]),
+        }
+
+    def _fft_route(self, coeffs: np.ndarray, derivs: bool = True) -> dict:
+        """``synth_derivs`` (or, without ``derivs``, only its "f") by per-m
+        Legendre blocks and one inverse FFT in phi per output."""
         blocks = _blocks(coeffs.shape[-1], self.lmax)
         P, D = self.tables()
+        A, B = _per_m_profiles(coeffs, P, blocks)
+        f = self._assemble(A, B)
+        if not derivs:
+            return {"f": f}
         m = np.arange(len(blocks)).reshape((-1,) + (1,) * coeffs.ndim)
         l = _degrees(coeffs.shape[-1])
-        A, B = _per_m_profiles(coeffs, P, blocks)
         Ax, Bx = _per_m_profiles(coeffs, D, blocks)
-
-        f = self._assemble(A, B)
         fx = self._assemble(Ax, Bx)
         lap = self._assemble(*_per_m_profiles(-l * (l + 1.0) * coeffs, P, blocks))
         fp = self._assemble(m * B, -m * A)
@@ -332,21 +434,14 @@ class SphereGrid:
         "p" (dY/dphi) to a pair (theta profiles (n_coeffs, n_theta), azimuthal
         functions (2 lmax + 1, n_phi)); basis function k = l^2 + l + m of a
         component is its theta profile k times azimuthal function col[k] = m + lmax.
+        The factors are those of ``_separable_factors``, which the product
+        route of ``synth_derivs`` reads too.
         """
         if lmax > self.lmax:
             raise ValueError(f"lmax = {lmax} beyond grid band {self.lmax}")
-        P, D = self.tables()
-        l = _degrees(n_coeffs(lmax)).astype(int)
-        m = np.arange(l.size) - l * l - l
-        rows = _block_start(np.abs(m), self.lmax) + l - np.abs(m)  # table row of (l, |m|)
-        az = np.arange(-lmax, lmax + 1)[:, None]
-        mphi = np.abs(az) * self.phi
-        nrm = np.where(az == 0, 1.0, math.sqrt(2.0))
-        trig = nrm * np.where(az < 0, np.sin(mphi), np.cos(mphi))
-        dtrig = np.abs(az) * nrm * np.where(az < 0, np.cos(mphi), -np.sin(mphi))
-        Pk = P[rows]
-        factors = {"f": (Pk, trig), "t": (-self.sin_theta * D[rows], trig), "p": (Pk, dtrig)}
-        return factors, m + lmax
+        theta, az, col = _separable_factors(self.n_theta, self.n_phi, lmax)
+        factors = {"f": (theta[0], az[0]), "t": (theta[1], az[0]), "p": (theta[0], az[1])}
+        return factors, col
 
     def basis_with_gradients(self, lmax: int):
         """Values and coordinate first partials of Y_{lm} up to lmax.

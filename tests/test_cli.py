@@ -518,6 +518,12 @@ def test_variation_order_above_degree_is_usage_error(capsys):
     assert "|m| = 2 exceeds l = 1" in err
 
 
+def test_variation_negative_degree_is_usage_error(capsys):
+    code, out, err = invoke(capsys, "variation", "--neck-a", "0.5", "--q", "0.3", "--phi", "Y:-1,0")
+    assert code == 2 and out == ""
+    assert "l must be nonnegative, got -1" in err and "exceeds" not in err
+
+
 def test_electrostatics_rnds(capsys):
     code, out, _ = invoke(
         capsys, "electrostatics", "--m", "0.3191667", "--q", "0.3", "--lambda", "1",

@@ -12,6 +12,7 @@ from chmass.sphere import (
     MAX_N_THETA,
     ScalarField,
     SphereGrid,
+    _PRODUCT_BAND,
     _blocks,
     _random_c2_stack,
     _theta_rule,
@@ -419,6 +420,50 @@ def test_stacked_transforms_match_single_calls(n_theta):
     single = [g.synth_derivs(c) for c in coeffs]
     for key in ("f", "ft", "fp", "ftt", "ftp", "fpp"):
         close(d[key], [s[key] for s in single])
+
+
+# The product route sums each partial in another order than the FFT route
+# (per-m theta profiles times the azimuth matrix, against per-m profiles
+# through an inverse FFT), so the two agree to roundoff of the field's scale,
+# amplified at the polar rows of f_theta_theta by the m^2 / sin^2(theta)
+# cancellation.  Fixed before the first comparison: 256 ulps of each
+# partial's largest value on the grid.
+ROUTE_ULPS = 256
+
+
+@pytest.mark.parametrize("n_theta", [16, 32, 64, 128])
+def test_product_route_matches_fft_route(n_theta):
+    # analytic-vs-oracle: random coefficients of every band up to the
+    # product cut-off (or the grid band), as one vector and as a stack; all
+    # six partials on every row, the polar rows included
+    g = build_grid(n_theta, 2 * n_theta)
+    rng = np.random.default_rng(n_theta)
+    for band in range(min(_PRODUCT_BAND, g.lmax) + 1):
+        for lead in ((), (3,)):
+            coeffs = rng.standard_normal(lead + (n_coeffs(band),))
+            product, fft = g._product_route(coeffs), g._fft_route(coeffs)
+            assert product.keys() == fft.keys() == {"f", "ft", "fp", "ftt", "ftp", "fpp"}
+            for key, want in fft.items():
+                assert product[key].shape == want.shape == lead + (g.n_theta, g.n_phi)
+                bound = ROUTE_ULPS * np.finfo(float).eps * np.abs(want).max()
+                assert np.abs(product[key] - want).max() <= bound, (band, lead, key)
+            assert np.array_equal(g._product_route(coeffs, derivs=False)["f"], product["f"])
+            assert np.array_equal(g.synthesize(coeffs), product["f"])
+
+
+def test_routes_refuse_bad_vectors_alike():
+    # the CLI prints these messages, so both routes and both public
+    # transforms raise the same text: a length that is not (lmax + 1)^2, and a
+    # band beyond the grid's below and above the product cut-off
+    g = build_grid(16, 32)
+    bad = [np.ones(0), np.ones(10), np.ones((2, 10)), np.ones(n_coeffs(16)), np.ones(n_coeffs(20))]
+    for coeffs in bad:
+        messages = set()
+        for route in (g._product_route, g._fft_route, g.synthesize, g.synth_derivs):
+            with pytest.raises(ValueError) as err:
+                route(coeffs)
+            messages.add(str(err.value))
+        assert len(messages) == 1, messages
 
 
 def test_stacked_shape_and_length_guards(grid):

@@ -246,6 +246,18 @@ class TestFoliation:
         assert np.abs(rep.bracket_charge).max() <= 1e-12
 
 
+def _spy_ffts(monkeypatch):
+    """Count numpy's rfft and irfft calls from here on."""
+    counts = {"rfft": 0, "irfft": 0}
+    for name in counts:
+        def spy(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, spy)
+    return counts
+
+
 class TestExperiments:
     def test_local_max_small(self):
         rep = local_max_experiment(0.5, 0.3, 25, 0.02, 1)
@@ -319,7 +331,8 @@ class TestExperiments:
         # derivative-synthesised once for its C^2 normalization, each mass
         # block of 32 graphs once on the mass grid, and the largest-excess
         # sample once more on the draw grid; 40 samples are 5 draw stacks,
-        # 2 mass blocks and 1 resolution
+        # 2 mass blocks and 1 resolution; every height is band 4, so each
+        # synthesis takes the product route and none makes an FFT
         calls = {"analyze": 0, "synthesize": 0, "synth_derivs": 0}
         for name in calls:
             def spy(self, *args, _method=getattr(SphereGrid, name), _name=name, **kwargs):
@@ -327,8 +340,10 @@ class TestExperiments:
                 return _method(self, *args, **kwargs)
 
             monkeypatch.setattr(SphereGrid, name, spy)
+        ffts = _spy_ffts(monkeypatch)
         local_max_experiment(0.5, 0.3, 40, 0.02, 1)
         assert calls == {"analyze": 0, "synthesize": 0, "synth_derivs": 8}
+        assert ffts == {"rfft": 0, "irfft": 0}
 
     def test_amplitude_guard(self):
         with pytest.raises(ValueError):
@@ -465,6 +480,7 @@ class TestScaledGraphOracles:
         monkeypatch.setattr(SphereGrid, "analyze", spy_analyze)
         monkeypatch.setattr(SphereGrid, "synth_derivs", spy_synth_derivs)
         monkeypatch.setattr(surfaces, "_geometry_from_derivs", spy_kernel)
+        ffts = _spy_ffts(monkeypatch)
         dt = 1e-2
         rep = variation_report(prof, 0.0, phi, dt)
 
@@ -477,6 +493,10 @@ class TestScaledGraphOracles:
         assert len(synthesized) == 4
         assert any(n == 32 and np.array_equal(c, np.zeros(1)) for n, c in synthesized)
         assert sorted(n for n, c in synthesized if c is phi.coeffs) == [16, 32]
+        # FFTs: the full-band analysis of H (one rfft) and its six partials
+        # (one irfft each); phi and the zero height are band <= 4 and take
+        # the product route
+        assert ffts == {"rfft": 1, "irfft": 6}
         stencil = [s * h for h in (dt / 4, dt / 2, dt, 2 * dt) for s in (1, -1)]
         expected = sorted([0.0, 0.0, 2 * dt] + stencil)
         np.testing.assert_allclose(sorted(kernel_t), expected, rtol=1e-12, atol=1e-15)
@@ -573,29 +593,30 @@ class TestScaledGraphOracles:
 
 # (s0, first_analytic, first_fd, first_order, z_max) of crit 08's ten
 # variation reports (phi = random_c2_field(grid, 400 + i, 4, 0.5), drawn from
-# default_rng(400 + i); dt 2e-2), with phi read through its band-4 coefficients,
+# default_rng(400 + i); dt 2e-2), with phi read through its band-4 coefficients
+# by the separable product route of synth_derivs,
 # the profile summed from its pieces' short series and the stencils' masses
 # summed on the 16 x 32 grid of _mass_grid
 CRIT_08_REPORTS = [
-    (0.2, 6.804678301590145e-20, -1.0639637319324416e-14,
+    (0.2, 6.80467830158992e-20, -1.0639637319324416e-14,
      1.9999893043569554, 1.779826286352204e-15),
     (-0.35, 4.836937485718153e-19, 4.487151391193341e-14,
      1.9999680515601697, 1.5681900222830336e-15),
-    (0.5, 7.134599597915827e-19, -6.013708050052931e-14,
+    (0.5, 7.134599597915811e-19, -6.013708050052931e-14,
      1.9999683372194148, 2.6506574712925612e-15),
-    (0.3, -3.4054749460771517e-20, -1.0639637319324416e-14,
+    (0.3, -3.405474946076943e-20, -1.0639637319324416e-14,
      1.9998900542670646, 2.005340338229189e-15),
-    (-0.45, 8.598033085316688e-19, -8.28041339199596e-14,
+    (-0.45, 8.598033085316661e-19, -8.28041339199596e-14,
      1.9999663394823364, 1.5681900222830336e-15),
-    (0.6, 8.68856952706459e-19, 1.258252761241844e-13,
+    (0.6, 8.688569527064607e-19, 1.258252761241844e-13,
      1.9999516811039053, 1.582067810090848e-15),
-    (-0.25, 3.6514276496975124e-19, -4.810966440042345e-14,
+    (-0.25, 3.6514276496975095e-19, -4.810966440042345e-14,
      1.999971027171084, 2.2273849431542203e-15),
-    (0.4, -3.5727301136621377e-19, -5.088522196198634e-14,
+    (0.4, -3.5727301136621482e-19, -5.088522196198634e-14,
      1.9998800134054684, 1.3322676295501878e-15),
-    (-0.55, -5.974225159417322e-19, 3.700743415417188e-14,
+    (-0.55, -5.974225159417327e-19, 3.700743415417188e-14,
      1.999938179485601, 1.6653345369377348e-15),
-    (0.15, 1.9078654882461472e-19, -1.7578531223231646e-14,
+    (0.15, 1.9078654882461496e-19, -1.7578531223231646e-14,
      2.0, 2.6662699825763525e-15),
 ]
 
