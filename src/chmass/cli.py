@@ -97,9 +97,10 @@ def _resolve(args: argparse.Namespace, config: dict, defaults: dict) -> dict:
     """Each dest of ``defaults``: its flag's value, else the config file's
     (converted to the flag's type), else the default.
 
-    A NaN or infinite float, a missing required flag and a --lambda other
-    than 1 where only Lambda = 1 is implemented are usage errors that name
-    the flag; they are raised in the order of ``defaults``.
+    A NaN or infinite float, a --neck-a below ``models.MIN_NECK``, a missing
+    required flag and a --lambda other than 1 where only Lambda = 1 is
+    implemented are usage errors that name the flag; they are raised in the
+    order of ``defaults``.
     """
     values = {}
     for dest, default in defaults.items():
@@ -109,6 +110,10 @@ def _resolve(args: argparse.Namespace, config: dict, defaults: dict) -> dict:
             val = typ(config[dest])
         if isinstance(val, float) and not math.isfinite(val):
             raise ValueError(f"{flag} must be finite, got {val}")
+        if dest == "neck_a" and val is not None:
+            from .models import MIN_NECK  # each command reading --neck-a loads models
+            if not val >= MIN_NECK:
+                raise ValueError(f"{flag} must be at least {MIN_NECK:.6g} (a normal a^4), got {val}")
         if default is _UNIT_LAMBDA:
             if val not in (None, 1.0):
                 raise ValueError("this subcommand uses the Lambda = 1 normalization")
@@ -247,8 +252,12 @@ def cmd_spectrum(v: dict):
 def _parse_speed(spec: str, grid):
     from .sphere import ScalarField, coeff_index, n_coeffs, scalar_field_from_dict
     if spec.startswith("Y:"):
-        l_str, m_str = spec[2:].split(",")
-        l, m = int(l_str), int(m_str)
+        try:
+            l, m = map(int, spec[2:].split(","))
+        except ValueError:
+            raise ValueError(
+                f"--phi must be 'Y:l,m' (integers l, m) or a ScalarField JSON path, got {spec!r}"
+            ) from None
         c = np.zeros(n_coeffs(l))
         c[coeff_index(l, m)] = 1.0
         return ScalarField.from_coeffs(grid, c)

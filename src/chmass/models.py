@@ -54,6 +54,11 @@ DOUBLE_ROOT_TOL = 1e-6
 # A radius counts as a horizon when |f(r_h)| is below this.
 HORIZON_TOL = 1e-8
 
+# The smallest neck radius.  A neck's mass and its profile equation divide by
+# a^2, a^3 and a^4; below this a^4 is subnormal, and it underflows to 0 near
+# a = 1e-81 (a^3 near 1e-108, a^2 near 1e-162).
+MIN_NECK = float(np.finfo(float).tiny) ** 0.25
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -155,6 +160,7 @@ def _quartic_prime(r: np.ndarray, p: ModelParams) -> np.ndarray:
     return 4.0 * p.lam / 3.0 * r**3 - 2.0 * r + 2.0 * p.m
 
 
+@np.errstate(all="ignore")  # the roots' checks refuse what overflows
 def horizon_roots(p: ModelParams) -> HorizonStructure:
     """Find and classify all real roots of the horizon quartic.
 
@@ -164,12 +170,15 @@ def horizon_roots(p: ModelParams) -> HorizonStructure:
     at a double root one can jump off the root.  Near-coincident roots
     (within DOUBLE_ROOT_TOL relative spacing) are merged into a multiple
     root, unless that would turn horizons into a mean that is none (5e-7
-    apart at Q = 1e-4, near m_min).
+    apart at Q = 1e-4, near m_min).  A ValueError refuses an answer with a
+    root that is not finite or a merged root that is not a critical point of
+    the quartic (Lambda = 1e-80 at m = 0.34 gives one).
 
     Parameters
     ----------
     p : ModelParams
-        Requires Lambda > 0.  Degenerate inputs are classified, not rejected.
+        Requires Lambda > 0 and finite monic coefficients.  Degenerate inputs
+        are classified, not rejected.
 
     Returns
     -------
@@ -178,6 +187,8 @@ def horizon_roots(p: ModelParams) -> HorizonStructure:
     if p.lam <= 0.0:
         raise ValueError("horizon_roots requires Lambda > 0")
     coeffs = [1.0, 0.0, -3.0 / p.lam, 6.0 * p.m / p.lam, -3.0 * p.q**2 / p.lam]
+    if not all(map(math.isfinite, coeffs)):
+        raise ValueError(f"horizon quartic of {p} has non-finite monic coefficients {coeffs[2:]}")
     raw = np.roots(coeffs)  # companion-matrix eigenvalues
 
     # Keep (numerically) real roots; complex pairs near a double root have
@@ -213,7 +224,15 @@ def horizon_roots(p: ModelParams) -> HorizonStructure:
                 clusters[-1].append(r)
                 continue
         clusters.append([r])
-    roots = tuple((float(np.mean(c)), len(c)) for c in clusters)
+    means = [np.mean(c) for c in clusters]
+    for r, c in zip(means, clusters):
+        if not np.isfinite(r):
+            raise ValueError(f"horizon root r = {r} of {p} is not finite")
+        # a multiple root is critical: q'(r) within DOUBLE_ROOT_TOL of its terms' size
+        size = 4.0 * p.lam / 3.0 * abs(r) ** 3 + 2.0 * abs(r) + 2.0 * p.m
+        if len(c) > 1 and abs(_quartic_prime(r, p)) > DOUBLE_ROOT_TOL * size:
+            raise ValueError(f"merged horizon root r = {r} of {p} is not a critical point")
+    roots = tuple((float(r), len(c)) for r, c in zip(means, clusters))
 
     classification, named = _classify(roots)
     return HorizonStructure(roots=roots, classification=classification, **named)
@@ -310,8 +329,10 @@ def params_from_neck(a: float, q: float, lam: float = 1.0) -> ModelParams:
     Solving f(a) = 0 for the mass gives m = (a/2)(1 - Lambda a^2/3 + Q^2/a^2),
     so a is a horizon radius of the returned parameters by construction.
     """
-    if a <= 0.0:
-        raise ValueError("params_from_neck requires a > 0")
+    if not a >= MIN_NECK:  # NaN fails too
+        raise ValueError(
+            f"params_from_neck requires a > 0 with a normal a^4 (a >= {MIN_NECK:.6g}), got {a}"
+        )
     m = 0.5 * a * (1.0 - lam * a**2 / 3.0 + q**2 / a**2)
     return ModelParams(m=m, q=q, lam=lam)
 

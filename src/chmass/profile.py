@@ -134,9 +134,9 @@ class _ChebyshevPanels:
     Called with arclengths s >= 0 of any shape, returns the stacked (u, u')
     of shape (2, s.size).  Each panel adds the roundoff-sized constant that
     makes its series return the panel's start state exactly at its left end,
-    so the neck value u(0) = a is exact.  The panels are either the
-    collocation panels (33 terms each) or their pieces (``_pieces``), whose
-    coefficient arrays are ragged: a piece keeps only the terms it needs.
+    so the neck value u(0) = a is exact.  Its panels are the pieces that
+    ``_pieces`` cuts from the collocation panels, and their coefficient
+    arrays are ragged: a piece keeps only the terms it needs.
 
     A panel's series is summed by Clenshaw's recurrence in place, ``_BLOCK``
     points at a time: three (2, _BLOCK) buffers rotate through the steps
@@ -296,9 +296,14 @@ class RadialProfile:
         return 2.0 * self.lam
 
     def _check_range(self, s):
+        """s as a float array; a ValueError if some s is NaN or |s| > s_max.  The
+        one range check: a graph is checked on the heights s0 + phi it is measured at."""
         s = np.asarray(s, dtype=float)
-        if not np.all(np.abs(s) <= self.s_max * (1.0 + 1e-12)):  # NaN fails too
-            raise ValueError(f"arclength outside integrated range [-{self.s_max}, {self.s_max}]")
+        if not np.all(np.abs(s) <= self.s_max * (1.0 + 1e-12)):
+            bad = s[~np.isfinite(s)]
+            worst = f"non-finite s = {bad[0]}" if bad.size else f"|s| up to {np.abs(s).max():.6g}"
+            span = f"[-{self.s_max}, {self.s_max}]"
+            raise ValueError(f"arclength outside integrated range {span}: {worst}")
         return s
 
     def _state(self, s, with_ddu: bool = False):
@@ -368,8 +373,8 @@ def integrate_profile(
     Parameters
     ----------
     a : float
-        Neck radius; must be a minimal slice of the induced model, i.e.
-        u''(0) >= 0 (necks and cylinders, not bellies).
+        Neck radius, at least ``models.MIN_NECK``; must be a minimal slice of
+        the induced model, i.e. u''(0) >= 0 (necks and cylinders, not bellies).
     q, lam : float
         Charge and cosmological constant.
     s_max : float
@@ -388,8 +393,7 @@ def integrate_profile(
     ProfileIntegrationError
         If u falls below 1e-3 a at a node, or a panel shrinks below 1e-6 s_max.
     """
-    if a <= 0.0:
-        raise ValueError("integrate_profile requires a > 0")
+    m = params_from_neck(a, q, lam).m  # refuses a neck below models.MIN_NECK
     if not (1e-14 <= tol <= 1e-6):
         raise ValueError("tol must lie in [1e-14, 1e-6]")
     if not 0.0 < s_max <= _MAX_S:
@@ -428,7 +432,6 @@ def integrate_profile(
         breaks.append(s_max if s_max - s0 - width <= 1e-12 * s_max else s0 + width)
         width *= 2.0
 
-    m = params_from_neck(a, q, lam).m
     # Constant solutions exist exactly when Q^2 = a^2 (1 - Lambda a^2).
     kind = KIND_NARIAI if abs(1.0 - lam * a**2 - q**2 / a**2) <= 1e-12 else KIND_RNDS
 

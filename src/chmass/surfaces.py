@@ -40,15 +40,12 @@ __all__ = [
 
 @dataclass(eq=False)
 class GraphSurface:
-    """Normal graph over the slice at arclength s0, with height field phi."""
+    """Normal graph s0 + phi over the slice at s0; its range is checked when it is measured."""
 
     profile: RadialProfile
     s0: float
     phi: ScalarField
-
-    def __post_init__(self):
-        _check_heights(self.profile, self.s0, self.phi.values)
-        self._geom: SurfaceGeometry | None = None  # induced_geometry's result
+    _geom: SurfaceGeometry | None = field(default=None, init=False, repr=False)
 
     @property
     def grid(self) -> SphereGrid:
@@ -113,18 +110,6 @@ def _mass_grid(grid: SphereGrid, lmax: int, size: float) -> SphereGrid:
     return build_grid(n, 2 * n) if size <= 0.05 and n < grid.n_theta else grid
 
 
-def _check_heights(prof: RadialProfile, s0, heights: np.ndarray) -> None:
-    """The one check of graphs s0 + heights, one or a stack: finite, |s| <= s_max."""
-    f = s0 + heights
-    if not np.all(np.isfinite(f)):
-        raise ValueError("field contains non-finite values")
-    if np.any(np.abs(f) > prof.s_max):
-        raise ValueError(
-            f"graph leaves the integrated range: |s0 + phi| up to "
-            f"{np.abs(f).max():.6g} > s_max = {prof.s_max}"
-        )
-
-
 def _graph_masses(prof: RadialProfile, grid: SphereGrid, s0, d: dict, t=None) -> dict:
     """Area, charge and mch (at zeta = 2 Lambda) of the stack of graphs
     s0 + t f, from the ``synth_derivs`` dict ``d`` of the heights f.
@@ -132,16 +117,10 @@ def _graph_masses(prof: RadialProfile, grid: SphereGrid, s0, d: dict, t=None) ->
     s0 and d["f"] broadcast to (n, n_theta, n_phi); a caller holding grid
     values transforms them itself.  t is None or one scale per graph, (n, 1,
     1): a stencil scales one height n ways, a drawn stack passes its unscaled
-    dict and the scales ``_random_c2_stack`` returned.  The check reads s0 +
-    t times each height's extremes, the heights the kernel measures.  Chunks
-    of at most ``_STACK_NODES`` nodes (one graph at least) reach the kernel,
-    each scaled on its own.  The kernel runs mass only: it stops at these
-    three scalars, which equal ``induced_geometry``'s bit for bit."""
-    heights = d["f"]
-    if t is not None:  # s0 + t h is extreme where h is, graph by graph
-        nodes = dict(axis=(-2, -1), keepdims=True)
-        heights = t * np.concatenate([heights.min(**nodes), heights.max(**nodes)], axis=-1)
-    _check_heights(prof, s0, heights)
+    dict and the scales ``_random_c2_stack`` returned.  Chunks of at most
+    ``_STACK_NODES`` nodes (one graph at least) reach the kernel, each scaled
+    on its own and range-checked by its profile read.  The kernel runs mass
+    only: its three scalars equal ``induced_geometry``'s bit for bit."""
     n = np.broadcast_shapes(np.shape(s0), np.shape(t), d["f"].shape)[0]
     step = max(1, _STACK_NODES // (grid.n_theta * grid.n_phi))
     out = {name: np.empty(n) for name in ("area", "charge", "mch")}
@@ -257,7 +236,8 @@ def induced_geometry(surface: GraphSurface) -> SurfaceGeometry:
     height carries.  A slice is the graph of a constant height, and its
     closed form is ``profile.curvature_scalars``.  The mass is taken at the
     profile's zeta = 2 Lambda; ``charged_hawking_mass`` evaluates any other
-    zeta from this geometry.  The result is cached on the surface.
+    zeta from this geometry.  The result is cached on the surface.  The
+    profile read refuses a graph that leaves [-s_max, s_max] (ValueError).
     """
     if surface._geom is None:
         prof, grid = surface.profile, surface.grid

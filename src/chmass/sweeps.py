@@ -38,7 +38,12 @@ def _axis_values(triple):
 
 def _identity_rows(a2: np.ndarray, q2: np.ndarray):
     A2, Q2 = np.meshgrid(a2, q2, indexing="ij")
-    res = eigenvalue_area_charge_residual(np.sqrt(A2), np.sqrt(Q2))
+    with np.errstate(all="ignore"):  # a^4, 4 pi a^2 or Q^2/a^2 can leave the floats
+        res = eigenvalue_area_charge_residual(np.sqrt(A2), np.sqrt(Q2))
+    bad = np.flatnonzero(~np.isfinite(res))
+    if bad.size:
+        x, y = A2.flat[bad[0]], Q2.flat[bad[0]]
+        raise ValueError(f"check 'identity' has a non-finite residual at a2 = {x:g}, q2 = {y:g}")
     return list(zip(A2.ravel().tolist(), Q2.ravel().tolist(), res.ravel().tolist()))
 
 

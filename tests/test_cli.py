@@ -373,6 +373,74 @@ def test_variation_band_beyond_grid_is_usage_error(capsys):
     assert "beyond grid band" in err and "Traceback" not in err
 
 
+# inputs at the edges of the float range, each with None (it must exit 0 with
+# finite numbers) or a phrase of its one error line.  Below the neck floor u^3
+# or a^2 underflows to 0; the identity sweeps' a^4 underflows or 4 pi a^2
+# overflows; at Lambda = 1e-80 the companion roots lose the neck and merge
+# into a spurious double root, and at 1e-300 they overflow.
+_BOUNDARY = [
+    (["profile", "--neck-a", "1e-110", "--q", "0"], "--neck-a must be at least"),
+    (["spectrum", "--neck-a", "1e-110", "--q", "0", "--grid", "16"], "--neck-a must be at least"),
+    (["foliate", "--neck-a", "1e-110", "--q", "0"], "--neck-a must be at least"),
+    (["variation", "--neck-a", "1e-110", "--q", "0", "--phi", "Y:1,0", "--grid", "16"],
+     "--neck-a must be at least"),
+    (["localmax", "--neck-a", "1e-110", "--q", "0"], "--neck-a must be at least"),
+    (["horizons", "--neck-a", "1e-170"], "--neck-a must be at least"),
+    (["profile", "--neck-a", "1e-50", "--q", "0"], "collocation panel width collapsed"),
+    (["horizons", "--neck-a", "0.5", "--q", "0.3", "--lambda", "1e-40"], None),
+    (["horizons", "--neck-a", "0.5", "--q", "0.3", "--lambda", "1e-80"], "not a critical point"),
+    (["horizons", "--neck-a", "0.5", "--q", "0.3", "--lambda", "1e-300"], "is not finite"),
+    (["horizons", "--m", "1e308"], "non-finite monic coefficients"),
+    (["sweep", "--check", "identity", "--a2", "1e-300:1e-299:3", "--q2", "0:1e-300:3"],
+     "non-finite residual at a2 = 1e-300"),
+    (["sweep", "--check", "identity", "--a2", "0.1:1e308:3", "--q2", "0:0.1:3"],
+     "non-finite residual at a2 = 5e+307"),
+    (["sweep", "--check", "identity", "--a2", "1e-10:1e10:3", "--q2", "0:1:3"], None),
+    (["sweep", "--check", "window", "--a2", "1e-320:0.5:3", "--q2", "0.01:0.1:3"],
+     "params_from_neck requires a > 0"),
+    (["variation", "--neck-a", "0.5", "--q", "0.3", "--phi", "Y:1", "--grid", "16"],
+     "--phi must be 'Y:l,m' (integers l, m) or a ScalarField JSON path, got 'Y:1'"),
+    (["variation", "--neck-a", "0.5", "--q", "0.3", "--phi", "Y:a,b", "--grid", "16"],
+     "--phi must be 'Y:l,m' (integers l, m) or a ScalarField JSON path, got 'Y:a,b'"),
+    (["variation", "--neck-a", "0.5", "--q", "0.3", "--phi", "Y:1,0", "--grid", "16",
+      "--dt", "10"], "arclength outside integrated range [-1.0, 1.0]: |s| up to 9.66848"),
+    (["variation", "--neck-a", "0.5", "--q", "0.3", "--phi", "Y:1,0", "--grid", "16"], None),
+]
+
+
+def _numbers(argv, out):
+    """The numbers a run printed: the horizons and variation JSON leaves, or the sweep CSV."""
+    if argv[0] == "sweep":
+        return [float(x) for line in out.splitlines()[1:] for x in line.split(",")]
+    payload = json.loads(out)
+    if argv[0] == "variation":  # null on symmetric stencils, where the FD differences are equal
+        del payload["first_fd_order"], payload["first_floor_ratio"]
+
+    def leaves(x):
+        if isinstance(x, dict):
+            return [v for y in x.values() for v in leaves(y)]
+        if isinstance(x, list):
+            return [v for y in x for v in leaves(y)]
+        return [x] if not isinstance(x, str) else []
+    return leaves(payload)
+
+
+@pytest.mark.parametrize("argv, error", _BOUNDARY, ids=[" ".join(a) for a, _ in _BOUNDARY])
+def test_boundary_input_prints_finite_numbers_or_one_error_line(capsys, argv, error):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = invoke(capsys, *argv)
+    assert [str(w.message) for w in caught] == []  # a warning would be a second stderr line
+    if error is None:
+        assert code == 0 and err == ""
+        numbers = _numbers(argv, out)
+        assert numbers and all(isinstance(x, (int, float)) and math.isfinite(x) for x in numbers)
+    else:
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith(f"chmass {argv[0]}: error: ")
+        assert error in err and "Traceback" not in err
+
+
 def test_foliate_csv(capsys):
     code, out, _ = invoke(
         capsys, "foliate", "--neck-a", "0.5", "--q", "0.3", "--t-max", "0.4", "--steps", "5",

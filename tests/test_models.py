@@ -9,6 +9,7 @@ from chmass.models import (
     CLASS_DOUBLE_OUTER,
     CLASS_GENERIC,
     HORIZON_TOL,
+    MIN_NECK,
     ModelParams,
     admissible_window,
     horizon_roots,
@@ -61,10 +62,12 @@ def test_window_and_nariai_need_positive_lambda(lam):
         nariai_from_alpha(0.8, lam)
 
 
-@pytest.mark.parametrize("a", [0.0, -0.5])
+@pytest.mark.parametrize("a", [0.0, -0.5, 1e-78, 1e-170, float("nan")])
 def test_neck_constructor_needs_positive_radius(a):
+    # below MIN_NECK a^4 is subnormal; at 1e-170 a^2 is 0 and Q^2/a^2 divided by zero
     with pytest.raises(ValueError, match="params_from_neck requires a > 0"):
         params_from_neck(a, 0.3, 1.0)
+    assert params_from_neck(MIN_NECK, 0.0).m == 0.5 * MIN_NECK * (1.0 - MIN_NECK**2 / 3.0)
 
 
 def test_mass_identity_algebraic():
@@ -113,6 +116,22 @@ class TestHorizonRoots:
         with pytest.raises(ValueError):
             horizon_roots(ModelParams(0.1, 0.1, 0.0))
 
+    def test_nonfinite_coefficients_are_refused(self):
+        # 6 m / Lambda overflows, which the companion matrix cannot take
+        with pytest.raises(ValueError, match="non-finite monic coefficients"):
+            horizon_roots(ModelParams(1e308, 0.0, 1.0))
+
+    @pytest.mark.parametrize("lam, error", [
+        (1e-80, "merged horizon root r = 0.179.* is not a critical point"),
+        (1e-300, "is not finite"),
+    ])
+    def test_roots_that_fail_their_check_are_refused(self, lam, error):
+        # at Lambda = 1e-80 the neck root 0.5 is lost among companion entries
+        # up to 3e80, and two copies of the root 0.18 merge into a spurious
+        # double root; at 1e-300 the roots +-sqrt(3/Lambda) overflow the quartic
+        with pytest.raises(ValueError, match=error):
+            horizon_roots(params_from_neck(0.5, 0.3, lam))
+
     def test_double_roots_at_the_window_edges_are_horizons(self):
         # at m_min and m_max two horizons coincide; the companion eigenvalues
         # often come out as a complex pair, whose real part Newton polishing
@@ -130,6 +149,13 @@ class TestHorizonRoots:
             p = params_from_neck(a, 0.3, 1.0)
             radii = [r for r, _ in horizon_roots(p).roots]
             assert min(abs(r - a) for r in radii) < 1e-8
+
+    def test_small_lambda_keeps_the_neck_root(self):
+        # Lambda = 1e-40 is still resolved: the neck is a simple root beside
+        # 0.18 and +-sqrt(3/Lambda), and the roots pass their check
+        hs = horizon_roots(params_from_neck(0.5, 0.3, 1e-40))
+        assert hs.classification == CLASS_GENERIC
+        assert abs(hs.r_plus - 0.5) < 1e-8 and abs(hs.r_minus - 0.18) < 1e-8
 
 
 class TestAdmissibleWindow:

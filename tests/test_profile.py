@@ -361,6 +361,9 @@ class TestErrors:
     def test_positive_neck_required(self):
         with pytest.raises(ValueError):
             integrate_profile(-0.5, 0.3, 1.0)
+        # u^3 underflows to 0 at a = 1e-110: refused, not a ZeroDivisionError
+        with pytest.raises(ValueError, match="requires a > 0 with a normal a"):
+            integrate_profile(1e-110, 0.0, 1.0)
 
 
 def test_nariai_first_integral_is_the_nariai_mass():

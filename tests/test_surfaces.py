@@ -228,8 +228,12 @@ def test_surface_with_cached_geometry_frees_on_del(prof, grid):
 
 
 def test_range_violation_rejected(prof, grid):
-    with pytest.raises(ValueError):
-        GraphSurface(prof, 1.99, ScalarField(grid, np.full((32, 64), 0.1)))
+    # a surface reads no grid values: its range is checked when it is measured
+    surf = GraphSurface(prof, 1.99, ScalarField(grid, np.full((32, 64), 0.1)))
+    with pytest.raises(ValueError, match=r"outside integrated range \[-2.0, 2.0\]: \|s\| up to 2.09"):
+        induced_geometry(surf)
+    with pytest.raises(ValueError, match="outside integrated range"):
+        gauss_curvature_brioschi(surf, [1.0], [0.5])
 
 
 def test_grid_shape_guard(prof, grid):
@@ -305,7 +309,7 @@ def test_stack_check_rejects_any_graph(prof, grid):
     with pytest.raises(ValueError, match="non-finite"):
         _graph_masses(prof, grid, 0.0, bad, t)
     s0 = np.array([0.0, 2.5, 0.0])[:, None, None]
-    with pytest.raises(ValueError, match="leaves the integrated range"):
+    with pytest.raises(ValueError, match="outside integrated range"):
         _graph_masses(prof, grid, s0, heights, t)
 
 
@@ -316,7 +320,7 @@ def test_drawn_stack_is_checked_on_the_heights_it_measures(prof, grid):
     drawn, scale, _ = _random_c2_stack(grid, range(3), 4, 0.05)
     t = scale[:, None, None]
     reach = prof.s_max / np.abs(t * drawn["f"]).max()
-    with pytest.raises(ValueError, match="leaves the integrated range"):
+    with pytest.raises(ValueError, match="outside integrated range"):
         _graph_masses(prof, grid, 0.0, drawn, 1.01 * reach * t)
     inside = _graph_masses(prof, grid, 0.0, drawn, 0.99 * reach * t)
     assert np.all(np.isfinite(inside["mch"]))
@@ -338,14 +342,14 @@ def test_drawn_stack_with_its_scales_is_the_scaled_stack(prof, n_theta):
 def test_scaled_heights_are_checked_not_the_unscaled(prof, grid):
     # unscaled, the three heights reach 0.9, 0.45 and 0.9 of s_max.  A scale
     # of 2.3 carries the second out of the range; one of 2.2 keeps it inside,
-    # since each graph is checked on its own extremes (2.2 times the largest
-    # height of the stack would leave the range)
+    # since each graph is checked on its own scaled heights (2.2 times the
+    # largest height of the stack would leave the range)
     drawn, _, _ = _random_c2_stack(grid, range(3), 4, 0.05)
     peak = np.abs(drawn["f"]).max(axis=(1, 2), keepdims=True)
     reach = np.array([0.9, 0.45, 0.9])[:, None, None] * prof.s_max
     heights = {key: (reach / peak) * v for key, v in drawn.items()}
     assert np.abs(heights["f"]).max() < prof.s_max
-    with pytest.raises(ValueError, match="leaves the integrated range"):
+    with pytest.raises(ValueError, match="outside integrated range"):
         _graph_masses(prof, grid, 0.0, heights, np.array([1.0, 2.3, 1.0])[:, None, None])
     inside = _graph_masses(prof, grid, 0.0, heights, np.array([1.0, 2.2, 1.0])[:, None, None])
     assert np.all(np.isfinite(inside["mch"]))
