@@ -91,16 +91,17 @@ def _load_config(path: str) -> dict:
 
 _REQUIRED = object()  # default of a flag the subcommand cannot run without
 _UNIT_LAMBDA = object()  # default of --lambda where only Lambda = 1 is implemented
+_MAX_ROOT = math.sqrt(sys.float_info.max)  # the largest float whose square is finite
 
 
 def _resolve(args: argparse.Namespace, config: dict, defaults: dict) -> dict:
     """Each dest of ``defaults``: its flag's value, else the config file's
     (converted to the flag's type), else the default.
 
-    A NaN or infinite float, a --neck-a below ``models.MIN_NECK``, a missing
-    required flag and a --lambda other than 1 where only Lambda = 1 is
-    implemented are usage errors that name the flag; they are raised in the
-    order of ``defaults``.
+    A NaN or infinite float, a --q or --neck-a whose square is not a finite
+    float, a --neck-a below ``models.MIN_NECK``, a missing required flag and
+    a --lambda other than 1 where only Lambda = 1 is implemented are usage
+    errors that name the flag; they are raised in the order of ``defaults``.
     """
     values = {}
     for dest, default in defaults.items():
@@ -110,6 +111,10 @@ def _resolve(args: argparse.Namespace, config: dict, defaults: dict) -> dict:
             val = typ(config[dest])
         if isinstance(val, float) and not math.isfinite(val):
             raise ValueError(f"{flag} must be finite, got {val}")
+        if dest in ("q", "neck_a") and val is not None and abs(val) > _MAX_ROOT:
+            raise ValueError(
+                f"{flag} must be at most {_MAX_ROOT:.6g} in magnitude (a finite square), got {val}"
+            )
         if dest == "neck_a" and val is not None:
             from .models import MIN_NECK  # each command reading --neck-a loads models
             if not val >= MIN_NECK:
@@ -274,8 +279,12 @@ def cmd_variation(v: dict):
     prof = integrate_profile(v["neck_a"], v["q"], 1.0, s_max=max(1.0, abs(s0) + 0.5))
     report = variation_report(prof, s0, speed, dt=v["dt"])
     _maybe_emit_field(v, speed)
-    # the second-variation block is None away from the minimal slice
-    return {k: x for k, x in _fields(report).items() if x is not None}
+    # the second-variation block is None away from the minimal slice; the FD
+    # order and floor ratio are undefined (nan, inf) where a difference is 0
+    return {
+        k: x for k, x in _fields(report).items()
+        if x is not None and (k not in ("first_fd_order", "first_floor_ratio") or math.isfinite(x))
+    }
 
 
 def cmd_foliate(v: dict):

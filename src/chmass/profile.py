@@ -112,6 +112,10 @@ _MIN_PANEL = 1e-6  # smallest panel, relative to s_max
 # memory grow linearly with s_max (at 2e4: 47,808 pieces, 7.5 s and 156 MB
 # peak RSS on a 2-vCPU Xeon VM)
 _MAX_S = 1e4
+# smallest s_max: its smallest panel (1e-296) has node offsets above 1e-299
+# and a differentiation matrix (2/h) D below 1e299, all normal floats; at
+# 1e-307 Newton overflows, and at 1e-320 the width itself is subnormal
+_MIN_S = 1e-290
 _PIECES = 8  # equal pieces per collocation panel, each with its own series
 # a piece drops the trailing coefficients whose absolute sum is at most this
 # times its largest |u| or |u'|
@@ -379,7 +383,7 @@ def integrate_profile(
         Charge and cosmological constant.
     s_max : float
         Half-width of the integrated arclength range [-s_max, s_max]; in
-        (0, 1e4].
+        [1e-290, 1e4], so that every panel's arithmetic stays in normal floats.
     tol : float
         Bound on each panel's trailing Chebyshev coefficients of (u, u'),
         relative to the panel's largest |u| or |u'|; within [1e-14, 1e-6].
@@ -398,6 +402,8 @@ def integrate_profile(
         raise ValueError("tol must lie in [1e-14, 1e-6]")
     if not 0.0 < s_max <= _MAX_S:
         raise ValueError(f"s_max must be positive and at most {_MAX_S:g}, got {s_max}")
+    if s_max < _MIN_S:
+        raise ValueError(f"s_max must be at least {_MIN_S:g} (normal panel widths), got {s_max}")
     ddu0 = profile_rhs(a, 0.0, q, lam)
     if ddu0 < -1e-10:
         raise ValueError(

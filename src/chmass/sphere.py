@@ -456,8 +456,8 @@ class SphereGrid:
 class ScalarField:
     """Scalar samples on a SphereGrid, stored row-major theta-then-phi, and
     their real harmonic coefficients: ``ScalarField(grid, values)`` analyzes
-    the values once, over the full grid band.  A caller that synthesized the
-    values from coefficients passes those as ``coeffs`` instead."""
+    the values once, over the full grid band.  ``from_coeffs``, which
+    synthesized the values from coefficients, passes those as ``coeffs``."""
 
     grid: SphereGrid
     values: np.ndarray
@@ -540,31 +540,24 @@ def random_c2_field(
 
     The coefficients are ``np.random.default_rng(seed).standard_normal(n)``
     for n = n_coeffs(lmax), in flat l^2 + l + m order, so a band-4 draw is
-    the prefix of the band-8 draw of the same seed.  The field is then
-    normalized on the spectral partials of its drawn coefficients, so its
-    C^2 norm is ``amplitude``.  It carries the scaled band-lmax coefficients
-    and the values drawn with them, so it is never analyzed, and ``c2_norm``
-    reads it back to a few ulps.  The draw depends on the seed alone (see
-    ``_random_c2_stack``).
+    the prefix of the band-8 draw of the same seed.  They are scaled so that
+    the field's C^2 norm is ``amplitude`` (see ``_random_c2_stack``), and the
+    field is ``ScalarField.from_coeffs`` of them: never analyzed, its values
+    one synthesis of its coefficients, which ``c2_norm`` reads back to a few
+    ulps.
     """
-    d, scale, coeffs = _random_c2_stack(grid, [seed], lmax, amplitude)
-    return ScalarField(grid, scale[0] * d["f"][0], coeffs[0])
+    return ScalarField.from_coeffs(grid, _random_c2_stack(grid, [seed], lmax, amplitude)[0])
 
 
-def _random_c2_stack(grid: SphereGrid, seeds, lmax: int, amplitude: float):
-    """The draws of ``random_c2_field``, one per seed: their ``synth_derivs``
-    dict, unscaled, of arrays of shape (len(seeds), n_theta, n_phi); each
-    draw's scale, amplitude over the C^2 norm of those partials, of shape
-    (len(seeds),); and the scaled coefficients, of shape (len(seeds),
-    n_coeffs(lmax)).
+def _random_c2_stack(grid: SphereGrid, seeds, lmax: int, amplitude: float) -> np.ndarray:
+    """The scaled coefficients of ``random_c2_field``'s draws, one row per
+    seed: shape (len(seeds), n_coeffs(lmax)).
 
     Each seed is a nonnegative integer or a sequence of them, as numpy's
     ``default_rng`` takes it; row i is one ``standard_normal`` draw of its
-    own Generator.  The drawn coefficients (band lmax) are
-    derivative-synthesized once, as one stack, and no stack is ever
-    analyzed.  The transforms are linear, so draw i's partials times
-    scale[i] are those of its scaled coefficients: a caller scales only
-    what it reads (``_graph_masses`` takes the scales as its t)."""
+    own Generator, times amplitude over the C^2 norm of its partials.  The
+    drawn coefficients (band lmax) are derivative-synthesized once, as one
+    stack, for those norms, and no stack is ever analyzed."""
     if lmax > grid.n_theta / 4:
         raise ValueError("lmax too large for this grid (need lmax <= n_theta/4)")
     if amplitude < 0:
@@ -574,9 +567,8 @@ def _random_c2_stack(grid: SphereGrid, seeds, lmax: int, amplitude: float):
             raise ValueError(f"seed must be a nonnegative integer, got {np.min(seed)}")
     # np.random is loaded on first draw, not when chmass is imported
     coeffs = np.array([np.random.default_rng(s).standard_normal(n_coeffs(lmax)) for s in seeds])
-    d = grid.synth_derivs(coeffs)
-    scale = amplitude / _c2_norms(grid, d)
-    return d, scale, scale[:, None] * coeffs
+    scale = amplitude / _c2_norms(grid, grid.synth_derivs(coeffs))
+    return scale[:, None] * coeffs
 
 
 def scalar_field_to_dict(f: ScalarField) -> dict:

@@ -116,8 +116,7 @@ def _graph_masses(prof: RadialProfile, grid: SphereGrid, s0, d: dict, t=None) ->
 
     s0 and d["f"] broadcast to (n, n_theta, n_phi); a caller holding grid
     values transforms them itself.  t is None or one scale per graph, (n, 1,
-    1): a stencil scales one height n ways, a drawn stack passes its unscaled
-    dict and the scales ``_random_c2_stack`` returned.  Chunks of at most
+    1), as a stencil scales its one height n ways.  Chunks of at most
     ``_STACK_NODES`` nodes (one graph at least) reach the kernel, each scaled
     on its own and range-checked by its profile read.  The kernel runs mass
     only: its three scalars equal ``induced_geometry``'s bit for bit."""

@@ -89,13 +89,16 @@ SWEEP_CHECKS = {
 }
 
 # check -> {axis: (lo, hi)}: the open interval where the check's row function
-# is defined.  A neck needs a > 0.  The admissible mass window needs
-# 0 < Q^2 <= 1/4, but at Q^2 = 1/4 it is a single mass whose horizons merge
-# into one triple root; a mass strictly inside it has three distinct horizons.
+# is defined.  A neck needs a > 0, and a window row's a = sqrt(a2) needs
+# a >= models.MIN_NECK (about 2^-255.5), which every a2 above 2^-511 meets;
+# the bound is written out, so that an identity sweep does not load models.
+# The admissible mass window needs 0 < Q^2 <= 1/4, but at Q^2 = 1/4 it is a
+# single mass whose horizons merge into one triple root; a mass strictly
+# inside it has three distinct horizons.
 _DOMAINS = {
     "identity": {"a2": (0.0, math.inf)},
     "areacharge": {"q2": (0.0, 0.25), "mfrac": (0.0, 1.0)},
-    "window": {"a2": (0.0, math.inf)},
+    "window": {"a2": (2.0**-511, math.inf)},
 }
 
 

@@ -35,14 +35,14 @@ diagnostics (the CMC foliation, the Nariai equality) are in ``profile``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .profile import RadialProfile, integrate_profile
 from .sphere import (
-    ScalarField, SphereGrid, _c2_norms, _degrees, _random_c2_stack, build_grid, c2_norm,
-    coeff_index,
+    ScalarField, SphereGrid, _c2_norms, _degrees, _random_c2_stack, build_grid, coeff_index,
 )
 from .spectrum import lambda1_analytic, stability_window
 from .surfaces import (
@@ -201,10 +201,17 @@ def _scaled_masses(prof: RadialProfile, grid: SphereGrid, s0: float, coeffs, ts)
     return dict(zip(ts.tolist(), mch.tolist())), mass_grid, d
 
 
+# the smallest step, 2^-511: the stencils divide by dt^2, normal from here on
+_MIN_DT = math.sqrt(sys.float_info.min)
+
+
 def _check_dt(dt: float) -> None:
+    """Refuse a dt that is not finite and at least ``_MIN_DT`` (1.49e-154)."""
     if not (math.isfinite(dt) and dt > 0.0):
         kind = "non-positive" if math.isfinite(dt) else "non-finite"
         raise ValueError(f"dt must be positive and finite, got {kind} dt = {dt}")
+    if dt < _MIN_DT:
+        raise ValueError(f"dt must be at least {_MIN_DT:.6g} (a normal dt^2), got {dt}")
 
 
 def _first_fd_steps(dt: float):
@@ -369,12 +376,12 @@ def local_max_experiment(
     of the height on the draw grid (equality should only occur for slices).
 
     Heights are drawn and normalized in stacks of ``_STACK_NODES`` draw-grid
-    nodes (8 graphs), and only their scaled coefficients are kept; each draw
-    depends on its sample alone.  The masses are summed in blocks of
-    ``_STACK_NODES`` mass-grid nodes (32 graphs): each block is
-    derivative-synthesized once on the mass grid and sent through the
-    mass-only kernel once.  A sample within ``_NEAR_TOL`` of equality loses
-    its mean as c_00 = 0.
+    nodes (8 graphs), each draw its scaled coefficients, which depend on its
+    sample alone.  The masses are summed in blocks of ``_STACK_NODES``
+    mass-grid nodes (32 graphs): each block is derivative-synthesized once on
+    the mass grid and sent through the mass-only kernel once.  A sample
+    within ``_NEAR_TOL`` of equality loses its mean as c_00 = 0, and the C^2
+    norms of those samples are read in stacks of 8 graphs, one synthesis each.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
@@ -388,7 +395,7 @@ def local_max_experiment(
     coeffs = np.concatenate([
         _random_c2_stack(
             grid, [[seed, k] for k in range(start, min(start + draw, n_samples))], _LMAX, amplitude
-        )[2]
+        )
         for start in range(0, n_samples, draw)
     ])
     block = _STACK_NODES // (mass_grid.n_theta * mass_grid.n_phi)
@@ -404,7 +411,10 @@ def local_max_experiment(
     m_draw = _graph_masses(prof, grid, 0.0, grid.synth_derivs(coeffs[top : top + 1]))["mch"]
     nonconstant = coeffs[excess >= -_NEAR_TOL]
     nonconstant[:, coeff_index(0, 0)] = 0.0
-    near = [c2_norm(ScalarField.from_coeffs(grid, c)) for c in nonconstant]
+    near = [  # in stacks of `draw` graphs, as they were drawn
+        v for i in range(0, len(nonconstant), draw)
+        for v in _c2_norms(grid, grid.synth_derivs(nonconstant[i : i + draw])).tolist()
+    ]
     return LocalMaxReport(
         a=a, q=q, n_samples=n_samples, amplitude=amplitude, seed=seed,
         max_excess=float(excess[top]),

@@ -153,7 +153,7 @@ def crit_04_slice_mass_constancy():
 def crit_05_charge_invariance():
     prof = integrate_profile(0.5, 0.3, 1.0, s_max=1.0, tol=1e-10)
     draw_grid = build_grid(64, 128)
-    coeffs = _random_c2_stack(draw_grid, range(20), 4, 0.05)[2]
+    coeffs = _random_c2_stack(draw_grid, range(20), 4, 0.05)
     grid = _mass_grid(draw_grid, 4, 0.05)
     flux = _graph_masses(prof, grid, 0.0, grid.synth_derivs(coeffs))["charge"]
     return [("flux charge over 20 seeded graphs", np.abs(flux - 0.3).max(), 1e-6)]

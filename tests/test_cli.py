@@ -255,18 +255,44 @@ def test_variation_minimal_slice(capsys):
     assert payload["first_analytic"] == pytest.approx(0.0, abs=1e-12)
     assert payload["z_max"] <= 1e-10
     # the report's own fields, first_order renamed; the second-variation
-    # block only at s0 = 0
+    # block only at s0 = 0.  The Y_{1,0} stencil's masses are symmetric, so
+    # its FD order and floor ratio are undefined and left out; Y_{2,0}'s at
+    # s0 = 0.3 are defined
     first = [
         "first_analytic", "first_fd", "first_fd_order", "first_floor_ratio", "z_max", "dt",
         "mass_resolution",
     ]
     second = ["second_analytic", "second_as_printed", "second_fd", "second_fd_step_gap"]
-    assert list(payload) == first + second
+    defined = [k for k in first if k not in ("first_fd_order", "first_floor_ratio")]
+    assert list(payload) == defined + second
     code, out, _ = invoke(
         capsys, "variation", "--neck-a", "0.5", "--q", "0.3", "--s0", "0.3",
         "--phi", "Y:1,0", "--grid", "16",
     )
+    assert code == 0 and list(json.loads(out)) == defined
+    code, out, _ = invoke(
+        capsys, "variation", "--neck-a", "0.5", "--q", "0.3", "--s0", "0.3",
+        "--phi", "Y:2,0", "--grid", "16",
+    )
     assert code == 0 and list(json.loads(out)) == first
+
+
+def test_variation_leaves_out_undefined_fd_fields(capsys):
+    # README's example: the Y_{1,0} stencil's masses are exactly symmetric, so
+    # the three central differences are 0, and the FD order (nan) and floor
+    # ratio (inf) are left out, not printed as null.  The report keeps them,
+    # so the order checks of criterion 08 fail on them.
+    argv = ["variation", "--neck-a", "0.5", "--q", "0.3", "--phi", "Y:1,0"]
+    code, out, err = invoke(capsys, *argv)
+    payload = json.loads(out)
+    assert code == 0 and err == "" and payload["first_fd"] == 0.0
+    assert "first_fd_order" not in payload and "first_floor_ratio" not in payload
+    assert "second_fd" in payload and "null" not in out
+    from chmass.profile import integrate_profile
+    from chmass.variations import variation_report
+    phi = ScalarField.from_coeffs(build_grid(32, 64), np.eye(4)[2])
+    report = variation_report(integrate_profile(0.5, 0.3, 1.0, s_max=1.0), 0.0, phi)
+    assert math.isnan(report.first_order) and report.first_floor_ratio == math.inf
 
 
 def test_mass_wrong_length_surface_is_named(capsys, tmp_path):
@@ -373,11 +399,27 @@ def test_variation_band_beyond_grid_is_usage_error(capsys):
     assert "beyond grid band" in err and "Traceback" not in err
 
 
+# each subcommand that reads --q: its model flags other than --q, and the
+# flags it needs besides
+_Q_COMMANDS = [
+    ("horizons", ["--m", "0.3"], []),
+    ("profile", ["--neck-a", "0.5"], []),
+    ("spectrum", ["--neck-a", "0.5"], ["--grid", "16"]),
+    ("variation", ["--neck-a", "0.5"], ["--phi", "Y:1,0", "--grid", "16"]),
+    ("foliate", ["--neck-a", "0.5"], []),
+    ("localmax", ["--neck-a", "0.5"], []),
+    ("electrostatics", ["--m", "0.3"], []),
+]
+
 # inputs at the edges of the float range, each with None (it must exit 0 with
 # finite numbers) or a phrase of its one error line.  Below the neck floor u^3
 # or a^2 underflows to 0; the identity sweeps' a^4 underflows or 4 pi a^2
 # overflows; at Lambda = 1e-80 the companion roots lose the neck and merge
-# into a spurious double root, and at 1e-300 they overflow.
+# into a spurious double root, and at 1e-300 they overflow.  Above 1.34e154
+# the square of --q or --neck-a overflows; below s_max = 1e-290 a collocation
+# panel's arithmetic leaves the normal floats, and below dt = 2^-511 dt^2
+# does.  A Y:1,0 or Y:2,1 stencil has exactly symmetric masses, so its FD
+# order and floor ratio are undefined and left out of the output.
 _BOUNDARY = [
     (["profile", "--neck-a", "1e-110", "--q", "0"], "--neck-a must be at least"),
     (["spectrum", "--neck-a", "1e-110", "--q", "0", "--grid", "16"], "--neck-a must be at least"),
@@ -397,7 +439,7 @@ _BOUNDARY = [
      "non-finite residual at a2 = 5e+307"),
     (["sweep", "--check", "identity", "--a2", "1e-10:1e10:3", "--q2", "0:1:3"], None),
     (["sweep", "--check", "window", "--a2", "1e-320:0.5:3", "--q2", "0.01:0.1:3"],
-     "params_from_neck requires a > 0"),
+     "axis a2 must lie in (1.49167e-154, inf) for check 'window'"),
     (["variation", "--neck-a", "0.5", "--q", "0.3", "--phi", "Y:1", "--grid", "16"],
      "--phi must be 'Y:l,m' (integers l, m) or a ScalarField JSON path, got 'Y:1'"),
     (["variation", "--neck-a", "0.5", "--q", "0.3", "--phi", "Y:a,b", "--grid", "16"],
@@ -405,7 +447,27 @@ _BOUNDARY = [
     (["variation", "--neck-a", "0.5", "--q", "0.3", "--phi", "Y:1,0", "--grid", "16",
       "--dt", "10"], "arclength outside integrated range [-1.0, 1.0]: |s| up to 9.66848"),
     (["variation", "--neck-a", "0.5", "--q", "0.3", "--phi", "Y:1,0", "--grid", "16"], None),
+    (["variation", "--neck-a", "0.5", "--q", "0.3", "--phi", "Y:1,0"], None),
+    (["variation", "--neck-a", "0.5", "--q", "0.3", "--phi", "Y:2,1", "--grid", "16"], None),
+    *[([cmd, *base, "--q", "1e160", *rest], "--q must be at most 1.34078e+154 in magnitude")
+      for cmd, base, rest in _Q_COMMANDS],
+    *[([cmd, "--neck-a", "1e160", *rest], "--neck-a must be at most 1.34078e+154 in magnitude")
+      for cmd, base, rest in _Q_COMMANDS if cmd != "electrostatics"],
+    (["profile", "--neck-a", "0.5", "--q", "0.3", "--s-max", "1e-320"],
+     "s_max must be at least 1e-290"),
+    *[(["variation", "--neck-a", "0.5", "--q", "0.3", "--phi", "Y:2,0", "--grid", "16",
+        "--dt", dt], f"dt must be at least 1.49167e-154 (a normal dt^2), got {dt}")
+      for dt in ("1e-320", "1e-200", "1e-160")],
 ]
+
+
+def test_window_a2_floor_keeps_every_neck_above_the_neck_floor():
+    # sweeps writes the floor out, so that an identity sweep loads no models:
+    # every a2 above it has sqrt(a2) >= MIN_NECK, and the floor is not stricter
+    from chmass.models import MIN_NECK
+    from chmass.sweeps import _DOMAINS
+    lo = _DOMAINS["window"]["a2"][0]
+    assert math.sqrt(math.nextafter(lo, 1.0)) >= MIN_NECK and lo <= MIN_NECK**2
 
 
 def _numbers(argv, out):
@@ -413,8 +475,6 @@ def _numbers(argv, out):
     if argv[0] == "sweep":
         return [float(x) for line in out.splitlines()[1:] for x in line.split(",")]
     payload = json.loads(out)
-    if argv[0] == "variation":  # null on symmetric stencils, where the FD differences are equal
-        del payload["first_fd_order"], payload["first_floor_ratio"]
 
     def leaves(x):
         if isinstance(x, dict):

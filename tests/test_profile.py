@@ -345,6 +345,17 @@ class TestErrors:
         with pytest.raises(ValueError, match="s_max must be positive"):
             integrate_profile(0.5, 0.3, 1.0, s_max=s_max)
 
+    @pytest.mark.parametrize("s_max", [1e-320, 1e-307, np.nextafter(1e-290, 0.0)])
+    def test_s_max_below_the_floor_is_refused(self, s_max):
+        # below 1e-290 a collocation panel's arithmetic leaves the normal
+        # floats: at 1e-307 Newton overflows, at 1e-320 2/h divides by 0
+        with pytest.raises(ValueError, match="s_max must be at least 1e-290"):
+            integrate_profile(0.5, 0.3, 1.0, s_max=s_max)
+
+    def test_s_max_at_the_floor_integrates(self):
+        prof = integrate_profile(0.5, 0.3, 1.0, s_max=1e-290)
+        assert prof.u(1e-290) == pytest.approx(0.5, rel=1e-15)
+
     @pytest.mark.parametrize("s_max", [np.nextafter(1e4, np.inf), 1e9])
     def test_s_max_above_the_bound_is_refused_before_any_panel(self, monkeypatch, s_max):
         # work and memory grow linearly with s_max, so a range past 1e4 is

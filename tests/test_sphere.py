@@ -222,24 +222,34 @@ class TestRandomField:
 
     @pytest.mark.parametrize("n_theta", [32, 128])
     def test_stack_coefficients_are_those_of_its_partials(self, n_theta):
-        # the scaled coefficients a stack hands back synthesize its scaled
-        # partials: both are the drawn coefficients' transforms times one
-        # scale, so they differ by rounding alone, here within 100 ulps of
-        # each array's max
+        # a stack is its scaled coefficients, which synthesize the drawn
+        # coefficients' partials times each draw's scale: both are the same
+        # transforms times one scale, so they differ by rounding alone, here
+        # within 100 ulps of each array's max
         g = build_grid(n_theta, 2 * n_theta)
-        d, scale, coeffs = _random_c2_stack(g, range(5), 4, 0.05)
+        coeffs = _random_c2_stack(g, range(5), 4, 0.05)
         assert coeffs.shape == (5, n_coeffs(4))
+        drawn = [np.random.default_rng(seed).standard_normal(n_coeffs(4)) for seed in range(5)]
+        d = g.synth_derivs(np.array(drawn))
+        scale = 0.05 / sphere._c2_norms(g, d)
         again = g.synth_derivs(coeffs)
         tol = 100 * np.finfo(float).eps
         for name, v in d.items():
             want = scale[:, None, None] * v
             assert np.abs(again[name] - want).max() <= tol * np.abs(want).max(), name
-        # a field is the one-seed stack: its scaled coefficients and the
-        # values drawn with them
+        # a field is the one-seed stack's scaled coefficients (its values are
+        # their synthesis: test_values_are_the_synthesis_of_its_coefficients)
         f = random_c2_field(g, 3, 4, 0.05)
-        d, scale, coeffs = _random_c2_stack(g, [3], 4, 0.05)
-        np.testing.assert_array_equal(f.coeffs, coeffs[0])
-        np.testing.assert_array_equal(f.values, scale[0] * d["f"][0])
+        np.testing.assert_array_equal(f.coeffs, _random_c2_stack(g, [3], 4, 0.05)[0])
+
+    @pytest.mark.parametrize("n_theta", [16, 32, 64, 128])
+    def test_values_are_the_synthesis_of_its_coefficients(self, n_theta):
+        # a drawn field is built from its coefficients like any other, so its
+        # values are one synthesis of the coefficients it carries, bit for bit
+        g = build_grid(n_theta, 2 * n_theta)
+        for seed in range(5):
+            f = random_c2_field(g, seed, 4, 0.05)
+            np.testing.assert_array_equal(f.values, g.synthesize(f.coeffs))
 
     @pytest.mark.parametrize("n_theta", [16, 32, 64, 128])
     def test_norm_is_the_amplitude(self, n_theta):
@@ -265,7 +275,7 @@ def _raw_draws(monkeypatch, grid, seeds, lmax, amplitude):
         return seen[-1][1]
 
     monkeypatch.setattr(SphereGrid, "synth_derivs", spy)
-    _, _, coeffs = _random_c2_stack(grid, seeds, lmax, amplitude)
+    coeffs = _random_c2_stack(grid, seeds, lmax, amplitude)
     monkeypatch.undo()
     (raw, d), = seen
     return coeffs, raw, d

@@ -281,7 +281,8 @@ def test_stacked_slices_match_per_slice_geometry(prof, grid):
 def test_stack_chunks_bound_the_kernel_and_keep_the_values(prof, grid, monkeypatch):
     # chunks of at most _STACK_NODES nodes (at least one graph each) reach the
     # kernel, each with its graphs' own scales; the chunk size changes no value
-    heights, scale, _ = _random_c2_stack(grid, range(11), 4, 0.05)
+    heights = grid.synth_derivs(_random_c2_stack(grid, range(11), 4, 0.05))
+    t = np.linspace(-1.5, 1.5, 11)[:, None, None]
     kernel = surfaces._geometry_from_derivs
     rows = []
 
@@ -294,7 +295,7 @@ def test_stack_chunks_bound_the_kernel_and_keep_the_values(prof, grid, monkeypat
     for cap, want in [(1, [1] * 11), (2**14, [8, 3]), (2**20, [11])]:
         monkeypatch.setattr(surfaces, "_STACK_NODES", cap)
         rows.clear()
-        results[cap] = _graph_masses(prof, grid, 0.1, heights, scale[:, None, None])
+        results[cap] = _graph_masses(prof, grid, 0.1, heights, t)
         assert rows == want
     for name, values in results[2**14].items():
         np.testing.assert_array_equal(values, results[1][name])
@@ -302,8 +303,8 @@ def test_stack_chunks_bound_the_kernel_and_keep_the_values(prof, grid, monkeypat
 
 
 def test_stack_check_rejects_any_graph(prof, grid):
-    heights, scale, _ = _random_c2_stack(grid, range(3), 4, 0.05)
-    t = scale[:, None, None]
+    heights = grid.synth_derivs(_random_c2_stack(grid, range(3), 4, 0.05))
+    t = np.array([0.5, -1.0, 2.0])[:, None, None]
     bad = {key: v.copy() for key, v in heights.items()}
     bad["f"][1, 3, 5] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
@@ -314,11 +315,11 @@ def test_stack_check_rejects_any_graph(prof, grid):
 
 
 def test_drawn_stack_is_checked_on_the_heights_it_measures(prof, grid):
-    # a drawn stack reaches _graph_masses as its unscaled derivative dict and
+    # a stencil reaches _graph_masses as its heights' derivative dict and
     # its scales, and the range check reads the scaled heights t d["f"]: a
     # stack just past s_max raises
-    drawn, scale, _ = _random_c2_stack(grid, range(3), 4, 0.05)
-    t = scale[:, None, None]
+    drawn = grid.synth_derivs(_random_c2_stack(grid, range(3), 4, 0.05))
+    t = np.array([0.5, -1.0, 2.0])[:, None, None]
     reach = prof.s_max / np.abs(t * drawn["f"]).max()
     with pytest.raises(ValueError, match="outside integrated range"):
         _graph_masses(prof, grid, 0.0, drawn, 1.01 * reach * t)
@@ -331,8 +332,8 @@ def test_drawn_stack_with_its_scales_is_the_scaled_stack(prof, n_theta):
     # scaling each chunk by t gives the masses of the scaled stack bit for
     # bit: the products are the same, taken chunk by chunk
     g = build_grid(n_theta, 2 * n_theta)
-    drawn, scale, _ = _random_c2_stack(g, range(5), 4, 0.05)
-    t = scale[:, None, None]
+    drawn = g.synth_derivs(_random_c2_stack(g, range(5), 4, 0.05))
+    t = np.array([-2.0, -0.5, 0.0, 0.7, 1.9])[:, None, None]
     masses = _graph_masses(prof, g, 0.0, drawn, t)
     scaled = _graph_masses(prof, g, 0.0, {key: t * v for key, v in drawn.items()})
     for name in ("area", "charge", "mch"):
@@ -344,7 +345,7 @@ def test_scaled_heights_are_checked_not_the_unscaled(prof, grid):
     # of 2.3 carries the second out of the range; one of 2.2 keeps it inside,
     # since each graph is checked on its own scaled heights (2.2 times the
     # largest height of the stack would leave the range)
-    drawn, _, _ = _random_c2_stack(grid, range(3), 4, 0.05)
+    drawn = grid.synth_derivs(_random_c2_stack(grid, range(3), 4, 0.05))
     peak = np.abs(drawn["f"]).max(axis=(1, 2), keepdims=True)
     reach = np.array([0.9, 0.45, 0.9])[:, None, None] * prof.s_max
     heights = {key: (reach / peak) * v for key, v in drawn.items()}

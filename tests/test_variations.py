@@ -576,6 +576,19 @@ class TestScaledGraphOracles:
             with pytest.raises(ValueError, match="dt must be positive"):
                 oracle()
 
+    @pytest.mark.parametrize("dt", [1e-320, 1e-200, 1e-160, np.nextafter(2.0**-511, 0.0)])
+    def test_step_with_a_subnormal_square_is_rejected(self, prof, grid, dt):
+        # the stencils divide by dt^2, which must be a normal float: at
+        # 1e-200 it underflows to 0, and at 1e-160 it loses its digits
+        phi = random_c2_field(grid, 5, 4, 0.5)
+        for oracle in (
+            lambda: variation_report(prof, 0.0, phi, dt=dt),
+            lambda: first_variation_fd(prof, 0.1, phi, dt),
+            lambda: second_variation_fd(prof, phi, dt),
+        ):
+            with pytest.raises(ValueError, match="dt must be at least 1.49167e-154"):
+                oracle()
+
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_scaled_stack_is_checked_through_both_extremes(self, prof, grid, sign):
         # phi's extremes differ in size, so for t > 0 the graph of t phi
