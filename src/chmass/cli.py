@@ -280,10 +280,11 @@ def cmd_variation(v: dict):
     report = variation_report(prof, s0, speed, dt=v["dt"])
     _maybe_emit_field(v, speed)
     # the second-variation block is None away from the minimal slice; the FD
-    # order and floor ratio are undefined (nan, inf) where a difference is 0
+    # order and floor ratios are undefined (nan, inf) where a difference is 0
+    undefined_if_nonfinite = ("first_fd_order", "first_floor_ratio", "second_floor_ratio")
     return {
         k: x for k, x in _fields(report).items()
-        if x is not None and (k not in ("first_fd_order", "first_floor_ratio") or math.isfinite(x))
+        if x is not None and (k not in undefined_if_nonfinite or math.isfinite(x))
     }
 
 

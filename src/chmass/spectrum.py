@@ -71,12 +71,14 @@ def _gram(factors, col, g: np.ndarray, a: str, b: str) -> np.ndarray:
     """Quadrature form sum over nodes of g B_i B'_j, for basis components a
     and b of ``SphereGrid._separable_basis``.
 
-    Separable in two steps: for each theta row the azimuthal products
-    (g a_p) @ b_q^T, then one contraction of the theta profiles over theta.
+    Separable: g against the (2 lmax + 1)^2 azimuthal products per theta row,
+    a's theta profiles multiplied in, then one contraction over theta with b's.
     """
     (th_a, az_a), (th_b, az_b) = factors[a], factors[b]
-    C = (g[:, None, :] * az_a) @ az_b.T  # (n_theta, 2 lmax + 1, 2 lmax + 1)
-    return np.einsum("it,jt,tij->ij", th_a, th_b, C[:, col[:, None], col])
+    m, n = len(az_a), len(col)
+    C = (g @ (az_a[:, None, :] * az_b).reshape(m * m, -1).T).reshape(-1, m, m)  # (theta, p, q)
+    T = th_b @ (C[:, col] * th_a.T[:, :, None]).reshape(len(g), n * m)  # (j, (i, q))
+    return T.reshape(n, n, m)[np.arange(n), :, col].T  # (i, j) at q = col[j]
 
 
 def _pencil_eigvalsh(stiff: np.ndarray, mass: np.ndarray) -> np.ndarray:
@@ -96,12 +98,8 @@ def _rayleigh_pencil(geom, lmax: int, potential: np.ndarray):
     w = geom.grid.w_node * geom.area_element
     # grad-grad part with the induced inverse metric
     cross = _gram(factors, col, w * geom.hinv_tp, "t", "p")
-    stiff = (
-        _gram(factors, col, w * geom.hinv_tt, "t", "t")
-        + cross
-        + cross.T
-        + _gram(factors, col, w * geom.hinv_pp, "p", "p")
-    )
+    stiff = _gram(factors, col, w * geom.hinv_tt, "t", "t") + cross + cross.T
+    stiff += _gram(factors, col, w * geom.hinv_pp, "p", "p")
     pot = _gram(factors, col, w * potential, "f", "f")
     return stiff - pot, _gram(factors, col, w, "f", "f")
 
@@ -116,9 +114,9 @@ def lambda1_discrete(surface, lmax: int = 8) -> float:
 
     The geometry is the surface's cached ``induced_geometry`` (shared with
     ``charge``, ``area`` and ``charged_hawking_mass``).  Each basis function is
-    a theta profile times one of 2 lmax + 1 azimuthal functions, so every
-    Gram matrix is assembled from azimuthal products per theta row and one
-    contraction over theta; the dense basis is never built.
+    a theta profile times one of 2 lmax + 1 azimuthal functions, so ``_gram``
+    sums the weight against azimuthal products per theta row and contracts
+    over theta; neither the dense basis nor any node-by-index array is built.
     """
     from .surfaces import induced_geometry  # graph surfaces only: sweeps never load it
     geom = induced_geometry(surface)

@@ -86,6 +86,7 @@ class VariationReport:
     second_as_printed: float | None = None
     second_fd: float | None = None
     second_fd_step_gap: float | None = None
+    second_floor_ratio: float | None = None  # eps |m(0)| / dt^2 over the step gap (inf if 0)
 
 
 @dataclass
@@ -164,16 +165,16 @@ def first_variation(
     along d/ds, which is the normal speed psi / W plus a tangential
     reparametrization; over slices W = 1 and the two families agree exactly.
     phi is read on geom's grid from its coefficients, of any band up to the
-    grid band.
+    grid band, and H over the full grid band, so any graph is read whole.
     """
     return _first_variation(geom, geom.grid.synth_derivs(phi.coeffs), zeta)
 
 
-def _first_variation(geom: SurfaceGeometry, d_phi: dict, zeta: float | None) -> float:
-    """``first_variation`` from the ``synth_derivs`` dict of phi on geom's grid."""
+def _first_variation(geom: SurfaceGeometry, d_phi: dict, zeta: float | None, h_band=None) -> float:
+    """``first_variation`` from phi's ``synth_derivs`` dict, H read up to band ``h_band``."""
     grid = geom.grid
     z = z_functional(geom, zeta)
-    d_h = grid.synth_derivs(grid.analyze(geom.h_mean))
+    d_h = grid.synth_derivs(grid.analyze(geom.h_mean, h_band))
     lap_term = -geom.integral(geom.grad_inner(d_h, d_phi))
     z_term = geom.integral(z * geom.h_mean * d_phi["f"])
     pref = 2.0 * math.sqrt(geom.area) / (16.0 * math.pi) ** 1.5
@@ -435,17 +436,18 @@ def variation_report(
     central difference with measured order) and the pointwise maximum of the
     criticality density on the base slice.  The minimal-slice second
     variation block (canonical, printed-coefficient variant, five-point
-    oracle, step-halving gap) is filled only at s0 = 0, where its closed
-    form applies.
+    oracle, step-halving gap, and the stencil's roundoff floor eps |m|/dt^2
+    over that gap) is filled only at s0 = 0, where its closed form applies.
 
     The analytic side and the base slice are read on phi's grid, from one
     synthesis of phi's coefficients (the oracle's, when the stencil is summed
-    on phi's grid).  The oracles share one mass table, a stack of each
-    distinct t of the union of the stencils (9 scaled graphs at s0 = 0 for
-    the first difference and both second differences, t = 0 included; 6
-    otherwise), summed on the grid of ``_scaled_masses``.  When that is
-    coarser than phi's grid, the largest-|t| member is summed once more on
-    phi's grid, and ``mass_resolution`` is the difference.
+    on phi's grid); the base slice's H is constant and read at band 0, with
+    no FFT.  The oracles share one mass table, a stack of each distinct t of
+    the union of the stencils (9 scaled graphs at s0 = 0 for the first
+    difference and both second differences, t = 0 included; 6 otherwise),
+    summed on the grid of ``_scaled_masses``.  When that is coarser than
+    phi's grid, the largest-|t| member is summed once more on phi's grid, and
+    ``mass_resolution`` is the difference.
     """
     _check_dt(dt)
     grid = phi.grid
@@ -460,7 +462,7 @@ def variation_report(
         prof, grid, s0, d, np.full((1, 1, 1), top))["mch"][0])
     fd = _first_fd(mass, dt)
     report = VariationReport(
-        first_analytic=_first_variation(geom, d, None),
+        first_analytic=_first_variation(geom, d, None, h_band=0),
         first_fd=fd.value,
         first_order=fd.order,
         first_floor_ratio=fd.floor_ratio,
@@ -473,6 +475,9 @@ def variation_report(
         d2_h2 = _second_fd(mass, dt / 2.0)
         report.second_analytic = second_variation_minimal(prof.a, prof.q, phi)
         report.second_as_printed = second_variation_as_printed(prof.a, prof.q, phi)
+        gap = abs(d2_h - d2_h2)
         report.second_fd = d2_h2
-        report.second_fd_step_gap = abs(d2_h - d2_h2)
+        report.second_fd_step_gap = gap
+        floor = math.ulp(1.0) * abs(mass[0.0]) / dt**2
+        report.second_floor_ratio = floor / gap if gap > 0 else math.inf
     return report

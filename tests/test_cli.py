@@ -257,12 +257,16 @@ def test_variation_minimal_slice(capsys):
     # the report's own fields, first_order renamed; the second-variation
     # block only at s0 = 0.  The Y_{1,0} stencil's masses are symmetric, so
     # its FD order and floor ratio are undefined and left out; Y_{2,0}'s at
-    # s0 = 0.3 are defined
+    # s0 = 0.3 are defined.  The second differences of Y_{1,0} differ, so
+    # their floor ratio is defined
     first = [
         "first_analytic", "first_fd", "first_fd_order", "first_floor_ratio", "z_max", "dt",
         "mass_resolution",
     ]
-    second = ["second_analytic", "second_as_printed", "second_fd", "second_fd_step_gap"]
+    second = [
+        "second_analytic", "second_as_printed", "second_fd", "second_fd_step_gap",
+        "second_floor_ratio",
+    ]
     defined = [k for k in first if k not in ("first_fd_order", "first_floor_ratio")]
     assert list(payload) == defined + second
     code, out, _ = invoke(
@@ -275,6 +279,33 @@ def test_variation_minimal_slice(capsys):
         "--phi", "Y:2,0", "--grid", "16",
     )
     assert code == 0 and list(json.loads(out)) == first
+
+
+def test_variation_second_floor_ratio(capsys):
+    # the five-point stencil's roundoff floor eps |m|/dt^2 over its step gap:
+    # at dt = 1e-150 the second difference is roundoff (5.6e283 against a
+    # closed form of -1.53) and the ratio reads at least 1; at the default
+    # dt = 1e-2 it reads far below 1
+    argv = ["variation", "--neck-a", "0.5", "--q", "0.3", "--phi", "Y:2,0", "--grid", "16"]
+    ratios = {}
+    for dt in ("1e-150", "1e-2"):
+        code, out, _ = invoke(capsys, *argv, "--dt", dt)
+        assert code == 0
+        ratios[dt] = json.loads(out)["second_floor_ratio"]
+    assert ratios["1e-150"] >= 1.0
+    assert ratios["1e-2"] <= 1e-2
+
+
+def test_variation_leaves_out_undefined_second_floor_ratio(capsys, monkeypatch):
+    # two equal second differences leave a step gap of 0, so the ratio is
+    # infinite in the report and left out of the JSON, not printed
+    from chmass import variations
+
+    monkeypatch.setattr(variations, "_second_fd", lambda mass, dt: -1.5)
+    code, out, _ = invoke(capsys, "variation", "--neck-a", "0.5", "--q", "0.3", "--phi", "Y:2,0")
+    payload = json.loads(out)
+    assert code == 0 and payload["second_fd_step_gap"] == 0.0
+    assert "second_floor_ratio" not in payload and "Infinity" not in out
 
 
 def test_variation_leaves_out_undefined_fd_fields(capsys):

@@ -191,6 +191,38 @@ def test_separable_pencil_matches_dense_basis(prof, n_theta, lmax):
         assert np.abs(sep - dense).max() <= 1e-14 * np.abs(dense).max()
 
 
+@pytest.mark.parametrize("n_theta", [16, 32, 64, 128])
+def test_laplace_spectrum_discrete_matches_closed_form(n_theta):
+    # the first 25 eigenvalues (l <= 4) of the default band-8 pencil against
+    # l(l+1)/a^2, relative to the gap 2/a^2 for the zero eigenvalue
+    grid = build_grid(n_theta, 2 * n_theta)
+    worst = 0.0
+    for a in (0.3, 0.5, 0.9):
+        exact = np.array(laplace_spectrum(a, 25))
+        got = np.array(laplace_spectrum_discrete(grid, a, 25))
+        worst = max(worst, (np.abs(got - exact) / np.maximum(exact, exact[1])).max())
+    assert worst <= 3e-14
+
+
+def test_jacobi_pencil_traced_peak():
+    # the pencil at band 8 on a perturbed 128 x 256 graph holds no array of
+    # the nodes times a basis index: its tracemalloc peak stays below 6 MB
+    # (8.0 MB while each Gram matrix gathered its azimuthal sums per theta row)
+    import tracemalloc
+
+    prof = integrate_profile(0.5, 0.3, 1.0, s_max=1.0)
+    grid = build_grid(128, 256)
+    geom = induced_geometry(GraphSurface(prof, 0.0, random_c2_field(grid, 7919, 4, 0.05)))
+    potential = geom.ric_nn + geom.a_norm2
+    tracemalloc.start()
+    try:
+        _rayleigh_pencil(geom, 8, potential)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6e6
+
+
 def test_laplace_spectrum_discrete_basis_guard(grid):
     with pytest.raises(ValueError):
         laplace_spectrum_discrete(grid, 0.5, 200, lmax=4)

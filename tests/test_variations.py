@@ -120,6 +120,9 @@ class TestFirstVariation:
         extrap = (4 * d2 - d1) / 3
         assert abs(analytic) > 1e-4  # genuinely nonzero case
         assert analytic == pytest.approx(extrap, abs=1e-10)
+        # bit for bit: first_variation reads a graph's H over the full band
+        # (variation_report's band-0 read of a slice's H gives -1.1e-7 here)
+        assert analytic.hex() == "-0x1.f407179b9f581p-12"
 
     def test_lambda_coefficient_variant_differs_off_minimal(self, prof, grid):
         geom = induced_geometry(GraphSurface(prof, 0.6, zero(grid)))
@@ -493,10 +496,10 @@ class TestScaledGraphOracles:
         assert len(synthesized) == 4
         assert any(n == 32 and np.array_equal(c, np.zeros(1)) for n, c in synthesized)
         assert sorted(n for n, c in synthesized if c is phi.coeffs) == [16, 32]
-        # FFTs: the full-band analysis of H (one rfft) and its six partials
-        # (one irfft each); phi and the zero height are band <= 4 and take
-        # the product route
-        assert ffts == {"rfft": 1, "irfft": 6}
+        # FFTs: the analysis of H (one rfft) alone; H is constant on the
+        # slice and read at band 0, and its partials, phi and the zero height
+        # take the product route
+        assert ffts == {"rfft": 1, "irfft": 0}
         stencil = [s * h for h in (dt / 4, dt / 2, dt, 2 * dt) for s in (1, -1)]
         expected = sorted([0.0, 0.0, 2 * dt] + stencil)
         np.testing.assert_allclose(sorted(kernel_t), expected, rtol=1e-12, atol=1e-15)
@@ -505,13 +508,24 @@ class TestScaledGraphOracles:
         assert kernel_rows == [(32, 1), (16, 9), (32, 1)]
         assert 0.0 < rep.mass_resolution <= 1e-15
 
+    @staticmethod
+    def fine_oracle_op(prof):
+        """One phi at n_theta 128 adjudicated at s0 = 0 and off the neck, then
+        a perturbed graph read twice, for lambda1 and its charge."""
+        grid = build_grid(128, 256)
+        phi = random_c2_field(grid, 7919, 4, 0.5)
+        variation_report(prof, 0.0, phi, dt=1e-2)
+        variation_report(prof, -0.3, phi, dt=2e-2)
+        surf = GraphSurface(prof, 0.0, ScalarField(grid, 0.1 * phi.values))
+        lambda1_discrete(surf)
+        charge(surf)
+
     def test_fine_oracle_op_kernel_nodes(self, prof, monkeypatch):
-        # counting gate for one phi at n_theta 128 adjudicated at s0 = 0 and
-        # off the neck, then a perturbed graph read twice: each report's base
-        # slice and resolution graph (128 x 256 nodes each) and its stencil
-        # (9 and 6 graphs of 16 x 32) in one kernel call each, and the graph
-        # once for lambda1 and its charge; 17 graphs of 128 x 256 before the
-        # stencils were summed on the grid of _mass_grid
+        # counting gate for fine_oracle_op: each report's base slice and
+        # resolution graph (128 x 256 nodes each) and its stencil (9 and 6
+        # graphs of 16 x 32) in one kernel call each, and the graph once for
+        # lambda1 and its charge; 17 graphs of 128 x 256 before the stencils
+        # were summed on the grid of _mass_grid
         kernel = surfaces._geometry_from_derivs
         nodes = []
 
@@ -520,15 +534,21 @@ class TestScaledGraphOracles:
             return kernel(prof, grid, s0, d, **kw)
 
         monkeypatch.setattr(surfaces, "_geometry_from_derivs", spy)
-        grid = build_grid(128, 256)
-        phi = random_c2_field(grid, 7919, 4, 0.5)
-        variation_report(prof, 0.0, phi, dt=1e-2)
-        variation_report(prof, -0.3, phi, dt=2e-2)
-        surf = GraphSurface(prof, 0.0, ScalarField(grid, 0.1 * phi.values))
-        lambda1_discrete(surf)
-        charge(surf)
+        self.fine_oracle_op(prof)
         assert len(nodes) == 7
         assert sum(nodes) == 5 * 128 * 256 + 15 * 16 * 32 == 171_520
+
+    def test_fine_oracle_op_ffts(self, prof, monkeypatch):
+        # counting gate for fine_oracle_op, which may only fall: each report
+        # analyses its base slice's H (one rfft, read at band 0, so its
+        # partials make no FFT), and the perturbed graph built from values is
+        # analysed over the full band (one rfft) and its six partials
+        # synthesized on the FFT route (one irfft each); phi and every other
+        # height are band <= 4 and make no FFT.  18 irfft before H was read
+        # at band 0
+        ffts = _spy_ffts(monkeypatch)
+        self.fine_oracle_op(prof)
+        assert ffts == {"rfft": 3, "irfft": 6}
 
     def test_coefficient_field_is_never_analyzed(self, prof, grid, monkeypatch):
         # a height built from coefficients is read through them: c2_norm,
@@ -608,28 +628,29 @@ class TestScaledGraphOracles:
 # variation reports (phi = random_c2_field(grid, 400 + i, 4, 0.5), drawn from
 # default_rng(400 + i); dt 2e-2), with phi read through its band-4 coefficients
 # by the separable product route of synth_derivs,
-# the profile summed from its pieces' short series and the stencils' masses
-# summed on the 16 x 32 grid of _mass_grid
+# the profile summed from its pieces' short series, the stencils' masses
+# summed on the 16 x 32 grid of _mass_grid, and the base slice's constant H
+# read at band 0
 CRIT_08_REPORTS = [
-    (0.2, 6.80467830158992e-20, -1.0639637319324416e-14,
+    (0.2, 6.066179869706352e-20, -1.0639637319324416e-14,
      1.9999893043569554, 1.779826286352204e-15),
-    (-0.35, 4.836937485718153e-19, 4.487151391193341e-14,
+    (-0.35, -1.0837152675116002e-19, 4.487151391193341e-14,
      1.9999680515601697, 1.5681900222830336e-15),
-    (0.5, 7.134599597915811e-19, -6.013708050052931e-14,
+    (0.5, -6.443903451416331e-20, -6.013708050052931e-14,
      1.9999683372194148, 2.6506574712925612e-15),
-    (0.3, -3.405474946076943e-20, -1.0639637319324416e-14,
+    (0.3, -6.209681992841261e-20, -1.0639637319324416e-14,
      1.9998900542670646, 2.005340338229189e-15),
-    (-0.45, 8.598033085316661e-19, -8.28041339199596e-14,
+    (-0.45, 7.32813968317261e-20, -8.28041339199596e-14,
      1.9999663394823364, 1.5681900222830336e-15),
-    (0.6, 8.688569527064607e-19, 1.258252761241844e-13,
+    (0.6, -3.398191134239738e-20, 1.258252761241844e-13,
      1.9999516811039053, 1.582067810090848e-15),
-    (-0.25, 3.6514276496975095e-19, -4.810966440042345e-14,
+    (-0.25, 1.3892050331015867e-19, -4.810966440042345e-14,
      1.999971027171084, 2.2273849431542203e-15),
-    (0.4, -3.5727301136621482e-19, -5.088522196198634e-14,
+    (0.4, -5.827620704205035e-20, -5.088522196198634e-14,
      1.9998800134054684, 1.3322676295501878e-15),
-    (-0.55, -5.974225159417327e-19, 3.700743415417188e-14,
+    (-0.55, -9.89325386576595e-20, 3.700743415417188e-14,
      1.999938179485601, 1.6653345369377348e-15),
-    (0.15, 1.9078654882461496e-19, -1.7578531223231646e-14,
+    (0.15, 4.721752800327501e-20, -1.7578531223231646e-14,
      2.0, 2.6662699825763525e-15),
 ]
 
