@@ -69,14 +69,19 @@ def stability_window(q: float) -> tuple[float, float] | None:
 
 def _gram(factors, col, g: np.ndarray, a: str, b: str) -> np.ndarray:
     """Quadrature form sum over nodes of g B_i B'_j, for basis components a
-    and b of ``SphereGrid._separable_basis``.
+    and b ("f", or the frame gradients "1" and "2") of
+    ``SphereGrid._separable_basis``.
 
     Separable: g against the (2 lmax + 1)^2 azimuthal products per theta row,
     a's theta profiles multiplied in, then one contraction over theta with b's.
+    The azimuthal sums are one matrix-vector product per theta row, whose
+    order, unlike that of one matrix product over all rows, does not follow
+    BLAS's split of the work between threads.
     """
     (th_a, az_a), (th_b, az_b) = factors[a], factors[b]
     m, n = len(az_a), len(col)
-    C = (g @ (az_a[:, None, :] * az_b).reshape(m * m, -1).T).reshape(-1, m, m)  # (theta, p, q)
+    azz = (az_a[:, None, :] * az_b).reshape(m * m, -1)
+    C = np.matmul(azz, g[:, :, None]).reshape(-1, m, m)  # (theta, p, q)
     T = th_b @ (C[:, col] * th_a.T[:, :, None]).reshape(len(g), n * m)  # (j, (i, q))
     return T.reshape(n, n, m)[np.arange(n), :, col].T  # (i, j) at q = col[j]
 
@@ -96,10 +101,10 @@ def _rayleigh_pencil(geom, lmax: int, potential: np.ndarray):
     """Stiffness/mass matrices of the Jacobi form in the harmonic basis."""
     factors, col = geom.grid._separable_basis(lmax)
     w = geom.grid.w_node * geom.area_element
-    # grad-grad part with the induced inverse metric
-    cross = _gram(factors, col, w * geom.hinv_tp, "t", "p")
-    stiff = _gram(factors, col, w * geom.hinv_tt, "t", "t") + cross + cross.T
-    stiff += _gram(factors, col, w * geom.hinv_pp, "p", "p")
+    # grad-grad part with the induced inverse metric, both in the sphere's frame
+    cross = _gram(factors, col, w * geom.ginv_12, "1", "2")
+    stiff = _gram(factors, col, w * geom.ginv_11, "1", "1") + cross + cross.T
+    stiff += _gram(factors, col, w * geom.ginv_22, "2", "2")
     pot = _gram(factors, col, w * potential, "f", "f")
     return stiff - pot, _gram(factors, col, w, "f", "f")
 
@@ -161,9 +166,8 @@ def laplace_spectrum_discrete(
     if k > col.size:
         raise ValueError(f"requested {k} eigenvalues from a basis of size {col.size}")
     w = grid.w_node
-    s2 = grid.sin_theta[:, None] ** 2
     # |grad Y|^2 on radius-a sphere integrates a-independently; mass scales a^2
-    stiff = _gram(factors, col, w, "t", "t") + _gram(factors, col, w / s2, "p", "p")
+    stiff = _gram(factors, col, w, "1", "1") + _gram(factors, col, w, "2", "2")
     mass = (a**2) * _gram(factors, col, w, "f", "f")
     return [float(v) for v in _pencil_eigvalsh(stiff, mass)[:k]]
 

@@ -12,13 +12,19 @@ Y_{l,+m} = sqrt(2) Pbar_{l,m}(x) cos(m phi), Y_{l,-m} = sqrt(2) Pbar_{l,m}(x)
 sin(m phi), with Pbar normalized so the Y are orthonormal in L^2(S^2).
 Coefficient vectors are flat with index l^2 + l + m.
 
+``synth_derivs`` returns the gradient and covariant Hessian in the round
+metric's orthonormal frame (e_theta, e_phi / sin theta).  Each synthesis route
+converts to it once, so the package's sin theta and cot theta factors live
+here alone; ``evaluate_at`` keeps coordinate partials.
+
 Synthesis takes one of two routes, chosen by the band L of the coefficients.
-At L <= ``_PRODUCT_BAND`` (16) every real harmonic and partial is a theta
-profile times one of 2L + 1 azimuthal functions (``_separable_factors``), so a
-synthesis is two small products: coefficients into per-m theta profiles, then
-those profiles times the (2L + 1) x n_phi azimuth matrix, with no FFT.  Above
-that band, and for every analysis, transforms loop over m alone with one FFT
-in phi (per-m blocks, Schaeffer 2013, arXiv:1202.6522).  The Legendre tables
+At L <= ``_PRODUCT_BAND`` (16) every real harmonic and frame derivative is a
+theta profile times one of 2L + 1 azimuthal functions
+(``_separable_factors``), so a synthesis is two small products: coefficients
+into per-m theta profiles, then those profiles times the (2L + 1) x n_phi
+azimuth matrix, with no FFT.  Above that band, and for every analysis,
+transforms loop over m alone with one FFT in phi (per-m blocks, Schaeffer
+2013, arXiv:1202.6522).  The Legendre tables
 of band L are m-major and packed: block m holds rows l = m..L from row
 m(L+1) - m(m-1)/2, and ``_blocks`` maps it to the flat indices l^2+l+m
 (cos m phi part) and l^2+l-m (sin m phi part).
@@ -38,6 +44,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -214,42 +221,49 @@ _PRODUCT_BAND = 16
 
 
 def _separable_factors(n_theta: int, n_phi: int, lmax: int):
-    """(theta, az, col): the real harmonics up to lmax and their partials as
-    products of a theta profile and an azimuthal function.
+    """(factors, col): the real harmonics up to lmax and their frame
+    derivatives as products of a theta profile and an azimuthal function.
 
-    ``theta`` holds three (n_coeffs(lmax), n_theta) profiles: row k is Pbar
-    of Y_k, its theta derivative -sin(theta) Pbar' and its second theta
-    derivative -l(l+1) Pbar + x Pbar' + m^2 Pbar / sin^2(theta), read from
-    the rows of ``_theta_rule``'s tables.  ``az`` holds three
-    (2 lmax + 1, n_phi) arrays: the azimuthal functions of m = -lmax..lmax
-    (sqrt(2) sin(|m| phi) for m < 0, 1, sqrt(2) cos(m phi) for m > 0) and
-    their first and second phi derivatives.  Coefficient k = l^2 + l + m pairs
-    with azimuthal row col[k] = m + lmax.  The arrays are separate, so a
-    caller that keeps some of them frees the rest, and read-only.
+    ``factors`` maps each key of ``synth_derivs`` to (n_coeffs(lmax), n_theta)
+    theta profiles, row k those of Y_k = Pbar trig from the rows Pbar and
+    Pbar' = dPbar/dx of ``_theta_rule``'s tables, and (2 lmax + 1, n_phi)
+    azimuthal functions: trig (sqrt(2) sin(|m| phi) for m < 0, 1,
+    sqrt(2) cos(m phi) for m > 0), or dtrig = d trig / dphi for f2 and h12.
+    Coefficient k = l^2 + l + m pairs with azimuthal row col[k] = m + lmax.
+    The arrays are separate, so a caller that keeps some frees the rest; they
+    and the mapping are read-only, as the cached copy is shared.
     """
     x, _, (P, D) = _theta_rule(n_theta)
-    s2 = 1.0 - x**2
+    s = np.sqrt(1.0 - x**2)
     l = _degrees(n_coeffs(lmax)).astype(int)
     m = np.arange(l.size) - l * l - l
     rows = _block_start(np.abs(m), n_theta - 1) + l - np.abs(m)  # table row of (l, |m|)
     Pk, Dk = P[rows], D[rows]
     lc, mc = l[:, None], m[:, None]
-    theta = (Pk, -np.sqrt(s2) * Dk, -lc * (lc + 1.0) * Pk + x * Dk + mc * mc * Pk / s2)
+    f1 = -s * Dk
+    h22 = -mc * mc * Pk / (s * s) - x * Dk
     az = np.arange(-lmax, lmax + 1)[:, None]
     mphi = np.abs(az) * (2.0 * math.pi * np.arange(n_phi) / n_phi)
     nrm = np.where(az == 0, 1.0, math.sqrt(2.0))
     trig = nrm * np.where(az < 0, np.sin(mphi), np.cos(mphi))
     dtrig = np.abs(az) * nrm * np.where(az < 0, np.cos(mphi), -np.sin(mphi))
-    az = (trig, dtrig, -(az * az) * trig)
+    factors = {
+        "f": (Pk, trig),
+        "f1": (f1, trig),
+        "f2": (Pk / s, dtrig),
+        "h11": (-lc * (lc + 1.0) * Pk - h22, trig),
+        "h12": ((f1 - x * Pk / s) / s, dtrig),
+        "h22": (h22, trig),
+    }
     col = m + lmax
-    for a in theta + az + (col,):
+    for a in (col, trig, dtrig, *(th for th, _ in factors.values())):
         a.flags.writeable = False
-    return theta, az, col
+    return MappingProxyType(factors), col
 
 
 # The product route's factors, built on first use and shared by every grid of
 # one size: n_coeffs x n_theta profiles and (2 lmax + 1) x n_phi functions of a
-# band <= _PRODUCT_BAND (0.13 MB at 128 x 256, band 4).  ``_separable_basis``
+# band <= _PRODUCT_BAND (0.19 MB at 128 x 256, band 4).  ``_separable_basis``
 # builds its own per call, so the Jacobi pencil's factors do not stay in
 # memory after it.
 _product_factors = functools.lru_cache(maxsize=16)(_separable_factors)
@@ -334,13 +348,14 @@ class SphereGrid:
         return self._route(coeffs)(coeffs, derivs=False)["f"]
 
     def synth_derivs(self, coeffs: np.ndarray) -> dict:
-        """Field and coordinate partials on the grid, all spectral.
+        """Field, gradient and covariant Hessian on the grid, all spectral.
 
-        Returns a dict with keys f, ft, fp, ftt, ftp, fpp holding the field
-        and its theta/phi partial derivatives up to second order, each of
-        shape (..., n_theta, n_phi) for coefficients (..., n_coeffs).
-        f_theta_theta is Lap f - cot(theta) f_theta - f_phi_phi / sin^2(theta),
-        with the round-sphere Laplacian Lap f from -l(l+1) c_lm.
+        Returns a dict of arrays (..., n_theta, n_phi), for coefficients
+        (..., n_coeffs), in the round metric's orthonormal frame (e_theta,
+        e_phi / sin theta): f, f1 = f_theta, f2 = f_phi / sin(theta), h11 =
+        f_theta_theta, h12 = (f_theta_phi - cot(theta) f_phi) / sin(theta) and
+        h22 = f_phi_phi / sin^2(theta) + cot(theta) f_theta.  h11 is Lap f - h22
+        (the trace identity), with the round-sphere Lap f from -l(l+1) c_lm.
 
         Coefficients of band L <= ``_PRODUCT_BAND`` take the separable
         product route (``_product_route``: no FFT); higher bands, such as a
@@ -359,27 +374,15 @@ class SphereGrid:
         products: the coefficients into a theta profile per azimuthal
         function, then the profiles times the azimuth matrix."""
         lmax = len(_blocks(coeffs.shape[-1], self.lmax)) - 1
-        theta, az, col = _product_factors(self.n_theta, self.n_phi, lmax)
+        factors, col = _product_factors(self.n_theta, self.n_phi, lmax)
         c = coeffs.reshape(-1, col.size)
         # row (field, m) of C holds the coefficients of order m in place
         C = np.zeros((c.shape[0], 2 * lmax + 1, col.size))
         C[:, col, np.arange(col.size)] = c
         shape = coeffs.shape[:-1] + (self.n_theta, self.n_phi)
-
-        def grid_values(profiles, azimuth):
-            return (profiles.swapaxes(-1, -2) @ azimuth).reshape(shape)
-
-        A = C @ theta[0]
-        if not derivs:
-            return {"f": grid_values(A, az[0])}
-        At, Att = C @ theta[1], C @ theta[2]
         return {
-            "f": grid_values(A, az[0]),
-            "ft": grid_values(At, az[0]),
-            "fp": grid_values(A, az[1]),
-            "ftt": grid_values(Att, az[0]),
-            "ftp": grid_values(At, az[1]),
-            "fpp": grid_values(A, az[2]),
+            key: ((C @ theta).swapaxes(-1, -2) @ azimuth).reshape(shape)
+            for key, (theta, azimuth) in factors.items() if derivs or key == "f"
         }
 
     def _fft_route(self, coeffs: np.ndarray, derivs: bool = True) -> dict:
@@ -400,16 +403,12 @@ class SphereGrid:
         fpp = self._assemble(-(m**2) * A, -(m**2) * B)
         fxp = self._assemble(m * Bx, -m * Ax)
 
+        # the coordinate partials into the frame, with f_theta = -s f_x
         s = self.sin_theta[:, None]
         x = self.x[:, None]
-        return {
-            "f": f,
-            "ft": -s * fx,
-            "fp": fp,
-            "ftt": lap + x * fx - fpp / (s * s),
-            "ftp": -s * fxp,
-            "fpp": fpp,
-        }
+        h22 = fpp / (s * s) - x * fx
+        return {"f": f, "f1": -s * fx, "f2": fp / s,
+                "h11": lap - h22, "h12": -fxp - x * fp / (s * s), "h22": h22}
 
     def evaluate_at(self, coeffs: np.ndarray, theta, phi):
         """(f, f_theta, f_phi) of a coefficient vector at arbitrary interior points."""
@@ -427,26 +426,27 @@ class SphereGrid:
         return f, ft, fp
 
     def _separable_basis(self, lmax: int):
-        """The real harmonics up to lmax and their first partials as products
+        """The real harmonics up to lmax and their frame gradients as products
         of a theta profile and an azimuthal function.
 
-        Returns (factors, col).  ``factors`` maps "f" (Y), "t" (dY/dtheta) and
-        "p" (dY/dphi) to a pair (theta profiles (n_coeffs, n_theta), azimuthal
-        functions (2 lmax + 1, n_phi)); basis function k = l^2 + l + m of a
-        component is its theta profile k times azimuthal function col[k] = m + lmax.
-        The factors are those of ``_separable_factors``, which the product
-        route of ``synth_derivs`` reads too.
+        Returns (factors, col).  ``factors`` maps "f" (Y) and the frame
+        gradient "1" (dY/dtheta) and "2" (dY/dphi / sin theta) to a pair
+        (theta profiles (n_coeffs, n_theta), azimuthal functions
+        (2 lmax + 1, n_phi)); basis function k = l^2 + l + m of a component is
+        its theta profile k times azimuthal function col[k] = m + lmax.  They
+        are the "f", "f1" and "f2" factors of ``_separable_factors``, which
+        the product route of ``synth_derivs`` reads too.
         """
         if lmax > self.lmax:
             raise ValueError(f"lmax = {lmax} beyond grid band {self.lmax}")
-        theta, az, col = _separable_factors(self.n_theta, self.n_phi, lmax)
-        factors = {"f": (theta[0], az[0]), "t": (theta[1], az[0]), "p": (theta[0], az[1])}
-        return factors, col
+        factors, col = _separable_factors(self.n_theta, self.n_phi, lmax)
+        return {"f": factors["f"], "1": factors["f1"], "2": factors["f2"]}, col
 
     def basis_with_gradients(self, lmax: int):
-        """Values and coordinate first partials of Y_{lm} up to lmax.
+        """Values and frame gradients of Y_{lm} up to lmax.
 
-        Returns (Y, Yt, Yp), each of shape (n_coeffs, n_theta, n_phi).
+        Returns (Y, Y1, Y2) = (Y, dY/dtheta, dY/dphi / sin theta), each of
+        shape (n_coeffs, n_theta, n_phi).
         """
         factors, col = self._separable_basis(lmax)
         return tuple(th[:, :, None] * az[col][:, None, :] for th, az in factors.values())
@@ -501,17 +501,12 @@ def laplace_beltrami(f: ScalarField) -> ScalarField:
     return ScalarField.from_coeffs(f.grid, -l * (l + 1.0) * f.coeffs)
 
 
-def _c2_norms(grid: SphereGrid, d: dict) -> np.ndarray:
+def _c2_norms(d: dict) -> np.ndarray:
     """The C^2 norm of each field of a ``synth_derivs`` dict of shape (..., n_theta, n_phi):
-    the max over nodes of |f|, |grad f| and |Hess f|_F."""
-    s = grid.sin_theta[:, None]
-    cot = grid.x[:, None] / s
-    grad2 = d["ft"] ** 2 + (d["fp"] / s) ** 2
-    # covariant Hessian in the orthonormal frame (e_theta, e_phi/sin)
-    h11 = d["ftt"]
-    h12 = (d["ftp"] - cot * d["fp"]) / s
-    h22 = d["fpp"] / (s * s) + cot * d["ft"]
-    hess2 = h11**2 + 2.0 * h12**2 + h22**2
+    the max over nodes of |f|, |grad f| and |Hess f|_F, read from the frame
+    components as f1^2 + f2^2 and h11^2 + 2 h12^2 + h22^2."""
+    grad2 = d["f1"] ** 2 + d["f2"] ** 2
+    hess2 = d["h11"] ** 2 + 2.0 * d["h12"] ** 2 + d["h22"] ** 2
     norms = (np.abs(d["f"]), np.sqrt(grad2), np.sqrt(hess2))
     return np.max([v.max(axis=(-2, -1)) for v in norms], axis=0)
 
@@ -530,7 +525,7 @@ def c2_norm(f: ScalarField) -> float:
     prevent (cos theta: about 8e-13, 2e-12 and 9e-11 at n_theta = 32, 64 and
     128).  A field born as coefficients has no analysis roundoff.
     """
-    return float(_c2_norms(f.grid, f.grid.synth_derivs(f.coeffs)))
+    return float(_c2_norms(f.grid.synth_derivs(f.coeffs)))
 
 
 def random_c2_field(
@@ -567,7 +562,7 @@ def _random_c2_stack(grid: SphereGrid, seeds, lmax: int, amplitude: float) -> np
             raise ValueError(f"seed must be a nonnegative integer, got {np.min(seed)}")
     # np.random is loaded on first draw, not when chmass is imported
     coeffs = np.array([np.random.default_rng(s).standard_normal(n_coeffs(lmax)) for s in seeds])
-    scale = amplitude / _c2_norms(grid, grid.synth_derivs(coeffs))
+    scale = amplitude / _c2_norms(grid.synth_derivs(coeffs))
     return scale[:, None] * coeffs
 
 

@@ -58,7 +58,8 @@ class SurfaceGeometry:
 
     Pointwise arrays are (n_theta, n_phi) node values; ``area_element``
     already contains the quadrature weights' measure factor u^2 W, so
-    integrals are sum(w_node * area_element * field).  It holds the grid,
+    integrals are sum(w_node * area_element * field).  ``ginv_ij`` is in the
+    round sphere's orthonormal frame of ``synth_derivs``.  It holds the grid,
     not the surface, so caching it on the surface makes no reference cycle.
     """
 
@@ -74,9 +75,9 @@ class SurfaceGeometry:
     r_ambient: np.ndarray = field(repr=False)
     area_element: np.ndarray = field(repr=False)  # u^2 W (per unit solid angle)
     w_tilt: np.ndarray = field(repr=False)   # W = sqrt(1 + |grad phi|^2 / u^2)
-    hinv_tt: np.ndarray = field(repr=False)  # inverse induced metric, coords
-    hinv_tp: np.ndarray = field(repr=False)
-    hinv_pp: np.ndarray = field(repr=False)
+    ginv_11: np.ndarray = field(repr=False)  # inverse induced metric, frame
+    ginv_12: np.ndarray = field(repr=False)
+    ginv_22: np.ndarray = field(repr=False)
 
     def integral(self, values: np.ndarray) -> float:
         """Surface integral of node values against the induced measure."""
@@ -85,12 +86,13 @@ class SurfaceGeometry:
     def grad_inner(self, da: dict, db: dict) -> np.ndarray:
         """Pointwise induced-metric inner product of two gradients.
 
-        ``da``/``db`` are coordinate-partial dicts with keys ft, fp.
+        ``da``/``db`` are ``synth_derivs`` dicts, read at their frame
+        gradients f1, f2.
         """
         return (
-            self.hinv_tt * da["ft"] * db["ft"]
-            + self.hinv_tp * (da["ft"] * db["fp"] + da["fp"] * db["ft"])
-            + self.hinv_pp * da["fp"] * db["fp"]
+            self.ginv_11 * da["f1"] * db["f1"]
+            + self.ginv_12 * (da["f1"] * db["f2"] + da["f2"] * db["f1"])
+            + self.ginv_22 * da["f2"] * db["f2"]
         )
 
 
@@ -139,16 +141,18 @@ def _graph_masses(prof: RadialProfile, grid: SphereGrid, s0, d: dict, t=None) ->
 def _geometry_from_derivs(
     prof: RadialProfile, grid: SphereGrid, s0: float, d: dict, *, mass_only: bool = False
 ) -> dict:
-    """Quadrature geometry of the graph of s0 + f from the spectral partials of f.
+    """Quadrature geometry of the graph of s0 + f from the spectral derivatives of f.
 
     ``d`` is a ``synth_derivs`` dict of node arrays of shape (..., n_theta,
-    n_phi).  Returns the ``SurfaceGeometry`` fields other than grid and
-    zeta: node arrays of that shape, and area, charge and mch (at the
-    profile's zeta = 2 Lambda) of its leading shape.  With ``mass_only`` it
-    returns area, charge and mch alone and skips u'', |A|^2, the ambient
-    curvature and K; the values are the same either way.  The transforms are
-    linear, so the partials of t phi are t times those of phi and a family of
-    scaled graphs shares one transform.
+    n_phi), in the round sphere's orthonormal frame, where sigma_ij is
+    delta_ij, so the kernel reads only O(2)-invariant contractions.  Returns
+    the ``SurfaceGeometry`` fields other than grid and zeta: node arrays of
+    that shape, and area, charge and mch (at the profile's zeta = 2 Lambda)
+    of its leading shape.  With ``mass_only`` it returns area, charge and mch
+    alone and skips u'', |A|^2, the ambient curvature and K; the values are
+    the same either way.  The transforms are linear, so the derivatives of
+    t phi are t times those of phi and a family of scaled graphs shares one
+    transform.
     """
     f = s0 + d["f"]
     if mass_only:  # the mass reads u and u' alone
@@ -156,33 +160,25 @@ def _geometry_from_derivs(
     else:
         u, du, ddu = prof.state(f)
 
-    s = grid.sin_theta[:, None]
-    x = grid.x[:, None]
-    s2 = s * s
-    ft, fp = d["ft"], d["fp"]
-    grad2 = ft**2 + fp**2 / s2             # |grad_sigma f|^2 on the unit sphere
+    f1, f2 = d["f1"], d["f2"]
+    grad2 = f1**2 + f2**2                  # |grad_sigma f|^2 on the unit sphere
     W2 = 1.0 + grad2 / u**2
     W = np.sqrt(W2)
 
-    # covariant Hessian of f on the round unit sphere, coordinate components
-    hess_tt = d["ftt"]
-    hess_tp = d["ftp"] - (x / s) * fp
-    hess_pp = d["fpp"] + s * x * ft
-
-    # second fundamental form A_ij = (Hess_ij - u u' sigma_ij - 2 (u'/u) f_i f_j)/W
+    # in the orthonormal frame of sigma: A_ij = (h_ij - u u' delta_ij - 2 (u'/u) f_i f_j)/W
     uu = u * du
     k = 2.0 * du / u
-    A_tt = (hess_tt - uu - k * ft * ft) / W
-    A_tp = (hess_tp - k * ft * fp) / W
-    A_pp = (hess_pp - uu * s2 - k * fp * fp) / W
+    A_11 = (d["h11"] - uu - k * f1 * f1) / W
+    A_12 = (d["h12"] - k * f1 * f2) / W
+    A_22 = (d["h22"] - uu - k * f2 * f2) / W
 
-    # induced metric h_ij = u^2 sigma_ij + f_i f_j and its inverse
+    # induced metric u^2 delta_ij + f_i f_j and its inverse
     u2 = u * u
-    hinv_tt = (1.0 - ft * ft / (u2 * W2)) / u2
-    hinv_tp = (-ft * fp / (s2 * u2 * W2)) / u2
-    hinv_pp = (1.0 / s2 - (fp / s2) ** 2 / (u2 * W2)) / u2
+    ginv_11 = (1.0 - f1 * f1 / (u2 * W2)) / u2
+    ginv_12 = (-f1 * f2 / (u2 * W2)) / u2
+    ginv_22 = (1.0 - f2 * f2 / (u2 * W2)) / u2
 
-    H = hinv_tt * A_tt + 2.0 * hinv_tp * A_tp + hinv_pp * A_pp
+    H = ginv_11 * A_11 + 2.0 * ginv_12 * A_12 + ginv_22 * A_22
 
     area_el = u2 * W
     nodes = (-2, -1)
@@ -196,11 +192,11 @@ def _geometry_from_derivs(
         return dict(area=area_val, charge=charge_val, mch=mch)
 
     # |A|^2 = h^{ik} h^{jl} A_ij A_kl via the mixed shape operator S = h^-1 A
-    S_tt = hinv_tt * A_tt + hinv_tp * A_tp
-    S_tp = hinv_tt * A_tp + hinv_tp * A_pp
-    S_pt = hinv_tp * A_tt + hinv_pp * A_tp
-    S_pp = hinv_tp * A_tp + hinv_pp * A_pp
-    A2 = S_tt**2 + 2.0 * S_tp * S_pt + S_pp**2
+    S_11 = ginv_11 * A_11 + ginv_12 * A_12
+    S_12 = ginv_11 * A_12 + ginv_12 * A_22
+    S_21 = ginv_12 * A_11 + ginv_22 * A_12
+    S_22 = ginv_12 * A_12 + ginv_22 * A_22
+    A2 = S_11**2 + 2.0 * S_12 * S_21 + S_22**2
 
     # ambient curvature at the surface points
     R_amb = -4.0 * ddu / u + 2.0 * (1.0 - du**2) / u2
@@ -215,7 +211,7 @@ def _geometry_from_derivs(
         area=area_val, charge=charge_val, mch=mch,
         h_mean=H, a_norm2=A2, gauss_k=K, ric_nn=ric_nn, r_ambient=R_amb,
         area_element=area_el, w_tilt=W,
-        hinv_tt=hinv_tt, hinv_tp=hinv_tp, hinv_pp=hinv_pp,
+        ginv_11=ginv_11, ginv_12=ginv_12, ginv_22=ginv_22,
     )
 
 

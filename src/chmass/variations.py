@@ -86,7 +86,7 @@ class VariationReport:
     second_as_printed: float | None = None
     second_fd: float | None = None
     second_fd_step_gap: float | None = None
-    second_floor_ratio: float | None = None  # eps |m(0)| / dt^2 over the step gap (inf if 0)
+    second_floor_ratio: float | None = None  # (64/3) eps |m(0)| / dt^2 over the step gap (inf if 0)
 
 
 @dataclass
@@ -195,7 +195,7 @@ def _scaled_masses(prof: RadialProfile, grid: SphereGrid, s0: float, coeffs, ts)
     lmax = math.isqrt(coeffs.size) - 1
     mass_grid = _mass_grid(grid, lmax, 0.0)
     d = mass_grid.synth_derivs(coeffs)
-    size = np.abs(ts).max() * _c2_norms(mass_grid, d)
+    size = np.abs(ts).max() * _c2_norms(d)
     if mass_grid is not grid and _mass_grid(grid, lmax, size) is grid:
         mass_grid, d = grid, grid.synth_derivs(coeffs)
     mch = _graph_masses(prof, mass_grid, s0, d, ts[:, None, None])["mch"]
@@ -414,7 +414,7 @@ def local_max_experiment(
     nonconstant[:, coeff_index(0, 0)] = 0.0
     near = [  # in stacks of `draw` graphs, as they were drawn
         v for i in range(0, len(nonconstant), draw)
-        for v in _c2_norms(grid, grid.synth_derivs(nonconstant[i : i + draw])).tolist()
+        for v in _c2_norms(grid.synth_derivs(nonconstant[i : i + draw])).tolist()
     ]
     return LocalMaxReport(
         a=a, q=q, n_samples=n_samples, amplitude=amplitude, seed=seed,
@@ -436,8 +436,11 @@ def variation_report(
     central difference with measured order) and the pointwise maximum of the
     criticality density on the base slice.  The minimal-slice second
     variation block (canonical, printed-coefficient variant, five-point
-    oracle, step-halving gap, and the stencil's roundoff floor eps |m|/dt^2
-    over that gap) is filled only at s0 = 0, where its closed form applies.
+    oracle, step-halving gap, and the stencil's roundoff floor over that
+    gap) is filled only at s0 = 0, where its closed form applies.  The floor
+    is (64/3) eps |m(0)| / dt^2: eps |m(0)| times the weight sum 64/12 of the
+    five-point stencil over the square of its step dt/2, at which the
+    reported ``second_fd`` is taken.
 
     The analytic side and the base slice are read on phi's grid, from one
     synthesis of phi's coefficients (the oracle's, when the stencil is summed
@@ -478,6 +481,6 @@ def variation_report(
         gap = abs(d2_h - d2_h2)
         report.second_fd = d2_h2
         report.second_fd_step_gap = gap
-        floor = math.ulp(1.0) * abs(mass[0.0]) / dt**2
+        floor = (64.0 / 3.0) * math.ulp(1.0) * abs(mass[0.0]) / dt**2
         report.second_floor_ratio = floor / gap if gap > 0 else math.inf
     return report

@@ -83,6 +83,22 @@ def test_cli_import_leaves_numpy_random_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_verify_values_do_not_depend_on_the_blas_thread_count():
+    # a verify value is a function of the code alone: no contraction sums in
+    # an order that follows BLAS's split of the work between threads, so the
+    # JSON output, its timings left out, is the same bytes at 1 and 2 threads
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chmass.__file__)))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-m", "chmass.cli", "verify", "--format", "json"],
+                              env=env, capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append([line for line in proc.stdout.splitlines() if b'"seconds"' not in line])
+    assert outputs[0] == outputs[1]
+
+
 def _fresh_chmass_modules(code):
     """The chmass submodules a fresh interpreter has loaded after ``code``."""
     code += "\nimport sys; print(' '.join(m for m in sys.modules if m.startswith('chmass.')))"
@@ -282,18 +298,21 @@ def test_variation_minimal_slice(capsys):
 
 
 def test_variation_second_floor_ratio(capsys):
-    # the five-point stencil's roundoff floor eps |m|/dt^2 over its step gap:
-    # at dt = 1e-150 the second difference is roundoff (5.6e283 against a
-    # closed form of -1.53) and the ratio reads at least 1; at the default
-    # dt = 1e-2 it reads far below 1
-    argv = ["variation", "--neck-a", "0.5", "--q", "0.3", "--phi", "Y:2,0", "--grid", "16"]
+    # the five-point stencil's roundoff floor (64/3) eps |m|/dt^2 over its
+    # step gap: at dt = 1e-150 the second difference is roundoff (5.6e283
+    # against a closed form of -1.53) and the ratio reads at least 1; at the
+    # default dt = 1e-2 it reads far below 1.  A constant speed moves along
+    # the slices, whose mass is constant, so its second difference (6.1e-12
+    # at dt = 1e-2) is roundoff alone and its ratio reads at least 1 too
+    argv = ["variation", "--neck-a", "0.5", "--q", "0.3", "--grid", "16"]
     ratios = {}
-    for dt in ("1e-150", "1e-2"):
-        code, out, _ = invoke(capsys, *argv, "--dt", dt)
+    for phi, dt in (("Y:2,0", "1e-150"), ("Y:2,0", "1e-2"), ("Y:0,0", "1e-2")):
+        code, out, _ = invoke(capsys, *argv, "--phi", phi, "--dt", dt)
         assert code == 0
-        ratios[dt] = json.loads(out)["second_floor_ratio"]
-    assert ratios["1e-150"] >= 1.0
-    assert ratios["1e-2"] <= 1e-2
+        ratios[phi, dt] = json.loads(out)["second_floor_ratio"]
+    assert ratios["Y:2,0", "1e-150"] >= 1.0
+    assert ratios["Y:2,0", "1e-2"] <= 1e-2
+    assert ratios["Y:0,0", "1e-2"] >= 1.0
 
 
 def test_variation_leaves_out_undefined_second_floor_ratio(capsys, monkeypatch):

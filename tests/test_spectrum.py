@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import chmass
 from chmass.profile import integrate_profile
 from chmass.sphere import ScalarField, build_grid, coeff_index, random_c2_field
 from chmass import spectrum
@@ -167,14 +171,14 @@ class TestProp41:
 
 def _dense_pencil(geom, lmax, potential):
     """Reference Jacobi pencil assembled from the dense basis_with_gradients."""
-    Y, Yt, Yp = (b.reshape(b.shape[0], -1) for b in geom.grid.basis_with_gradients(lmax))
+    Y, Y1, Y2 = (b.reshape(b.shape[0], -1) for b in geom.grid.basis_with_gradients(lmax))
     w = (geom.grid.w_node * geom.area_element).ravel()
 
     def form(a, g, b):
         return a @ (g.ravel()[:, None] * b.T)
 
-    stiff = (form(Yt, w * geom.hinv_tt.ravel(), Yt) + form(Yt, w * geom.hinv_tp.ravel(), Yp)
-             + form(Yp, w * geom.hinv_tp.ravel(), Yt) + form(Yp, w * geom.hinv_pp.ravel(), Yp))
+    stiff = (form(Y1, w * geom.ginv_11.ravel(), Y1) + form(Y1, w * geom.ginv_12.ravel(), Y2)
+             + form(Y2, w * geom.ginv_12.ravel(), Y1) + form(Y2, w * geom.ginv_22.ravel(), Y2))
     return stiff - form(Y, w * potential.ravel(), Y), form(Y, w, Y)
 
 
@@ -221,6 +225,34 @@ def test_jacobi_pencil_traced_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 6e6
+
+
+def test_gram_forms_do_not_depend_on_the_blas_thread_count():
+    # the band-8 Gram forms of a nonzonal weight on 32 x 64 and 64 x 128 are
+    # the same bytes at 1 and 2 BLAS threads (one matrix product over all theta
+    # rows, in place of a matrix-vector product per row, differs in both)
+    code = """if True:
+        import hashlib, numpy as np
+        from chmass.sphere import build_grid
+        from chmass.spectrum import _gram
+        digest = hashlib.sha256()
+        for n in (32, 64):
+            g = build_grid(n, 2 * n)
+            factors, col = g._separable_basis(8)
+            w = g.w_node * np.random.default_rng(n).random(g.w_node.shape)
+            for a, b in (("f", "f"), ("1", "2"), ("2", "2")):
+                digest.update(_gram(factors, col, w, a, b).tobytes())
+        print(digest.hexdigest())
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chmass.__file__)))
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        digests.add(proc.stdout)
+    assert len(digests) == 1
 
 
 def test_laplace_spectrum_discrete_basis_guard(grid):

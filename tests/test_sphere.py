@@ -14,6 +14,7 @@ from chmass.sphere import (
     SphereGrid,
     _PRODUCT_BAND,
     _blocks,
+    _degrees,
     _random_c2_stack,
     _theta_rule,
     build_grid,
@@ -26,6 +27,11 @@ from chmass.sphere import (
     scalar_field_from_dict,
     scalar_field_to_dict,
 )
+
+
+# the keys of a synth_derivs dict: the field, its gradient and its covariant
+# Hessian in the round sphere's orthonormal frame
+FRAME_KEYS = ("f", "f1", "f2", "h11", "h12", "h22")
 
 
 @pytest.fixture(scope="module")
@@ -175,7 +181,7 @@ def _per_coefficient_stack(grid, seeds, lmax, amplitude):
             ss = np.random.SeedSequence([int(seed), l, k - l * l])
             coeffs[i, k] = np.random.Generator(np.random.PCG64(ss)).standard_normal()
     d = grid.synth_derivs(coeffs)
-    scale = (amplitude / sphere._c2_norms(grid, d))[:, None, None]
+    scale = (amplitude / sphere._c2_norms(d))[:, None, None]
     return {key: scale * v for key, v in d.items()}
 
 
@@ -231,7 +237,7 @@ class TestRandomField:
         assert coeffs.shape == (5, n_coeffs(4))
         drawn = [np.random.default_rng(seed).standard_normal(n_coeffs(4)) for seed in range(5)]
         d = g.synth_derivs(np.array(drawn))
-        scale = 0.05 / sphere._c2_norms(g, d)
+        scale = 0.05 / sphere._c2_norms(d)
         again = g.synth_derivs(coeffs)
         tol = 100 * np.finfo(float).eps
         for name, v in d.items():
@@ -288,7 +294,7 @@ def test_draw_is_one_generator_per_seed(grid, monkeypatch):
     coeffs, raw, d = _raw_draws(monkeypatch, grid, seeds, 4, 0.05)
     for seed, row in zip(seeds, raw):
         np.testing.assert_array_equal(row, np.random.default_rng(seed).standard_normal(25))
-    scale = 0.05 / sphere._c2_norms(grid, d)
+    scale = 0.05 / sphere._c2_norms(d)
     np.testing.assert_array_equal(coeffs, scale[:, None] * raw)
 
 
@@ -380,8 +386,10 @@ def test_evaluate_at_nodes_matches_synth_derivs(n_theta):
     TH, PH = np.meshgrid(g.theta, g.phi[cols], indexing="ij")
     d = g.synth_derivs(c)
     got = g.evaluate_at(c, TH.ravel(), PH.ravel())
-    for key, val in zip(("f", "ft", "fp"), got):
-        want = d[key][:, cols]
+    # evaluate_at returns coordinate partials: f_theta is f1, f_phi is sin(theta) f2
+    frame = (d["f"], d["f1"], g.sin_theta[:, None] * d["f2"])
+    for val, full in zip(got, frame):
+        want = full[:, cols]
         assert np.abs(val.reshape(TH.shape) - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -389,13 +397,13 @@ def test_evaluate_at_nodes_matches_synth_derivs(n_theta):
 def test_basis_rows_match_unit_vector_transforms(n_theta):
     g = build_grid(n_theta, 2 * n_theta)
     lmax = 8
-    Y, Yt, Yp = g.basis_with_gradients(lmax)
+    Y, Y1, Y2 = g.basis_with_gradients(lmax)
     for k, e in enumerate(np.eye(n_coeffs(lmax))):
         d = g.synth_derivs(e)
         assert np.abs(Y[k] - g.synthesize(e)).max() <= 1e-13
         assert np.abs(Y[k] - d["f"]).max() <= 1e-13
-        assert np.abs(Yt[k] - d["ft"]).max() <= 1e-12
-        assert np.abs(Yp[k] - d["fp"]).max() <= 1e-12
+        assert np.abs(Y1[k] - d["f1"]).max() <= 1e-12
+        assert np.abs(Y2[k] - d["f2"]).max() <= 1e-12
 
 
 @pytest.mark.parametrize("n_theta", [32, 64, 128])
@@ -428,16 +436,18 @@ def test_stacked_transforms_match_single_calls(n_theta):
     close(g.synthesize(coeffs), [g.synthesize(c) for c in coeffs])
     d = g.synth_derivs(coeffs)
     single = [g.synth_derivs(c) for c in coeffs]
-    for key in ("f", "ft", "fp", "ftt", "ftp", "fpp"):
+    for key in FRAME_KEYS:
         close(d[key], [s[key] for s in single])
 
 
-# The product route sums each partial in another order than the FFT route
-# (per-m theta profiles times the azimuth matrix, against per-m profiles
+# The product route sums each frame component in another order than the FFT
+# route (per-m theta profiles times the azimuth matrix, against per-m profiles
 # through an inverse FFT), so the two agree to roundoff of the field's scale,
-# amplified at the polar rows of f_theta_theta by the m^2 / sin^2(theta)
+# amplified at the polar rows of the Hessian by the m^2 / sin^2(theta)
 # cancellation.  Fixed before the first comparison: 256 ulps of each
-# partial's largest value on the grid.
+# component's largest value on the grid.  h12 is exactly 0 at bands 0 and 1
+# (on Y_1m, f_theta_phi = cot(theta) f_phi), where both routes leave roundoff
+# alone, so there its bound is 256 ulps of the Hessian's largest component.
 ROUTE_ULPS = 256
 
 
@@ -452,13 +462,43 @@ def test_product_route_matches_fft_route(n_theta):
         for lead in ((), (3,)):
             coeffs = rng.standard_normal(lead + (n_coeffs(band),))
             product, fft = g._product_route(coeffs), g._fft_route(coeffs)
-            assert product.keys() == fft.keys() == {"f", "ft", "fp", "ftt", "ftp", "fpp"}
+            assert list(product) == list(fft) == list(FRAME_KEYS)
+            hessian = max(np.abs(fft[key]).max() for key in ("h11", "h12", "h22"))
             for key, want in fft.items():
                 assert product[key].shape == want.shape == lead + (g.n_theta, g.n_phi)
-                bound = ROUTE_ULPS * np.finfo(float).eps * np.abs(want).max()
+                scale = hessian if key == "h12" and band <= 1 else np.abs(want).max()
+                bound = ROUTE_ULPS * np.finfo(float).eps * scale
                 assert np.abs(product[key] - want).max() <= bound, (band, lead, key)
             assert np.array_equal(g._product_route(coeffs, derivs=False)["f"], product["f"])
             assert np.array_equal(g.synthesize(coeffs), product["f"])
+
+
+# Identities of the frame Hessian on the round unit sphere, for seeded
+# nonzonal band-4 stacks through both synthesis routes.  Bochner: the integral
+# of h11^2 + 2 h12^2 + h22^2 is sum c^2 (l^2 (l+1)^2 - l(l+1)), exact in the
+# coefficients, and its integrand is a polynomial of degree 8 that every grid
+# here integrates exactly.  Trace: h11 + h22 is the synthesis of -l(l+1) c.
+# Bounds fixed before the first run: 1e-14 relative for Bochner, 64 ulps of
+# the largest Hessian component for the trace; the cot(theta) sign of h22
+# flipped must miss Bochner by more than 0.1.
+@pytest.mark.parametrize("n_theta", [16, 32, 128])
+def test_frame_hessian_identities(n_theta):
+    g = build_grid(n_theta, 2 * n_theta)
+    c = np.random.default_rng(n_theta).standard_normal((5, n_coeffs(4)))
+    lam = _degrees(c.shape[-1]) * (_degrees(c.shape[-1]) + 1.0)
+    exact = np.sum(c * c * (lam * lam - lam), axis=-1)
+    lap = g.synthesize(-lam * c)
+    cot = (g.x / g.sin_theta)[:, None]
+
+    def bochner(d, h22):
+        hess2 = d["h11"] ** 2 + 2.0 * d["h12"] ** 2 + h22**2
+        return np.abs(np.sum(g.w_node * hess2, axis=(-2, -1)) / exact - 1.0).max()
+
+    for d in (g._product_route(c), g._fft_route(c)):
+        assert bochner(d, d["h22"]) <= 1e-14
+        assert bochner(d, d["h22"] - 2.0 * cot * d["f1"]) > 0.1
+        hess = max(np.abs(d[key]).max() for key in ("h11", "h12", "h22"))
+        assert np.abs(d["h11"] + d["h22"] - lap).max() <= 64 * np.finfo(float).eps * hess
 
 
 def test_routes_refuse_bad_vectors_alike():
@@ -526,9 +566,9 @@ def test_grid_ceiling_rejects_before_building(monkeypatch):
 
 
 # closed-form fields of order m = 1, 2, 3 (degrees 1, 2, 4) and their exact
-# f_theta_theta; synth_derivs takes it from the Laplacian, where every m >= 1
-# term divides by sin^2(theta)
-_FTT_FIELDS = {
+# h11 = f_theta_theta; synth_derivs takes it from the trace identity
+# h11 = Lap f - h22, where every m >= 1 term of h22 divides by sin^2(theta)
+_H11_FIELDS = {
     "m1": (lambda t, p: np.sin(t) * np.cos(p), lambda t, p: -np.sin(t) * np.cos(p)),
     "m2": (
         lambda t, p: np.sin(t) ** 2 * np.sin(2 * p),
@@ -543,14 +583,14 @@ _FTT_FIELDS = {
 
 
 @pytest.mark.parametrize("n_theta", [32, 64, 128])
-@pytest.mark.parametrize("name", list(_FTT_FIELDS))
-def test_ftt_of_closed_form_fields_at_every_node(n_theta, name):
-    fn, exact = _FTT_FIELDS[name]
+@pytest.mark.parametrize("name", list(_H11_FIELDS))
+def test_h11_of_closed_form_fields_at_every_node(n_theta, name):
+    fn, exact = _H11_FIELDS[name]
     g = build_grid(n_theta, 2 * n_theta)
     th, ph = g.theta[:, None], g.phi[None, :]
-    ftt = g.synth_derivs(g.analyze(fn(th, ph), lmax=4))["ftt"]
+    h11 = g.synth_derivs(g.analyze(fn(th, ph), lmax=4))["h11"]
     want = exact(th, ph)
-    assert np.abs(ftt - want).max() <= n_theta**2 * np.spacing(np.abs(want).max())
+    assert np.abs(h11 - want).max() <= n_theta**2 * np.spacing(np.abs(want).max())
 
 
 def test_import_builds_no_rule():

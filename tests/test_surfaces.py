@@ -354,3 +354,28 @@ def test_scaled_heights_are_checked_not_the_unscaled(prof, grid):
         _graph_masses(prof, grid, 0.0, heights, np.array([1.0, 2.3, 1.0])[:, None, None])
     inside = _graph_masses(prof, grid, 0.0, heights, np.array([1.0, 2.2, 1.0])[:, None, None])
     assert np.all(np.isfinite(inside["mch"]))
+
+
+def test_kernel_is_invariant_under_a_rotation_of_the_frame(prof, grid):
+    # the kernel reads O(2)-invariant contractions of the frame components:
+    # rotating (f1, f2) by R and the Hessian by R h R^T at every node moves
+    # neither H, |A|^2 and K nor the masses beyond roundoff.  Seeded nonzonal
+    # band-4 draws at C^2 size 0.5 over s0 = 0.2; bounds fixed before the first
+    # run: 1e-13 of each field's largest value, 1e-14 relative for m_CH.  A
+    # gradient rotated without its Hessian must move H by more than 1e-6.
+    d = grid.synth_derivs(_random_c2_stack(grid, range(4), 4, 0.5))
+    c, s = math.cos(0.7), math.sin(0.7)
+    grad = {"f1": c * d["f1"] - s * d["f2"], "f2": s * d["f1"] + c * d["f2"]}
+    hess = {
+        "h11": c * c * d["h11"] - 2 * c * s * d["h12"] + s * s * d["h22"],
+        "h12": c * s * (d["h11"] - d["h22"]) + (c * c - s * s) * d["h12"],
+        "h22": s * s * d["h11"] + 2 * c * s * d["h12"] + c * c * d["h22"],
+    }
+    base = _geometry_from_derivs(prof, grid, 0.2, d)
+    turned = _geometry_from_derivs(prof, grid, 0.2, {**d, **grad, **hess})
+    for name in ("h_mean", "a_norm2", "gauss_k"):
+        want = base[name]
+        assert np.abs(turned[name] - want).max() <= 1e-13 * np.abs(want).max(), name
+    np.testing.assert_allclose(turned["mch"], base["mch"], rtol=1e-14, atol=0)
+    half = _geometry_from_derivs(prof, grid, 0.2, {**d, **grad})["h_mean"]
+    assert np.abs(half - base["h_mean"]).max() > 1e-6 * np.abs(base["h_mean"]).max()

@@ -627,31 +627,31 @@ class TestScaledGraphOracles:
 # (s0, first_analytic, first_fd, first_order, z_max) of crit 08's ten
 # variation reports (phi = random_c2_field(grid, 400 + i, 4, 0.5), drawn from
 # default_rng(400 + i); dt 2e-2), with phi read through its band-4 coefficients
-# by the separable product route of synth_derivs,
-# the profile summed from its pieces' short series, the stencils' masses
-# summed on the 16 x 32 grid of _mass_grid, and the base slice's constant H
-# read at band 0
+# by the separable product route of synth_derivs, in the round sphere's
+# orthonormal frame, the profile summed from its pieces' short series, the
+# stencils' masses summed on the 16 x 32 grid of _mass_grid, and the base
+# slice's constant H read at band 0
 CRIT_08_REPORTS = [
-    (0.2, 6.066179869706352e-20, -1.0639637319324416e-14,
-     1.9999893043569554, 1.779826286352204e-15),
-    (-0.35, -1.0837152675116002e-19, 4.487151391193341e-14,
-     1.9999680515601697, 1.5681900222830336e-15),
-    (0.5, -6.443903451416331e-20, -6.013708050052931e-14,
+    (0.2, 6.066268422733478e-20, -1.0639637319324416e-14,
+     1.9999893043569554, 1.7763568394002505e-15),
+    (-0.35, -1.078849056530934e-19, 4.487151391193341e-14,
+     1.9999680515601697, 1.5543122344752192e-15),
+    (0.5, -5.730239208893557e-20, -6.013708050052931e-14,
      1.9999683372194148, 2.6506574712925612e-15),
-    (0.3, -6.209681992841261e-20, -1.0639637319324416e-14,
-     1.9998900542670646, 2.005340338229189e-15),
-    (-0.45, 7.32813968317261e-20, -8.28041339199596e-14,
-     1.9999663394823364, 1.5681900222830336e-15),
-    (0.6, -3.398191134239738e-20, 1.258252761241844e-13,
-     1.9999516811039053, 1.582067810090848e-15),
-    (-0.25, 1.3892050331015867e-19, -4.810966440042345e-14,
-     1.999971027171084, 2.2273849431542203e-15),
-    (0.4, -5.827620704205035e-20, -5.088522196198634e-14,
+    (0.3, -6.217555505038674e-20, -1.0639637319324416e-14,
+     1.9998900542670646, 1.9984014443252818e-15),
+    (-0.45, 7.30954412071055e-20, -8.28041339199596e-14,
+     1.9999663394823364, 1.5543122344752192e-15),
+    (0.6, -3.350352023742606e-20, 1.258252761241844e-13,
+     1.9999516811039053, 1.5543122344752192e-15),
+    (-0.25, 1.3845676675552699e-19, -4.810966440042345e-14,
+     1.999971027171084, 2.213507155346406e-15),
+    (0.4, -5.852882085304783e-20, -5.088522196198634e-14,
      1.9998800134054684, 1.3322676295501878e-15),
-    (-0.55, -9.89325386576595e-20, 3.700743415417188e-14,
+    (-0.55, -9.988553681945286e-20, 3.700743415417188e-14,
      1.999938179485601, 1.6653345369377348e-15),
-    (0.15, 4.721752800327501e-20, -1.7578531223231646e-14,
-     2.0, 2.6662699825763525e-15),
+    (0.15, 4.7215172326381884e-20, -1.7578531223231646e-14,
+     2.0, 2.6645352591003757e-15),
 ]
 
 
