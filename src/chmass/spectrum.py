@@ -73,17 +73,21 @@ def _gram(factors, col, g: np.ndarray, a: str, b: str) -> np.ndarray:
     ``SphereGrid._separable_basis``.
 
     Separable: g against the (2 lmax + 1)^2 azimuthal products per theta row,
-    a's theta profiles multiplied in, then one contraction over theta with b's.
-    The azimuthal sums are one matrix-vector product per theta row, whose
-    order, unlike that of one matrix product over all rows, does not follow
-    BLAS's split of the work between threads.
+    then one contraction over theta per azimuthal order of a, with b's
+    profiles times their products with that order.  The azimuthal sums are
+    one matrix-vector product per theta row, whose order, unlike that of one
+    matrix product over all rows, does not follow BLAS's split of the work
+    between threads.
     """
     (th_a, az_a), (th_b, az_b) = factors[a], factors[b]
-    m, n = len(az_a), len(col)
+    m = len(az_a)
     azz = (az_a[:, None, :] * az_b).reshape(m * m, -1)
     C = np.matmul(azz, g[:, :, None]).reshape(-1, m, m)  # (theta, p, q)
-    T = th_b @ (C[:, col] * th_a.T[:, :, None]).reshape(len(g), n * m)  # (j, (i, q))
-    return T.reshape(n, n, m)[np.arange(n), :, col].T  # (i, j) at q = col[j]
+    out = np.empty((len(col), len(col)))
+    for p in range(m):
+        rows = np.flatnonzero(col == p)
+        out[rows] = th_a[rows] @ (C[:, p, col] * th_b.T)
+    return out
 
 
 def _pencil_eigvalsh(stiff: np.ndarray, mass: np.ndarray) -> np.ndarray:
@@ -121,7 +125,8 @@ def lambda1_discrete(surface, lmax: int = 8) -> float:
     ``charge``, ``area`` and ``charged_hawking_mass``).  Each basis function is
     a theta profile times one of 2 lmax + 1 azimuthal functions, so ``_gram``
     sums the weight against azimuthal products per theta row and contracts
-    over theta; neither the dense basis nor any node-by-index array is built.
+    over theta one azimuthal order at a time; neither the dense basis nor any
+    node-by-index array is built.
     """
     from .surfaces import induced_geometry  # graph surfaces only: sweeps never load it
     geom = induced_geometry(surface)

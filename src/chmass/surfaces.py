@@ -56,11 +56,12 @@ class GraphSurface:
 class SurfaceGeometry:
     """First and second fundamental data of one graph surface.
 
-    Pointwise arrays are (n_theta, n_phi) node values; ``area_element``
-    already contains the quadrature weights' measure factor u^2 W, so
-    integrals are sum(w_node * area_element * field).  ``ginv_ij`` is in the
-    round sphere's orthonormal frame of ``synth_derivs``.  It holds the grid,
-    not the surface, so caching it on the surface makes no reference cycle.
+    Pointwise arrays are read-only (n_theta, n_phi) node values (for a
+    constant height, broadcast views of one node); ``area_element`` already
+    contains the quadrature weights' measure factor u^2 W, so integrals are
+    sum(w_node * area_element * field).  ``ginv_ij`` is in the round sphere's
+    orthonormal frame of ``synth_derivs``.  It holds the grid, not the
+    surface, so caching it on the surface makes no reference cycle.
     """
 
     grid: SphereGrid
@@ -110,6 +111,14 @@ def _mass_grid(grid: SphereGrid, lmax: int, size: float) -> SphereGrid:
     ``grid``'s, else ``grid``.  Bands 1-8 then read a 96 x 192 grid's masses to 3e-16."""
     n = max(16, 4 * lmax)
     return build_grid(n, 2 * n) if size <= 0.05 and n < grid.n_theta else grid
+
+
+def _node_derivs(grid: SphereGrid, coeffs: np.ndarray) -> dict:
+    """``grid.synth_derivs(coeffs)``, read at node (0, 0) alone for a band-0
+    (constant) height, which is the same at every node: the kernel's products
+    then broadcast against ``w_node`` to the whole grid's sums bit for bit."""
+    d = grid.synth_derivs(coeffs)
+    return {key: v[..., :1, :1] for key, v in d.items()} if coeffs.shape[-1] == 1 else d
 
 
 def _graph_masses(prof: RadialProfile, grid: SphereGrid, s0, d: dict, t=None) -> dict:
@@ -229,17 +238,18 @@ def induced_geometry(surface: GraphSurface) -> SurfaceGeometry:
     Every height field, constant ones included, takes the same spectral
     route: its partials are one synthesis of ``phi.coeffs``, at the band the
     height carries.  A slice is the graph of a constant height, and its
-    closed form is ``profile.curvature_scalars``.  The mass is taken at the
-    profile's zeta = 2 Lambda; ``charged_hawking_mass`` evaluates any other
-    zeta from this geometry.  The result is cached on the surface.  The
-    profile read refuses a graph that leaves [-s_max, s_max] (ValueError).
+    closed form is ``profile.curvature_scalars``; its kernel runs on one
+    node (``_node_derivs``).  The mass is taken at the profile's zeta =
+    2 Lambda; ``charged_hawking_mass`` evaluates any other zeta from this
+    geometry.  The result is cached on the surface.  The profile read
+    refuses a graph that leaves [-s_max, s_max] (ValueError).
     """
     if surface._geom is None:
         prof, grid = surface.profile, surface.grid
-        d = grid.synth_derivs(surface.phi.coeffs)
+        d = _node_derivs(grid, surface.phi.coeffs)
         fields = _geometry_from_derivs(prof, grid, surface.s0, d)
-        for name in ("area", "charge", "mch"):
-            fields[name] = float(fields[name])
+        for name, v in fields.items():
+            fields[name] = float(v) if np.ndim(v) == 0 else np.broadcast_to(v, grid.w_node.shape)
         surface._geom = SurfaceGeometry(grid=grid, zeta=prof.zeta, **fields)
     return surface._geom
 

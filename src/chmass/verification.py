@@ -42,7 +42,7 @@ from .spectrum import (
     laplace_spectrum_discrete,
     stability_window,
 )
-from .surfaces import GraphSurface, _graph_masses, _mass_grid, induced_geometry
+from .surfaces import GraphSurface, _graph_masses, _mass_grid, _node_derivs, induced_geometry
 from .sweeps import sweep_table
 from .variations import (
     local_max_experiment,
@@ -140,9 +140,9 @@ def crit_04_slice_mass_constancy():
     prof = integrate_profile(0.5, 0.3, 1.0, s_max=2.0, tol=1e-10)
     s0 = np.linspace(-1.8, 1.8, 50)
     # the 50 slices are the graphs of one zero height over a stack of s0; a
-    # zero height is band 0, synthesized from its one zero coefficient
+    # zero height is band 0, read at one node of its one synthesis
     grid = _mass_grid(build_grid(32, 64), 0, 0.0)
-    zero = grid.synth_derivs(np.zeros(1))
+    zero = _node_derivs(grid, np.zeros(1))
     quad = _graph_masses(prof, grid, s0[:, None, None], zero)
     return [
         ("closed-form slice mass", np.abs(slice_hawking_mass(prof, s0) - prof.m).max(), 1e-8),

@@ -43,10 +43,12 @@ def test_total_runtime(summary):
 # reaches the kernel in chunks of at most surfaces._STACK_NODES grid nodes, on
 # the grid of surfaces._mass_grid: crit 04's 50 slices (band 0) at n_theta 16
 # in 2 calls, crit 05's 20 graphs (drawn at n_theta 64) at n_theta 16 in one,
-# crit 09's two 5-graph stencils at n_theta 16 in one call each.  Crit 08's 10
-# cases each send the base slice (n_theta 32), the 6-graph stencil (n_theta
-# 16) and its largest-|t| graph re-summed on phi's grid (n_theta 32) in one
-# call each, plus its 7 slices.  Crit 10 draws its 200 heights on the 32 x 64
+# crit 09's two 5-graph stencils at n_theta 16 in one call each.  A band-0
+# height (a slice) is read at one node: crit 04's slices, crit 06's and crit
+# 08's 7 slices and 10 base slices send one node each.  Crit 08's 10 cases
+# each send the base slice, the 6-graph stencil (n_theta 16) and its
+# largest-|t| graph re-summed on phi's grid (n_theta 32) in one call each,
+# plus its 7 slices.  Crit 10 draws its 200 heights on the 32 x 64
 # grid in 25 stacks of 8 and keeps their coefficients; it sums their masses on
 # the 16 x 32 grid in 7 blocks of at most 32 graphs (one transform and one
 # kernel call each, 200 x 512 nodes), and once more for its largest-excess
@@ -58,10 +60,10 @@ def test_total_runtime(summary):
 # analysis left is of each of crit 08's base slices' mean curvature; each
 # report synthesizes phi on its grid and on the stencil's, H and the base slice.
 KERNEL_COUNTS = {
-    "04": (0, 1, 2, 50 * 512),
+    "04": (0, 1, 2, 50),
     "05": (0, 2, 1, 20 * 512),
-    "06": (0, 1, 1, 2048),
-    "08": (10, 57, 37, 7 * 2048 + 10 * (2048 + 6 * 512 + 2048)),
+    "06": (0, 1, 1, 1),
+    "08": (10, 57, 37, 7 + 10 * (1 + 6 * 512 + 2048)),
     "09": (0, 2, 2, 10 * 512),
     "10": (0, 33, 8, 200 * 512 + 2048),
 }

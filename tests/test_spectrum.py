@@ -210,8 +210,10 @@ def test_laplace_spectrum_discrete_matches_closed_form(n_theta):
 
 def test_jacobi_pencil_traced_peak():
     # the pencil at band 8 on a perturbed 128 x 256 graph holds no array of
-    # the nodes times a basis index: its tracemalloc peak stays below 6 MB
-    # (8.0 MB while each Gram matrix gathered its azimuthal sums per theta row)
+    # the nodes times a basis index: its tracemalloc peak stays below 3 MB
+    # (2.1 MB with one contraction over theta per azimuthal order, 4.1 MB
+    # while each Gram matrix contracted all orders in one product, 8.0 MB
+    # while it gathered its azimuthal sums per theta row)
     import tracemalloc
 
     prof = integrate_profile(0.5, 0.3, 1.0, s_max=1.0)
@@ -224,24 +226,28 @@ def test_jacobi_pencil_traced_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6e6
+    assert peak <= 3e6
 
 
 def test_gram_forms_do_not_depend_on_the_blas_thread_count():
-    # the band-8 Gram forms of a nonzonal weight on 32 x 64 and 64 x 128 are
-    # the same bytes at 1 and 2 BLAS threads (one matrix product over all theta
-    # rows, in place of a matrix-vector product per row, differs in both)
+    # the band-8 and band-12 Gram forms of a nonzonal weight on 32 x 64,
+    # 64 x 128 and 128 x 256 are the same bytes at 1 and 2 BLAS threads (one
+    # matrix product over all theta rows, in place of a matrix-vector product
+    # per row, differs at band 8; one contraction over theta of all azimuthal
+    # orders at once differs at band 12)
     code = """if True:
         import hashlib, numpy as np
         from chmass.sphere import build_grid
         from chmass.spectrum import _gram
         digest = hashlib.sha256()
-        for n in (32, 64):
+        for n in (32, 64, 128):
             g = build_grid(n, 2 * n)
-            factors, col = g._separable_basis(8)
-            w = g.w_node * np.random.default_rng(n).random(g.w_node.shape)
-            for a, b in (("f", "f"), ("1", "2"), ("2", "2")):
-                digest.update(_gram(factors, col, w, a, b).tobytes())
+            th, ph = g.theta[:, None], g.phi
+            w = g.w_node * (1.0 + 0.3 * np.cos(th) * np.sin(3.0 * ph) + 0.1 * np.cos(ph))
+            for lmax in (8, 12):
+                factors, col = g._separable_basis(lmax)
+                for a, b in (("f", "f"), ("1", "1"), ("1", "2"), ("2", "2")):
+                    digest.update(_gram(factors, col, w, a, b).tobytes())
         print(digest.hexdigest())
     """
     src = os.path.dirname(os.path.dirname(os.path.abspath(chmass.__file__)))

@@ -28,12 +28,30 @@ def prof():
 
 
 @pytest.fixture(scope="module")
+def wide():
+    # room for the height 1 over s0 = 1.2
+    return integrate_profile(0.5, 0.3, 1.0, s_max=2.5, tol=1e-10)
+
+
+@pytest.fixture(scope="module")
 def grid():
     return build_grid(32, 64)
 
 
 def zero_field(grid):
     return ScalarField(grid, np.zeros((grid.n_theta, grid.n_phi)))
+
+
+def _spy_kernel_nodes(monkeypatch):
+    """The number of nodes of each geometry-kernel call, in call order."""
+    kernel, nodes = surfaces._geometry_from_derivs, []
+
+    def spy(prof, grid, s0, d, **kw):
+        nodes.append(d["f"].size)
+        return kernel(prof, grid, s0, d, **kw)
+
+    monkeypatch.setattr(surfaces, "_geometry_from_derivs", spy)
+    return nodes
 
 
 class TestSlices:
@@ -46,6 +64,37 @@ class TestSlices:
         full = _geometry_from_derivs(prof, grid, s0, d)
         for name, want in full.items():
             assert np.array_equal(getattr(geom, name), want), name
+
+    @pytest.mark.parametrize("n_theta", [16, 128])
+    @pytest.mark.parametrize("c00", [0.0, math.sqrt(4.0 * math.pi)])
+    @pytest.mark.parametrize("s0", [0.0, 0.3, -0.3, 1.2])
+    def test_band0_height_is_read_at_one_node(self, wide, monkeypatch, n_theta, c00, s0):
+        # a constant height (the zero height, or the height 1 of c00 =
+        # sqrt(4 pi)) reaches the kernel as one node; area, charge, mch and
+        # every node array equal the full-grid synthesis's bit for bit, as
+        # read-only arrays of the grid's shape
+        grid = build_grid(n_theta, 2 * n_theta)
+        coeffs = np.array([c00])
+        full = _geometry_from_derivs(wide, grid, s0, grid.synth_derivs(coeffs))
+        nodes = _spy_kernel_nodes(monkeypatch)
+        geom = induced_geometry(GraphSurface(wide, s0, ScalarField.from_coeffs(grid, coeffs)))
+        assert nodes == [1]
+        for name, want in full.items():
+            got = getattr(geom, name)
+            assert np.array_equal(got, want), name
+            if np.ndim(want):
+                assert got.shape == (n_theta, 2 * n_theta) and not got.flags.writeable, name
+
+    @pytest.mark.parametrize("n_theta", [16, 128])
+    def test_band1_height_is_read_on_the_whole_grid(self, prof, monkeypatch, n_theta):
+        # the control: a height with any coefficient beyond c00 is not constant
+        # and reaches the kernel on every node
+        grid = build_grid(n_theta, 2 * n_theta)
+        nodes = _spy_kernel_nodes(monkeypatch)
+        phi = ScalarField.from_coeffs(grid, np.array([0.0, 0.0, 0.01, 0.0]))
+        geom = induced_geometry(GraphSurface(prof, 0.3, phi))
+        assert nodes == [n_theta * 2 * n_theta]
+        assert np.ptp(geom.h_mean) > 0.0
 
     def test_neck_closed_forms(self, prof, grid):
         geom = induced_geometry(GraphSurface(prof, 0.0, zero_field(grid)))

@@ -475,7 +475,8 @@ class TestScaledGraphOracles:
 
         def spy_kernel(prof, grid, s0, d, **kw):
             on_grid = grid.synthesize(phi.coeffs)
-            rows = np.reshape(d["f"], (-1,) + on_grid.shape)  # t of each stack row
+            f = np.broadcast_to(d["f"], np.broadcast_shapes(d["f"].shape, on_grid.shape))
+            rows = np.reshape(f, (-1,) + on_grid.shape)  # t of each stack row
             kernel_t.extend(np.sum(rows * on_grid, axis=(1, 2)) / np.sum(on_grid**2))
             kernel_rows.append((grid.n_theta, len(rows)))
             return kernel(prof, grid, s0, d, **kw)
@@ -521,11 +522,11 @@ class TestScaledGraphOracles:
         charge(surf)
 
     def test_fine_oracle_op_kernel_nodes(self, prof, monkeypatch):
-        # counting gate for fine_oracle_op: each report's base slice and
-        # resolution graph (128 x 256 nodes each) and its stencil (9 and 6
-        # graphs of 16 x 32) in one kernel call each, and the graph once for
-        # lambda1 and its charge; 17 graphs of 128 x 256 before the stencils
-        # were summed on the grid of _mass_grid
+        # counting gate for fine_oracle_op: each report's base slice (one
+        # node: a band-0 height), resolution graph (128 x 256 nodes) and
+        # stencil (9 and 6 graphs of 16 x 32) in one kernel call each, and the
+        # graph once for lambda1 and its charge; 17 graphs of 128 x 256 before
+        # the stencils were summed on the grid of _mass_grid
         kernel = surfaces._geometry_from_derivs
         nodes = []
 
@@ -536,7 +537,7 @@ class TestScaledGraphOracles:
         monkeypatch.setattr(surfaces, "_geometry_from_derivs", spy)
         self.fine_oracle_op(prof)
         assert len(nodes) == 7
-        assert sum(nodes) == 5 * 128 * 256 + 15 * 16 * 32 == 171_520
+        assert sum(nodes) == 3 * 128 * 256 + 2 + 15 * 16 * 32 == 105_986
 
     def test_fine_oracle_op_ffts(self, prof, monkeypatch):
         # counting gate for fine_oracle_op, which may only fall: each report
