@@ -67,22 +67,46 @@ def stability_window(q: float) -> tuple[float, float] | None:
     return (1.0 - d) / 2.0, (1.0 + d) / 2.0
 
 
-def _gram(factors, col, g: np.ndarray, a: str, b: str) -> np.ndarray:
+def _azimuthal_sums(G: np.ndarray, n_phi: int, lmax: int) -> np.ndarray:
+    """The sums over phi of weights against cos(k phi) and sin(k phi),
+    k = 0..2 lmax, from their real FFT G (..., n_theta, n_phi // 2 + 1):
+    (..., n_theta, 2 (2 lmax + 1)), the cosine sums first.
+
+    The cosine sum is Re G_k and the sine sum -Im G_k.  A k above n_phi / 2
+    reads bin n_phi - k, of which G_k is the conjugate.
+    """
+    k = np.arange(2 * lmax + 1)
+    folded = k > n_phi // 2
+    G = G[..., np.where(folded, n_phi - k, k)]
+    return np.concatenate([G.real, np.where(folded, G.imag, -G.imag)], axis=-1)
+
+
+def _gram(factors, col, sums: np.ndarray, a: str, b: str) -> np.ndarray:
     """Quadrature form sum over nodes of g B_i B'_j, for basis components a
     and b ("f", or the frame gradients "1" and "2") of
-    ``SphereGrid._separable_basis``.
+    ``SphereGrid._separable_basis``, from the ``_azimuthal_sums`` of g.
 
-    Separable: g against the (2 lmax + 1)^2 azimuthal products per theta row,
-    then one contraction over theta per azimuthal order of a, with b's
-    profiles times their products with that order.  The azimuthal sums are
-    one matrix-vector product per theta row, whose order, unlike that of one
-    matrix product over all rows, does not follow BLAS's split of the work
-    between threads.
+    Separable: each azimuthal function is amp cos(k phi) or amp sin(k phi),
+    so by product to sum its sum against g times another, per theta row, is
+    amp amp' / 2 times two signed entries of g's sums, at |k - k'| and
+    k + k' (cosine sums for two cosines or two sines, else sine sums).  Then
+    one contraction over theta per azimuthal order of a, with b's profiles
+    times their products with that order.  The azimuthal products are
+    gathered, not summed, and each contraction is one matrix product, so the
+    form does not follow BLAS's split of the work between threads.
     """
-    (th_a, az_a), (th_b, az_b) = factors[a], factors[b]
-    m = len(az_a)
-    azz = (az_a[:, None, :] * az_b).reshape(m * m, -1)
-    C = np.matmul(azz, g[:, :, None]).reshape(-1, m, m)  # (theta, p, q)
+    (th_a, (amp_a, sin_a)), (th_b, (amp_b, sin_b)) = factors[a], factors[b]
+    m = amp_a.size
+    k = np.abs(np.arange(m) - m // 2)
+    diff = k[:, None] - k
+    odd = sin_a[:, None] != sin_b  # a sine times a cosine: the sine sums, from entry m
+    half = 0.5 * amp_a[:, None] * amp_b
+    # sin a cos b = (sin(a + b) + sin(a - b))/2, cos a sin b = (sin(a + b) - sin(a - b))/2,
+    # cos a cos b and sin a sin b = (cos(a - b) +- cos(a + b))/2
+    at_diff = half * np.where(odd, np.where(sin_a[:, None], 1.0, -1.0) * np.sign(diff), 1.0)
+    at_sum = half * np.where(sin_a[:, None] & sin_b, -1.0, 1.0)
+    C = (sums[:, np.abs(diff) + m * odd] * at_diff
+         + sums[:, k[:, None] + k + m * odd] * at_sum)  # (theta, p, q)
     out = np.empty((len(col), len(col)))
     for p in range(m):
         rows = np.flatnonzero(col == p)
@@ -103,14 +127,25 @@ def _pencil_eigvalsh(stiff: np.ndarray, mass: np.ndarray) -> np.ndarray:
 
 def _rayleigh_pencil(geom, lmax: int, potential: np.ndarray):
     """Stiffness/mass matrices of the Jacobi form in the harmonic basis."""
-    factors, col = geom.grid._separable_basis(lmax)
-    w = geom.grid.w_node * geom.area_element
-    # grad-grad part with the induced inverse metric, both in the sphere's frame
-    cross = _gram(factors, col, w * geom.ginv_12, "1", "2")
-    stiff = _gram(factors, col, w * geom.ginv_11, "1", "1") + cross + cross.T
-    stiff += _gram(factors, col, w * geom.ginv_22, "2", "2")
-    pot = _gram(factors, col, w * potential, "f", "f")
-    return stiff - pot, _gram(factors, col, w, "f", "f")
+    grid = geom.grid
+    grid._check_band(lmax)
+    # the five weights through one FFT: the grad-grad part with the induced
+    # inverse metric, both in the sphere's frame, the potential and the mass
+    # w.  They and their transform are the pencil's peak, so each is freed as
+    # soon as it is read, and the basis is built after them.
+    g = np.empty((5,) + potential.shape)
+    np.multiply(grid.w_node, geom.area_element, out=g[4])
+    for i, v in enumerate((geom.ginv_12, geom.ginv_11, geom.ginv_22, potential)):
+        np.multiply(g[4], v, out=g[i])
+    G = np.fft.rfft(g, axis=-1)
+    del g
+    s12, s11, s22, spot, smass = _azimuthal_sums(G, grid.n_phi, lmax)
+    del G
+    factors, col = grid._separable_basis(lmax)
+    cross = _gram(factors, col, s12, "1", "2")
+    stiff = _gram(factors, col, s11, "1", "1") + cross + cross.T
+    stiff += _gram(factors, col, s22, "2", "2")
+    return stiff - _gram(factors, col, spot, "f", "f"), _gram(factors, col, smass, "f", "f")
 
 
 def lambda1_discrete(surface, lmax: int = 8) -> float:
@@ -123,10 +158,12 @@ def lambda1_discrete(surface, lmax: int = 8) -> float:
 
     The geometry is the surface's cached ``induced_geometry`` (shared with
     ``charge``, ``area`` and ``charged_hawking_mass``).  Each basis function is
-    a theta profile times one of 2 lmax + 1 azimuthal functions, so ``_gram``
-    sums the weight against azimuthal products per theta row and contracts
-    over theta one azimuthal order at a time; neither the dense basis nor any
-    node-by-index array is built.
+    a theta profile times one of 2 lmax + 1 azimuthal functions c cos(k phi)
+    or c sin(k phi), so the five weights of the pencil go through one real
+    FFT over phi, ``_gram`` reads each product's sum per theta row from two
+    of its entries, and contracts over theta one azimuthal order at a time;
+    neither the dense basis nor any node-by-index array is built.  An lmax
+    that is not an integer from 0 to the grid band raises ValueError.
     """
     from .surfaces import induced_geometry  # graph surfaces only: sweeps never load it
     geom = induced_geometry(surface)
@@ -163,17 +200,18 @@ def laplace_spectrum_discrete(
 
     Discrete oracle for :func:`laplace_spectrum`: Gram matrices of the
     Dirichlet form and the L^2 pairing are built by quadrature in the
-    harmonic basis and the generalized eigenproblem is solved densely
-    (Cholesky reduction, ``_pencil_eigvalsh``).
+    harmonic basis, from one real FFT of the node weights (``_gram``), and
+    the generalized eigenproblem is solved densely (Cholesky reduction,
+    ``_pencil_eigvalsh``).
     """
     _check_k(k)
     factors, col = grid._separable_basis(lmax)
     if k > col.size:
         raise ValueError(f"requested {k} eigenvalues from a basis of size {col.size}")
-    w = grid.w_node
+    sums = _azimuthal_sums(np.fft.rfft(grid.w_node, axis=-1), grid.n_phi, lmax)
     # |grad Y|^2 on radius-a sphere integrates a-independently; mass scales a^2
-    stiff = _gram(factors, col, w, "1", "1") + _gram(factors, col, w, "2", "2")
-    mass = (a**2) * _gram(factors, col, w, "f", "f")
+    stiff = _gram(factors, col, sums, "1", "1") + _gram(factors, col, sums, "2", "2")
+    mass = (a**2) * _gram(factors, col, sums, "f", "f")
     return [float(v) for v in _pencil_eigvalsh(stiff, mass)[:k]]
 
 

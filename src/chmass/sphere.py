@@ -220,6 +220,25 @@ def _theta_rule(n_theta: int):
 _PRODUCT_BAND = 16
 
 
+def _azimuths(lmax: int) -> dict:
+    """The azimuthal functions of the real harmonics up to lmax in closed form.
+
+    Maps "trig" (sqrt(2) sin(|m| phi) for m < 0, 1, sqrt(2) cos(m phi) for
+    m > 0) and "dtrig" = d trig / dphi to (amp, sine): row p = m + lmax is
+    amp[p] sin(|m| phi) where sine[p], else amp[p] cos(|m| phi).
+    """
+    m = np.arange(-lmax, lmax + 1)
+    nrm = np.where(m == 0, 1.0, math.sqrt(2.0))
+    return {"trig": (nrm, m < 0), "dtrig": (np.abs(m) * nrm * np.where(m < 0, 1.0, -1.0), m > 0)}
+
+
+def _azimuth_values(amp: np.ndarray, sine: np.ndarray, n_phi: int) -> np.ndarray:
+    """(2 lmax + 1, n_phi) values at the grid's phi of a closed form of ``_azimuths``."""
+    mphi = np.abs(np.arange(amp.size) - amp.size // 2)[:, None] * (
+        2.0 * math.pi * np.arange(n_phi) / n_phi)
+    return amp[:, None] * np.where(sine[:, None], np.sin(mphi), np.cos(mphi))
+
+
 def _separable_factors(n_theta: int, n_phi: int, lmax: int):
     """(factors, col): the real harmonics up to lmax and their frame
     derivatives as products of a theta profile and an azimuthal function.
@@ -227,8 +246,7 @@ def _separable_factors(n_theta: int, n_phi: int, lmax: int):
     ``factors`` maps each key of ``synth_derivs`` to (n_coeffs(lmax), n_theta)
     theta profiles, row k those of Y_k = Pbar trig from the rows Pbar and
     Pbar' = dPbar/dx of ``_theta_rule``'s tables, and (2 lmax + 1, n_phi)
-    azimuthal functions: trig (sqrt(2) sin(|m| phi) for m < 0, 1,
-    sqrt(2) cos(m phi) for m > 0), or dtrig = d trig / dphi for f2 and h12.
+    azimuthal functions: trig, or dtrig for f2 and h12 (``_azimuths``).
     Coefficient k = l^2 + l + m pairs with azimuthal row col[k] = m + lmax.
     The arrays are separate, so a caller that keeps some frees the rest; they
     and the mapping are read-only, as the cached copy is shared.
@@ -242,11 +260,7 @@ def _separable_factors(n_theta: int, n_phi: int, lmax: int):
     lc, mc = l[:, None], m[:, None]
     f1 = -s * Dk
     h22 = -mc * mc * Pk / (s * s) - x * Dk
-    az = np.arange(-lmax, lmax + 1)[:, None]
-    mphi = np.abs(az) * (2.0 * math.pi * np.arange(n_phi) / n_phi)
-    nrm = np.where(az == 0, 1.0, math.sqrt(2.0))
-    trig = nrm * np.where(az < 0, np.sin(mphi), np.cos(mphi))
-    dtrig = np.abs(az) * nrm * np.where(az < 0, np.cos(mphi), -np.sin(mphi))
+    trig, dtrig = (_azimuth_values(*rule, n_phi) for rule in _azimuths(lmax).values())
     factors = {
         "f": (Pk, trig),
         "f1": (f1, trig),
@@ -425,22 +439,31 @@ class SphereGrid:
         fp = np.sum(m * (B * cosm - A * sinm), axis=0)
         return f, ft, fp
 
+    def _check_band(self, lmax) -> None:
+        """Refuse an lmax that is not an integer from 0 to the grid band (ValueError)."""
+        if not isinstance(lmax, (int, np.integer)) or lmax < 0:
+            raise ValueError(f"lmax must be an integer >= 0, got {lmax!r}")
+        if lmax > self.lmax:
+            raise ValueError(f"lmax = {lmax} beyond grid band {self.lmax}")
+
     def _separable_basis(self, lmax: int):
         """The real harmonics up to lmax and their frame gradients as products
         of a theta profile and an azimuthal function.
 
         Returns (factors, col).  ``factors`` maps "f" (Y) and the frame
         gradient "1" (dY/dtheta) and "2" (dY/dphi / sin theta) to a pair
-        (theta profiles (n_coeffs, n_theta), azimuthal functions
-        (2 lmax + 1, n_phi)); basis function k = l^2 + l + m of a component is
-        its theta profile k times azimuthal function col[k] = m + lmax.  They
-        are the "f", "f1" and "f2" factors of ``_separable_factors``, which
-        the product route of ``synth_derivs`` reads too.
+        (theta profiles (n_coeffs, n_theta), azimuthal functions in the
+        closed form (amp, sine) of ``_azimuths``); basis function
+        k = l^2 + l + m of a component is its theta profile k times azimuthal
+        function col[k] = m + lmax.  The profiles are the "f", "f1" and "f2"
+        factors of ``_separable_factors``, which the product route of
+        ``synth_derivs`` reads too.  lmax is checked by ``_check_band``.
         """
-        if lmax > self.lmax:
-            raise ValueError(f"lmax = {lmax} beyond grid band {self.lmax}")
+        self._check_band(lmax)
         factors, col = _separable_factors(self.n_theta, self.n_phi, lmax)
-        return {"f": factors["f"], "1": factors["f1"], "2": factors["f2"]}, col
+        trig, dtrig = _azimuths(lmax).values()
+        return {"f": (factors["f"][0], trig), "1": (factors["f1"][0], trig),
+                "2": (factors["f2"][0], dtrig)}, col
 
     def basis_with_gradients(self, lmax: int):
         """Values and frame gradients of Y_{lm} up to lmax.
@@ -449,7 +472,8 @@ class SphereGrid:
         shape (n_coeffs, n_theta, n_phi).
         """
         factors, col = self._separable_basis(lmax)
-        return tuple(th[:, :, None] * az[col][:, None, :] for th, az in factors.values())
+        return tuple(th[:, :, None] * _azimuth_values(*az, self.n_phi)[col][:, None, :]
+                     for th, az in factors.values())
 
 
 @dataclass(eq=False)

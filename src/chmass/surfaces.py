@@ -114,11 +114,16 @@ def _mass_grid(grid: SphereGrid, lmax: int, size: float) -> SphereGrid:
 
 
 def _node_derivs(grid: SphereGrid, coeffs: np.ndarray) -> dict:
-    """``grid.synth_derivs(coeffs)``, read at node (0, 0) alone for a band-0
-    (constant) height, which is the same at every node: the kernel's products
-    then broadcast against ``w_node`` to the whole grid's sums bit for bit."""
-    d = grid.synth_derivs(coeffs)
-    return {key: v[..., :1, :1] for key, v in d.items()} if coeffs.shape[-1] == 1 else d
+    """``grid.synth_derivs(coeffs)``, but for a band-0 (constant) height its
+    one node (..., 1, 1) with no transform: f = c_00 Pbar_00 and the five
+    frame partials 0, as the product route gives them at every node.  The
+    kernel's products then broadcast against ``w_node`` to the whole grid's
+    sums bit for bit."""
+    if coeffs.shape[-1] != 1:
+        return grid.synth_derivs(coeffs)
+    f = coeffs[..., None] * grid.tables()[0][0, 0]
+    zero = np.zeros_like(f)
+    return {"f": f, **dict.fromkeys(("f1", "f2", "h11", "h12", "h22"), zero)}
 
 
 def _graph_masses(prof: RadialProfile, grid: SphereGrid, s0, d: dict, t=None) -> dict:
@@ -235,11 +240,11 @@ def _hawking_mass(area_val, charge_val, h2_int, zeta: float):
 def induced_geometry(surface: GraphSurface) -> SurfaceGeometry:
     """Compute the full geometric package of a graph surface by quadrature.
 
-    Every height field, constant ones included, takes the same spectral
-    route: its partials are one synthesis of ``phi.coeffs``, at the band the
-    height carries.  A slice is the graph of a constant height, and its
-    closed form is ``profile.curvature_scalars``; its kernel runs on one
-    node (``_node_derivs``).  The mass is taken at the profile's zeta =
+    Every height field, constant ones included, takes the same kernel: its
+    partials are one synthesis of ``phi.coeffs``, at the band the height
+    carries.  A slice is the graph of a constant height, and its closed form
+    is ``profile.curvature_scalars``; its kernel runs on one node, built with
+    no transform (``_node_derivs``).  The mass is taken at the profile's zeta =
     2 Lambda; ``charged_hawking_mass`` evaluates any other zeta from this
     geometry.  The result is cached on the surface.  The profile read
     refuses a graph that leaves [-s_max, s_max] (ValueError).

@@ -167,18 +167,19 @@ def first_variation(
     phi is read on geom's grid from its coefficients, of any band up to the
     grid band, and H over the full grid band, so any graph is read whole.
     """
-    return _first_variation(geom, geom.grid.synth_derivs(phi.coeffs), zeta)
-
-
-def _first_variation(geom: SurfaceGeometry, d_phi: dict, zeta: float | None, h_band=None) -> float:
-    """``first_variation`` from phi's ``synth_derivs`` dict, H read up to band ``h_band``."""
     grid = geom.grid
-    z = z_functional(geom, zeta)
-    d_h = grid.synth_derivs(grid.analyze(geom.h_mean, h_band))
-    lap_term = -geom.integral(geom.grad_inner(d_h, d_phi))
-    z_term = geom.integral(z * geom.h_mean * d_phi["f"])
+    d_phi = grid.synth_derivs(phi.coeffs)
+    d_h = grid.synth_derivs(grid.analyze(geom.h_mean))
+    return _first_variation(geom, d_phi["f"], zeta, geom.integral(geom.grad_inner(d_h, d_phi)))
+
+
+def _first_variation(geom: SurfaceGeometry, phi: np.ndarray, zeta: float | None,
+                     grad_term: float = 0.0) -> float:
+    """``first_variation`` from phi's grid values and grad_term = int <grad H,
+    grad phi>, which is 0 where H is constant (a slice)."""
+    z_term = geom.integral(z_functional(geom, zeta) * geom.h_mean * phi)
     pref = 2.0 * math.sqrt(geom.area) / (16.0 * math.pi) ** 1.5
-    return -pref * (lap_term + z_term)
+    return -pref * (z_term - grad_term)
 
 
 # ---------------------------------------------------------------------------
@@ -444,12 +445,14 @@ def variation_report(
 
     The analytic side and the base slice are read on phi's grid, from one
     synthesis of phi's coefficients (the oracle's, when the stencil is summed
-    on phi's grid); the base slice's H is constant and read at band 0, with
-    no FFT.  The oracles share one mass table, a stack of each distinct t of
-    the union of the stencils (9 scaled graphs at s0 = 0 for the first
-    difference and both second differences, t = 0 included; 6 otherwise),
-    summed on the grid of ``_scaled_masses``.  When that is coarser than
-    phi's grid, the largest-|t| member is summed once more on phi's grid, and
+    on phi's grid).  The base slice is a band-0 height, read at one node with
+    no transform; its H is constant, so the Laplacian term of the first
+    variation is 0 and H is neither analyzed nor synthesized.  The oracles
+    share one mass table, a stack of each distinct t of the union of the
+    stencils (9 scaled graphs at s0 = 0 for the first difference and both
+    second differences, t = 0 included; 6 otherwise), summed on the grid of
+    ``_scaled_masses``.  When that is coarser than phi's grid, the
+    largest-|t| member is summed once more on phi's grid, and
     ``mass_resolution`` is the difference.
     """
     _check_dt(dt)
@@ -465,7 +468,7 @@ def variation_report(
         prof, grid, s0, d, np.full((1, 1, 1), top))["mch"][0])
     fd = _first_fd(mass, dt)
     report = VariationReport(
-        first_analytic=_first_variation(geom, d, None, h_band=0),
+        first_analytic=_first_variation(geom, d["f"], None),
         first_fd=fd.value,
         first_order=fd.order,
         first_floor_ratio=fd.floor_ratio,

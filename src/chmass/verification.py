@@ -140,7 +140,7 @@ def crit_04_slice_mass_constancy():
     prof = integrate_profile(0.5, 0.3, 1.0, s_max=2.0, tol=1e-10)
     s0 = np.linspace(-1.8, 1.8, 50)
     # the 50 slices are the graphs of one zero height over a stack of s0; a
-    # zero height is band 0, read at one node of its one synthesis
+    # zero height is band 0, read at one node with no transform
     grid = _mass_grid(build_grid(32, 64), 0, 0.0)
     zero = _node_derivs(grid, np.zeros(1))
     quad = _graph_masses(prof, grid, s0[:, None, None], zero)

@@ -44,8 +44,8 @@ def test_total_runtime(summary):
 # the grid of surfaces._mass_grid: crit 04's 50 slices (band 0) at n_theta 16
 # in 2 calls, crit 05's 20 graphs (drawn at n_theta 64) at n_theta 16 in one,
 # crit 09's two 5-graph stencils at n_theta 16 in one call each.  A band-0
-# height (a slice) is read at one node: crit 04's slices, crit 06's and crit
-# 08's 7 slices and 10 base slices send one node each.  Crit 08's 10 cases
+# height (a slice) is read at one node with no transform: crit 04's slices,
+# crit 06's and crit 08's 7 slices and 10 base slices send one node each.  Crit 08's 10 cases
 # each send the base slice, the 6-graph stencil (n_theta 16) and its
 # largest-|t| graph re-summed on phi's grid (n_theta 32) in one call each,
 # plus its 7 slices.  Crit 10 draws its 200 heights on the 32 x 64
@@ -56,14 +56,17 @@ def test_total_runtime(summary):
 # derivative-synthesized once from its drawn coefficients and never analyzed:
 # crit 05 draws one stack, crit 08 ten single fields and crit 10 25 stacks.
 # Every height is born as coefficients (the seeded draws, the band-0 zero
-# heights of crit 04, 06 and 08, crit 09's psi and its constant), so the only
-# analysis left is of each of crit 08's base slices' mean curvature; each
-# report synthesizes phi on its grid and on the stencil's, H and the base slice.
+# heights of crit 04, 06 and 08, crit 09's psi and its constant), and a base
+# slice's H is constant, so no criterion analyzes anything; each of crit 08's
+# reports synthesizes phi on its grid and on the stencil's.  Counts that fell
+# once a band-0 height and a base slice's H were no longer transformed: crit
+# 04's and 06's synth_derivs 1 -> 0, crit 08's analyses 10 -> 0 and
+# synth_derivs 57 -> 30.
 KERNEL_COUNTS = {
-    "04": (0, 1, 2, 50),
+    "04": (0, 0, 2, 50),
     "05": (0, 2, 1, 20 * 512),
-    "06": (0, 1, 1, 1),
-    "08": (10, 57, 37, 7 + 10 * (1 + 6 * 512 + 2048)),
+    "06": (0, 0, 1, 1),
+    "08": (0, 30, 37, 7 + 10 * (1 + 6 * 512 + 2048)),
     "09": (0, 2, 2, 10 * 512),
     "10": (0, 33, 8, 200 * 512 + 2048),
 }

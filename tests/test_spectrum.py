@@ -182,8 +182,12 @@ def _dense_pencil(geom, lmax, potential):
     return stiff - form(Y, w * potential.ravel(), Y), form(Y, w, Y)
 
 
-@pytest.mark.parametrize("n_theta", [32, 128])
-@pytest.mark.parametrize("lmax", [6, 8])
+# on 16 x 32 at lmax 9, 12 and 15 the azimuthal products reach frequency
+# 2 lmax = 18 to 30, above n_phi / 2 = 16, where the Gram forms read the
+# weights' real FFT folded
+@pytest.mark.parametrize("lmax, n_theta", [
+    (6, 32), (6, 128), (8, 32), (8, 128), (9, 16), (12, 16), (15, 16),
+])
 def test_separable_pencil_matches_dense_basis(prof, n_theta, lmax):
     # a graph with phi-dependent metric and potential, so no azimuthal
     # product vanishes by symmetry
@@ -210,10 +214,11 @@ def test_laplace_spectrum_discrete_matches_closed_form(n_theta):
 
 def test_jacobi_pencil_traced_peak():
     # the pencil at band 8 on a perturbed 128 x 256 graph holds no array of
-    # the nodes times a basis index: its tracemalloc peak stays below 3 MB
-    # (2.1 MB with one contraction over theta per azimuthal order, 4.1 MB
-    # while each Gram matrix contracted all orders in one product, 8.0 MB
-    # while it gathered its azimuthal sums per theta row)
+    # the nodes times a basis index: its tracemalloc peak stays below 3 MB.
+    # It is 2.6 MB, the five stacked weights and their real FFT (2.1 MB
+    # while each form summed its own weight against the azimuthal products,
+    # 4.1 MB while each Gram matrix contracted all orders in one product,
+    # 8.0 MB while it gathered its azimuthal sums per theta row)
     import tracemalloc
 
     prof = integrate_profile(0.5, 0.3, 1.0, s_max=1.0)
@@ -231,14 +236,15 @@ def test_jacobi_pencil_traced_peak():
 
 def test_gram_forms_do_not_depend_on_the_blas_thread_count():
     # the band-8 and band-12 Gram forms of a nonzonal weight on 32 x 64,
-    # 64 x 128 and 128 x 256 are the same bytes at 1 and 2 BLAS threads (one
-    # matrix product over all theta rows, in place of a matrix-vector product
-    # per row, differs at band 8; one contraction over theta of all azimuthal
-    # orders at once differs at band 12)
+    # 64 x 128 and 128 x 256, from its real FFT's azimuthal sums, are the
+    # same bytes at 1 and 2 BLAS threads (one matrix product over all theta
+    # rows, in place of a matrix-vector product per row, differed at band 8;
+    # one contraction over theta of all azimuthal orders at once differs at
+    # band 12)
     code = """if True:
         import hashlib, numpy as np
         from chmass.sphere import build_grid
-        from chmass.spectrum import _gram
+        from chmass.spectrum import _azimuthal_sums, _gram
         digest = hashlib.sha256()
         for n in (32, 64, 128):
             g = build_grid(n, 2 * n)
@@ -246,8 +252,9 @@ def test_gram_forms_do_not_depend_on_the_blas_thread_count():
             w = g.w_node * (1.0 + 0.3 * np.cos(th) * np.sin(3.0 * ph) + 0.1 * np.cos(ph))
             for lmax in (8, 12):
                 factors, col = g._separable_basis(lmax)
+                sums = _azimuthal_sums(np.fft.rfft(w, axis=-1), g.n_phi, lmax)
                 for a, b in (("f", "f"), ("1", "1"), ("1", "2"), ("2", "2")):
-                    digest.update(_gram(factors, col, w, a, b).tobytes())
+                    digest.update(_gram(factors, col, sums, a, b).tobytes())
         print(digest.hexdigest())
     """
     src = os.path.dirname(os.path.dirname(os.path.abspath(chmass.__file__)))
@@ -264,6 +271,16 @@ def test_gram_forms_do_not_depend_on_the_blas_thread_count():
 def test_laplace_spectrum_discrete_basis_guard(grid):
     with pytest.raises(ValueError):
         laplace_spectrum_discrete(grid, 0.5, 200, lmax=4)
+
+
+@pytest.mark.parametrize("lmax", [-1, 2.5])
+def test_basis_band_must_be_a_nonnegative_integer(prof, grid, lmax):
+    # lmax -1 failed in a reshape and 2.5 with an IndexError
+    surf = GraphSurface(prof, 0.1, random_c2_field(grid, 4, 4, 0.05))
+    for call in (lambda: grid._separable_basis(lmax), lambda: lambda1_discrete(surf, lmax=lmax),
+                 lambda: laplace_spectrum_discrete(grid, 0.5, 1, lmax=lmax)):
+        with pytest.raises(ValueError, match="lmax must be an integer >= 0"):
+            call()
 
 
 @pytest.mark.parametrize("k", [0, -2])

@@ -456,7 +456,7 @@ class TestScaledGraphOracles:
     def test_variation_report_counts(self, prof, grid, monkeypatch):
         # deterministic counting gate: phi's coefficients are synthesized once
         # on phi's grid for the analytic side and once on the 16 x 32 grid of
-        # _mass_grid for the oracle, phi is never analyzed, and the geometry
+        # _mass_grid for the oracle, nothing is analyzed, and the geometry
         # kernel sees the base slice, the 9 distinct t of the stencils (t = 0
         # included) as one stack on the 16 x 32 grid, and the largest-|t|
         # graph once more on phi's grid for the mass resolution
@@ -488,19 +488,17 @@ class TestScaledGraphOracles:
         dt = 1e-2
         rep = variation_report(prof, 0.0, phi, dt)
 
-        # analysed: the base slice's mean curvature alone; never phi, the base
-        # slice's zero height nor a scaled copy t phi
-        assert len(analyzed) == 1
-        assert not any(np.array_equal(v, phi.values) for v in analyzed)
-        # synthesised: the base slice from the band-0 zero vector, its mean
-        # curvature, and phi's own coefficients once on each grid
-        assert len(synthesized) == 4
-        assert any(n == 32 and np.array_equal(c, np.zeros(1)) for n, c in synthesized)
+        # analysed: nothing (1 -> 0); the base slice's H is constant, so its
+        # gradient is 0 and it was analysed only to be read as such
+        assert analyzed == []
+        # synthesised: phi's own coefficients once on each grid (4 -> 2); the
+        # base slice's band-0 height is read at one node and its constant H
+        # not at all
+        assert len(synthesized) == 2
         assert sorted(n for n, c in synthesized if c is phi.coeffs) == [16, 32]
-        # FFTs: the analysis of H (one rfft) alone; H is constant on the
-        # slice and read at band 0, and its partials, phi and the zero height
-        # take the product route
-        assert ffts == {"rfft": 1, "irfft": 0}
+        # FFTs: none (rfft 1 -> 0, the analysis of H); phi takes the product
+        # route
+        assert ffts == {"rfft": 0, "irfft": 0}
         stencil = [s * h for h in (dt / 4, dt / 2, dt, 2 * dt) for s in (1, -1)]
         expected = sorted([0.0, 0.0, 2 * dt] + stencil)
         np.testing.assert_allclose(sorted(kernel_t), expected, rtol=1e-12, atol=1e-15)
@@ -540,25 +538,26 @@ class TestScaledGraphOracles:
         assert sum(nodes) == 3 * 128 * 256 + 2 + 15 * 16 * 32 == 105_986
 
     def test_fine_oracle_op_ffts(self, prof, monkeypatch):
-        # counting gate for fine_oracle_op, which may only fall: each report
-        # analyses its base slice's H (one rfft, read at band 0, so its
-        # partials make no FFT), and the perturbed graph built from values is
-        # analysed over the full band (one rfft) and its six partials
-        # synthesized on the FFT route (one irfft each); phi and every other
-        # height are band <= 4 and make no FFT.  18 irfft before H was read
-        # at band 0
+        # counting gate for fine_oracle_op, which may only fall: the perturbed
+        # graph built from values is analysed over the full band (one rfft)
+        # and its six partials synthesized on the FFT route (one irfft each),
+        # and lambda1's five pencil weights share one rfft; phi and every
+        # other height are band <= 4 and make no FFT, and the reports' base
+        # slices have a constant H, read with no transform.  rfft 3 -> 2
+        # when the reports stopped analysing H (one rfft each) and the
+        # pencil's azimuthal sums became one rfft; 18 irfft before H was
+        # read at band 0
         ffts = _spy_ffts(monkeypatch)
         self.fine_oracle_op(prof)
-        assert ffts == {"rfft": 3, "irfft": 6}
+        assert ffts == {"rfft": 2, "irfft": 6}
 
     def test_coefficient_field_is_never_analyzed(self, prof, grid, monkeypatch):
         # a height built from coefficients is read through them: c2_norm,
-        # induced_geometry and variation_report analyze nothing but the mean
-        # curvature H of variation_report's base slice
+        # induced_geometry and variation_report analyze nothing (the last
+        # analyzed its base slice's constant H once, 1 -> 0)
         c = np.zeros(n_coeffs(3))
         c[coeff_index(2, 1)], c[coeff_index(3, -2)] = 0.02, -0.01
         phi = ScalarField.from_coeffs(grid, c)
-        base = induced_geometry(GraphSurface(prof, 0.0, zero(grid)))
         analyzed = []
         analyze = SphereGrid.analyze
 
@@ -571,7 +570,7 @@ class TestScaledGraphOracles:
         induced_geometry(GraphSurface(prof, 0.1, phi))
         assert analyzed == []
         variation_report(prof, 0.0, phi, 1e-2)
-        assert len(analyzed) == 1 and np.array_equal(analyzed[0], base.h_mean)
+        assert analyzed == []
 
     def test_speed_is_read_on_the_geometry_grid(self, prof, grid):
         # a speed is its coefficients: one drawn on a coarser grid gives the
@@ -630,8 +629,9 @@ class TestScaledGraphOracles:
 # default_rng(400 + i); dt 2e-2), with phi read through its band-4 coefficients
 # by the separable product route of synth_derivs, in the round sphere's
 # orthonormal frame, the profile summed from its pieces' short series, the
-# stencils' masses summed on the 16 x 32 grid of _mass_grid, and the base
-# slice's constant H read at band 0
+# stencils' masses summed on the 16 x 32 grid of _mass_grid, and the
+# Laplacian term of the base slice's constant H taken as 0 (the same values
+# as when that H was read at band 0)
 CRIT_08_REPORTS = [
     (0.2, 6.066268422733478e-20, -1.0639637319324416e-14,
      1.9999893043569554, 1.7763568394002505e-15),
