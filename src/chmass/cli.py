@@ -250,6 +250,8 @@ def cmd_mass(v: dict):
 
 
 def cmd_spectrum(v: dict):
+    if v["grid"] < 9:
+        raise ValueError(f"--grid must be at least 9 (the pencils' band is 8), got {v['grid']}")
     from .spectrum import spectral_report
     return spectral_report(v["neck_a"], v["q"], n_theta=v["grid"], k=v["k"])
 
@@ -291,6 +293,8 @@ def cmd_variation(v: dict):
 def cmd_foliate(v: dict):
     from .profile import cmc_foliation, integrate_profile
     t_max, steps = v["t_max"], _count(v, "steps")
+    if t_max <= 0.0:
+        raise ValueError(f"--t-max must be positive, got {t_max}")
     prof = integrate_profile(v["neck_a"], v["q"], v["lambda"], s_max=t_max + 0.1)
     states = cmc_foliation(prof, (-t_max, t_max), steps)
     rows = [

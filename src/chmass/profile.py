@@ -546,11 +546,13 @@ def cmc_foliation(
     closed-form slice mass), and the evolution-identity residual
     |H'(t) - (Ric(nu,nu) + |A|^2)|.  The residual pits the integrated u''
     against the model closed form Ric(nu,nu) = -f'(u)/u, so it is not a
-    tautology of the integrator.
+    tautology of the integrator.  A ``t_range`` (t0, t1) needs t0 < t1.
     """
     if n_steps < 2:  # linspace would drop t1 (one step) or leak numpy's message
         raise ValueError(f"n_steps must be at least 2, got {n_steps}")
     t0, t1 = t_range
+    if not t0 < t1:
+        raise ValueError(f"t_range must have t0 < t1, got ({t0}, {t1})")
     delta = 1e-3
     if max(abs(t0), abs(t1)) + delta > prof.s_max:
         raise ValueError("t range leaves the integrated profile (need slack for FD)")

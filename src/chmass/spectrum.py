@@ -83,19 +83,23 @@ def _azimuthal_sums(G: np.ndarray, n_phi: int, lmax: int) -> np.ndarray:
 
 def _gram(factors, col, sums: np.ndarray, a: str, b: str) -> np.ndarray:
     """Quadrature form sum over nodes of g B_i B'_j, for basis components a
-    and b ("f", or the frame gradients "1" and "2") of
-    ``SphereGrid._separable_basis``, from the ``_azimuthal_sums`` of g.
+    and b ("f", or the frame gradients "f1" and "f2") of
+    ``sphere._separable_factors``, from the ``_azimuthal_sums`` of g.
 
-    Separable: each azimuthal function is amp cos(k phi) or amp sin(k phi),
-    so by product to sum its sum against g times another, per theta row, is
-    amp amp' / 2 times two signed entries of g's sums, at |k - k'| and
-    k + k' (cosine sums for two cosines or two sines, else sine sums).  Then
-    one contraction over theta per azimuthal order of a, with b's profiles
-    times their products with that order.  The azimuthal products are
-    gathered, not summed, and each contraction is one matrix product, so the
-    form does not follow BLAS's split of the work between threads.
+    Separable: each azimuthal function (``sphere._azimuths``, by its name in
+    the factors) is amp cos(k phi) or amp sin(k phi), so by product to sum
+    its sum against g times another, per theta row, is amp amp' / 2 times
+    two signed entries of g's sums, at |k - k'| and k + k' (cosine sums for
+    two cosines or two sines, else sine sums).  Then one contraction over
+    theta per azimuthal order of a, with b's profiles times their products
+    with that order.  The azimuthal products are gathered, not summed, and
+    each contraction is one matrix product, so the form does not follow
+    BLAS's split of the work between threads.
     """
-    (th_a, (amp_a, sin_a)), (th_b, (amp_b, sin_b)) = factors[a], factors[b]
+    from .sphere import _azimuths  # sweeps load spectrum, never sphere
+    closed = _azimuths(math.isqrt(col.size) - 1)
+    (th_a, name_a), (th_b, name_b) = factors[a], factors[b]
+    (amp_a, sin_a), (amp_b, sin_b) = closed[name_a], closed[name_b]
     m = amp_a.size
     k = np.abs(np.arange(m) - m // 2)
     diff = k[:, None] - k
@@ -127,6 +131,7 @@ def _pencil_eigvalsh(stiff: np.ndarray, mass: np.ndarray) -> np.ndarray:
 
 def _rayleigh_pencil(geom, lmax: int, potential: np.ndarray):
     """Stiffness/mass matrices of the Jacobi form in the harmonic basis."""
+    from .sphere import _separable_factors
     grid = geom.grid
     grid._check_band(lmax)
     # the five weights through one FFT: the grad-grad part with the induced
@@ -141,10 +146,10 @@ def _rayleigh_pencil(geom, lmax: int, potential: np.ndarray):
     del g
     s12, s11, s22, spot, smass = _azimuthal_sums(G, grid.n_phi, lmax)
     del G
-    factors, col = grid._separable_basis(lmax)
-    cross = _gram(factors, col, s12, "1", "2")
-    stiff = _gram(factors, col, s11, "1", "1") + cross + cross.T
-    stiff += _gram(factors, col, s22, "2", "2")
+    factors, col = _separable_factors(grid.n_theta, lmax)
+    cross = _gram(factors, col, s12, "f1", "f2")
+    stiff = _gram(factors, col, s11, "f1", "f1") + cross + cross.T
+    stiff += _gram(factors, col, s22, "f2", "f2")
     return stiff - _gram(factors, col, spot, "f", "f"), _gram(factors, col, smass, "f", "f")
 
 
@@ -159,11 +164,12 @@ def lambda1_discrete(surface, lmax: int = 8) -> float:
     The geometry is the surface's cached ``induced_geometry`` (shared with
     ``charge``, ``area`` and ``charged_hawking_mass``).  Each basis function is
     a theta profile times one of 2 lmax + 1 azimuthal functions c cos(k phi)
-    or c sin(k phi), so the five weights of the pencil go through one real
-    FFT over phi, ``_gram`` reads each product's sum per theta row from two
-    of its entries, and contracts over theta one azimuthal order at a time;
-    neither the dense basis nor any node-by-index array is built.  An lmax
-    that is not an integer from 0 to the grid band raises ValueError.
+    or c sin(k phi) (``sphere._separable_factors``, built per call), so the
+    five weights of the pencil go through one real FFT over phi, ``_gram``
+    reads each product's sum per theta row from two of its entries, and
+    contracts over theta one azimuthal order at a time; neither the dense
+    basis nor any node-by-index array is built.  An lmax that is not an
+    integer from 0 to the grid band raises ValueError.
     """
     from .surfaces import induced_geometry  # graph surfaces only: sweeps never load it
     geom = induced_geometry(surface)
@@ -204,13 +210,15 @@ def laplace_spectrum_discrete(
     the generalized eigenproblem is solved densely (Cholesky reduction,
     ``_pencil_eigvalsh``).
     """
+    from .sphere import _separable_factors
     _check_k(k)
-    factors, col = grid._separable_basis(lmax)
+    grid._check_band(lmax)
+    factors, col = _separable_factors(grid.n_theta, lmax)
     if k > col.size:
         raise ValueError(f"requested {k} eigenvalues from a basis of size {col.size}")
     sums = _azimuthal_sums(np.fft.rfft(grid.w_node, axis=-1), grid.n_phi, lmax)
     # |grad Y|^2 on radius-a sphere integrates a-independently; mass scales a^2
-    stiff = _gram(factors, col, sums, "1", "1") + _gram(factors, col, sums, "2", "2")
+    stiff = _gram(factors, col, sums, "f1", "f1") + _gram(factors, col, sums, "f2", "f2")
     mass = (a**2) * _gram(factors, col, sums, "f", "f")
     return [float(v) for v in _pencil_eigvalsh(stiff, mass)[:k]]
 

@@ -13,9 +13,9 @@ sin(m phi), with Pbar normalized so the Y are orthonormal in L^2(S^2).
 Coefficient vectors are flat with index l^2 + l + m.
 
 ``synth_derivs`` returns the gradient and covariant Hessian in the round
-metric's orthonormal frame (e_theta, e_phi / sin theta).  Each synthesis route
-converts to it once, so the package's sin theta and cot theta factors live
-here alone; ``evaluate_at`` keeps coordinate partials.
+metric's orthonormal frame (e_theta, e_phi / sin theta).  Both synthesis
+routes convert to it by ``_frame``, so every sin theta and cot theta factor
+of a synthesis lives there; ``evaluate_at`` keeps coordinate partials.
 
 Synthesis takes one of two routes, chosen by the band L of the coefficients.
 At L <= ``_PRODUCT_BAND`` (16) every real harmonic and frame derivative is a
@@ -232,54 +232,60 @@ def _azimuths(lmax: int) -> dict:
     return {"trig": (nrm, m < 0), "dtrig": (np.abs(m) * nrm * np.where(m < 0, 1.0, -1.0), m > 0)}
 
 
-def _azimuth_values(amp: np.ndarray, sine: np.ndarray, n_phi: int) -> np.ndarray:
-    """(2 lmax + 1, n_phi) values at the grid's phi of a closed form of ``_azimuths``."""
-    mphi = np.abs(np.arange(amp.size) - amp.size // 2)[:, None] * (
-        2.0 * math.pi * np.arange(n_phi) / n_phi)
-    return amp[:, None] * np.where(sine[:, None], np.sin(mphi), np.cos(mphi))
+@functools.lru_cache(maxsize=16)
+def _azimuth_table(lmax: int, n_phi: int):
+    """The (2 lmax + 1, n_phi) values at the grid's phi of each ``_azimuths``
+    function, shared, read-only, by every grid of one n_phi (0.04 MB at band
+    4 and n_phi 256)."""
+    mphi = np.abs(np.arange(-lmax, lmax + 1))[:, None] * (2.0 * math.pi * np.arange(n_phi) / n_phi)
+    table = {}
+    for name, (amp, sine) in _azimuths(lmax).items():
+        table[name] = amp[:, None] * np.where(sine[:, None], np.sin(mphi), np.cos(mphi))
+        table[name].flags.writeable = False
+    return MappingProxyType(table)
 
 
-def _separable_factors(n_theta: int, n_phi: int, lmax: int):
+def _frame(V, X, lap, m, x, s) -> dict:
+    """Each ``synth_derivs`` key's theta profile and the name of its azimuthal
+    function ("trig", or "dtrig" = d trig / dphi for f2 and h12), for a field
+    V(x) trig(m phi) with X = dV/dx and Laplacian profile lap, at nodes
+    x = cos(theta) with s = sin(theta).  Both synthesis routes convert here,
+    so every sin theta and cot theta factor of a synthesis is in this function.
+    """
+    f1 = -s * X
+    h22 = -m * m * V / (s * s) - x * X
+    return {"f": (V, "trig"), "f1": (f1, "trig"), "f2": (V / s, "dtrig"),
+            "h11": (lap - h22, "trig"), "h12": ((f1 - x * V / s) / s, "dtrig"),
+            "h22": (h22, "trig")}
+
+
+def _separable_factors(n_theta: int, lmax: int):
     """(factors, col): the real harmonics up to lmax and their frame
     derivatives as products of a theta profile and an azimuthal function.
 
-    ``factors`` maps each key of ``synth_derivs`` to (n_coeffs(lmax), n_theta)
-    theta profiles, row k those of Y_k = Pbar trig from the rows Pbar and
-    Pbar' = dPbar/dx of ``_theta_rule``'s tables, and (2 lmax + 1, n_phi)
-    azimuthal functions: trig, or dtrig for f2 and h12 (``_azimuths``).
-    Coefficient k = l^2 + l + m pairs with azimuthal row col[k] = m + lmax.
-    The arrays are separate, so a caller that keeps some frees the rest; they
-    and the mapping are read-only, as the cached copy is shared.
+    ``factors`` maps each key of ``synth_derivs`` to ``_frame``'s pair:
+    (n_coeffs(lmax), n_theta) theta profiles, row k those of Y_k = Pbar trig
+    from the rows Pbar and Pbar' = dPbar/dx of ``_theta_rule``'s tables, and
+    the name of an ``_azimuths`` function, whose row col[k] = m + lmax pairs
+    with coefficient k = l^2 + l + m.  The arrays are separate, so a caller
+    that keeps some frees the rest; all are read-only, as the product
+    route's cached copy is shared.
     """
     x, _, (P, D) = _theta_rule(n_theta)
-    s = np.sqrt(1.0 - x**2)
     l = _degrees(n_coeffs(lmax)).astype(int)
     m = np.arange(l.size) - l * l - l
     rows = _block_start(np.abs(m), n_theta - 1) + l - np.abs(m)  # table row of (l, |m|)
-    Pk, Dk = P[rows], D[rows]
-    lc, mc = l[:, None], m[:, None]
-    f1 = -s * Dk
-    h22 = -mc * mc * Pk / (s * s) - x * Dk
-    trig, dtrig = (_azimuth_values(*rule, n_phi) for rule in _azimuths(lmax).values())
-    factors = {
-        "f": (Pk, trig),
-        "f1": (f1, trig),
-        "f2": (Pk / s, dtrig),
-        "h11": (-lc * (lc + 1.0) * Pk - h22, trig),
-        "h12": ((f1 - x * Pk / s) / s, dtrig),
-        "h22": (h22, trig),
-    }
+    Pk, lc = P[rows], l[:, None]
+    factors = _frame(Pk, D[rows], -lc * (lc + 1.0) * Pk, m[:, None], x, np.sqrt(1.0 - x**2))
     col = m + lmax
-    for a in (col, trig, dtrig, *(th for th, _ in factors.values())):
+    for a in (col, *(th for th, _ in factors.values())):
         a.flags.writeable = False
     return MappingProxyType(factors), col
 
 
-# The product route's factors, built on first use and shared by every grid of
-# one size: n_coeffs x n_theta profiles and (2 lmax + 1) x n_phi functions of a
-# band <= _PRODUCT_BAND (0.19 MB at 128 x 256, band 4).  ``_separable_basis``
-# builds its own per call, so the Jacobi pencil's factors do not stay in
-# memory after it.
+# The product route's theta profiles, built on first use and shared by every
+# grid of one n_theta (0.15 MB at n_theta 128, band 4).  The Jacobi pencil
+# and ``basis_with_gradients`` build theirs per call, so neither is kept.
 _product_factors = functools.lru_cache(maxsize=16)(_separable_factors)
 
 
@@ -388,41 +394,34 @@ class SphereGrid:
         products: the coefficients into a theta profile per azimuthal
         function, then the profiles times the azimuth matrix."""
         lmax = len(_blocks(coeffs.shape[-1], self.lmax)) - 1
-        factors, col = _product_factors(self.n_theta, self.n_phi, lmax)
+        factors, col = _product_factors(self.n_theta, lmax)
+        azimuths = _azimuth_table(lmax, self.n_phi)
         c = coeffs.reshape(-1, col.size)
         # row (field, m) of C holds the coefficients of order m in place
         C = np.zeros((c.shape[0], 2 * lmax + 1, col.size))
         C[:, col, np.arange(col.size)] = c
         shape = coeffs.shape[:-1] + (self.n_theta, self.n_phi)
         return {
-            key: ((C @ theta).swapaxes(-1, -2) @ azimuth).reshape(shape)
-            for key, (theta, azimuth) in factors.items() if derivs or key == "f"
+            key: ((C @ theta).swapaxes(-1, -2) @ azimuths[name]).reshape(shape)
+            for key, (theta, name) in factors.items() if derivs or key == "f"
         }
 
     def _fft_route(self, coeffs: np.ndarray, derivs: bool = True) -> dict:
         """``synth_derivs`` (or, without ``derivs``, only its "f") by per-m
-        Legendre blocks and one inverse FFT in phi per output."""
+        Legendre blocks: ``_frame`` converts the profiles of each order, then
+        one inverse FFT in phi per output."""
         blocks = _blocks(coeffs.shape[-1], self.lmax)
         P, D = self.tables()
-        A, B = _per_m_profiles(coeffs, P, blocks)
-        f = self._assemble(A, B)
+        V = _per_m_profiles(coeffs, P, blocks)
         if not derivs:
-            return {"f": f}
+            return {"f": self._assemble(*V)}
         m = np.arange(len(blocks)).reshape((-1,) + (1,) * coeffs.ndim)
         l = _degrees(coeffs.shape[-1])
-        Ax, Bx = _per_m_profiles(coeffs, D, blocks)
-        fx = self._assemble(Ax, Bx)
-        lap = self._assemble(*_per_m_profiles(-l * (l + 1.0) * coeffs, P, blocks))
-        fp = self._assemble(m * B, -m * A)
-        fpp = self._assemble(-(m**2) * A, -(m**2) * B)
-        fxp = self._assemble(m * Bx, -m * Ax)
-
-        # the coordinate partials into the frame, with f_theta = -s f_x
-        s = self.sin_theta[:, None]
-        x = self.x[:, None]
-        h22 = fpp / (s * s) - x * fx
-        return {"f": f, "f1": -s * fx, "f2": fp / s,
-                "h11": lap - h22, "h12": -fxp - x * fp / (s * s), "h22": h22}
+        lap = _per_m_profiles(-l * (l + 1.0) * coeffs, P, blocks)
+        frame = _frame(V, _per_m_profiles(coeffs, D, blocks), lap, m, self.x, self.sin_theta)
+        # d/dphi takes A cos(m phi) + B sin(m phi) to m B cos(m phi) - m A sin(m phi)
+        return {key: self._assemble(*((A, B) if name == "trig" else (m * B, -m * A)))
+                for key, ((A, B), name) in frame.items()}
 
     def evaluate_at(self, coeffs: np.ndarray, theta, phi):
         """(f, f_theta, f_phi) of a coefficient vector at arbitrary interior points."""
@@ -446,34 +445,19 @@ class SphereGrid:
         if lmax > self.lmax:
             raise ValueError(f"lmax = {lmax} beyond grid band {self.lmax}")
 
-    def _separable_basis(self, lmax: int):
-        """The real harmonics up to lmax and their frame gradients as products
-        of a theta profile and an azimuthal function.
-
-        Returns (factors, col).  ``factors`` maps "f" (Y) and the frame
-        gradient "1" (dY/dtheta) and "2" (dY/dphi / sin theta) to a pair
-        (theta profiles (n_coeffs, n_theta), azimuthal functions in the
-        closed form (amp, sine) of ``_azimuths``); basis function
-        k = l^2 + l + m of a component is its theta profile k times azimuthal
-        function col[k] = m + lmax.  The profiles are the "f", "f1" and "f2"
-        factors of ``_separable_factors``, which the product route of
-        ``synth_derivs`` reads too.  lmax is checked by ``_check_band``.
-        """
-        self._check_band(lmax)
-        factors, col = _separable_factors(self.n_theta, self.n_phi, lmax)
-        trig, dtrig = _azimuths(lmax).values()
-        return {"f": (factors["f"][0], trig), "1": (factors["f1"][0], trig),
-                "2": (factors["f2"][0], dtrig)}, col
-
     def basis_with_gradients(self, lmax: int):
         """Values and frame gradients of Y_{lm} up to lmax.
 
         Returns (Y, Y1, Y2) = (Y, dY/dtheta, dY/dphi / sin theta), each of
-        shape (n_coeffs, n_theta, n_phi).
+        shape (n_coeffs, n_theta, n_phi): the "f", "f1" and "f2" factors of
+        ``_separable_factors``, built for the call.  lmax is checked by
+        ``_check_band``.
         """
-        factors, col = self._separable_basis(lmax)
-        return tuple(th[:, :, None] * _azimuth_values(*az, self.n_phi)[col][:, None, :]
-                     for th, az in factors.values())
+        self._check_band(lmax)
+        factors, col = _separable_factors(self.n_theta, lmax)
+        azimuths = _azimuth_table(lmax, self.n_phi)
+        return tuple(th[:, :, None] * azimuths[name][col][:, None, :]
+                     for th, name in (factors[key] for key in ("f", "f1", "f2")))
 
 
 @dataclass(eq=False)

@@ -570,6 +570,24 @@ def test_foliate_too_few_steps_is_usage_error(capsys, steps):
     assert "n_steps must be at least 2" in err
 
 
+@pytest.mark.parametrize("t_max", ["0", "-0.9"])
+def test_foliate_nonpositive_half_range_is_usage_error(capsys, t_max):
+    # --t-max 0 printed 41 identical t = 0 rows, and -0.9 was refused as s_max
+    code, out, err = invoke(capsys, "foliate", "--neck-a", "0.5", "--q", "0.3", "--t-max", t_max)
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert f"--t-max must be positive, got {float(t_max)}" in err
+
+
+@pytest.mark.parametrize("n", ["8", "2"])
+def test_spectrum_grid_below_the_pencil_band_is_usage_error(capsys, monkeypatch, n):
+    # the pencils run at band 8, so a grid of band n - 1 < 8 can never run;
+    # the refusal names --grid and builds no rule
+    monkeypatch.setattr(sphere, "_theta_rule", lambda n_theta: pytest.fail("built a rule"))
+    code, out, err = invoke(capsys, "spectrum", "--neck-a", "0.5", "--q", "0.3", "--grid", n)
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert "--grid must be at least 9" in err and f"got {n}" in err
+
+
 @pytest.mark.parametrize(
     "argv", [["spectrum", "--grid", "1000000"], ["variation", "--grid", "257", "--phi", "Y:1,0"]],
     ids=["spectrum", "variation"],

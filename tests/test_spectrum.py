@@ -243,7 +243,7 @@ def test_gram_forms_do_not_depend_on_the_blas_thread_count():
     # band 12)
     code = """if True:
         import hashlib, numpy as np
-        from chmass.sphere import build_grid
+        from chmass.sphere import _separable_factors, build_grid
         from chmass.spectrum import _azimuthal_sums, _gram
         digest = hashlib.sha256()
         for n in (32, 64, 128):
@@ -251,9 +251,9 @@ def test_gram_forms_do_not_depend_on_the_blas_thread_count():
             th, ph = g.theta[:, None], g.phi
             w = g.w_node * (1.0 + 0.3 * np.cos(th) * np.sin(3.0 * ph) + 0.1 * np.cos(ph))
             for lmax in (8, 12):
-                factors, col = g._separable_basis(lmax)
+                factors, col = _separable_factors(n, lmax)
                 sums = _azimuthal_sums(np.fft.rfft(w, axis=-1), g.n_phi, lmax)
-                for a, b in (("f", "f"), ("1", "1"), ("1", "2"), ("2", "2")):
+                for a, b in (("f", "f"), ("f1", "f1"), ("f1", "f2"), ("f2", "f2")):
                     digest.update(_gram(factors, col, sums, a, b).tobytes())
         print(digest.hexdigest())
     """
@@ -277,7 +277,7 @@ def test_laplace_spectrum_discrete_basis_guard(grid):
 def test_basis_band_must_be_a_nonnegative_integer(prof, grid, lmax):
     # lmax -1 failed in a reshape and 2.5 with an IndexError
     surf = GraphSurface(prof, 0.1, random_c2_field(grid, 4, 4, 0.05))
-    for call in (lambda: grid._separable_basis(lmax), lambda: lambda1_discrete(surf, lmax=lmax),
+    for call in (lambda: grid.basis_with_gradients(lmax), lambda: lambda1_discrete(surf, lmax=lmax),
                  lambda: laplace_spectrum_discrete(grid, 0.5, 1, lmax=lmax)):
         with pytest.raises(ValueError, match="lmax must be an integer >= 0"):
             call()

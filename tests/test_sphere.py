@@ -1,7 +1,9 @@
+import inspect
 import math
 import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -499,6 +501,64 @@ def test_frame_hessian_identities(n_theta):
         assert bochner(d, d["h22"] - 2.0 * cot * d["f1"]) > 0.1
         hess = max(np.abs(d[key]).max() for key in ("h11", "h12", "h22"))
         assert np.abs(d["h11"] + d["h22"] - lap).max() <= 64 * np.finfo(float).eps * hess
+
+
+# One-line mutants of ``sphere._frame``, the one frame conversion of both
+# synthesis routes, so the routes' agreement cannot see them: each must fail
+# Bochner's identity, the trace identity or the pointwise comparison with
+# ``evaluate_at``, at the bounds of the tests above, on both routes.
+FRAME_MUTANTS = {
+    "sign of f1": ("f1 = -s * X", "f1 = s * X"),
+    "f2 = V s": ('"f2": (V / s,', '"f2": (V * s,'),
+    "cot sign of h22's x X term": ("- x * X", "+ x * X"),
+    "cot sign of h12's x V / s term": ("(f1 - x * V / s) / s", "(f1 + x * V / s) / s"),
+    "h11 = lap + h22": ("(lap - h22,", "(lap + h22,"),
+}
+
+
+def _frame_misfits(g, route, c):
+    """Each check's misfit over its bound (above 1 fails) for a route's frame
+    components of the band-L stack c: Bochner, the trace, and evaluate_at's
+    coordinate partials of c[0] at every node."""
+    d = route(c)
+    lam = _degrees(c.shape[-1]) * (_degrees(c.shape[-1]) + 1.0)
+    hess2 = d["h11"] ** 2 + 2.0 * d["h12"] ** 2 + d["h22"] ** 2
+    exact = np.sum(c * c * (lam * lam - lam), axis=-1)
+    bochner = np.abs(np.sum(g.w_node * hess2, axis=(-2, -1)) / exact - 1.0).max() / 1e-14
+    hess = max(np.abs(d[key]).max() for key in ("h11", "h12", "h22"))
+    trace = np.abs(d["h11"] + d["h22"] - g.synthesize(-lam * c)).max()
+    TH, PH = np.meshgrid(g.theta, g.phi, indexing="ij")
+    got = g.evaluate_at(c[0], TH.ravel(), PH.ravel())
+    frame = (d["f"][0], d["f1"][0], g.sin_theta[:, None] * d["f2"][0])
+    return {
+        "Bochner": bochner,
+        "trace": trace / (64 * np.finfo(float).eps * hess),
+        "evaluate_at": max(np.abs(v.reshape(TH.shape) - w).max() / (1e-13 * np.abs(w).max())
+                           for v, w in zip(got, frame)),
+    }
+
+
+@pytest.mark.parametrize("mutant", [None, *FRAME_MUTANTS])
+def test_frame_mutants_fail_an_identity(monkeypatch, mutant):
+    g = build_grid(16, 32)
+    c = np.random.default_rng(16).standard_normal((5, n_coeffs(4)))
+    if mutant is not None:
+        old, new = FRAME_MUTANTS[mutant]
+        source = textwrap.dedent(inspect.getsource(sphere._frame))
+        assert source.count(old) == 1, "the mutant's line is gone from _frame"
+        namespace = {}
+        exec(source.replace(old, new), dict(vars(sphere)), namespace)
+        monkeypatch.setattr(sphere, "_frame", namespace["_frame"])
+    sphere._product_factors.cache_clear()  # the product route rebuilds its profiles
+    try:
+        for route in (g._product_route, g._fft_route):
+            misfits = _frame_misfits(g, route, c)
+            if mutant is None:
+                assert max(misfits.values()) <= 1.0, misfits
+            else:
+                assert max(misfits.values()) > 1.0, (route.__name__, misfits)
+    finally:
+        sphere._product_factors.cache_clear()
 
 
 def test_routes_refuse_bad_vectors_alike():

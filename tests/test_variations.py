@@ -239,6 +239,12 @@ class TestFoliation:
         with pytest.raises(ValueError, match="n_steps must be at least 2"):
             cmc_foliation(prof, (-0.5, 0.5), n_steps)
 
+    @pytest.mark.parametrize("t_range", [(0.0, 0.0), (0.5, -0.5)])
+    def test_empty_or_reversed_range_is_refused(self, prof, t_range):
+        # (0, 0) returned n_steps identical t = 0 slices
+        with pytest.raises(ValueError, match="t_range must have t0 < t1"):
+            cmc_foliation(prof, t_range, 41)
+
     def test_monotonicity_brackets(self, prof):
         states = cmc_foliation(prof, (-1.0, 1.0), 21)
         rep = monotonicity_report(prof, states)
