@@ -304,6 +304,8 @@ def cmd_foliate(v: dict):
 
 
 def cmd_localmax(v: dict):
+    if v["amp"] == 0.0:  # a negative amplitude is refused by the experiment
+        raise ValueError(f"--amp must be positive (at 0 every sample is the neck), got {v['amp']}")
     from .variations import local_max_experiment
     return local_max_experiment(v["neck_a"], v["q"], _count(v, "samples"), v["amp"], v["seed"])
 

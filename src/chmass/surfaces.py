@@ -57,7 +57,8 @@ class SurfaceGeometry:
     """First and second fundamental data of one graph surface.
 
     Pointwise arrays are read-only (n_theta, n_phi) node values (for a
-    constant height, broadcast views of one node); ``area_element`` already
+    constant height, broadcast views of one node, which ``variation_report``
+    keeps internally as (1, 1) for its base slice); ``area_element`` already
     contains the quadrature weights' measure factor u^2 W, so integrals are
     sum(w_node * area_element * field).  ``ginv_ij`` is in the round sphere's
     orthonormal frame of ``synth_derivs``.  It holds the grid, not the
@@ -100,8 +101,14 @@ class SurfaceGeometry:
 # Grid nodes per geometry-kernel call on a stack: 8 graphs of 32 x 64 nodes or
 # 32 of _mass_grid's band-4 16 x 32.  local_max_experiment also draws its heights
 # in stacks of this many nodes.  Three 40-graph local_max_experiment runs in a
-# fresh interpreter peaked at 42 MB RSS with this cap and at 45 MB with 2**16.
+# fresh interpreter peaked at 40.5 MB RSS with this cap and at 44.1 MB with
+# 2**16 (41.7 MB with this cap before the kernel ran in _PASS_NODES passes).
 _STACK_NODES = 2**14
+
+# Nodes per elementwise pass of the geometry kernel: 64 KB temporaries, below
+# glibc malloc's 128 KB mmap threshold, so they reuse heap memory where a whole
+# 128 x 256 graph's temporaries were mapped and faulted in anew at every call.
+_PASS_NODES = 2**13
 
 
 def _mass_grid(grid: SphereGrid, lmax: int, size: float) -> SphereGrid:
@@ -134,8 +141,10 @@ def _graph_masses(prof: RadialProfile, grid: SphereGrid, s0, d: dict, t=None) ->
     values transforms them itself.  t is None or one scale per graph, (n, 1,
     1), as a stencil scales its one height n ways.  Chunks of at most
     ``_STACK_NODES`` nodes (one graph at least) reach the kernel, each scaled
-    on its own and range-checked by its profile read.  The kernel runs mass
-    only: its three scalars equal ``induced_geometry``'s bit for bit."""
+    on its own and range-checked by its profile read; the chunks bound the
+    scaled copies, and the kernel bounds its own temporaries by its passes.
+    The kernel runs mass only: its three scalars equal ``induced_geometry``'s
+    bit for bit."""
     n = np.broadcast_shapes(np.shape(s0), np.shape(t), d["f"].shape)[0]
     step = max(1, _STACK_NODES // (grid.n_theta * grid.n_phi))
     out = {name: np.empty(n) for name in ("area", "charge", "mch")}
@@ -161,13 +170,68 @@ def _geometry_from_derivs(
     n_phi), in the round sphere's orthonormal frame, where sigma_ij is
     delta_ij, so the kernel reads only O(2)-invariant contractions.  Returns
     the ``SurfaceGeometry`` fields other than grid and zeta: node arrays of
-    that shape, and area, charge and mch (at the profile's zeta = 2 Lambda)
-    of its leading shape.  With ``mass_only`` it returns area, charge and mch
-    alone and skips u'', |A|^2, the ambient curvature and K; the values are
-    the same either way.  The transforms are linear, so the derivatives of
-    t phi are t times those of phi and a family of scaled graphs shares one
-    transform.
+    the shape s0 and d broadcast to (one node for a band-0 height, which
+    ``induced_geometry`` broadcasts to the grid and only ``variation_report``
+    keeps as one node), and area, charge and mch (at the profile's zeta =
+    2 Lambda) of its leading shape.  With ``mass_only`` it returns area,
+    charge and mch alone and skips u'', |A|^2, the ambient curvature and K;
+    the values are the same either way.  The transforms are linear, so the
+    derivatives of t phi are t times those of phi and a family of scaled
+    graphs shares one transform.
+
+    The arithmetic runs in ``_passes``; each writes its node arrays and its
+    integrands w u^2 W, w u^2 W <E, nu> and w u^2 W H^2 into arrays of the
+    call's shape, summed after the passes, so the pass size changes no value.
     """
+    shape = np.broadcast_shapes(np.shape(s0), *(v.shape for v in d.values()))
+    nodes = np.broadcast_shapes(shape, grid.w_node.shape)
+    w_area, w_charge, w_h2 = weighted = [np.empty(nodes) for _ in range(3)]
+    fields = {}
+    for idx in _passes(nodes):
+        rows = {key: _part(v, idx) for key, v in d.items()}
+        try:
+            part = _node_fields(prof, _part(s0, idx), rows, mass_only)
+        except ValueError:
+            prof._check_range(s0 + d["f"])  # name the worst height of the whole call
+            raise
+        w_a = np.multiply(_part(grid.w_node, idx), part["area_element"], out=_part(w_area, idx))
+        np.multiply(w_a, part.pop("e_dot_nu"), out=_part(w_charge, idx))
+        np.multiply(w_a, part["h_mean"] ** 2, out=_part(w_h2, idx))
+        for name, v in () if mass_only else part.items():
+            if name not in fields:
+                fields[name] = np.empty(shape)
+            _part(fields[name], idx)[...] = v
+    area_val, charge_sum, h2_int = (np.sum(a, axis=(-2, -1)) for a in weighted)
+    charge_val = charge_sum / (4.0 * math.pi)
+    mch = _hawking_mass(area_val, charge_val, h2_int, prof.zeta)
+    return dict(area=area_val, charge=charge_val, mch=mch, **fields)
+
+
+def _passes(shape):
+    """Index tuples, one slice per axis, that cut nodes of ``shape`` (...,
+    n_theta, n_phi) into passes of at most ``_PASS_NODES`` (one theta row at
+    least): whole graphs along the last stack axis if a graph fits, else
+    whole theta rows of one graph."""
+    *lead, n_theta, n_phi = shape
+    if lead and n_theta * n_phi <= _PASS_NODES:
+        axis, step = len(lead) - 1, _PASS_NODES // (n_theta * n_phi)
+    else:
+        axis, step = len(lead), max(1, _PASS_NODES // n_phi)
+    rest = (slice(None),) * (len(shape) - axis - 1)
+    for outer in np.ndindex(*shape[:axis]):
+        for i in range(0, shape[axis], step):
+            yield (*(slice(j, j + 1) for j in outer), slice(i, i + step), *rest)
+
+
+def _part(a, idx):
+    """Pass ``idx`` of an array that broadcasts to the call: a view, whole on a's length-1 axes."""
+    a = np.asarray(a)
+    return a[tuple(i if n > 1 else slice(None) for i, n in zip(idx[len(idx) - a.ndim :], a.shape))]
+
+
+def _node_fields(prof: RadialProfile, s0, d: dict, mass_only: bool) -> dict:
+    """One pass of ``_geometry_from_derivs``: its node arrays and <E, nu>;
+    with ``mass_only`` u^2 W, <E, nu> and H alone."""
     f = s0 + d["f"]
     if mass_only:  # the mass reads u and u' alone
         u, du = prof._state(f)
@@ -195,15 +259,9 @@ def _geometry_from_derivs(
     H = ginv_11 * A_11 + 2.0 * ginv_12 * A_12 + ginv_22 * A_22
 
     area_el = u2 * W
-    nodes = (-2, -1)
-    area_val = np.sum(grid.w_node * area_el, axis=nodes)
     e_dot_nu = prof.q / (u2 * W)
-    charge_val = np.sum(grid.w_node * area_el * e_dot_nu, axis=nodes) / (4.0 * math.pi)
-
-    h2_int = np.sum(grid.w_node * area_el * H**2, axis=nodes)
-    mch = _hawking_mass(area_val, charge_val, h2_int, prof.zeta)
     if mass_only:
-        return dict(area=area_val, charge=charge_val, mch=mch)
+        return dict(area_element=area_el, e_dot_nu=e_dot_nu, h_mean=H)
 
     # |A|^2 = h^{ik} h^{jl} A_ij A_kl via the mixed shape operator S = h^-1 A
     S_11 = ginv_11 * A_11 + ginv_12 * A_12
@@ -222,9 +280,8 @@ def _geometry_from_derivs(
     K = 0.5 * R_amb - ric_nn + 0.5 * (H**2 - A2)
 
     return dict(
-        area=area_val, charge=charge_val, mch=mch,
         h_mean=H, a_norm2=A2, gauss_k=K, ric_nn=ric_nn, r_ambient=R_amb,
-        area_element=area_el, w_tilt=W,
+        area_element=area_el, w_tilt=W, e_dot_nu=e_dot_nu,
         ginv_11=ginv_11, ginv_12=ginv_12, ginv_22=ginv_22,
     )
 
@@ -250,13 +307,20 @@ def induced_geometry(surface: GraphSurface) -> SurfaceGeometry:
     refuses a graph that leaves [-s_max, s_max] (ValueError).
     """
     if surface._geom is None:
-        prof, grid = surface.profile, surface.grid
+        grid = surface.grid
         d = _node_derivs(grid, surface.phi.coeffs)
-        fields = _geometry_from_derivs(prof, grid, surface.s0, d)
-        for name, v in fields.items():
-            fields[name] = float(v) if np.ndim(v) == 0 else np.broadcast_to(v, grid.w_node.shape)
-        surface._geom = SurfaceGeometry(grid=grid, zeta=prof.zeta, **fields)
+        surface._geom = _geometry(surface.profile, grid, surface.s0, d, grid.w_node.shape)
     return surface._geom
+
+
+def _geometry(prof: RadialProfile, grid: SphereGrid, s0, d: dict, shape) -> SurfaceGeometry:
+    """The kernel's ``SurfaceGeometry`` of s0 + f, its node arrays read-only views
+    broadcast to ``shape``: the grid's for ``induced_geometry``, (1, 1) for
+    ``variation_report``'s base slice, which stays one node."""
+    fields = _geometry_from_derivs(prof, grid, s0, d)
+    for name, v in fields.items():
+        fields[name] = float(v) if np.ndim(v) == 0 else np.broadcast_to(v, shape)
+    return SurfaceGeometry(grid=grid, zeta=prof.zeta, **fields)
 
 
 def area(surface: GraphSurface) -> float:

@@ -46,7 +46,7 @@ from .sphere import (
 )
 from .spectrum import lambda1_analytic, stability_window
 from .surfaces import (
-    _STACK_NODES, GraphSurface, SurfaceGeometry, _graph_masses, _mass_grid, induced_geometry,
+    _STACK_NODES, SurfaceGeometry, _geometry, _graph_masses, _mass_grid, _node_derivs,
 )
 
 __all__ = [
@@ -446,7 +446,9 @@ def variation_report(
     The analytic side and the base slice are read on phi's grid, from one
     synthesis of phi's coefficients (the oracle's, when the stencil is summed
     on phi's grid).  The base slice is a band-0 height, read at one node with
-    no transform; its H is constant, so the Laplacian term of the first
+    no transform and kept as a one-node ``SurfaceGeometry`` (not broadcast to
+    the grid), so Z, H and the first-variation integrand broadcast against
+    phi's values; its H is constant, so the Laplacian term of the first
     variation is 0 and H is neither analyzed nor synthesized.  The oracles
     share one mass table, a stack of each distinct t of the union of the
     stencils (9 scaled graphs at s0 = 0 for the first difference and both
@@ -457,7 +459,7 @@ def variation_report(
     """
     _check_dt(dt)
     grid = phi.grid
-    geom = induced_geometry(GraphSurface(prof, s0, ScalarField.from_coeffs(grid, np.zeros(1))))
+    geom = _geometry(prof, grid, s0, _node_derivs(grid, np.zeros(1)), (1, 1))
     ts = _first_fd_steps(dt)
     if s0 == 0.0:
         ts += _second_fd_steps(dt) + _second_fd_steps(dt / 2.0)

@@ -708,6 +708,17 @@ def test_localmax_negative_amplitude_is_usage_error(capsys):
     assert "amplitude must be nonnegative" in err
 
 
+@pytest.mark.parametrize("amp", ["0", "-0"])
+def test_localmax_zero_amplitude_is_usage_error(capsys, monkeypatch, amp):
+    # at --amp 0 every sample is the neck itself: the run exited 0 with
+    # n_near_equality equal to --samples and max_excess 0, and tested nothing
+    from chmass import variations
+    monkeypatch.setattr(variations, "local_max_experiment", lambda *a: pytest.fail("ran"))
+    code, out, err = invoke(capsys, "localmax", "--neck-a", "0.5", "--q", "0.3", "--amp", amp)
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert "--amp must be positive" in err and f"got {float(amp)}" in err
+
+
 def test_variation_order_above_degree_is_usage_error(capsys):
     code, out, err = invoke(capsys, "variation", "--neck-a", "0.5", "--q", "0.3", "--phi", "Y:1,2")
     assert code == 2 and out == ""

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import weakref
 
@@ -349,6 +350,74 @@ def test_stack_chunks_bound_the_kernel_and_keep_the_values(prof, grid, monkeypat
     for name, values in results[2**14].items():
         np.testing.assert_array_equal(values, results[1][name])
         np.testing.assert_array_equal(values, results[2**20][name])
+
+
+def test_kernel_pass_size_changes_no_value(prof, monkeypatch):
+    # the kernel's elementwise passes (one theta row, the default 2**13
+    # weighted nodes, or one pass over the whole call) change no field of the
+    # full kernel and no mass of the mass-only one, bit for bit: one graph, a
+    # stack with an s0 per graph, a scaled stencil (and _graph_masses on it)
+    # and the band-0 node (one node of fields, a whole grid of weights).  The
+    # passes are counted, so each size really runs
+    fine, coarse = build_grid(128, 256), build_grid(16, 32)
+    stencil = coarse.synth_derivs(_random_c2_stack(coarse, [3], 4, 0.5)[0])
+    t = np.linspace(-2e-2, 2e-2, 9)[:, None, None]
+    cases = {  # grid, s0, d, t, passes of one theta row and of 2**13 nodes
+        "graph": (fine, 0.1, fine.synth_derivs(_random_c2_stack(fine, [7], 4, 0.5)[0]),
+                  None, 128, 4),
+        "stack": (coarse, np.linspace(-0.5, 0.5, 32)[:, None, None],
+                  coarse.synth_derivs(_random_c2_stack(coarse, range(32), 4, 0.05)), None, 512, 2),
+        "stencil": (coarse, 0.0, stencil, t, 9 * 16, 1),
+        "band 0": (fine, 0.3, surfaces._node_derivs(fine, np.zeros(1)), None, 128, 4),
+    }
+    node_fields, passes = surfaces._node_fields, []
+
+    def spy(*args):
+        passes.append(1)
+        return node_fields(*args)
+
+    monkeypatch.setattr(surfaces, "_node_fields", spy)
+    for name, (g, s0, d, scale, row_passes, default_passes) in cases.items():
+        scaled = d if scale is None else {key: scale * v for key, v in d.items()}
+        results = []
+        for cap, want in [(g.n_phi, row_passes), (2**13, default_passes), (2**30, 1)]:
+            monkeypatch.setattr(surfaces, "_PASS_NODES", cap)
+            passes.clear()
+            calls = [
+                _geometry_from_derivs(prof, g, s0, scaled),
+                _geometry_from_derivs(prof, g, s0, scaled, mass_only=True),
+            ]
+            if scale is not None:  # the stencil in one chunk, the kernel's passes
+                calls.append(_graph_masses(prof, g, s0, d, scale))
+            assert len(passes) == len(calls) * want, (name, cap)
+            results.append(calls)
+        (full, *masses), *others = results
+        assert full["h_mean"].shape == np.broadcast_shapes(np.shape(s0), scaled["f"].shape)
+        for other in others:
+            for ref, got in zip(results[0], other):
+                assert ref.keys() == got.keys()
+                for key, v in ref.items():
+                    assert v.shape == got[key].shape and np.array_equal(v, got[key]), (name, key)
+        for mass, key in itertools.product(masses, ("area", "charge", "mch")):
+            assert np.array_equal(mass[key], full[key]), (name, key)
+
+
+def test_mass_kernel_traced_peak(prof):
+    # the mass-only kernel on one 128 x 256 graph holds its three weighted
+    # integrands (256 KB each) and one pass of 2**13-node temporaries: its
+    # tracemalloc peak stays below 3 MB.  It is 2.2 MB (5.5 MB while each
+    # temporary spanned the whole graph)
+    import tracemalloc
+
+    grid = build_grid(128, 256)
+    d = grid.synth_derivs(random_c2_field(grid, 7919, 4, 0.5).coeffs)
+    tracemalloc.start()
+    try:
+        _geometry_from_derivs(prof, grid, 0.0, d, mass_only=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3e6
 
 
 def test_stack_check_rejects_any_graph(prof, grid):

@@ -513,6 +513,24 @@ class TestScaledGraphOracles:
         assert kernel_rows == [(32, 1), (16, 9), (32, 1)]
         assert 0.0 < rep.mass_resolution <= 1e-15
 
+    def test_variation_report_traced_peak(self, prof):
+        # a band-4 phi on 128 x 256 at the neck: the base slice stays one node,
+        # so Z, H and the first-variation integrand broadcast against phi's
+        # values, and the kernel's temporaries span 2**13-node passes.  The
+        # report's tracemalloc peak stays below 6.5 MB.  It is 5.5 MB (8.7 MB
+        # while the base slice's node arrays were broadcast to the grid and
+        # each kernel temporary spanned a whole graph)
+        import tracemalloc
+
+        phi = random_c2_field(build_grid(128, 256), 7919, 4, 0.5)
+        tracemalloc.start()
+        try:
+            variation_report(prof, 0.0, phi, 1e-2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.5e6
+
     @staticmethod
     def fine_oracle_op(prof):
         """One phi at n_theta 128 adjudicated at s0 = 0 and off the neck, then
