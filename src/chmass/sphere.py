@@ -29,6 +29,11 @@ of band L are m-major and packed: block m holds rows l = m..L from row
 m(L+1) - m(m-1)/2, and ``_blocks`` maps it to the flat indices l^2+l+m
 (cos m phi part) and l^2+l-m (sin m phi part).
 
+The tables hold the northern nodes only (Schaeffer 2013): the Gauss nodes
+are antisymmetric bit for bit and the recurrence only multiplies by x, so at
+node -x Pbar_{l,m} is exactly (-1)^(l-m) times its value at x and Pbar'_{l,m}
+is -(-1)^(l-m) times it.
+
 ``analyze``, ``synthesize`` and ``synth_derivs`` take optional leading axes:
 grid values (..., n_theta, n_phi) <-> coefficients (..., n_coeffs).  A stack
 of fields is transformed together, as extra rows or columns of each matrix
@@ -152,6 +157,29 @@ def _legendre_tables(lmax: int, x: np.ndarray):
     return P, D
 
 
+@functools.lru_cache(maxsize=16)
+def _packed(n: int, L: int):
+    """(pick, index), shared and read-only: flat coefficient k below n sits at
+    pick[k] = 4 row + 2 part + odd, for the row of (l, |m|) in an m-major
+    table of band L, part 1 for m < 0 and odd = (l - m) mod 2, the parity in
+    x of Pbar_{l,|m|}; index[part, row] is k (0 where there is none)."""
+    l = _degrees(n).astype(int)
+    m = np.arange(n) - l * l - l
+    row, part = _block_start(np.abs(m), L) + l - np.abs(m), (m < 0).astype(int)
+    index = np.zeros((2, _block_start(L + 1, L)), dtype=int)
+    index[part, row] = np.arange(n)
+    pick = 4 * row + 2 * part + (l - m) % 2
+    for a in (pick, index):
+        a.flags.writeable = False
+    return pick, index
+
+
+def _unfold(north: np.ndarray, south: np.ndarray, n: int) -> np.ndarray:
+    """Values along the last axis at all n nodes from those at the ceil(n/2)
+    northern ones and at their mirror images -x: node n-1-j is south's j."""
+    return np.concatenate([north, south[..., n // 2 - 1 :: -1]], axis=-1)
+
+
 def _per_m_profiles(coeffs: np.ndarray, table: np.ndarray, blocks):
     """Zonal profiles (A_m, B_m)(x), m = 0..lmax, of sum c_{lm} T_{lm}(x) trig(m phi).
 
@@ -191,22 +219,24 @@ def _gauss_legendre(n: int):
     return x, 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
 
 
-# largest grid: its cached rule holds 8 * 256^2 * 257 bytes = 135 MB of tables
+# largest grid: its cached rule holds 8 * 256 * 257 * 128 bytes = 67 MB of tables
 MAX_N_THETA = 256
 
 
 @functools.lru_cache(maxsize=4)
 def _theta_rule(n_theta: int):
     """(x, w_theta, (P, D)): the Gauss-Legendre rule of ``n_theta`` nodes
-    and its full-band Legendre tables (band n_theta - 1) at those nodes.
+    and its full-band Legendre tables (band n_theta - 1) at the northern
+    nodes x[:ceil(n_theta / 2)], the equator node last when n_theta is odd.
 
+    The southern rows follow by parity (module docstring, ``_unfold``).
     Built on first use, then shared by every grid of that n_theta in the
     process, so every array is read-only.  The two tables hold
-    8 n_theta^2 (n_theta + 1) bytes, almost all of an entry: 0.27 MB at
-    n_theta = 32, 2.1 MB at 64, 16.9 MB at 128.
+    8 n_theta (n_theta + 1) ceil(n_theta / 2) bytes, almost all of an entry:
+    0.14 MB at n_theta = 32, 1.06 MB at 64, 8.45 MB at 128.
     """
     x, w_theta = _gauss_legendre(n_theta)
-    tables = tuple(_legendre_tables(n_theta - 1, x))
+    tables = tuple(_legendre_tables(n_theta - 1, x[: (n_theta + 1) // 2]))
     for a in (x, w_theta, *tables):
         a.flags.writeable = False
     return x, w_theta, tables
@@ -265,7 +295,8 @@ def _separable_factors(n_theta: int, lmax: int):
 
     ``factors`` maps each key of ``synth_derivs`` to ``_frame``'s pair:
     (n_coeffs(lmax), n_theta) theta profiles, row k those of Y_k = Pbar trig
-    from the rows Pbar and Pbar' = dPbar/dx of ``_theta_rule``'s tables, and
+    from the rows Pbar and Pbar' = dPbar/dx of ``_theta_rule``'s tables,
+    mirrored to the southern nodes with their parity (``_unfold``), and
     the name of an ``_azimuths`` function, whose row col[k] = m + lmax pairs
     with coefficient k = l^2 + l + m.  The arrays are separate, so a caller
     that keeps some frees the rest; all are read-only, as the product
@@ -274,9 +305,10 @@ def _separable_factors(n_theta: int, lmax: int):
     x, _, (P, D) = _theta_rule(n_theta)
     l = _degrees(n_coeffs(lmax)).astype(int)
     m = np.arange(l.size) - l * l - l
-    rows = _block_start(np.abs(m), n_theta - 1) + l - np.abs(m)  # table row of (l, |m|)
-    Pk, lc = P[rows], l[:, None]
-    factors = _frame(Pk, D[rows], -lc * (lc + 1.0) * Pk, m[:, None], x, np.sqrt(1.0 - x**2))
+    pick = _packed(l.size, n_theta - 1)[0]  # table row pick // 4, parity pick % 2
+    sign, Pk, Dk, lc = 1.0 - 2.0 * (pick[:, None] % 2), P[pick // 4], D[pick // 4], l[:, None]
+    Pk, Dk = _unfold(Pk, sign * Pk, n_theta), _unfold(Dk, -sign * Dk, n_theta)
+    factors = _frame(Pk, Dk, -lc * (lc + 1.0) * Pk, m[:, None], x, np.sqrt(1.0 - x**2))
     col = m + lmax
     for a in (col, *(th for th, _ in factors.values())):
         a.flags.writeable = False
@@ -297,7 +329,10 @@ class SphereGrid:
 
     The theta rule and the Legendre tables come from ``_theta_rule``: built
     once per n_theta in a process and shared, read-only, by every grid with
-    that n_theta (16.9 MB at n_theta = 128).
+    that n_theta.  The tables hold the ceil(n_theta / 2) northern nodes
+    (8.45 MB at n_theta = 128); the southern ones follow by parity.
+    n_theta and n_phi are ints (or numpy integers), checked before a rule
+    is built.
 
     The theta weights come from ``_gauss_legendre``, which recomputes them
     from the Legendre recurrence at the nodes: relative error about 6e-14 at
@@ -308,6 +343,9 @@ class SphereGrid:
     """
 
     def __init__(self, n_theta: int, n_phi: int):
+        for name, size in (("n_theta", n_theta), ("n_phi", n_phi)):
+            if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {size!r}")
         if n_theta < 8:
             raise ValueError("n_theta must be at least 8")
         if n_theta > MAX_N_THETA:
@@ -326,7 +364,7 @@ class SphereGrid:
     # -- harmonic machinery ------------------------------------------------
 
     def tables(self):
-        """The shared, read-only Legendre tables (P, D) of the grid band."""
+        """The shared, read-only Legendre tables (P, D) of the grid band, northern nodes only."""
         return _theta_rule(self.n_theta)[2]
 
     def analyze(self, values: np.ndarray, lmax: int | None = None) -> np.ndarray:
@@ -343,15 +381,23 @@ class SphereGrid:
             raise ValueError("field shape does not match grid")
         lead = values.shape[:-2]
         P, _ = self.tables()
-        G = np.fft.rfft(values.reshape(-1, self.n_theta, self.n_phi), axis=-1)
+        n, h = self.n_theta, P.shape[1]
+        G = np.fft.rfft(values.reshape(-1, n, self.n_phi), axis=-1)
         G *= 2.0 * math.pi / self.n_phi
-        # (theta, m, cos/sin part, field): block m is one matrix product
-        WG = self.w_theta[:, None, None, None] * np.stack([G.real, -G.imag]).transpose(2, 3, 0, 1)
-        coeffs = np.zeros((WG.shape[-1], n_coeffs(lmax)))
+        # (m, theta, cos/sin part, field), then (m, north node, part, sum,
+        # field): each node plus and minus its mirror (an odd equator has none)
+        WG = self.w_theta[:, None, None] * np.stack([G.real, -G.imag], -1).transpose(2, 1, 3, 0)
+        EO = np.stack([WG[:, :h], WG[:, :h]], axis=3)
+        EO[:, : n // 2, :, 0] += WG[:, h:][:, ::-1]
+        EO[:, : n // 2, :, 1] -= WG[:, h:][:, ::-1]
+        # (table row, part, sum, field): a row odd in x reads the odd sum
+        sums = np.empty((P.shape[0], 2, 2, len(G)))
         for m, rows, k, nrm in blocks:
-            prod = P[rows] @ WG[:, m, : len(k)].reshape(self.n_theta, -1)
-            coeffs[:, k] = nrm * prod.reshape(k.shape[1], len(k), -1).transpose(2, 1, 0)
-        return coeffs.reshape(lead + (coeffs.shape[1],))
+            prod = P[rows] @ EO[m, :, : len(k)].reshape(h, -1)
+            sums[rows, : len(k)] = nrm * prod.reshape(-1, len(k), 2, len(G))
+        pick = _packed(n_coeffs(lmax), self.lmax)[0]
+        coeffs = np.take(sums.reshape(-1, len(G)), pick, axis=0).T
+        return np.ascontiguousarray(coeffs).reshape(lead + pick.shape)
 
     def _assemble(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """Grid values (..., n_theta, n_phi) from profiles A, B of shape (M, ..., n_theta)."""
@@ -410,15 +456,36 @@ class SphereGrid:
         """``synth_derivs`` (or, without ``derivs``, only its "f") by per-m
         Legendre blocks: ``_frame`` converts the profiles of each order, then
         one inverse FFT in phi per output."""
-        blocks = _blocks(coeffs.shape[-1], self.lmax)
+        K = coeffs.shape[-1]
+        blocks = _blocks(K, self.lmax)
         P, D = self.tables()
-        V = _per_m_profiles(coeffs, P, blocks)
+        pick, index = _packed(K, self.lmax)
+        c, sign = coeffs.reshape(-1, K), 1.0 - 2.0 * (pick % 2)
+        # the coefficients of V, Lap V (against P) and dV/dx (against D), each
+        # unsigned for the north nodes and signed for their mirror images, as
+        # (set, field, part, table row)
+        sets = [c, sign * c]
+        if derivs:
+            l = _degrees(K)
+            lap = -l * (l + 1.0) * c
+            sets += [lap, sign * lap, c, -sign * c]
+        S = np.take(np.stack(sets), index, axis=-1)
+        # (m, set, field, part, north node)
+        prof = np.zeros((len(blocks),) + S.shape[:3] + (P.shape[1],))
+        products = ((slice(0, 4), P), (slice(4, 6), D))[: 2 if derivs else 1]
+        for m, rows, k, nrm in blocks:
+            for q, T in products:
+                ck = S[q, :, : len(k), rows]
+                prof[m, q, :, : len(k)] = nrm * (ck.reshape(-1, k.shape[1]) @ T[rows]).reshape(
+                    ck.shape[:-1] + (-1,))
+        # (V / Lap V / dV/dx, A/B part, m, ..., theta)
+        prof = _unfold(prof[:, 0::2], prof[:, 1::2], self.n_theta).transpose(1, 3, 0, 2, 4)
+        prof = prof.reshape(prof.shape[:3] + coeffs.shape[:-1] + (-1,))
         if not derivs:
-            return {"f": self._assemble(*V)}
+            return {"f": self._assemble(*prof[0])}
         m = np.arange(len(blocks)).reshape((-1,) + (1,) * coeffs.ndim)
-        l = _degrees(coeffs.shape[-1])
-        lap = _per_m_profiles(-l * (l + 1.0) * coeffs, P, blocks)
-        frame = _frame(V, _per_m_profiles(coeffs, D, blocks), lap, m, self.x, self.sin_theta)
+        V, lap, X = prof
+        frame = _frame(V, X, lap, m, self.x, self.sin_theta)
         # d/dphi takes A cos(m phi) + B sin(m phi) to m B cos(m phi) - m A sin(m phi)
         return {key: self._assemble(*((A, B) if name == "trig" else (m * B, -m * A)))
                 for key, ((A, B), name) in frame.items()}
@@ -598,7 +665,13 @@ def scalar_field_from_dict(d: dict, grid: SphereGrid | None = None) -> ScalarFie
         except (TypeError, ValueError) as exc:
             raise ValueError(f"scalar field JSON {key}: {exc}") from None
 
-    nt, np_ = read("n_theta", int), read("n_phi", int)
+    def size(v):
+        integral = isinstance(v, int) or isinstance(v, float) and v.is_integer()
+        if isinstance(v, bool) or not integral:
+            raise ValueError(f"not an integer: {v!r}")
+        return int(v)
+
+    nt, np_ = read("n_theta", size), read("n_phi", size)
     values = read("values", lambda v: np.asarray(v, dtype=float))
     if values.size != nt * np_:  # before a grid (and its tables) is built for nt
         raise ValueError(

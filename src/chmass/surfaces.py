@@ -145,7 +145,10 @@ def _graph_masses(prof: RadialProfile, grid: SphereGrid, s0, d: dict, t=None) ->
     scaled copies, and the kernel bounds its own temporaries by its passes.
     The kernel runs mass only: its three scalars equal ``induced_geometry``'s
     bit for bit."""
-    n = np.broadcast_shapes(np.shape(s0), np.shape(t), d["f"].shape)[0]
+    shape = np.broadcast_shapes(np.shape(s0), np.shape(t), d["f"].shape)
+    if len(shape) != 3:
+        raise ValueError(f"graph stack of shape {shape} is not (n, n_theta, n_phi)")
+    n = shape[0]
     step = max(1, _STACK_NODES // (grid.n_theta * grid.n_phi))
     out = {name: np.empty(n) for name in ("area", "charge", "mch")}
     for part in (slice(i, i + step) for i in range(0, n, step)):

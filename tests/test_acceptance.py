@@ -130,7 +130,7 @@ def test_run_all_draws_one_generator_per_seeded_field(monkeypatch):
 
 def test_run_all_builds_each_legendre_rule_once(monkeypatch):
     # every grid of one n_theta shares one rule: over the suite the Legendre
-    # tables are built once per distinct n_theta
+    # tables are built once per distinct n_theta, at its n_theta / 2 northern nodes
     built = []
     tables = sphere._legendre_tables
 
@@ -141,4 +141,4 @@ def test_run_all_builds_each_legendre_rule_once(monkeypatch):
     monkeypatch.setattr(sphere, "_legendre_tables", spy)
     sphere._theta_rule.cache_clear()
     run_all()
-    assert sorted(built) == [16, 32, 64]
+    assert sorted(built) == [8, 16, 32]

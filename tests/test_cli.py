@@ -357,6 +357,21 @@ def test_mass_wrong_length_surface_is_named(capsys, tmp_path):
     assert "scalar field has 100 values, but n_theta * n_phi = 16 * 32 = 512" in err
 
 
+def test_mass_surface_with_fractional_size_is_named(capsys, monkeypatch, tmp_path):
+    # n_theta 32.5 was read as a 32 x 64 grid; it is refused with one line,
+    # before a rule is built
+    monkeypatch.setattr(sphere, "_theta_rule", lambda n_theta: pytest.fail("built a rule"))
+    surface = {
+        "base": {"neck_a": 0.5, "q": 0.3},
+        "phi": {"n_theta": 32.5, "n_phi": 64, "values": [0.0] * 2048},
+    }
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps(surface))
+    code, out, err = invoke(capsys, "mass", "--surface", str(path))
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert "scalar field JSON n_theta: not an integer: 32.5" in err
+
+
 @pytest.mark.parametrize(
     "payload,missing",
     [

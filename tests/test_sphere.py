@@ -58,6 +58,24 @@ def test_grid_size_validation():
         build_grid(16, 24)  # n_phi below 2 n_theta
 
 
+@pytest.mark.parametrize(
+    "sizes, name",
+    [((32.5, 65), "n_theta"), ((32, 64.7), "n_phi"), ((float("nan"), 64), "n_theta"),
+     (("32", 64), "n_theta"), ((32, True), "n_phi"), ((32.0, 64), "n_theta")],
+)
+def test_grid_sizes_must_be_integers(monkeypatch, sizes, name):
+    # 32.5 x 65 built a 32 x 65 grid, NaN and '32' failed inside numpy: each
+    # is one ValueError naming the size, raised before a rule is built
+    monkeypatch.setattr(sphere, "_theta_rule", lambda n_theta: pytest.fail("built a rule"))
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        build_grid(*sizes)
+
+
+def test_grid_takes_numpy_integer_sizes():
+    g = build_grid(np.int64(16), np.int32(32))
+    assert (g.n_theta, g.n_phi) == (16, 32) and type(g.n_theta) is int
+
+
 def test_integrate_constants_and_zonals(grid):
     assert integrate(field(grid, lambda t, p: np.ones_like(t + p))) == pytest.approx(
         4 * math.pi, abs=1e-13
@@ -99,11 +117,16 @@ def test_zonal_orthonormality_full_band(n_theta):
     assert np.abs(gram - np.eye(g.lmax + 1)).max() <= 3e-14
 
 
-def test_transform_round_trip(grid):
+@pytest.mark.parametrize("n_theta", [9, 17, 32, 33])
+def test_transform_round_trip(n_theta):
+    # at band 10 (or the grid band) and over the full band, which odd grids
+    # analyze with the equator node counted once, in the northern half only
+    g = build_grid(n_theta, 2 * n_theta)
     rng = np.random.default_rng(3)
-    c = rng.standard_normal(n_coeffs(10))
-    back = grid.analyze(grid.synthesize(c), lmax=10)
-    np.testing.assert_allclose(back, c, atol=1e-12)
+    for band in (min(10, g.lmax), g.lmax):
+        c = rng.standard_normal(n_coeffs(band))
+        back = g.analyze(g.synthesize(c), lmax=band)
+        np.testing.assert_allclose(back, c, atol=1e-12)
 
 
 def test_parseval(grid):
@@ -352,6 +375,16 @@ def test_json_round_trip(grid):
         scalar_field_from_dict(d, grid=build_grid(16, 32))
 
 
+@pytest.mark.parametrize("key", ["n_theta", "n_phi"])
+def test_json_sizes_must_be_integral(grid, key):
+    # JSON numbers 32 and 32.0 are one size; 32.5 was truncated to 32
+    d = scalar_field_to_dict(random_c2_field(grid, 9, 4, 0.03))
+    assert scalar_field_from_dict({**d, key: float(d[key])}).grid.n_theta == 32
+    for bad in (d[key] + 0.5, str(d[key]), True):
+        with pytest.raises(ValueError, match=f"^scalar field JSON {key}: not an integer: "):
+            scalar_field_from_dict({**d, key: bad})
+
+
 def test_analyze_band_and_shape_guards(grid):
     with pytest.raises(ValueError):
         grid.analyze(np.ones((8, 8)))
@@ -453,7 +486,7 @@ def test_stacked_transforms_match_single_calls(n_theta):
 ROUTE_ULPS = 256
 
 
-@pytest.mark.parametrize("n_theta", [16, 32, 64, 128])
+@pytest.mark.parametrize("n_theta", [9, 16, 17, 32, 33, 64, 128])
 def test_product_route_matches_fft_route(n_theta):
     # analytic-vs-oracle: random coefficients of every band up to the
     # product cut-off (or the grid band), as one vector and as a stack; all
@@ -606,10 +639,43 @@ def test_grids_of_one_n_theta_share_a_read_only_rule():
 
 
 def test_rule_holds_two_tables():
-    # P and D of band n_theta - 1: n_theta (n_theta + 1) / 2 rows of n_theta nodes each
+    # P and D of band n_theta - 1: n_theta (n_theta + 1) / 2 rows at the
+    # n_theta / 2 northern nodes each
     tables = _theta_rule(32)[2]
     assert len(tables) == 2
-    assert sum(t.nbytes for t in tables) == 8 * 32**2 * 33
+    assert sum(t.nbytes for t in tables) == 8 * 32 * 33 * 16
+
+
+@pytest.mark.parametrize("n", [8, 9, 16, 17, 33, 128])
+def test_rule_tables_mirror_to_the_full_range(n):
+    # the rule keeps the ceil(n/2) northern nodes; node n-1-j reads node j's
+    # row (l, m) times (-1)^(l-m) in P and -(-1)^(l-m) in D, bit for bit the
+    # tables of the full rule
+    x, _, (P, D) = _theta_rule(n)
+    assert P.shape == D.shape == (n * (n + 1) // 2, (n + 1) // 2)
+    odd = np.concatenate([np.arange(n - m) % 2 == 1 for m in range(n)])
+    sign = np.where(odd, -1.0, 1.0)[:, None]
+    full_P, full_D = sphere._legendre_tables(n - 1, x)
+    assert np.hstack([P, sign * P[:, n // 2 - 1 :: -1]]).tobytes() == full_P.tobytes()
+    assert np.hstack([D, -sign * D[:, n // 2 - 1 :: -1]]).tobytes() == full_D.tobytes()
+    if n % 2:  # the equator node, last of the northern half
+        assert x[n // 2] == 0.0 and np.all(P[odd, -1] == 0.0)
+
+
+def test_rule_build_traced_peak():
+    # the rule of n_theta 128 holds its two tables at the 64 northern nodes,
+    # 8.45 MB: building it from a cleared cache peaks below 10 MB under
+    # tracemalloc (9.4 MB; 18.1 MB with tables at all 128 nodes)
+    import tracemalloc
+
+    _theta_rule.cache_clear()
+    tracemalloc.start()
+    try:
+        _theta_rule(128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10e6
 
 
 def test_grid_ceiling_rejects_before_building(monkeypatch):

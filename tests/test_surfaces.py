@@ -352,6 +352,17 @@ def test_stack_chunks_bound_the_kernel_and_keep_the_values(prof, grid, monkeypat
         np.testing.assert_array_equal(values, results[2**20][name])
 
 
+def test_single_graph_is_not_a_stack(prof, monkeypatch):
+    # one 2-D graph with a scalar s0 broadcasts to (n_theta, n_phi): read as a
+    # stack it made n_theta kernel calls on the whole graph, so it is refused
+    # before any
+    grid = build_grid(128, 256)
+    d = grid.synth_derivs(random_c2_field(grid, 7919, 4, 0.5).coeffs)
+    monkeypatch.setattr(surfaces, "_geometry_from_derivs", lambda *a, **kw: pytest.fail("ran"))
+    with pytest.raises(ValueError, match=r"graph stack of shape \(128, 256\) is not"):
+        _graph_masses(prof, grid, 0.25, d)
+
+
 def test_kernel_pass_size_changes_no_value(prof, monkeypatch):
     # the kernel's elementwise passes (one theta row, the default 2**13
     # weighted nodes, or one pass over the whole call) change no field of the

@@ -122,7 +122,7 @@ class TestFirstVariation:
         assert analytic == pytest.approx(extrap, abs=1e-10)
         # bit for bit: first_variation reads a graph's H over the full band
         # (variation_report's band-0 read of a slice's H gives -1.1e-7 here)
-        assert analytic.hex() == "-0x1.f407179b9f581p-12"
+        assert analytic.hex() == "-0x1.f407179b9f57ep-12"
 
     def test_lambda_coefficient_variant_differs_off_minimal(self, prof, grid):
         geom = induced_geometry(GraphSurface(prof, 0.6, zero(grid)))
