@@ -27,8 +27,7 @@ _EXPORTS = {  # submodule: the names the package exports from it
         "nariai_flow_diagnostic", "slice_hawking_mass",
     ),
     "sphere": (
-        "ScalarField", "SphereGrid", "build_grid", "c2_norm", "integrate", "laplace_beltrami",
-        "random_c2_field",
+        "ScalarField", "SphereGrid", "build_grid", "c2_norm", "integrate", "random_c2_field",
     ),
     "surfaces": (
         "GraphSurface", "SurfaceGeometry", "area", "charge", "charged_hawking_mass",

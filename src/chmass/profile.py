@@ -125,11 +125,6 @@ _DROP = 4.0 * np.finfo(float).eps
 _PIECE_BASIS = chebvander(
     (2.0 * np.arange(_PIECES)[:, None] + _NODES + 1.0) / _PIECES - 1.0, 32
 )[..., 1:]
-# points per Clenshaw pass: buffers of (2, 8192) floats, 128 KB.  With glibc
-# malloc, whole-graph buffers (32768 points at n_theta 128) raised
-# oracle_fine's peak RSS by about 0.45 MB over chebval's; 8192-point passes
-# run as fast and do not.
-_BLOCK = 8192
 
 
 class _ChebyshevPanels:
@@ -142,13 +137,15 @@ class _ChebyshevPanels:
     ``_pieces`` cuts from the collocation panels, and their coefficient
     arrays are ragged: a piece keeps only the terms it needs.
 
-    A panel's series is summed by Clenshaw's recurrence in place, ``_BLOCK``
-    points at a time: three (2, _BLOCK) buffers rotate through the steps
-    and every step writes through ``out=``, where
-    ``numpy.polynomial.chebyshev.chebval`` allocates new (2, n) temporaries
-    at each step.  The operations and their order are chebval's, so the
-    values are bit for bit the same.  Every point's value depends on its s
-    alone, whatever the other points of the call.
+    A panel's series is summed by Clenshaw's recurrence in place: three
+    (2, n) buffers rotate through the steps and every step writes through
+    ``out=``, where ``numpy.polynomial.chebyshev.chebval`` allocates new
+    (2, n) temporaries at each step.  The operations and their order are
+    chebval's, so the values are bit for bit the same.  Every point's value
+    depends on its s alone, whatever the other points of the call.  The
+    geometry kernel's passes hand it at most 8192 points (128 KB buffers);
+    ``foliate`` at its 65536-step ceiling hands ``slice_hawking_mass``
+    131072, at most three 2 MB buffers.
     """
 
     def __init__(self, breaks, coeffs, starts):
@@ -162,24 +159,22 @@ class _ChebyshevPanels:
         """Panel p's series at s (shape (n,)), written to out (2, n) and returned."""
         lo, hi = self.breaks[p], self.breaks[p + 1]
         c = self.coeffs[p][:, :, None]  # (terms, 2, 1): one column per component
-        for start in range(0, s.size, _BLOCK):
-            x = 2.0 * (s[start : start + _BLOCK] - lo) / (hi - lo) - 1.0
-            x2 = 2.0 * x
-            c0 = np.empty((2, x.size))
-            c1 = np.empty_like(c0)
-            tmp = np.empty_like(c0)
-            c0[...] = c[-2]
-            c1[...] = c[-1]
-            for i in range(3, len(c) + 1):
-                # chebval's step: c0, c1 <- c[-i] - c1, c0 + c1 x2
-                np.multiply(c1, x2, out=tmp)
-                tmp += c0
-                np.subtract(c[-i], c1, out=c0)
-                c1, tmp = tmp, c1
-            np.multiply(c1, x, out=tmp)
+        x = 2.0 * (s - lo) / (hi - lo) - 1.0
+        x2 = 2.0 * x
+        c0 = np.empty((2, x.size))
+        c1 = np.empty_like(c0)
+        tmp = np.empty_like(c0)
+        c0[...] = c[-2]
+        c1[...] = c[-1]
+        for i in range(3, len(c) + 1):
+            # chebval's step: c0, c1 <- c[-i] - c1, c0 + c1 x2
+            np.multiply(c1, x2, out=tmp)
             tmp += c0
-            np.add(tmp, self.offsets[p][:, None], out=out[:, start : start + _BLOCK])
-        return out
+            np.subtract(c[-i], c1, out=c0)
+            c1, tmp = tmp, c1
+        np.multiply(c1, x, out=tmp)
+        tmp += c0
+        return np.add(tmp, self.offsets[p][:, None], out=out)
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float).ravel()

@@ -26,8 +26,8 @@ azimuth matrix, with no FFT.  Above that band, and for every analysis,
 transforms loop over m alone with one FFT in phi (per-m blocks, Schaeffer
 2013, arXiv:1202.6522).  The Legendre tables
 of band L are m-major and packed: block m holds rows l = m..L from row
-m(L+1) - m(m-1)/2, and ``_blocks`` maps it to the flat indices l^2+l+m
-(cos m phi part) and l^2+l-m (sin m phi part).
+m(L+1) - m(m-1)/2, and ``_packed``, the one map of this layout, takes it to
+the flat indices l^2+l+m (cos m phi part) and l^2+l-m (sin m phi part).
 
 The tables hold the northern nodes only (Schaeffer 2013): the Gauss nodes
 are antisymmetric bit for bit and the recurrence only multiplies by x, so at
@@ -58,7 +58,6 @@ __all__ = [
     "ScalarField",
     "build_grid",
     "integrate",
-    "laplace_beltrami",
     "c2_norm",
     "random_c2_field",
     "coeff_index",
@@ -89,33 +88,6 @@ def _degrees(n: int) -> np.ndarray:
 def _block_start(m, L: int):
     """First row (l = m) of block m in an m-major table of band L."""
     return m * (L + 1) - m * (m - 1) // 2
-
-
-@functools.lru_cache(maxsize=64)
-def _blocks(n: int, L: int | None = None):
-    """Per-m blocks (m, rows, k, nrm) of a flat coefficient vector of length n.
-
-    ``rows`` slices rows l = m..lmax of block m of a table of band L (default
-    lmax); ``k`` holds their flat indices, cos part l^2+l+m and, for m > 0,
-    sin part l^2+l-m; ``nrm`` is the real-harmonic factor (sqrt(2) for m > 0).
-
-    The result is cached on (n, L) and shared by every caller, so it is a
-    tuple and each ``k`` is read-only.
-    """
-    lmax = math.isqrt(n) - 1
-    if n < 1 or (lmax + 1) ** 2 != n:
-        raise ValueError(f"coefficient vector of length {n} is not (lmax + 1)^2")
-    L = lmax if L is None else L
-    if lmax > L:
-        raise ValueError(f"coefficient band lmax = {lmax} beyond grid band {L}")
-    blocks = []
-    for m in range(lmax + 1):
-        start = _block_start(m, L)
-        l = np.arange(m, lmax + 1)
-        k = np.stack([l * l + l + m, l * l + l - m])[: 2 if m else 1]
-        k.flags.writeable = False
-        blocks.append((m, slice(start, start + lmax + 1 - m), k, math.sqrt(2.0) if m else 1.0))
-    return tuple(blocks)
 
 
 def _legendre_tables(lmax: int, x: np.ndarray):
@@ -158,11 +130,27 @@ def _legendre_tables(lmax: int, x: np.ndarray):
 
 
 @functools.lru_cache(maxsize=16)
-def _packed(n: int, L: int):
-    """(pick, index), shared and read-only: flat coefficient k below n sits at
-    pick[k] = 4 row + 2 part + odd, for the row of (l, |m|) in an m-major
-    table of band L, part 1 for m < 0 and odd = (l - m) mod 2, the parity in
-    x of Pbar_{l,|m|}; index[part, row] is k (0 where there is none)."""
+def _packed(n: int, L: int | None = None):
+    """(lmax, orders, pick, index): where a flat coefficient vector of length
+    n = (lmax + 1)^2 sits in an m-major table of band L (default lmax).
+
+    ``orders`` holds per m = 0..lmax a tuple (m, rows, parts, nrm): ``rows``
+    slices rows l = m..lmax of block m, ``parts`` is 1 for m = 0 (cos part
+    only) and 2 above, ``nrm`` the real-harmonic factor (sqrt(2) for m > 0).
+    Flat coefficient k sits at pick[k] = 4 row + 2 part + odd, for the row of
+    (l, |m|), part 1 for m < 0 and odd = (l - m) mod 2, the parity in x of
+    Pbar_{l,|m|}; index[part, row] is k (0 where there is none).  Cached on
+    (n, L) and shared by every caller, so ``orders`` is a tuple and ``pick``
+    and ``index`` are read-only.
+    """
+    lmax = math.isqrt(n) - 1
+    if n < 1 or (lmax + 1) ** 2 != n:
+        raise ValueError(f"coefficient vector of length {n} is not (lmax + 1)^2")
+    L = lmax if L is None else L
+    if lmax > L:
+        raise ValueError(f"coefficient band lmax = {lmax} beyond grid band {L}")
+    orders = tuple((m, slice(_block_start(m, L), _block_start(m, L) + lmax + 1 - m),
+                    2 if m else 1, math.sqrt(2.0) if m else 1.0) for m in range(lmax + 1))
     l = _degrees(n).astype(int)
     m = np.arange(n) - l * l - l
     row, part = _block_start(np.abs(m), L) + l - np.abs(m), (m < 0).astype(int)
@@ -171,7 +159,7 @@ def _packed(n: int, L: int):
     pick = 4 * row + 2 * part + (l - m) % 2
     for a in (pick, index):
         a.flags.writeable = False
-    return pick, index
+    return lmax, orders, pick, index
 
 
 def _unfold(north: np.ndarray, south: np.ndarray, n: int) -> np.ndarray:
@@ -180,20 +168,18 @@ def _unfold(north: np.ndarray, south: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate([north, south[..., n // 2 - 1 :: -1]], axis=-1)
 
 
-def _per_m_profiles(coeffs: np.ndarray, table: np.ndarray, blocks):
-    """Zonal profiles (A_m, B_m)(x), m = 0..lmax, of sum c_{lm} T_{lm}(x) trig(m phi).
-
-    ``coeffs`` has shape (..., n_coeffs); returns one array of shape
-    (2, lmax + 1, ..., len(x)), with B_0 zero.
-    """
-    lead = coeffs.shape[:-1]
-    coeffs = coeffs.reshape(-1, coeffs.shape[-1])
-    AB = np.zeros((2, len(blocks), coeffs.shape[0], table.shape[1]))
-    for m, rows, k, nrm in blocks:
-        c = coeffs[:, k]  # (field, cos/sin part, l): one row per (field, part)
-        prof = (c.reshape(-1, k.shape[1]) @ table[rows]).reshape(c.shape[:2] + (-1,))
-        AB[: len(k), m] = nrm * prof.swapaxes(0, 1)
-    return AB.reshape(AB.shape[:2] + lead + (-1,))
+def _profiles(S: np.ndarray, products, orders, n_x: int) -> np.ndarray:
+    """Per-order theta profiles: for each (q, T) of ``products``, the
+    coefficient sets S[q] (set, field, part, table row, as ``_packed``'s
+    ``index`` gathers them) times table T's rows of each order of ``orders``.
+    Returns (m, set, field, part, n_x), zero in the sin part of m = 0."""
+    prof = np.zeros((len(orders),) + S.shape[:3] + (n_x,))
+    for m, rows, parts, nrm in orders:
+        for q, T in products:
+            ck = S[q, :, :parts, rows]
+            prof[m, q, :, :parts] = nrm * (ck.reshape(-1, ck.shape[-1]) @ T[rows]).reshape(
+                ck.shape[:-1] + (-1,))
+    return prof
 
 
 def _gauss_legendre(n: int):
@@ -305,7 +291,7 @@ def _separable_factors(n_theta: int, lmax: int):
     x, _, (P, D) = _theta_rule(n_theta)
     l = _degrees(n_coeffs(lmax)).astype(int)
     m = np.arange(l.size) - l * l - l
-    pick = _packed(l.size, n_theta - 1)[0]  # table row pick // 4, parity pick % 2
+    pick = _packed(l.size, n_theta - 1)[2]  # table row pick // 4, parity pick % 2
     sign, Pk, Dk, lc = 1.0 - 2.0 * (pick[:, None] % 2), P[pick // 4], D[pick // 4], l[:, None]
     Pk, Dk = _unfold(Pk, sign * Pk, n_theta), _unfold(Dk, -sign * Dk, n_theta)
     factors = _frame(Pk, Dk, -lc * (lc + 1.0) * Pk, m[:, None], x, np.sqrt(1.0 - x**2))
@@ -374,8 +360,9 @@ class SphereGrid:
         Exact for fields band-limited at or below the grid band; higher
         content aliases.
         """
-        lmax = self.lmax if lmax is None else int(lmax)
-        blocks = _blocks(n_coeffs(lmax), self.lmax)
+        lmax = self.lmax if lmax is None else lmax
+        self._check_band(lmax)
+        _, orders, pick, _ = _packed(n_coeffs(lmax), self.lmax)
         values = np.asarray(values, dtype=float)
         if values.shape[-2:] != (self.n_theta, self.n_phi):
             raise ValueError("field shape does not match grid")
@@ -392,10 +379,9 @@ class SphereGrid:
         EO[:, : n // 2, :, 1] -= WG[:, h:][:, ::-1]
         # (table row, part, sum, field): a row odd in x reads the odd sum
         sums = np.empty((P.shape[0], 2, 2, len(G)))
-        for m, rows, k, nrm in blocks:
-            prod = P[rows] @ EO[m, :, : len(k)].reshape(h, -1)
-            sums[rows, : len(k)] = nrm * prod.reshape(-1, len(k), 2, len(G))
-        pick = _packed(n_coeffs(lmax), self.lmax)[0]
+        for m, rows, parts, nrm in orders:
+            prod = P[rows] @ EO[m, :, :parts].reshape(h, -1)
+            sums[rows, :parts] = nrm * prod.reshape(-1, parts, 2, len(G))
         coeffs = np.take(sums.reshape(-1, len(G)), pick, axis=0).T
         return np.ascontiguousarray(coeffs).reshape(lead + pick.shape)
 
@@ -439,7 +425,7 @@ class SphereGrid:
         """``synth_derivs`` (or, without ``derivs``, only its "f") as two
         products: the coefficients into a theta profile per azimuthal
         function, then the profiles times the azimuth matrix."""
-        lmax = len(_blocks(coeffs.shape[-1], self.lmax)) - 1
+        lmax = _packed(coeffs.shape[-1], self.lmax)[0]
         factors, col = _product_factors(self.n_theta, lmax)
         azimuths = _azimuth_table(lmax, self.n_phi)
         c = coeffs.reshape(-1, col.size)
@@ -457,9 +443,8 @@ class SphereGrid:
         Legendre blocks: ``_frame`` converts the profiles of each order, then
         one inverse FFT in phi per output."""
         K = coeffs.shape[-1]
-        blocks = _blocks(K, self.lmax)
+        _, orders, pick, index = _packed(K, self.lmax)
         P, D = self.tables()
-        pick, index = _packed(K, self.lmax)
         c, sign = coeffs.reshape(-1, K), 1.0 - 2.0 * (pick % 2)
         # the coefficients of V, Lap V (against P) and dV/dx (against D), each
         # unsigned for the north nodes and signed for their mirror images, as
@@ -470,20 +455,14 @@ class SphereGrid:
             lap = -l * (l + 1.0) * c
             sets += [lap, sign * lap, c, -sign * c]
         S = np.take(np.stack(sets), index, axis=-1)
-        # (m, set, field, part, north node)
-        prof = np.zeros((len(blocks),) + S.shape[:3] + (P.shape[1],))
         products = ((slice(0, 4), P), (slice(4, 6), D))[: 2 if derivs else 1]
-        for m, rows, k, nrm in blocks:
-            for q, T in products:
-                ck = S[q, :, : len(k), rows]
-                prof[m, q, :, : len(k)] = nrm * (ck.reshape(-1, k.shape[1]) @ T[rows]).reshape(
-                    ck.shape[:-1] + (-1,))
+        prof = _profiles(S, products, orders, P.shape[1])  # at the north nodes
         # (V / Lap V / dV/dx, A/B part, m, ..., theta)
         prof = _unfold(prof[:, 0::2], prof[:, 1::2], self.n_theta).transpose(1, 3, 0, 2, 4)
         prof = prof.reshape(prof.shape[:3] + coeffs.shape[:-1] + (-1,))
         if not derivs:
             return {"f": self._assemble(*prof[0])}
-        m = np.arange(len(blocks)).reshape((-1,) + (1,) * coeffs.ndim)
+        m = np.arange(len(orders)).reshape((-1,) + (1,) * coeffs.ndim)
         V, lap, X = prof
         frame = _frame(V, X, lap, m, self.x, self.sin_theta)
         # d/dphi takes A cos(m phi) + B sin(m phi) to m B cos(m phi) - m A sin(m phi)
@@ -494,13 +473,14 @@ class SphereGrid:
         """(f, f_theta, f_phi) of a coefficient vector at arbitrary interior points."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         phi = np.atleast_1d(np.asarray(phi, dtype=float))
-        blocks = _blocks(coeffs.size)
-        P, D = _legendre_tables(len(blocks) - 1, np.cos(theta))
-        m = np.arange(len(blocks))[:, None]
+        lmax, orders, _, index = _packed(coeffs.size)
+        P, D = _legendre_tables(lmax, np.cos(theta))
+        m = np.arange(lmax + 1)[:, None]
         cosm, sinm = np.cos(m * phi), np.sin(m * phi)
-        A, B = _per_m_profiles(coeffs, P, blocks)
+        S = np.take(np.stack([coeffs, coeffs])[:, None], index, axis=-1)  # against P and D
+        prof = _profiles(S, ((slice(0, 1), P), (slice(1, 2), D)), orders, theta.size)
+        (A, B), (Ax, Bx) = prof[:, :, 0].transpose(1, 2, 0, 3)  # (set, part, m, point)
         f = np.sum(A * cosm + B * sinm, axis=0)
-        Ax, Bx = _per_m_profiles(coeffs, D, blocks)
         ft = -np.sin(theta) * np.sum(Ax * cosm + Bx * sinm, axis=0)
         fp = np.sum(m * (B * cosm - A * sinm), axis=0)
         return f, ft, fp
@@ -565,15 +545,6 @@ def build_grid(n_theta: int, n_phi: int) -> SphereGrid:
 def integrate(f: ScalarField) -> float:
     """Quadrature of f over the unit sphere (solid-angle measure)."""
     return float(np.sum(f.grid.w_node * f.values))
-
-
-def laplace_beltrami(f: ScalarField) -> ScalarField:
-    """Spectral Laplace-Beltrami operator on the unit sphere.
-
-    Exact (to transform accuracy) on the coefficients of f: -l(l+1) c_lm.
-    """
-    l = _degrees(f.coeffs.size)
-    return ScalarField.from_coeffs(f.grid, -l * (l + 1.0) * f.coeffs)
 
 
 def _c2_norms(d: dict) -> np.ndarray:

@@ -76,7 +76,7 @@ def test_in_place_clenshaw_matches_chebval_bitwise(a, q, s_max, tol, panels):
     assert len(sol.coeffs) == panels * profile._PIECES  # collocation panels, cut in pieces
     rng = np.random.default_rng(panels)
     s = np.concatenate([
-        rng.uniform(0.0, s_max, 4 * profile._BLOCK),  # several passes per panel
+        rng.uniform(0.0, s_max, 32768),
         sol.breaks,  # panel breaks, 0 and s_max included
         np.nextafter(sol.breaks[1:], 0.0),  # just left of each break
     ])
@@ -102,7 +102,7 @@ def test_pieces_follow_their_collocation_panels(monkeypatch, a, q, s_max, tol):
     assert np.array_equal(sol.breaks[:: profile._PIECES], panels.breaks)
     rng = np.random.default_rng(7)
     s = np.concatenate([
-        rng.uniform(0.0, s_max, 4 * profile._BLOCK),
+        rng.uniform(0.0, s_max, 32768),
         sol.breaks,
         np.nextafter(sol.breaks[1:], 0.0),
     ])

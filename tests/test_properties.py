@@ -13,7 +13,7 @@ from chmass.models import ModelParams, admissible_window
 from chmass.profile import area_charge_value, integrate_profile, slice_hawking_mass
 from chmass.spectrum import stability_window
 from chmass.sphere import ScalarField, build_grid, n_coeffs, random_c2_field
-from chmass.surfaces import GraphSurface, _graph_masses, _mass_grid, charged_hawking_mass
+from chmass.surfaces import GraphSurface, _graph_masses, _mass_grid, area, charged_hawking_mass
 
 # fixed examples keep tier-1 reproducible; no example database on disk
 PROPERTY = settings(max_examples=40, deadline=None, database=None, derandomize=True)
@@ -62,6 +62,30 @@ def test_mass_invariant_under_azimuthal_roll(seed, amplitude, s0, shift):
     m = charged_hawking_mass(GraphSurface(p, s0, phi))
     m_rolled = charged_hawking_mass(GraphSurface(p, s0, rolled))
     assert abs(m_rolled - m) <= 1e-13 * abs(m)
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    amplitude=st.floats(0.0, 0.5),
+    s0=st.floats(-0.3, 0.3),
+)
+def test_mass_invariant_under_a_quarter_turn_about_x(seed, amplitude, s0):
+    # a band-4 height turned by 90 degrees about the x axis is band 4 again:
+    # evaluate_at reads it at the turned nodes, where (x, y, z) goes to
+    # (x, -z, y), and analyze takes it back; the turned graph is isometric to
+    # the first.  With n_theta even no turned node is a pole (the closest is
+    # 0.048 rad away).  The charge is left out: it is Q on every graph.
+    g, p = build_grid(32, 64), prof()
+    th, ph = np.meshgrid(g.theta, g.phi, indexing="ij")
+    x, y, z = np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)
+    phi = random_c2_field(g, seed, 4, amplitude)
+    turned = g.evaluate_at(phi.coeffs, np.arccos(y).ravel(), np.arctan2(-z, x).ravel())[0]
+    turned = ScalarField.from_coeffs(g, g.analyze(turned.reshape(th.shape), lmax=4))
+    before, after = GraphSurface(p, s0, phi), GraphSurface(p, s0, turned)
+    assert abs(charged_hawking_mass(after) - charged_hawking_mass(before)) <= 1e-13 * abs(
+        charged_hawking_mass(before))
+    assert abs(area(after) - area(before)) <= 1e-13 * area(before)
 
 
 @PROPERTY

@@ -15,15 +15,15 @@ from chmass.sphere import (
     ScalarField,
     SphereGrid,
     _PRODUCT_BAND,
-    _blocks,
+    _block_start,
     _degrees,
+    _packed,
     _random_c2_stack,
     _theta_rule,
     build_grid,
     c2_norm,
     coeff_index,
     integrate,
-    laplace_beltrami,
     n_coeffs,
     random_c2_field,
     scalar_field_from_dict,
@@ -136,6 +136,12 @@ def test_parseval(grid):
     assert integrate(ScalarField(grid, f.values**2)) == pytest.approx(
         float((c**2).sum()), abs=1e-10
     )
+
+
+def laplace_beltrami(f: ScalarField) -> ScalarField:
+    """Spectral Laplace-Beltrami operator on the unit sphere: -l(l+1) c_lm."""
+    l = _degrees(f.coeffs.size)
+    return ScalarField.from_coeffs(f.grid, -l * (l + 1.0) * f.coeffs)
 
 
 class TestLaplace:
@@ -394,6 +400,14 @@ def test_analyze_band_and_shape_guards(grid):
         ScalarField(grid, np.full((32, 64), np.nan))
 
 
+@pytest.mark.parametrize("lmax", [-3, 2.7])
+def test_analyze_refuses_a_band_that_is_not_a_natural_number(lmax):
+    # -3 returned the 4 coefficients of n_coeffs(-3), and 2.7 those of band 2
+    g = build_grid(16, 32)
+    with pytest.raises(ValueError, match="^lmax must be an integer >= 0"):
+        g.analyze(np.ones((16, 32)), lmax=lmax)
+
+
 def test_coefficient_vector_guards(grid):
     # a length that is not (lmax + 1)^2 is refused, not truncated to the
     # largest square; a band above the grid's is refused, not indexed past
@@ -622,11 +636,34 @@ def test_stacked_shape_and_length_guards(grid):
 
 
 def test_cached_blocks_are_read_only(grid):
-    blocks = _blocks(n_coeffs(4), grid.lmax)
-    assert _blocks(n_coeffs(4), grid.lmax) is blocks
-    for _, _, k, _ in blocks:
+    layout = _packed(n_coeffs(4), grid.lmax)
+    assert _packed(n_coeffs(4), grid.lmax) is layout
+    _, orders, pick, index = layout
+    assert isinstance(orders, tuple)
+    for a in (pick, index):
         with pytest.raises(ValueError):
-            k[0, 0] = 0
+            a[0] = 0
+
+
+def test_packed_layout_tiles_the_table():
+    # for every band lmax <= L <= 40: order m reads rows l = m..lmax of block
+    # m of the band-L table, from its first row; coefficient (l, m) sits in
+    # row l - |m| of order |m|, part 1 if m < 0; and index inverts pick
+    for L in range(41):
+        for lmax in range(L + 1):
+            band, orders, pick, index = _packed.__wrapped__(n_coeffs(lmax), L)
+            assert band == lmax and [o[0] for o in orders] == list(range(lmax + 1))
+            for m, rows, parts, nrm in orders:
+                assert rows.start == _block_start(m, L) and rows.stop - rows.start == lmax + 1 - m
+                assert (parts, nrm) == ((2, math.sqrt(2.0)) if m else (1, 1.0))
+            l = _degrees(n_coeffs(lmax)).astype(int)
+            m = np.arange(n_coeffs(lmax)) - l * l - l
+            starts = np.array([rows.start for _, rows, _, _ in orders])
+            assert np.array_equal(pick // 4, starts[np.abs(m)] + l - np.abs(m))
+            assert np.array_equal(pick // 2 % 2, m < 0) and np.array_equal(pick % 2, (l - m) % 2)
+            tiles = np.concatenate([np.arange(rows.start, rows.stop) for _, rows, _, _ in orders])
+            assert np.array_equal(np.unique(pick // 4), tiles)
+            assert np.array_equal(index[pick // 2 % 2, pick // 4], np.arange(n_coeffs(lmax)))
 
 
 def test_grids_of_one_n_theta_share_a_read_only_rule():
