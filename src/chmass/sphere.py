@@ -385,13 +385,13 @@ class SphereGrid:
         coeffs = np.take(sums.reshape(-1, len(G)), pick, axis=0).T
         return np.ascontiguousarray(coeffs).reshape(lead + pick.shape)
 
-    def _assemble(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """Grid values (..., n_theta, n_phi) from profiles A, B of shape (M, ..., n_theta)."""
+    def _assemble(self, A: np.ndarray, B: np.ndarray, out=None) -> np.ndarray:
+        """Grid values (..., n_theta, n_phi), into out if given, from profiles (M, ..., n_theta)."""
         H = np.zeros(A.shape[1:] + (self.n_phi // 2 + 1,), dtype=complex)
         H[..., 0] = A[0] * self.n_phi
         mmax = A.shape[0] - 1
         H[..., 1 : mmax + 1] = np.moveaxis(A[1:] - 1j * B[1:], 0, -1) * (self.n_phi / 2.0)
-        return np.fft.irfft(H, n=self.n_phi, axis=-1)
+        return np.fft.irfft(H, n=self.n_phi, axis=-1, out=out)
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """Inverse transform: coefficients (..., n_coeffs) -> grid values
@@ -399,7 +399,7 @@ class SphereGrid:
         ``synth_derivs``)."""
         return self._route(coeffs)(coeffs, derivs=False)["f"]
 
-    def synth_derivs(self, coeffs: np.ndarray) -> dict:
+    def synth_derivs(self, coeffs: np.ndarray, *, out: dict | None = None) -> dict:
         """Field, gradient and covariant Hessian on the grid, all spectral.
 
         Returns a dict of arrays (..., n_theta, n_phi), for coefficients
@@ -413,15 +413,17 @@ class SphereGrid:
         product route (``_product_route``: no FFT); higher bands, such as a
         field analyzed over the full band of a grid with n_theta > 17, take
         the per-m FFT route (``_fft_route``).  The two agree to roundoff.
+        ``out``, a dict of the six keys with arrays of the result's shape,
+        receives the result, bit for bit as without it, and is returned.
         """
-        return self._route(coeffs)(coeffs)
+        return self._route(coeffs)(coeffs, out=out)
 
     def _route(self, coeffs: np.ndarray):
         """The synthesis route of a coefficient stack, by its band."""
         band = math.isqrt(coeffs.shape[-1]) - 1
         return self._product_route if band <= _PRODUCT_BAND else self._fft_route
 
-    def _product_route(self, coeffs: np.ndarray, derivs: bool = True) -> dict:
+    def _product_route(self, coeffs: np.ndarray, derivs: bool = True, out=None) -> dict:
         """``synth_derivs`` (or, without ``derivs``, only its "f") as two
         products: the coefficients into a theta profile per azimuthal
         function, then the profiles times the azimuth matrix."""
@@ -432,13 +434,15 @@ class SphereGrid:
         # row (field, m) of C holds the coefficients of order m in place
         C = np.zeros((c.shape[0], 2 * lmax + 1, col.size))
         C[:, col, np.arange(col.size)] = c
-        shape = coeffs.shape[:-1] + (self.n_theta, self.n_phi)
-        return {
-            key: ((C @ theta).swapaxes(-1, -2) @ azimuths[name]).reshape(shape)
-            for key, (theta, name) in factors.items() if derivs or key == "f"
-        }
+        shape = coeffs.shape[:-1] + (self.n_theta, 2 * lmax + 1)  # the profiles of each field
+        out = dict.fromkeys(factors if derivs else ("f",)) if out is None else out
+        for key in out:
+            theta, name = factors[key]
+            prof = (C @ theta).swapaxes(-1, -2).reshape(shape)
+            out[key] = np.matmul(prof, azimuths[name], out=out[key])
+        return out
 
-    def _fft_route(self, coeffs: np.ndarray, derivs: bool = True) -> dict:
+    def _fft_route(self, coeffs: np.ndarray, derivs: bool = True, out=None) -> dict:
         """``synth_derivs`` (or, without ``derivs``, only its "f") by per-m
         Legendre blocks: ``_frame`` converts the profiles of each order, then
         one inverse FFT in phi per output."""
@@ -465,12 +469,16 @@ class SphereGrid:
         m = np.arange(len(orders)).reshape((-1,) + (1,) * coeffs.ndim)
         V, lap, X = prof
         frame = _frame(V, X, lap, m, self.x, self.sin_theta)
+        out = dict.fromkeys(frame) if out is None else out
         # d/dphi takes A cos(m phi) + B sin(m phi) to m B cos(m phi) - m A sin(m phi)
-        return {key: self._assemble(*((A, B) if name == "trig" else (m * B, -m * A)))
-                for key, ((A, B), name) in frame.items()}
+        for key, ((A, B), name) in frame.items():
+            out[key] = self._assemble(*((A, B) if name == "trig" else (m * B, -m * A)), out[key])
+        return out
 
     def evaluate_at(self, coeffs: np.ndarray, theta, phi):
         """(f, f_theta, f_phi) of a coefficient vector at arbitrary interior points."""
+        if np.ndim(coeffs) != 1:
+            raise ValueError(f"coefficients must be one vector, got shape {np.shape(coeffs)}")
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         phi = np.atleast_1d(np.asarray(phi, dtype=float))
         lmax, orders, _, index = _packed(coeffs.size)
@@ -487,7 +495,7 @@ class SphereGrid:
 
     def _check_band(self, lmax) -> None:
         """Refuse an lmax that is not an integer from 0 to the grid band (ValueError)."""
-        if not isinstance(lmax, (int, np.integer)) or lmax < 0:
+        if isinstance(lmax, bool) or not isinstance(lmax, (int, np.integer)) or lmax < 0:
             raise ValueError(f"lmax must be an integer >= 0, got {lmax!r}")
         if lmax > self.lmax:
             raise ValueError(f"lmax = {lmax} beyond grid band {self.lmax}")
@@ -550,11 +558,14 @@ def integrate(f: ScalarField) -> float:
 def _c2_norms(d: dict) -> np.ndarray:
     """The C^2 norm of each field of a ``synth_derivs`` dict of shape (..., n_theta, n_phi):
     the max over nodes of |f|, |grad f| and |Hess f|_F, read from the frame
-    components as f1^2 + f2^2 and h11^2 + 2 h12^2 + h22^2."""
-    grad2 = d["f1"] ** 2 + d["f2"] ** 2
-    hess2 = d["h11"] ** 2 + 2.0 * d["h12"] ** 2 + d["h22"] ** 2
-    norms = (np.abs(d["f"]), np.sqrt(grad2), np.sqrt(hess2))
-    return np.max([v.max(axis=(-2, -1)) for v in norms], axis=0)
+    components as f1^2 + f2^2 and h11^2 + 2 h12^2 + h22^2 in two scratch arrays;
+    max |f| = max(max f, -min f), and sqrt (monotone) is taken of the maxima."""
+    a, b, axes = np.empty_like(d["f"]), np.empty_like(d["f"]), (-2, -1)
+    grad2 = np.add(np.square(d["f1"], out=a), np.square(d["f2"], out=b), out=a).max(axis=axes)
+    np.add(np.square(d["h11"], out=a), np.multiply(2.0, np.square(d["h12"], out=b), out=b), out=a)
+    hess2 = np.add(a, np.square(d["h22"], out=b), out=a).max(axis=axes)
+    f = np.maximum(d["f"].max(axis=axes), -d["f"].min(axis=axes))
+    return np.max([f, np.sqrt(grad2), np.sqrt(hess2)], axis=0)
 
 
 def c2_norm(f: ScalarField) -> float:
@@ -590,7 +601,7 @@ def random_c2_field(
     return ScalarField.from_coeffs(grid, _random_c2_stack(grid, [seed], lmax, amplitude)[0])
 
 
-def _random_c2_stack(grid: SphereGrid, seeds, lmax: int, amplitude: float) -> np.ndarray:
+def _random_c2_stack(grid: SphereGrid, seeds, lmax: int, amplitude: float, out=None) -> np.ndarray:
     """The scaled coefficients of ``random_c2_field``'s draws, one row per
     seed: shape (len(seeds), n_coeffs(lmax)).
 
@@ -598,7 +609,7 @@ def _random_c2_stack(grid: SphereGrid, seeds, lmax: int, amplitude: float) -> np
     ``default_rng`` takes it; row i is one ``standard_normal`` draw of its
     own Generator, times amplitude over the C^2 norm of its partials.  The
     drawn coefficients (band lmax) are derivative-synthesized once, as one
-    stack, for those norms, and no stack is ever analyzed."""
+    stack (into ``out`` if given), for those norms; no stack is analyzed."""
     if lmax > grid.n_theta / 4:
         raise ValueError("lmax too large for this grid (need lmax <= n_theta/4)")
     if amplitude < 0:
@@ -608,7 +619,7 @@ def _random_c2_stack(grid: SphereGrid, seeds, lmax: int, amplitude: float) -> np
             raise ValueError(f"seed must be a nonnegative integer, got {np.min(seed)}")
     # np.random is loaded on first draw, not when chmass is imported
     coeffs = np.array([np.random.default_rng(s).standard_normal(n_coeffs(lmax)) for s in seeds])
-    scale = amplitude / _c2_norms(grid.synth_derivs(coeffs))
+    scale = amplitude / _c2_norms(grid.synth_derivs(coeffs, out=out))
     return scale[:, None] * coeffs
 
 

@@ -99,15 +99,16 @@ class SurfaceGeometry:
 
 
 # Grid nodes per geometry-kernel call on a stack: 8 graphs of 32 x 64 nodes or
-# 32 of _mass_grid's band-4 16 x 32.  local_max_experiment also draws its heights
-# in stacks of this many nodes.  Three 40-graph local_max_experiment runs in a
-# fresh interpreter peaked at 40.5 MB RSS with this cap and at 44.1 MB with
-# 2**16 (41.7 MB with this cap before the kernel ran in _PASS_NODES passes).
+# 32 of _mass_grid's band-4 16 x 32.  local_max_experiment synthesizes all its
+# stacks into six flat buffers of this size (128 KiB each), made once per call.
+# Three 40-graph runs in a fresh interpreter peaked at 40.5 MB RSS with this
+# cap and at 44.1 MB with 2**16.
 _STACK_NODES = 2**14
 
-# Nodes per elementwise pass of the geometry kernel: 64 KB temporaries, below
-# glibc malloc's 128 KB mmap threshold, so they reuse heap memory where a whole
-# 128 x 256 graph's temporaries were mapped and faulted in anew at every call.
+# Nodes per elementwise pass of the geometry kernel: 64 KB temporaries.  This
+# bounds the kernel's peak, not its page faults: glibc trims the heap top as a
+# pass frees them, and the profile read's (2, n) Clenshaw buffers are 128 KiB,
+# glibc's mmap threshold, so an 8192-node mass-only call faults in 180-470 pages.
 _PASS_NODES = 2**13
 
 

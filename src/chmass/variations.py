@@ -384,6 +384,8 @@ def local_max_experiment(
     the mass grid and sent through the mass-only kernel once.  A sample
     within ``_NEAR_TOL`` of equality loses its mean as c_00 = 0, and the C^2
     norms of those samples are read in stacks of 8 graphs, one synthesis each.
+    Every synthesis writes into six flat ``_STACK_NODES`` buffers, allocated
+    once per call: 8 draw-grid or 32 mass-grid graphs fill them exactly.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
@@ -393,16 +395,20 @@ def local_max_experiment(
     prof = integrate_profile(a, q, 1.0, s_max=1.0)
     grid = build_grid(_N_THETA, _N_PHI)
     mass_grid = _mass_grid(grid, _LMAX, amplitude)
+    buffers = {key: np.empty(_STACK_NODES) for key in ("f", "f1", "f2", "h11", "h12", "h22")}
+
+    def out(g: SphereGrid, n: int) -> dict:  # synth_derivs' out: leading views of the buffers
+        return {k: v[: n * g.w_node.size].reshape(n, *g.w_node.shape) for k, v in buffers.items()}
+
     draw = _STACK_NODES // (grid.n_theta * grid.n_phi)
     coeffs = np.concatenate([
-        _random_c2_stack(
-            grid, [[seed, k] for k in range(start, min(start + draw, n_samples))], _LMAX, amplitude
-        )
-        for start in range(0, n_samples, draw)
+        _random_c2_stack(grid, [[seed, k] for k in ks], _LMAX, amplitude, out(grid, len(ks)))
+        for ks in (range(i, min(i + draw, n_samples)) for i in range(0, n_samples, draw))
     ])
     block = _STACK_NODES // (mass_grid.n_theta * mass_grid.n_phi)
     mch = np.concatenate([
-        _graph_masses(prof, mass_grid, 0.0, mass_grid.synth_derivs(part))["mch"]
+        _graph_masses(prof, mass_grid, 0.0, mass_grid.synth_derivs(
+            part, out=out(mass_grid, len(part))))["mch"]
         for part in (coeffs[i : i + block] for i in range(0, n_samples, block))
     ])
     excess = mch - prof.m
@@ -410,12 +416,13 @@ def local_max_experiment(
     with np.errstate(divide="ignore", invalid="ignore"):  # inf where d2m = 0 != excess
         gap = np.where(excess == half_d2m, 0.0, np.abs(excess / half_d2m - 1.0)).max()
     top = int(np.argmax(excess))
-    m_draw = _graph_masses(prof, grid, 0.0, grid.synth_derivs(coeffs[top : top + 1]))["mch"]
+    m_draw = _graph_masses(
+        prof, grid, 0.0, grid.synth_derivs(coeffs[top : top + 1], out=out(grid, 1)))["mch"]
     nonconstant = coeffs[excess >= -_NEAR_TOL]
     nonconstant[:, coeff_index(0, 0)] = 0.0
     near = [  # in stacks of `draw` graphs, as they were drawn
-        v for i in range(0, len(nonconstant), draw)
-        for v in _c2_norms(grid.synth_derivs(nonconstant[i : i + draw])).tolist()
+        v for part in (nonconstant[i : i + draw] for i in range(0, len(nonconstant), draw))
+        for v in _c2_norms(grid.synth_derivs(part, out=out(grid, len(part)))).tolist()
     ]
     return LocalMaxReport(
         a=a, q=q, n_samples=n_samples, amplitude=amplitude, seed=seed,

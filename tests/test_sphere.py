@@ -1,6 +1,7 @@
 import inspect
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -307,8 +308,8 @@ def _raw_draws(monkeypatch, grid, seeds, lmax, amplitude):
     seen = []
     synth_derivs = SphereGrid.synth_derivs
 
-    def spy(self, coeffs):
-        seen.append((coeffs, synth_derivs(self, coeffs)))
+    def spy(self, coeffs, **kwargs):
+        seen.append((coeffs, synth_derivs(self, coeffs, **kwargs)))
         return seen[-1][1]
 
     monkeypatch.setattr(SphereGrid, "synth_derivs", spy)
@@ -408,6 +409,26 @@ def test_analyze_refuses_a_band_that_is_not_a_natural_number(lmax):
         g.analyze(np.ones((16, 32)), lmax=lmax)
 
 
+def test_band_refuses_a_bool():
+    # True is an int to isinstance; it read as band 1 at both call sites
+    g = build_grid(16, 32)
+    for call in (lambda: g.analyze(np.ones((16, 32)), lmax=True),
+                 lambda: g.basis_with_gradients(True)):
+        with pytest.raises(ValueError, match="^lmax must be an integer >= 0, got True$"):
+            call()
+
+
+@pytest.mark.parametrize("shape", [(2, 8), (3, 25), ()])
+def test_evaluate_at_refuses_what_is_not_one_vector(monkeypatch, shape):
+    # (2, 8) failed inside np.take and (3, 25) was read as a vector of length
+    # 75; each is refused by shape before any table is built
+    g = build_grid(16, 32)
+    monkeypatch.setattr(sphere, "_legendre_tables", lambda *a: pytest.fail("built a table"))
+    message = re.escape(f"coefficients must be one vector, got shape {shape}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        g.evaluate_at(np.ones(shape), 1.0, 0.5)
+
+
 def test_coefficient_vector_guards(grid):
     # a length that is not (lmax + 1)^2 is refused, not truncated to the
     # largest square; a band above the grid's is refused, not indexed past
@@ -487,6 +508,59 @@ def test_stacked_transforms_match_single_calls(n_theta):
     single = [g.synth_derivs(c) for c in coeffs]
     for key in FRAME_KEYS:
         close(d[key], [s[key] for s in single])
+
+
+@pytest.mark.parametrize("n_theta", [16, 32, 128])
+def test_synth_derivs_into_out_is_bit_identical(n_theta):
+    # both routes (band 4 and the full band), one field and a stack, into
+    # fresh arrays and into leading views of flat buffers twice the size,
+    # as local_max_experiment hands them over
+    g = build_grid(n_theta, 2 * n_theta)
+    rng = np.random.default_rng(n_theta)
+    for band in (4, g.lmax):
+        for lead in ((), (3,)):
+            coeffs = rng.standard_normal(lead + (n_coeffs(band),))
+            want = g.synth_derivs(coeffs)
+            shape = lead + (g.n_theta, g.n_phi)
+            flat = [np.full(2 * math.prod(shape), np.nan) for _ in FRAME_KEYS]
+            n = math.prod(shape)
+            for out in ({key: np.empty(shape) for key in FRAME_KEYS},
+                        {key: b[:n].reshape(shape) for key, b in zip(FRAME_KEYS, flat)}):
+                arrays = dict(out)
+                got = g.synth_derivs(coeffs, out=out)
+                assert got is out and list(got) == list(FRAME_KEYS)
+                for key in FRAME_KEYS:
+                    assert got[key] is arrays[key]
+                    assert np.array_equal(got[key], want[key]), (band, lead, key)
+            for key, b in zip(FRAME_KEYS, flat):
+                assert np.array_equal(b[:n].reshape(shape), want[key]) and np.isnan(b[n:]).all()
+
+
+def _c2_norms_reference(d):
+    """_c2_norms as whole-stack |f|, |grad f| and |Hess f|_F, maxed per field."""
+    grad2 = d["f1"] ** 2 + d["f2"] ** 2
+    hess2 = d["h11"] ** 2 + 2.0 * d["h12"] ** 2 + d["h22"] ** 2
+    norms = (np.abs(d["f"]), np.sqrt(grad2), np.sqrt(hess2))
+    return np.max([v.max(axis=(-2, -1)) for v in norms], axis=0)
+
+
+@pytest.mark.parametrize("n_theta", [16, 32, 128])
+def test_c2_norms_match_the_whole_stack_expression(n_theta):
+    # maxima of f, -f and the squared sums, then sqrt: bit for bit the norms
+    # of whole-stack temporaries, on seeded stacks, one field, an all-negative
+    # field (max f < 0) and a zero field
+    g = build_grid(n_theta, 2 * n_theta)
+    rng = np.random.default_rng(n_theta)
+    stack = rng.standard_normal((5, n_coeffs(4)))
+    negative = np.zeros(n_coeffs(4))
+    negative[0], negative[5] = -10.0, 1.0
+    for coeffs in (stack, stack[1], rng.standard_normal((2, n_coeffs(g.lmax))), negative,
+                   np.zeros(n_coeffs(4)), np.zeros((2, n_coeffs(g.lmax)))):
+        d = g.synth_derivs(coeffs)
+        got, want = sphere._c2_norms(d), _c2_norms_reference(d)
+        assert got.shape == want.shape == coeffs.shape[:-1]
+        assert np.array_equal(got, want) and np.signbit(got).tolist() == np.signbit(want).tolist()
+    assert (g.synth_derivs(negative)["f"] < 0).all()
 
 
 # The product route sums each frame component in another order than the FFT

@@ -354,6 +354,30 @@ class TestExperiments:
         assert calls == {"analyze": 0, "synthesize": 0, "synth_derivs": 8}
         assert ffts == {"rfft": 0, "irfft": 0}
 
+    @pytest.mark.parametrize("n_samples, amplitude, n_calls", [(40, 0.02, 8), (9, 0.0, 6)])
+    def test_local_max_synthesizes_into_one_set_of_buffers(
+        self, monkeypatch, n_samples, amplitude, n_calls
+    ):
+        # every synthesis of a call (draw stacks, mass blocks, the resolution
+        # graph and, at amplitude 0, the near-equality norms) writes into
+        # leading views of the same six flat _STACK_NODES buffers
+        bases = []
+        synth_derivs = SphereGrid.synth_derivs
+
+        def spy(self, coeffs, *, out=None):
+            arrays = dict(out)
+            got = synth_derivs(self, coeffs, out=out)
+            assert all(got[key] is v for key, v in arrays.items())
+            bases.append(tuple(v.base for v in got.values()))
+            return got
+
+        monkeypatch.setattr(SphereGrid, "synth_derivs", spy)
+        local_max_experiment(0.5, 0.3, n_samples, amplitude, 1)
+        assert len(bases) == n_calls
+        assert all(x is y for b in bases for x, y in zip(b, bases[0], strict=True))
+        assert all(b.shape == (surfaces._STACK_NODES,) for b in bases[0])
+        assert len({id(b) for b in bases[0]}) == 6
+
     def test_amplitude_guard(self):
         with pytest.raises(ValueError):
             local_max_experiment(0.5, 0.3, 1, 0.2, 1)
