@@ -144,16 +144,18 @@ def _count(v: dict, dest: str) -> int:
     return v[dest]
 
 
-def _model_from(v: dict, alt: str, build):
+def _model_from(v: dict, alt: str, build, ignored: tuple):
     """``build(v[alt])`` when the alternative parameter (--neck-a or
-    --nariai-alpha) is given, else the model of --m, --q and --lambda, which
-    then needs --m."""
+    --nariai-alpha) is given, with none of the flags ``ignored`` it would ignore;
+    else the model of --m, --q (default 0) and --lambda, which then needs --m."""
     from .models import ModelParams
     if v[alt] is not None:
+        if clash := " and ".join(_DESTS[dest][0] for dest in ignored if v[dest] is not None):
+            raise ValueError(f"{_DESTS[alt][0]} fixes the model, which would ignore {clash}")
         return build(v[alt])
     if v["m"] is None:
         raise ValueError("missing required option --m")
-    return ModelParams(v["m"], v["q"], v["lambda"])
+    return ModelParams(v["m"], 0.0 if v["q"] is None else v["q"], v["lambda"])
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +175,7 @@ def cmd_horizons(v: dict):
     from .models import (
         HORIZON_TOL, horizon_roots, lapse_squared, params_from_neck, surface_gravity,
     )
-    p = _model_from(v, "neck_a", lambda a: params_from_neck(a, v["q"], v["lambda"]))
+    p = _model_from(v, "neck_a", lambda a: params_from_neck(a, v["q"], v["lambda"]), ("m",))
     hs = horizon_roots(p)
     gravities = [  # the roots that surface_gravity accepts as horizons
         {"r": r, "k": surface_gravity(r, p)}
@@ -316,7 +318,7 @@ def cmd_electrostatics(v: dict):
         area_charge_report, robinson_shen_residual, verify_einstein_maxwell_static,
     )
     from .models import nariai_from_alpha
-    model = _model_from(v, "nariai_alpha", lambda alpha: nariai_from_alpha(alpha, v["lambda"]))
+    model = _model_from(v, "nariai_alpha", lambda a: nariai_from_alpha(a, v["lambda"]), ("m", "q"))
     h = v["h"]
     system = verify_einstein_maxwell_static(model, samples=samples)
     bounds = area_charge_report(model)
@@ -444,7 +446,7 @@ _COMMANDS = {
         "seed": 0,
     }),
     "electrostatics": (cmd_electrostatics, {
-        "nariai_alpha": None, "lambda": 1.0, "m": None, "q": 0.0, "samples": 32, "h": 1e-4,
+        "nariai_alpha": None, "lambda": 1.0, "m": None, "q": None, "samples": 32, "h": 1e-4,
     }),
     "nariai": (cmd_nariai, {"alpha": _REQUIRED, "lambda": 1.0}),
     "sweep": (cmd_sweep, {"check": _REQUIRED, "a2": None, "q2": None, "mfrac": None, "jobs": 1}),

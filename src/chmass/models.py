@@ -69,6 +69,9 @@ class ModelParams:
     lam: float = 1.0
 
     def __post_init__(self):
+        for name, value in (("Q", self.q), ("Lambda", self.lam), ("m", self.m)):
+            if not math.isfinite(value):  # a NaN passes every comparison below
+                raise ValueError(f"model parameter {name} must be finite, got {value}")
         if self.m < 0:
             raise ValueError(f"mass must be nonnegative, got {self.m}")
 

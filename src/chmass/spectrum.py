@@ -177,7 +177,9 @@ def lambda1_discrete(surface, lmax: int = 8) -> float:
     return float(_pencil_eigvalsh(Kmat, Mmat)[0])
 
 
-def _check_k(k: int) -> None:
+def _check_request(a: float, k: int) -> None:
+    if not 0.0 < a < math.inf:
+        raise ValueError(f"laplace_spectrum requires a > 0 and finite, got a = {a}")
     if k < 1:
         raise ValueError(f"the number of eigenvalues k must be at least 1, got {k}")
 
@@ -188,9 +190,7 @@ def laplace_spectrum(a: float, k: int) -> list[float]:
     Closed form: l(l+1)/a^2 with multiplicity 2l+1.  The spectral gap
     2/a^2 equals 8 pi / |Sigma| with |Sigma| = 4 pi a^2.
     """
-    if a <= 0.0:
-        raise ValueError("laplace_spectrum requires a > 0")
-    _check_k(k)
+    _check_request(a, k)
     out: list[float] = []
     l = 0
     while len(out) < k:
@@ -211,7 +211,7 @@ def laplace_spectrum_discrete(
     ``_pencil_eigvalsh``).
     """
     from .sphere import _separable_factors
-    _check_k(k)
+    _check_request(a, k)
     grid._check_band(lmax)
     factors, col = _separable_factors(grid.n_theta, lmax)
     if k > col.size:

@@ -609,11 +609,13 @@ def _random_c2_stack(grid: SphereGrid, seeds, lmax: int, amplitude: float, out=N
     ``default_rng`` takes it; row i is one ``standard_normal`` draw of its
     own Generator, times amplitude over the C^2 norm of its partials.  The
     drawn coefficients (band lmax) are derivative-synthesized once, as one
-    stack (into ``out`` if given), for those norms; no stack is analyzed."""
+    stack (into ``out`` if given), for those norms; no stack is analyzed.
+    lmax, amplitude and the seeds are checked by name before any draw."""
+    grid._check_band(lmax)
     if lmax > grid.n_theta / 4:
         raise ValueError("lmax too large for this grid (need lmax <= n_theta/4)")
-    if amplitude < 0:
-        raise ValueError("amplitude must be nonnegative")
+    if not 0.0 <= amplitude < math.inf:
+        raise ValueError(f"amplitude must be nonnegative and finite, got {amplitude}")
     for seed in seeds:
         if np.min(seed) < 0:  # the negative entry: sample seeds are [seed, k]
             raise ValueError(f"seed must be a nonnegative integer, got {np.min(seed)}")

@@ -98,13 +98,6 @@ class SurfaceGeometry:
         )
 
 
-# Grid nodes per geometry-kernel call on a stack: 8 graphs of 32 x 64 nodes or
-# 32 of _mass_grid's band-4 16 x 32.  local_max_experiment synthesizes all its
-# stacks into six flat buffers of this size (128 KiB each), made once per call.
-# Three 40-graph runs in a fresh interpreter peaked at 40.5 MB RSS with this
-# cap and at 44.1 MB with 2**16.
-_STACK_NODES = 2**14
-
 # Nodes per elementwise pass of the geometry kernel: 64 KB temporaries.  This
 # bounds the kernel's peak, not its page faults: glibc trims the heap top as a
 # pass frees them, and the profile read's (2, n) Clenshaw buffers are 128 KiB,
@@ -140,103 +133,88 @@ def _graph_masses(prof: RadialProfile, grid: SphereGrid, s0, d: dict, t=None) ->
 
     s0 and d["f"] broadcast to (n, n_theta, n_phi); a caller holding grid
     values transforms them itself.  t is None or one scale per graph, (n, 1,
-    1), as a stencil scales its one height n ways.  Chunks of at most
-    ``_STACK_NODES`` nodes (one graph at least) reach the kernel, each scaled
-    on its own and range-checked by its profile read; the chunks bound the
-    scaled copies, and the kernel bounds its own temporaries by its passes.
-    The kernel runs mass only: its three scalars equal ``induced_geometry``'s
-    bit for bit."""
+    1), as a stencil scales its one height n ways.  One mass-only kernel call
+    sums the stack: its passes bound its memory whatever n, and its three
+    scalars equal ``induced_geometry``'s bit for bit."""
     shape = np.broadcast_shapes(np.shape(s0), np.shape(t), d["f"].shape)
     if len(shape) != 3:
         raise ValueError(f"graph stack of shape {shape} is not (n, n_theta, n_phi)")
-    n = shape[0]
-    step = max(1, _STACK_NODES // (grid.n_theta * grid.n_phi))
-    out = {name: np.empty(n) for name in ("area", "charge", "mch")}
-    for part in (slice(i, i + step) for i in range(0, n, step)):
-        rows = {key: v[part] if v.ndim == 3 else v for key, v in d.items()}
-        if t is not None:
-            rows = {key: t[part] * v for key, v in rows.items()}
-        geom = _geometry_from_derivs(
-            prof, grid, s0[part] if np.ndim(s0) == 3 else s0, rows, mass_only=True
-        )
-        for name, values in out.items():
-            values[part] = geom[name]
-        del geom, rows  # free this chunk's node arrays before the next chunk is built
-    return out
+    return _geometry_from_derivs(prof, grid, s0, d, t, mass_only=True)
 
 
 def _geometry_from_derivs(
-    prof: RadialProfile, grid: SphereGrid, s0: float, d: dict, *, mass_only: bool = False
+    prof: RadialProfile, grid: SphereGrid, s0, d: dict, t=None, *, mass_only: bool = False
 ) -> dict:
-    """Quadrature geometry of the graph of s0 + f from the spectral derivatives of f.
+    """Quadrature geometry of the graph of s0 + t f from the spectral derivatives of f.
 
     ``d`` is a ``synth_derivs`` dict of node arrays of shape (..., n_theta,
     n_phi), in the round sphere's orthonormal frame, where sigma_ij is
-    delta_ij, so the kernel reads only O(2)-invariant contractions.  Returns
-    the ``SurfaceGeometry`` fields other than grid and zeta: node arrays of
-    the shape s0 and d broadcast to (one node for a band-0 height, which
-    ``induced_geometry`` broadcasts to the grid and only ``variation_report``
-    keeps as one node), and area, charge and mch (at the profile's zeta =
-    2 Lambda) of its leading shape.  With ``mass_only`` it returns area,
-    charge and mch alone and skips u'', |A|^2, the ambient curvature and K;
-    the values are the same either way.  The transforms are linear, so the
-    derivatives of t phi are t times those of phi and a family of scaled
-    graphs shares one transform.
+    delta_ij, so the kernel reads only O(2)-invariant contractions.  t is
+    None (t = 1) or one scale per graph of a stencil, which shares f's
+    transform: the derivatives of t f are t times those of f.  Returns the
+    ``SurfaceGeometry`` fields other than grid and zeta: node arrays of the
+    shape s0, t and d broadcast to (one node for a band-0 height), and area,
+    charge and mch (at the profile's zeta = 2 Lambda) of its leading shape.
+    With ``mass_only`` it returns area, charge and mch alone and skips u'',
+    |A|^2, the ambient curvature and K; the values are the same either way.
 
-    The arithmetic runs in ``_passes``; each writes its node arrays and its
-    integrands w u^2 W, w u^2 W <E, nu> and w u^2 W H^2 into arrays of the
-    call's shape, summed after the passes, so the pass size changes no value.
+    Passes of at most ``_PASS_NODES`` nodes (whole graphs of the last stack
+    axis, or whole theta rows of one graph) each scale their own partials
+    and write w u^2 W, w u^2 W <E, nu> and w u^2 W H^2 into a buffer of the
+    graphs they cover, summed once those graphs' last rows are written: the
+    pass size changes no value, and in mass-only mode no node array grows
+    with the stack.
     """
-    shape = np.broadcast_shapes(np.shape(s0), *(v.shape for v in d.values()))
+    shape = np.broadcast_shapes(np.shape(s0), np.shape(t), *(v.shape for v in d.values()))
     nodes = np.broadcast_shapes(shape, grid.w_node.shape)
-    w_area, w_charge, w_h2 = weighted = [np.empty(nodes) for _ in range(3)]
+    *stack, n_theta, n_phi = nodes if len(nodes) > 2 else (1, *nodes)
+    graphs = max(1, min(stack[-1], _PASS_NODES // (n_theta * n_phi)))
+    rows = max(1, _PASS_NODES // n_phi)
+    weighted = np.empty((3, *[1] * (len(stack) - 1), graphs, n_theta, n_phi))
+    sums = np.empty((3, *stack))
     fields = {}
-    for idx in _passes(nodes):
-        rows = {key: _part(v, idx) for key, v in d.items()}
-        try:
-            part = _node_fields(prof, _part(s0, idx), rows, mass_only)
-        except ValueError:
-            prof._check_range(s0 + d["f"])  # name the worst height of the whole call
-            raise
-        w_a = np.multiply(_part(grid.w_node, idx), part["area_element"], out=_part(w_area, idx))
-        np.multiply(w_a, part.pop("e_dot_nu"), out=_part(w_charge, idx))
-        np.multiply(w_a, part["h_mean"] ** 2, out=_part(w_h2, idx))
-        for name, v in () if mass_only else part.items():
-            if name not in fields:
-                fields[name] = np.empty(shape)
-            _part(fields[name], idx)[...] = v
-    area_val, charge_sum, h2_int = (np.sum(a, axis=(-2, -1)) for a in weighted)
+    for outer in np.ndindex(*stack[:-1]):
+        for i in range(0, stack[-1], graphs):
+            block = (*(slice(k, k + 1) for k in outer), slice(i, i + graphs))
+            w = weighted[..., : min(graphs, stack[-1] - i), :, :]
+            for j in range(0, n_theta, rows):
+                idx = (*block, slice(j, j + rows), slice(None))
+                try:
+                    part = _node_fields(prof, s0, t, d, idx, mass_only)
+                except ValueError:  # name the worst height of the whole call
+                    prof._check_range(s0 + (d["f"] if t is None else t * d["f"]))
+                    raise
+                w_area, w_charge, w_h2 = w[..., j : j + rows, :]
+                np.multiply(_part(grid.w_node, idx), part["area_element"], out=w_area)
+                np.multiply(w_area, part.pop("e_dot_nu"), out=w_charge)
+                np.multiply(w_area, part["h_mean"] ** 2, out=w_h2)
+                for name, v in () if mass_only else part.items():
+                    if name not in fields:
+                        fields[name] = np.empty(shape)
+                    _part(fields[name], idx)[...] = v
+            sums[(slice(None), *block)] = np.sum(w, axis=(-2, -1))
+    area_val, charge_sum, h2_int = sums.reshape(3, *nodes[:-2])
     charge_val = charge_sum / (4.0 * math.pi)
     mch = _hawking_mass(area_val, charge_val, h2_int, prof.zeta)
     return dict(area=area_val, charge=charge_val, mch=mch, **fields)
 
 
-def _passes(shape):
-    """Index tuples, one slice per axis, that cut nodes of ``shape`` (...,
-    n_theta, n_phi) into passes of at most ``_PASS_NODES`` (one theta row at
-    least): whole graphs along the last stack axis if a graph fits, else
-    whole theta rows of one graph."""
-    *lead, n_theta, n_phi = shape
-    if lead and n_theta * n_phi <= _PASS_NODES:
-        axis, step = len(lead) - 1, _PASS_NODES // (n_theta * n_phi)
-    else:
-        axis, step = len(lead), max(1, _PASS_NODES // n_phi)
-    rest = (slice(None),) * (len(shape) - axis - 1)
-    for outer in np.ndindex(*shape[:axis]):
-        for i in range(0, shape[axis], step):
-            yield (*(slice(j, j + 1) for j in outer), slice(i, i + step), *rest)
-
-
 def _part(a, idx):
-    """Pass ``idx`` of an array that broadcasts to the call: a view, whole on a's length-1 axes."""
+    """Pass ``idx`` of an array that broadcasts to the call: a view, whole on
+    a's length-1 axes.  The index is built as a list: tuples grown from a
+    generator are resized, and CPython's free list keeps them, traced memory
+    that grows with the number of passes."""
     a = np.asarray(a)
-    return a[tuple(i if n > 1 else slice(None) for i, n in zip(idx[len(idx) - a.ndim :], a.shape))]
+    at = [i if n > 1 else slice(None) for i, n in zip(idx[len(idx) - a.ndim :], a.shape)]
+    return a[tuple(at)]
 
 
-def _node_fields(prof: RadialProfile, s0, d: dict, mass_only: bool) -> dict:
-    """One pass of ``_geometry_from_derivs``: its node arrays and <E, nu>;
-    with ``mass_only`` u^2 W, <E, nu> and H alone."""
-    f = s0 + d["f"]
+def _node_fields(prof: RadialProfile, s0, t, d: dict, idx, mass_only: bool) -> dict:
+    """Pass ``idx`` of ``_geometry_from_derivs`` on the graph of s0 + t f:
+    its node arrays and <E, nu>; with ``mass_only`` u^2 W, <E, nu> and H
+    alone.  The pass's partials, scaled by its t, live as long as the pass."""
+    d = {key: _part(v, idx) if t is None else _part(t, idx) * _part(v, idx) for key, v in d.items()}
+    f = _part(s0, idx) + d["f"]
     if mass_only:  # the mass reads u and u' alone
         u, du = prof._state(f)
     else:

@@ -7,7 +7,7 @@ to see the per-criterion lines.
 import numpy as np
 import pytest
 
-from chmass import sphere, surfaces
+from chmass import sphere
 from chmass.sphere import SphereGrid
 from chmass.verification import CRITERIA, run_all
 
@@ -40,13 +40,13 @@ def test_total_runtime(summary):
 
 # (analyze, synth_derivs, geometry-kernel) calls of each criterion that makes
 # any, and the grid nodes it sends through the kernel.  Every stack of graphs
-# reaches the kernel in chunks of at most surfaces._STACK_NODES grid nodes, on
-# the grid of surfaces._mass_grid: crit 04's 50 slices (band 0) at n_theta 16
-# in 2 calls, crit 05's 20 graphs (drawn at n_theta 64) at n_theta 16 in one,
-# crit 09's two 5-graph stencils at n_theta 16 in one call each.  A band-0
-# height (a slice) is read at one node with no transform: crit 04's slices,
-# crit 06's and crit 08's 7 slices and 10 base slices send one node each.  Crit 08's 10 cases
-# each send the base slice, the 6-graph stencil (n_theta 16) and its
+# reaches the kernel in one call, on the grid of surfaces._mass_grid: crit
+# 04's 50 slices (band 0) at n_theta 16 (2 calls while stacks were cut into
+# chunks of 2**14 grid nodes), crit 05's 20 graphs (drawn at n_theta 64) at
+# n_theta 16, crit 09's two 5-graph stencils at n_theta 16 in one call each.
+# A band-0 height (a slice) is read at one node with no transform: crit 04's
+# slices, crit 06's and crit 08's 7 slices and 10 base slices send one node
+# each.  Crit 08's 10 cases each send the base slice, the 6-graph stencil (n_theta 16) and its
 # largest-|t| graph re-summed on phi's grid (n_theta 32) in one call each,
 # plus its 7 slices.  Crit 10 draws its 200 heights on the 32 x 64
 # grid in 25 stacks of 8 and keeps their coefficients; it sums their masses on
@@ -63,7 +63,7 @@ def test_total_runtime(summary):
 # 04's and 06's synth_derivs 1 -> 0, crit 08's analyses 10 -> 0 and
 # synth_derivs 57 -> 30.
 KERNEL_COUNTS = {
-    "04": (0, 0, 2, 50),
+    "04": (0, 0, 1, 50),
     "05": (0, 2, 1, 20 * 512),
     "06": (0, 0, 1, 1),
     "08": (0, 30, 37, 7 + 10 * (1 + 6 * 512 + 2048)),
@@ -71,7 +71,7 @@ KERNEL_COUNTS = {
     "10": (0, 33, 8, 200 * 512 + 2048),
 }
 
-def test_transform_and_kernel_counts_per_criterion(monkeypatch):
+def test_transform_and_kernel_counts_per_criterion(monkeypatch, kernel_calls):
     # deterministic counting gate for run_all: a per-graph loop shows up as
     # a count that grows with the number of graphs, and a grid finer than the
     # graphs need as a node count that grows with it
@@ -88,22 +88,15 @@ def test_transform_and_kernel_counts_per_criterion(monkeypatch):
 
     spy(SphereGrid, "analyze")
     spy(SphereGrid, "synth_derivs")
-    kernel = surfaces._geometry_from_derivs
-
-    def kernel_counted(prof, grid, s0, d, *args, **kwargs):
-        calls["_geometry_from_derivs"] = calls.get("_geometry_from_derivs", 0) + 1
-        calls["nodes"] = calls.get("nodes", 0) + np.broadcast(np.asarray(s0), d["f"]).size
-        return kernel(prof, grid, s0, d, *args, **kwargs)
-
-    monkeypatch.setattr(surfaces, "_geometry_from_derivs", kernel_counted)
     counts = {}
     for cid, _, fn in CRITERIA:
         calls.clear()
+        kernel_calls.clear()
         fn()
-        if calls:
-            counts[cid] = tuple(
-                calls.get(name, 0)
-                for name in ("analyze", "synth_derivs", "_geometry_from_derivs", "nodes")
+        if calls or kernel_calls:
+            counts[cid] = (
+                calls.get("analyze", 0), calls.get("synth_derivs", 0),
+                len(kernel_calls), sum(c.nodes for c in kernel_calls),
             )
     assert counts == KERNEL_COUNTS
 

@@ -1151,6 +1151,40 @@ class TestConfigAndErrors:
         assert code == 2 and out == ""
         assert "missing required option --m" in err
 
+    @pytest.mark.parametrize("from_config", [False, True])
+    def test_horizons_refuses_mass_with_neck(self, capsys, tmp_path, from_config):
+        # --neck-a fixes m: a --m beside it was ignored and the run exited 0
+        # with the neck's m = 0.31916...
+        argv = ["--neck-a", "0.5", "--q", "0.3"]
+        if from_config:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("m = 0.1\n")
+            argv += ["--config", str(cfg)]
+        else:
+            argv += ["--m", "0.1"]
+        code, out, err = invoke(capsys, "horizons", *argv)
+        assert code == 2 and out == ""
+        assert err == "chmass horizons: error: --neck-a fixes the model, which would ignore --m\n"
+
+    @pytest.mark.parametrize("from_config", [False, True])
+    def test_electrostatics_refuses_mass_and_charge_with_nariai_alpha(
+        self, capsys, tmp_path, from_config
+    ):
+        # --nariai-alpha fixes m and Q: the run reported the Nariai model's own
+        argv = ["--nariai-alpha", "0.8"]
+        if from_config:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("m = 0.3\nq = 0.1\n")
+            argv += ["--config", str(cfg)]
+        else:
+            argv += ["--m", "0.3", "--q", "0.1"]
+        code, out, err = invoke(capsys, "electrostatics", *argv)
+        assert code == 2 and out == ""
+        assert err == (
+            "chmass electrostatics: error: --nariai-alpha fixes the model,"
+            " which would ignore --m and --q\n"
+        )
+
     def test_missing_required_exits_2(self, capsys):
         code, _, err = invoke(capsys, "profile")
         assert code == 2

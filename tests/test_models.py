@@ -54,6 +54,23 @@ def test_negative_mass_is_refused():
         ModelParams(-0.1, 0.1, 1.0)
 
 
+@pytest.mark.parametrize("m, q, lam, name", [
+    (math.nan, 0.1, 1.0, "m"), (math.inf, 0.1, 1.0, "m"),
+    (0.3, math.nan, 1.0, "Q"), (0.3, 0.1, -math.inf, "Lambda"),
+])
+def test_nonfinite_model_parameter_is_named(m, q, lam, name):
+    # a NaN m passed the m < 0 check
+    with pytest.raises(ValueError, match=f"model parameter {name} must be finite"):
+        ModelParams(m, q, lam)
+
+
+def test_neck_with_nan_charge_names_the_charge():
+    # integrate_profile(0.5, nan) reported "collocation panel width collapsed"
+    from chmass.profile import integrate_profile
+    with pytest.raises(ValueError, match="model parameter Q must be finite, got nan"):
+        integrate_profile(0.5, math.nan)
+
+
 @pytest.mark.parametrize("lam", [0.0, -1.0])
 def test_window_and_nariai_need_positive_lambda(lam):
     with pytest.raises(ValueError, match="admissible_window requires Lambda > 0"):

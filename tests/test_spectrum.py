@@ -324,7 +324,11 @@ def test_laplace_spectrum_discrete_matches_scipy_eigh(grid, monkeypatch):
     np.testing.assert_allclose(vals, ref[:25], rtol=0, atol=1e-12 * np.abs(ref).max())
 
 
-@pytest.mark.parametrize("a", [0.0, -0.5])
+@pytest.mark.parametrize("a", [0.0, -0.5, -1.0, math.nan, math.inf])
 def test_laplace_spectrum_needs_positive_radius(a):
+    # the discrete oracle returned [0, 2, 2] at a = -1 and raised a raw
+    # LinAlgError at 0 and NaN; the closed form returned NaNs at NaN
     with pytest.raises(ValueError, match="laplace_spectrum requires a > 0"):
         laplace_spectrum(a, 3)
+    with pytest.raises(ValueError, match="laplace_spectrum requires a > 0"):
+        laplace_spectrum_discrete(build_grid(16, 32), a, 3)

@@ -342,6 +342,22 @@ def test_negative_seed_is_refused(grid):
         random_c2_field(grid, -1, 4, 0.05)
 
 
+@pytest.mark.parametrize("lmax, amplitude, error", [
+    (4, math.nan, "amplitude must be nonnegative and finite, got nan"),
+    (4, math.inf, "amplitude must be nonnegative and finite, got inf"),
+    (4, -0.01, "amplitude must be nonnegative"),
+    (-1, 0.05, "lmax must be an integer >= 0, got -1"),
+    (2.5, 0.05, "lmax must be an integer >= 0, got 2.5"),
+])
+def test_draw_inputs_are_refused_by_name_before_any_draw(grid, monkeypatch, lmax, amplitude, error):
+    # a NaN amplitude failed later as "coefficients must be one finite
+    # vector", lmax = -1 as "coefficient vector of length 0" and lmax = 2.5
+    # as a numpy TypeError
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("drew"))
+    with pytest.raises(ValueError, match=re.escape(error)):
+        random_c2_field(grid, 1, lmax, amplitude)
+
+
 class TestFromCoeffs:
     def test_values_are_one_synthesis_and_nothing_is_analyzed(self, grid, monkeypatch):
         c = np.random.default_rng(3).standard_normal(n_coeffs(5))

@@ -1,5 +1,4 @@
 import gc
-import itertools
 import math
 import weakref
 
@@ -43,18 +42,6 @@ def zero_field(grid):
     return ScalarField(grid, np.zeros((grid.n_theta, grid.n_phi)))
 
 
-def _spy_kernel_nodes(monkeypatch):
-    """The number of nodes of each geometry-kernel call, in call order."""
-    kernel, nodes = surfaces._geometry_from_derivs, []
-
-    def spy(prof, grid, s0, d, **kw):
-        nodes.append(d["f"].size)
-        return kernel(prof, grid, s0, d, **kw)
-
-    monkeypatch.setattr(surfaces, "_geometry_from_derivs", spy)
-    return nodes
-
-
 class TestSlices:
     @pytest.mark.parametrize("s0", [0.0, -0.7, 1.3])
     def test_zero_height_geometry_is_that_of_the_full_band_route(self, prof, grid, s0):
@@ -69,7 +56,7 @@ class TestSlices:
     @pytest.mark.parametrize("n_theta", [16, 128])
     @pytest.mark.parametrize("c00", [0.0, math.sqrt(4.0 * math.pi)])
     @pytest.mark.parametrize("s0", [0.0, 0.3, -0.3, 1.2])
-    def test_band0_height_is_read_at_one_node(self, wide, monkeypatch, n_theta, c00, s0):
+    def test_band0_height_is_read_at_one_node(self, wide, kernel_calls, n_theta, c00, s0):
         # a constant height (the zero height, or the height 1 of c00 =
         # sqrt(4 pi)) reaches the kernel as one node; area, charge, mch and
         # every node array equal the full-grid synthesis's bit for bit, as
@@ -77,9 +64,9 @@ class TestSlices:
         grid = build_grid(n_theta, 2 * n_theta)
         coeffs = np.array([c00])
         full = _geometry_from_derivs(wide, grid, s0, grid.synth_derivs(coeffs))
-        nodes = _spy_kernel_nodes(monkeypatch)
+        kernel_calls.clear()
         geom = induced_geometry(GraphSurface(wide, s0, ScalarField.from_coeffs(grid, coeffs)))
-        assert nodes == [1]
+        assert [c.nodes for c in kernel_calls] == [1]
         for name, want in full.items():
             got = getattr(geom, name)
             assert np.array_equal(got, want), name
@@ -87,14 +74,13 @@ class TestSlices:
                 assert got.shape == (n_theta, 2 * n_theta) and not got.flags.writeable, name
 
     @pytest.mark.parametrize("n_theta", [16, 128])
-    def test_band1_height_is_read_on_the_whole_grid(self, prof, monkeypatch, n_theta):
+    def test_band1_height_is_read_on_the_whole_grid(self, prof, kernel_calls, n_theta):
         # the control: a height with any coefficient beyond c00 is not constant
         # and reaches the kernel on every node
         grid = build_grid(n_theta, 2 * n_theta)
-        nodes = _spy_kernel_nodes(monkeypatch)
         phi = ScalarField.from_coeffs(grid, np.array([0.0, 0.0, 0.01, 0.0]))
         geom = induced_geometry(GraphSurface(prof, 0.3, phi))
-        assert nodes == [n_theta * 2 * n_theta]
+        assert [c.nodes for c in kernel_calls] == [n_theta * 2 * n_theta]
         assert np.ptp(geom.h_mean) > 0.0
 
     def test_neck_closed_forms(self, prof, grid):
@@ -186,23 +172,16 @@ class TestZeta:
             want = geom.mch + slope * (zeta - 2.0 * prof.lam)
             assert charged_hawking_mass(surf, zeta) == pytest.approx(want, rel=0, abs=1e-15)
 
-    def test_one_kernel_call_per_surface(self, prof, grid, monkeypatch):
+    def test_one_kernel_call_per_surface(self, prof, grid, kernel_calls):
         # lambda1_discrete, charge and the mass at three zeta read one geometry
         from chmass.spectrum import lambda1_discrete
-        kernel, calls = surfaces._geometry_from_derivs, []
-
-        def spy(*args, **kw):
-            calls.append(kw.get("mass_only", False))
-            return kernel(*args, **kw)
-
-        monkeypatch.setattr(surfaces, "_geometry_from_derivs", spy)
         for seed in (1, 2):
             surf = GraphSurface(prof, 0.0, random_c2_field(grid, seed, 4, 0.05))
             lambda1_discrete(surf, lmax=4)
             charge(surf)
             for zeta in (0.0, prof.lam, 2.0 * prof.lam):
                 charged_hawking_mass(surf, zeta)
-        assert calls == [False, False]
+        assert [c.mass_only for c in kernel_calls] == [False, False]
 
 
 class TestGraphs:
@@ -328,30 +307,6 @@ def test_stacked_slices_match_per_slice_geometry(prof, grid):
         np.testing.assert_array_equal(scaled[name], full[name], err_msg=name)
 
 
-def test_stack_chunks_bound_the_kernel_and_keep_the_values(prof, grid, monkeypatch):
-    # chunks of at most _STACK_NODES nodes (at least one graph each) reach the
-    # kernel, each with its graphs' own scales; the chunk size changes no value
-    heights = grid.synth_derivs(_random_c2_stack(grid, range(11), 4, 0.05))
-    t = np.linspace(-1.5, 1.5, 11)[:, None, None]
-    kernel = surfaces._geometry_from_derivs
-    rows = []
-
-    def spy(prof, grid, s0, d, **kw):
-        rows.append(len(d["f"]))
-        return kernel(prof, grid, s0, d, **kw)
-
-    monkeypatch.setattr(surfaces, "_geometry_from_derivs", spy)
-    results = {}
-    for cap, want in [(1, [1] * 11), (2**14, [8, 3]), (2**20, [11])]:
-        monkeypatch.setattr(surfaces, "_STACK_NODES", cap)
-        rows.clear()
-        results[cap] = _graph_masses(prof, grid, 0.1, heights, t)
-        assert rows == want
-    for name, values in results[2**14].items():
-        np.testing.assert_array_equal(values, results[1][name])
-        np.testing.assert_array_equal(values, results[2**20][name])
-
-
 def test_single_graph_is_not_a_stack(prof, monkeypatch):
     # one 2-D graph with a scalar s0 broadcasts to (n_theta, n_phi): read as a
     # stack it made n_theta kernel calls on the whole graph, so it is refused
@@ -367,9 +322,10 @@ def test_kernel_pass_size_changes_no_value(prof, monkeypatch):
     # the kernel's elementwise passes (one theta row, the default 2**13
     # weighted nodes, or one pass over the whole call) change no field of the
     # full kernel and no mass of the mass-only one, bit for bit: one graph, a
-    # stack with an s0 per graph, a scaled stencil (and _graph_masses on it)
-    # and the band-0 node (one node of fields, a whole grid of weights).  The
-    # passes are counted, so each size really runs
+    # stack with an s0 per graph, a stencil scaled before the call or by the
+    # kernel's t pass by pass (and _graph_masses on it) and the band-0 node
+    # (one node of fields, a whole grid of weights).  The passes are counted,
+    # so each size really runs
     fine, coarse = build_grid(128, 256), build_grid(16, 32)
     stencil = coarse.synth_derivs(_random_c2_stack(coarse, [3], 4, 0.5)[0])
     t = np.linspace(-2e-2, 2e-2, 9)[:, None, None]
@@ -398,19 +354,20 @@ def test_kernel_pass_size_changes_no_value(prof, monkeypatch):
                 _geometry_from_derivs(prof, g, s0, scaled),
                 _geometry_from_derivs(prof, g, s0, scaled, mass_only=True),
             ]
-            if scale is not None:  # the stencil in one chunk, the kernel's passes
-                calls.append(_graph_masses(prof, g, s0, d, scale))
+            if scale is not None:  # the kernel scales each pass's partials
+                calls += [
+                    _geometry_from_derivs(prof, g, s0, d, scale),
+                    _graph_masses(prof, g, s0, d, scale),
+                ]
             assert len(passes) == len(calls) * want, (name, cap)
             results.append(calls)
-        (full, *masses), *others = results
+        full, *others = results[0]
         assert full["h_mean"].shape == np.broadcast_shapes(np.shape(s0), scaled["f"].shape)
-        for other in others:
-            for ref, got in zip(results[0], other):
-                assert ref.keys() == got.keys()
-                for key, v in ref.items():
-                    assert v.shape == got[key].shape and np.array_equal(v, got[key]), (name, key)
-        for mass, key in itertools.product(masses, ("area", "charge", "mch")):
-            assert np.array_equal(mass[key], full[key]), (name, key)
+        pairs = [(ref, got) for other in results[1:] for ref, got in zip(results[0], other)]
+        assert all(ref.keys() == got.keys() for ref, got in pairs)
+        for ref, got in pairs + [(full, got) for got in others]:  # others: full's values
+            for key, v in got.items():
+                assert v.shape == ref[key].shape and np.array_equal(v, ref[key]), (name, key)
 
 
 def test_mass_kernel_traced_peak(prof):
@@ -429,6 +386,36 @@ def test_mass_kernel_traced_peak(prof):
     finally:
         tracemalloc.stop()
     assert peak <= 3e6
+
+
+def _traced_peak(fn, *args):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_stack_masses_traced_peak(prof):
+    # _graph_masses holds one pass of scaled partials and the weighted
+    # integrands of the graphs that pass covers, never a node array of the
+    # stack: a 9-graph stencil at 128 x 256 peaks below 3.2 MB (3.84 MB while
+    # the stack was cut into scaled chunks and the kernel held three
+    # call-size integrands), and 200 graphs at 16 x 32 peak as 32 do, up to
+    # eight floats per graph for the per-graph sums and masses (a node array
+    # is 512 floats per graph)
+    fine, coarse = build_grid(128, 256), build_grid(16, 32)
+    t = np.linspace(-2e-2, 2e-2, 9)[:, None, None]
+    d = fine.synth_derivs(random_c2_field(fine, 7919, 4, 0.5).coeffs)
+    assert _traced_peak(_graph_masses, prof, fine, 0.0, d, t) <= 3.2e6
+    peaks = {}
+    for n in (32, 200):
+        d = coarse.synth_derivs(_random_c2_stack(coarse, range(n), 4, 0.05))
+        peaks[n] = _traced_peak(_graph_masses, prof, coarse, 0.0, d)
+    assert abs(peaks[200] - peaks[32]) <= 8 * 8 * (200 - 32)
 
 
 def test_stack_check_rejects_any_graph(prof, grid):
@@ -458,8 +445,8 @@ def test_drawn_stack_is_checked_on_the_heights_it_measures(prof, grid):
 
 @pytest.mark.parametrize("n_theta", [32, 64])
 def test_drawn_stack_with_its_scales_is_the_scaled_stack(prof, n_theta):
-    # scaling each chunk by t gives the masses of the scaled stack bit for
-    # bit: the products are the same, taken chunk by chunk
+    # scaling each pass by t gives the masses of the scaled stack bit for
+    # bit: the products are the same, taken pass by pass
     g = build_grid(n_theta, 2 * n_theta)
     drawn = g.synth_derivs(_random_c2_stack(g, range(5), 4, 0.05))
     t = np.array([-2.0, -0.5, 0.0, 0.7, 1.9])[:, None, None]

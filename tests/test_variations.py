@@ -1,10 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from chmass.models import nariai_from_alpha
-from chmass import surfaces, variations
+from chmass import variations
 from chmass.profile import (
     area_charge_value,
     cmc_foliation,
@@ -375,12 +376,27 @@ class TestExperiments:
         local_max_experiment(0.5, 0.3, n_samples, amplitude, 1)
         assert len(bases) == n_calls
         assert all(x is y for b in bases for x, y in zip(b, bases[0], strict=True))
-        assert all(b.shape == (surfaces._STACK_NODES,) for b in bases[0])
+        assert all(b.shape == (variations._STACK_NODES,) for b in bases[0])
         assert len({id(b) for b in bases[0]}) == 6
 
     def test_amplitude_guard(self):
         with pytest.raises(ValueError):
             local_max_experiment(0.5, 0.3, 1, 0.2, 1)
+
+    @pytest.mark.parametrize("n_samples, amplitude, error", [
+        (4, math.nan, "amplitude must be nonnegative and finite, got nan"),
+        (4.5, 0.02, "n_samples must be an integer >= 1, got 4.5"),
+        (True, 0.02, "n_samples must be an integer >= 1, got True"),
+        (0, 0.02, "n_samples must be an integer >= 1, got 0"),
+    ])
+    def test_inputs_are_refused_by_name_before_any_draw(
+        self, monkeypatch, n_samples, amplitude, error
+    ):
+        # a NaN amplitude failed as "non-finite s = nan" and 4.5 samples as a
+        # TypeError from range
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("drew"))
+        with pytest.raises(ValueError, match=re.escape(error)):
+            local_max_experiment(0.5, 0.3, n_samples, amplitude, 1)
 
     def test_nariai_flow(self):
         npar = nariai_from_alpha(0.8, 1.0)
@@ -483,7 +499,7 @@ class TestScaledGraphOracles:
         with pytest.raises(ValueError, match="outside integrated range"):
             variation_report(prof, 0.0, phi, dt=t / 2)
 
-    def test_variation_report_counts(self, prof, grid, monkeypatch):
+    def test_variation_report_counts(self, prof, grid, monkeypatch, kernel_calls):
         # deterministic counting gate: phi's coefficients are synthesized once
         # on phi's grid for the analytic side and once on the 16 x 32 grid of
         # _mass_grid for the oracle, nothing is analyzed, and the geometry
@@ -493,7 +509,6 @@ class TestScaledGraphOracles:
         phi = random_c2_field(grid, 5, 4, 0.5)
         analyzed, synthesized, kernel_t, kernel_rows = [], [], [], []
         analyze, synth_derivs = SphereGrid.analyze, SphereGrid.synth_derivs
-        kernel = surfaces._geometry_from_derivs
 
         def spy_analyze(self, values, lmax=None):
             analyzed.append(np.array(values))
@@ -503,20 +518,17 @@ class TestScaledGraphOracles:
             synthesized.append((self.n_theta, coeffs))
             return synth_derivs(self, coeffs)
 
-        def spy_kernel(prof, grid, s0, d, **kw):
-            on_grid = grid.synthesize(phi.coeffs)
-            f = np.broadcast_to(d["f"], np.broadcast_shapes(d["f"].shape, on_grid.shape))
-            rows = np.reshape(f, (-1,) + on_grid.shape)  # t of each stack row
-            kernel_t.extend(np.sum(rows * on_grid, axis=(1, 2)) / np.sum(on_grid**2))
-            kernel_rows.append((grid.n_theta, len(rows)))
-            return kernel(prof, grid, s0, d, **kw)
-
         monkeypatch.setattr(SphereGrid, "analyze", spy_analyze)
         monkeypatch.setattr(SphereGrid, "synth_derivs", spy_synth_derivs)
-        monkeypatch.setattr(surfaces, "_geometry_from_derivs", spy_kernel)
         ffts = _spy_ffts(monkeypatch)
         dt = 1e-2
         rep = variation_report(prof, 0.0, phi, dt)
+        for call in kernel_calls:
+            on_grid = call.grid.synthesize(phi.coeffs)
+            f = np.broadcast_to(call.heights, np.broadcast_shapes(call.shape, on_grid.shape))
+            rows = np.reshape(f, (-1,) + on_grid.shape)  # t of each stack row
+            kernel_t.extend(np.sum(rows * on_grid, axis=(1, 2)) / np.sum(on_grid**2))
+            kernel_rows.append((call.grid.n_theta, len(rows)))
 
         # analysed: nothing (1 -> 0); the base slice's H is constant, so its
         # gradient is 0 and it was analysed only to be read as such
@@ -567,23 +579,15 @@ class TestScaledGraphOracles:
         lambda1_discrete(surf)
         charge(surf)
 
-    def test_fine_oracle_op_kernel_nodes(self, prof, monkeypatch):
+    def test_fine_oracle_op_kernel_nodes(self, prof, kernel_calls):
         # counting gate for fine_oracle_op: each report's base slice (one
         # node: a band-0 height), resolution graph (128 x 256 nodes) and
         # stencil (9 and 6 graphs of 16 x 32) in one kernel call each, and the
         # graph once for lambda1 and its charge; 17 graphs of 128 x 256 before
         # the stencils were summed on the grid of _mass_grid
-        kernel = surfaces._geometry_from_derivs
-        nodes = []
-
-        def spy(prof, grid, s0, d, **kw):
-            nodes.append(np.broadcast(np.asarray(s0), d["f"]).size)
-            return kernel(prof, grid, s0, d, **kw)
-
-        monkeypatch.setattr(surfaces, "_geometry_from_derivs", spy)
         self.fine_oracle_op(prof)
-        assert len(nodes) == 7
-        assert sum(nodes) == 3 * 128 * 256 + 2 + 15 * 16 * 32 == 105_986
+        assert len(kernel_calls) == 7
+        assert sum(c.nodes for c in kernel_calls) == 3 * 128 * 256 + 2 + 15 * 16 * 32 == 105_986
 
     def test_fine_oracle_op_ffts(self, prof, monkeypatch):
         # counting gate for fine_oracle_op, which may only fall: the perturbed
